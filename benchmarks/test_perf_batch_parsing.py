@@ -28,7 +28,7 @@ from __future__ import annotations
 import pytest
 
 from repro.perf import run_parse_bench
-from repro.perf.procpool import _available_cpus
+from repro.perf.pool import _available_cpus
 
 from _bench_utils import emit_bench_artifact, print_table, scaled
 

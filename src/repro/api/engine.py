@@ -301,14 +301,10 @@ class ReproEngine:
         Forwarded to :class:`TableCatalog` when ``catalog`` is omitted.
     workers / backend:
         Pool defaults for batched queries (per-request ``backend``
-        overrides the default).
-    persistent_pools:
-        When true (the default) the engine owns one long-lived
-        :class:`~repro.perf.pool.WorkerPool` per backend, created
-        lazily and reused for every batched query until :meth:`close`
-        — warm workers, incremental table shipping and shard pinning
-        instead of per-batch executor churn.  ``False`` restores the
-        per-call executors (useful for one-shot scripts).
+        overrides the default).  The engine owns one long-lived
+        :class:`~repro.perf.pool.WorkerPool` per backend, created lazily
+        and reused for every batched query until :meth:`close` — warm
+        workers, incremental table shipping and shard pinning.
     call_timeout:
         Per-dispatch watchdog of the persistent process pool: a worker
         sitting on one batch message longer than this (seconds) is
@@ -329,7 +325,6 @@ class ReproEngine:
         prune: bool = True,
         workers: int = 4,
         backend: str = "thread",
-        persistent_pools: bool = True,
         call_timeout: Optional[float] = None,
     ) -> None:
         if catalog is None:
@@ -343,7 +338,6 @@ class ReproEngine:
         self.catalog = catalog
         self.workers = workers
         self.backend = backend
-        self.persistent_pools = persistent_pools
         self.call_timeout = call_timeout
         self._pools: Dict[str, Any] = {}
         self._pools_lock = threading.Lock()
@@ -409,16 +403,9 @@ class ReproEngine:
         """
         return self.catalog.routing_sets(question, max_candidates=max_candidates)
 
-    # -- persistent pools -------------------------------------------------------
+    # -- worker pools ----------------------------------------------------------
     def pool(self, backend: Optional[str] = None):
-        """The engine's long-lived worker pool for ``backend`` (lazy).
-
-        Returns ``None`` when ``persistent_pools`` is off — callers pass
-        the value straight through as the ``pool=`` argument and the
-        per-call executors take over.
-        """
-        if not self.persistent_pools:
-            return None
+        """The engine's long-lived worker pool for ``backend`` (lazy)."""
         backend = backend or self.backend
         with self._pools_lock:
             pool = self._pools.get(backend)
@@ -435,12 +422,12 @@ class ReproEngine:
             return pool
 
     def pool_stats(self) -> Dict[str, Any]:
-        """Per-backend counters of the live persistent pools (JSON-safe)."""
+        """Per-backend counters of the live worker pools (JSON-safe)."""
         with self._pools_lock:
             return {backend: pool.stats() for backend, pool in self._pools.items()}
 
     def close(self) -> None:
-        """Tear down every persistent pool (idempotent; engine stays usable —
+        """Tear down every worker pool (idempotent; engine stays usable —
         the next batched query lazily builds fresh pools)."""
         with self._pools_lock:
             pools = list(self._pools.values())

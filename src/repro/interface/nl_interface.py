@@ -17,7 +17,7 @@ from ..tables.fingerprint import LRUCache
 from ..tables.table import Table
 from ..core.explanation import ExplanationGenerator, QueryExplanation
 from ..parser.candidates import Candidate, ParseOutput, SemanticParser
-from ..perf.batch import BatchItem, BatchParser
+from ..perf.pool import BatchItem, create_pool
 
 
 @dataclass(frozen=True)
@@ -183,14 +183,13 @@ class NLInterface:
     ) -> List[InterfaceResponse]:
         """Answer a batch of (question, table) pairs concurrently.
 
-        Parsing fans out over a :class:`~repro.perf.batch.BatchParser`
-        worker pool (order-stable, identical to asking sequentially);
-        ``backend="process"`` swaps in the GIL-free process pool, and a
-        persistent :class:`~repro.perf.pool.WorkerPool` passed as
-        ``pool`` is reused across calls instead of building executors
-        per batch.  Explanation stays sequential per response since it
-        is cheap relative to parsing.  Returns one
-        :class:`InterfaceResponse` per input pair, index-aligned.
+        Parsing runs on a :class:`~repro.perf.pool.WorkerPool`
+        (order-stable, identical to asking sequentially): the long-lived
+        ``pool`` when one is passed, else a ``create_pool(backend,
+        parser, workers)`` pool built for this call and closed after it.
+        Explanation stays sequential per response since it is cheap
+        relative to parsing.  Returns one :class:`InterfaceResponse` per
+        input pair, index-aligned.
 
         ``deadlines`` (index-aligned absolute ``time.monotonic()``
         instants, ``None`` entries wait forever) bounds each item; an
@@ -198,30 +197,31 @@ class NLInterface:
         the batch completes — see :class:`InterfaceResponse`.
         """
         limit = k if k is not None else self.k
-        batch = BatchParser(
-            self.parser, max_workers=workers, backend=backend, pool=pool
-        )
-        if deadlines is not None:
-            inputs = [
-                BatchItem(question=question, table=table, deadline=deadline)
-                for (question, table), deadline in zip(items, deadlines)
-            ]
+        if deadlines is None:
+            deadlines = [None] * len(items)
+        batch = [
+            BatchItem(question=question, table=table, deadline=deadline)
+            for (question, table), deadline in zip(items, deadlines)
+        ]
+        if pool is None:
+            with create_pool(backend, self.parser, workers) as call_pool:
+                results = call_pool.parse_all(batch)
+            warm_explanations = None
         else:
-            inputs = list(items)
-        report = batch.parse_all(inputs)
-        warm_explanations = pool.explanations if pool is not None else None
+            results = pool.parse_all(batch)
+            warm_explanations = pool.explanations
         responses: List[InterfaceResponse] = []
-        for result in report:
-            if isinstance(result.parse, Exception):
+        for item, (parse, seconds) in zip(batch, results):
+            if isinstance(parse, Exception):
                 responses.append(
                     InterfaceResponse(
-                        question=result.question,
-                        table=result.table,
+                        question=item.question,
+                        table=item.table,
                         parse=None,
                         explained=[],
-                        parse_seconds=result.seconds,
+                        parse_seconds=seconds,
                         explain_seconds=0.0,
-                        error=result.parse,
+                        error=parse,
                     )
                 )
                 continue
@@ -231,15 +231,15 @@ class NLInterface:
             generator: Optional[ExplanationGenerator] = None
             started = time.perf_counter()
             explained: List[ExplainedCandidate] = []
-            for rank, candidate in enumerate(result.parse.top_k(limit)):
+            for rank, candidate in enumerate(parse.top_k(limit)):
                 explanation = None
                 key = None
                 if warm_explanations is not None:
-                    key = (result.table.fingerprint, candidate.sexpr)
+                    key = (item.table.fingerprint, candidate.sexpr)
                     explanation = warm_explanations.get(key)
                 if explanation is None:
                     if generator is None:
-                        generator = self._generator(result.table)
+                        generator = self._generator(item.table)
                     explanation = generator.explain(candidate.query)
                     if key is not None:
                         warm_explanations.put(key, explanation)
@@ -251,11 +251,11 @@ class NLInterface:
             explain_seconds = time.perf_counter() - started
             responses.append(
                 InterfaceResponse(
-                    question=result.question,
-                    table=result.table,
-                    parse=result.parse,
+                    question=item.question,
+                    table=item.table,
+                    parse=parse,
                     explained=explained,
-                    parse_seconds=result.seconds,
+                    parse_seconds=seconds,
                     explain_seconds=explain_seconds,
                 )
             )

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence
 from ..dcs.executor import answers_match
 from ..parser.candidates import SemanticParser
 from ..parser.evaluation import EvaluationExample, find_correct_indices
-from ..perf.batch import BatchParser
+from ..perf.pool import BatchItem, create_pool
 from ..users.worker import SimulatedWorker
 from .nl_interface import NLInterface
 
@@ -116,9 +116,10 @@ class OnlineLearner:
     ) -> OnlineReport:
         """Process a stream of questions with one simulated worker in the loop."""
         if self.prefetch_workers > 1 and self.parser.config.cache_candidates:
-            BatchParser(self.parser, max_workers=self.prefetch_workers).prewarm(
-                [(example.question, example.table) for example in examples]
-            )
+            with create_pool("thread", self.parser, self.prefetch_workers) as pool:
+                pool.parse_all(
+                    [BatchItem(example.question, example.table) for example in examples]
+                )
         report = OnlineReport()
         for index, example in enumerate(examples):
             report.interactions.append(self._step(index, example, worker))

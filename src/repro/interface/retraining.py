@@ -23,7 +23,7 @@ from ..parser.candidates import SemanticParser
 from ..parser.evaluation import EvaluationExample, EvaluationReport, evaluate_parser
 from ..parser.model import LogLinearModel
 from ..parser.training import Trainer, TrainerConfig, TrainingExample
-from ..perf.batch import BatchParser
+from ..perf.pool import BatchItem, create_pool
 from ..users.feedback import FeedbackCollector, FeedbackConfig, FeedbackResult
 
 
@@ -92,9 +92,12 @@ class RetrainingPipeline:
             self.config.prefetch_workers > 1
             and self.baseline.config.cache_candidates
         ):
-            BatchParser(
-                self.baseline, max_workers=self.config.prefetch_workers
-            ).prewarm([(example.question, example.table) for example in examples])
+            with create_pool(
+                "thread", self.baseline, self.config.prefetch_workers
+            ) as pool:
+                pool.parse_all(
+                    [BatchItem(example.question, example.table) for example in examples]
+                )
         collector = FeedbackCollector(self.baseline, self.config.feedback)
         return collector.collect(examples)
 

@@ -6,12 +6,11 @@ lambda DCS queries.  This package holds the throughput machinery built on
 the content-addressed caches of :mod:`repro.tables.fingerprint` and
 :mod:`repro.dcs.memo`:
 
-* :class:`~repro.perf.batch.BatchParser` — parse many (question, table)
-  pairs concurrently through one shared parser, order-stable and
-  bit-identical to the sequential loop, on a thread or process pool;
-* :class:`~repro.perf.procpool.ProcessPoolBackend` — the process backend:
-  fingerprint-addressed table shipping, deduplicated work units, true
-  (GIL-free) parallel candidate generation;
+* :class:`~repro.perf.pool.WorkerPool` — the one way a batch of
+  (question, table) pairs is parsed: :func:`~repro.perf.pool.create_pool`
+  builds a thread or process pool, order-stable and bit-identical to the
+  sequential loop, that stays warm across batches (fingerprint-addressed
+  table shipping, shard pinning, supervised worker processes);
 * :class:`~repro.perf.diskcache.DiskCache` — the content-addressed
   on-disk store persisting candidate lists and execution memo bundles
   across processes and sessions;
@@ -28,7 +27,6 @@ the content-addressed caches of :mod:`repro.tables.fingerprint` and
 from ..dcs.memo import ExecutionCache, MemoizedExecutor, execute_memoized
 from ..tables.fingerprint import LRUCache, TableFingerprint, fingerprint_table
 from ..tables.index import TableIndex, clear_index_cache, index_cache_stats, table_index
-from .batch import BACKENDS, BatchItem, BatchParseResult, BatchParser, BatchReport
 from .bench import (
     BENCH_MODES,
     ModeTiming,
@@ -46,6 +44,7 @@ from .discovery import RECALL_KS, DiscoveryReport, run_discovery_bench
 from .join import JOIN_RECALL_KS, JoinReport, run_join_bench
 from .diskcache import DiskCache
 from .pool import (
+    BatchItem,
     DeadlineExceeded,
     PoolError,
     ProcessWorkerPool,
@@ -54,14 +53,9 @@ from .pool import (
     WorkerPool,
     create_pool,
 )
-from .procpool import ProcessPoolBackend
 
 __all__ = [
-    "BACKENDS",
     "BatchItem",
-    "BatchParseResult",
-    "BatchParser",
-    "BatchReport",
     "BENCH_MODES",
     "ChurnReport",
     "churn_edit_script",
@@ -78,7 +72,6 @@ __all__ = [
     "WorkerFailed",
     "ModeTiming",
     "ParseBenchReport",
-    "ProcessPoolBackend",
     "ProcessWorkerPool",
     "ThreadWorkerPool",
     "WorkerPool",

@@ -13,10 +13,10 @@ configurations:
   content-addressed :class:`~repro.tables.index.TableIndex` (hash and
   bisect lookups instead of scans), sequential loop;
 * ``batched``   — the indexed configuration driven through a
-  :class:`~repro.perf.batch.BatchParser` thread pool (GIL-bound);
-* ``process``   — the same through the process backend
-  (:mod:`repro.perf.procpool`): deduplicated work units, true
-  parallelism.
+  :class:`~repro.perf.pool.ThreadWorkerPool` (GIL-bound);
+* ``process``   — the same through a
+  :class:`~repro.perf.pool.ProcessWorkerPool`: deduplicated work units,
+  true parallelism.
 
 and reports wall-clock totals, per-question timings and cache statistics
 in a JSON-able payload.  ``benchmarks/test_perf_batch_parsing.py`` runs
@@ -44,7 +44,7 @@ from ..parser.model import LogLinearModel
 from ..tables.index import clear_index_cache
 from ..tables.schema import clear_schema_cache
 from ..tables.table import Table
-from .batch import BatchParser
+from .pool import BatchItem, create_pool
 
 #: The modes of the harness, in reporting order.
 BENCH_MODES = ("sequential", "memoized", "indexed", "batched", "process")
@@ -266,17 +266,22 @@ def run_parse_bench(
             continue
         _reset_shared_caches()
         parser = SemanticParser(model=model, config=_mode_config(mode, disk_cache_dir))
-        batch = BatchParser(parser, max_workers=workers, backend=backend)
-        batch_report = batch.parse_all(workload, k=k)
+        items = [BatchItem(question, table, k=k) for question, table in workload]
+        with create_pool(backend, parser, workers) as pool:
+            # The pool is built cold for the mode, so its worker start-up
+            # (forks, table shipping) is part of the measured batch.
+            started = time.perf_counter()
+            results = pool.parse_all(items)
+            total = time.perf_counter() - started
         # Note: for the process backend these are the *driver's* cache
-        # stats (prewarm only) — worker caches are process-private by
-        # design and die with the pool, so their hit rates are not
-        # observable here.  The thread mode's stats cover all parsing.
+        # stats — worker caches are process-private by design and die
+        # with the pool, so their hit rates are not observable here.
+        # The thread mode's stats cover all parsing.
         report.modes[mode] = ModeTiming(
             mode=mode,
-            total_seconds=batch_report.total_seconds,
-            per_question_seconds=batch_report.per_question_seconds,
-            candidates=sum(result.num_candidates for result in batch_report),
+            total_seconds=total,
+            per_question_seconds=[seconds for _, seconds in results],
+            candidates=sum(len(parse.candidates) for parse, _ in results),
             cache_stats=parser.cache_stats(),
         )
     return report

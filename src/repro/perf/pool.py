@@ -1,36 +1,37 @@
-"""Persistent warm worker pools: the serving hot path's engine room.
+"""Warm worker pools: the one code path that runs a parse batch.
 
-The per-batch backends (:class:`~repro.perf.batch.BatchParser`'s ad-hoc
-``ThreadPoolExecutor``, :class:`~repro.perf.procpool.ProcessPoolBackend`'s
-fork-per-call pool) pay their whole setup cost — executor construction,
-worker forks, table shipment — on *every* dispatcher batch.  For the
-interactive serving regime (many small batches over a long-lived
-catalog) that churn ate the concurrency win: the serving bench measured
-async throughput *below* sequential.
-
-This module provides the long-lived alternative: a :class:`WorkerPool`
-created once (by :class:`~repro.api.engine.ReproEngine` /
-:class:`~repro.serving.server.AsyncServer`) and reused across every
-batch until :meth:`~WorkerPool.close`.
+The paper's interactive deployment (Table 7) answers a stream of
+questions; every batch of ``(question, table)`` pairs — served
+requests, ``NLInterface.ask_many``, the online learner's prefetch and
+the parse bench's pooled modes — runs on a :class:`WorkerPool`.  The
+serving layer (:class:`~repro.api.engine.ReproEngine` /
+:class:`~repro.serving.server.AsyncServer`) creates one pool per backend
+and reuses it across every batch until :meth:`~WorkerPool.close`; a
+caller with no long-lived pool builds one with :func:`create_pool` for
+the length of its call.
 
 Two flavours behind one interface:
 
-* :class:`ThreadWorkerPool` — one persistent ``ThreadPoolExecutor``
-  driving the shared :class:`~repro.parser.candidates.SemanticParser`.
-  No per-batch executor construction; every cache stays shared.
-* :class:`ProcessWorkerPool` — persistent worker *processes*, each
-  holding a fingerprint-addressed table registry that survives between
-  batches.  The driver ships only fingerprints a worker has never seen
+* :class:`ThreadWorkerPool` — one ``ThreadPoolExecutor`` driving the
+  shared :class:`~repro.parser.candidates.SemanticParser`, built lazily
+  on the first multi-item batch (a one-worker pool, or a one-item
+  batch, parses inline).  Every cache stays shared.
+* :class:`ProcessWorkerPool` — worker *processes*, each holding a
+  fingerprint-addressed table registry that survives between batches.
+  The driver ships only fingerprints a worker has never seen
   (incremental registry updates — never the whole corpus re-pickled per
   batch), re-syncs model weights only when they changed, and pins shards
   to workers with a stable digest hash so a shard's questions land on
   the worker whose lexicon/grammar/index are already hot.
 
-Correctness contract (the same one every batch backend honours, locked
-in by ``tests/test_pool.py``): ``parse_all`` results are index-aligned
+Correctness contract (locked in by ``tests/test_pool.py`` and
+``tests/test_perf_batch.py``): ``parse_all`` results are index-aligned
 with the input items and **bit-identical** to a sequential loop over the
-same parser configuration — pinning, persistence and fault recovery
-change scheduling and locality, never answers.
+same parser configuration — pool size, pinning, persistence and fault
+recovery change scheduling and locality, never answers.  This holds
+because candidate generation is deterministic and every shared cache is
+content-addressed and thread-safe; workers only ever *add* identical
+entries.
 
 Shard pinning and the spill valve
 ---------------------------------
@@ -72,7 +73,7 @@ supervises its workers instead of trusting them:
   bit-identical, because parsing is deterministic for a fixed
   parser configuration regardless of backend.
 
-Deadlines ride on :class:`~repro.perf.batch.BatchItem.deadline`
+Deadlines ride on :attr:`BatchItem.deadline`
 (an absolute ``time.monotonic()`` instant, set by the serving layer
 from the request's ``deadline_ms``).  An expired unit resolves to a
 :class:`DeadlineExceeded` *value* in the result slot — an answer
@@ -103,10 +104,60 @@ from ..parser.candidates import ParseOutput, ParserConfig, SemanticParser
 from ..parser.model import LogLinearModel
 from ..tables.fingerprint import LRUCache
 from ..tables.table import Table
-from . import procpool
-from .procpool import WorkUnit, _available_cpus, _refresh_inherited_locks
 
 _log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class BatchItem:
+    """One unit of batch work: a question over a table (optional top-``k``).
+
+    ``deadline`` is an absolute ``time.monotonic()`` instant (not a
+    duration): the serving layer computes it once at enqueue from the
+    request's ``deadline_ms`` so queue wait, dispatch and worker time
+    all draw from the same budget.  ``None`` means wait forever.  A unit
+    past its deadline resolves to :class:`DeadlineExceeded` in its
+    result slot.
+    """
+
+    question: str
+    table: Table
+    k: Optional[int] = None
+    deadline: Optional[float] = None
+
+
+#: One unit of cross-process work: (fingerprint digest, question, top-k).
+WorkUnit = Tuple[str, str, Optional[int]]
+
+
+def _available_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
+def _refresh_inherited_locks(parser: SemanticParser) -> None:
+    """Replace every lock a forked worker inherited from the driver.
+
+    ``fork`` copies locks in whatever state another driver thread held
+    them at fork time; a lock copied *held* stays held forever in the
+    child (its owner does not exist here) and the first cache access
+    would deadlock.  The child is single-threaded at this point, so
+    swapping in fresh locks is safe.  Reaches into sibling-module
+    internals deliberately — this is fork-inheritance plumbing, not API.
+    """
+    from ..tables import index as index_module
+    from ..tables import schema as schema_module
+
+    for cache in (parser._lexicons, parser._grammars, parser._candidate_cache):
+        cache._lock = threading.RLock()
+    parser._execution_cache._lru._lock = threading.RLock()
+    index_module._INDEX_REGISTRY._lock = threading.RLock()
+    schema_module._PROFILE_CACHE._lock = threading.RLock()
+    if parser._disk_cache is not None:
+        parser._disk_cache._lock = threading.Lock()
 
 
 class PoolError(RuntimeError):
@@ -156,8 +207,8 @@ class WorkerPool:
     A pool is created once, survives any number of :meth:`parse_all`
     batches, and is torn down with :meth:`close` (idempotent, safe to
     call concurrently; also a context manager).  ``parse_all`` takes
-    :class:`~repro.perf.batch.BatchItem` instances and returns
-    index-aligned ``(parse, seconds)`` pairs.
+    :class:`BatchItem` instances and returns index-aligned
+    ``(parse, seconds)`` pairs.
     """
 
     backend: str = "?"
@@ -187,7 +238,7 @@ class WorkerPool:
     def workers(self) -> int:
         return self.max_workers
 
-    def parse_all(self, items: Sequence) -> List[PoolResult]:
+    def parse_all(self, items: Sequence[BatchItem]) -> List[PoolResult]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -234,11 +285,11 @@ class ThreadWorkerPool(WorkerPool):
     """A persistent thread pool over one shared parser.
 
     The executor is built lazily on the first multi-item batch and then
-    reused for every later batch — the per-batch
-    ``ThreadPoolExecutor`` construction/teardown of the old path is the
-    churn this class exists to remove.  All parser caches are shared
-    (the thread backend's defining property), so answers are trivially
-    bit-identical to the sequential loop.
+    reused for every later batch; a one-worker pool (or a one-item
+    batch) parses inline with no executor at all, which is the
+    reference behaviour the concurrency tests compare against.  All
+    parser caches are shared (the thread backend's defining property),
+    so answers are trivially bit-identical to the sequential loop.
 
     Like the process flavour's worker-side table registries, the pool
     keeps its own fingerprint-addressed **warm registry** of generated
@@ -281,9 +332,8 @@ class ThreadWorkerPool(WorkerPool):
         """Entries held in the eviction-immune warm registry."""
         return len(self._registry)
 
-    def _parse_one(self, item) -> PoolResult:
-        deadline = getattr(item, "deadline", None)
-        if _deadline_expired(deadline):
+    def _parse_one(self, item: BatchItem) -> PoolResult:
+        if _deadline_expired(item.deadline):
             self.timeouts += 1
             return (
                 DeadlineExceeded(
@@ -319,7 +369,7 @@ class ThreadWorkerPool(WorkerPool):
             self._ranked.put(ranked_key, parse)
         return parse, elapsed
 
-    def parse_all(self, items: Sequence) -> List[PoolResult]:
+    def parse_all(self, items: Sequence[BatchItem]) -> List[PoolResult]:
         if self._closed:
             raise RuntimeError("pool is closed")
         self.batches += 1
@@ -374,14 +424,23 @@ class ThreadWorkerPool(WorkerPool):
 # ---------------------------------------------------------------------------
 
 
-def _pool_worker_main(conn, weights: Dict[str, float], config: ParserConfig) -> None:
+def _pool_worker_main(
+    conn,
+    parser: Optional[SemanticParser],
+    weights: Dict[str, float],
+    config: ParserConfig,
+) -> None:
     """The long-lived worker loop (runs in a child process).
 
     State that persists across batches: the fingerprint-addressed table
-    registry and the worker's parser with all its per-table caches —
-    exactly what the per-batch pool threw away each call.  The GC is
-    frozen/disabled for the same copy-on-write reasons as
-    :func:`repro.perf.procpool._init_worker`.
+    registry and the worker's parser with all its per-table caches.
+    Under the ``fork`` start method ``parser`` is the driver's own
+    parser, inherited copy-on-write with its warm per-table caches (a
+    ``Process`` argument is never pickled by ``fork``); under ``spawn``
+    it is ``None`` and the worker builds a parser from the shipped
+    weights and config.  The GC is frozen and disabled first: the loop
+    allocates no reference cycles, and a child GC pass would touch (and
+    so copy-on-write) the whole inherited parent heap for nothing.
 
     Protocol (driver → worker): ``("parse", blob, weights, units,
     fault)``, ``("ship", blob)`` (registry re-ship after a respawn),
@@ -394,7 +453,6 @@ def _pool_worker_main(conn, weights: Dict[str, float], config: ParserConfig) -> 
     """
     gc.freeze()
     gc.disable()
-    parser = procpool._FORK_PARSER
     if parser is not None:
         _refresh_inherited_locks(parser)
     else:  # spawn start method: rebuild from the shipped weights/config
@@ -492,12 +550,11 @@ class ProcessWorkerPool(WorkerPool):
     """Persistent worker processes with shard affinity and supervision.
 
     Workers fork lazily on the first batch (inheriting the driver's warm
-    caches copy-on-write under the ``fork`` start method, guarded by the
-    same :data:`~repro.perf.procpool._FORK_LOCK` the per-batch backend
-    uses) and live until :meth:`close`.  Across batches each worker
-    keeps its table registry and parser caches, the driver tracks what
-    every worker already holds, and work routes by the stable pin hash —
-    see the module docstring for the full contract, including the
+    caches copy-on-write under the ``fork`` start method) and live until
+    :meth:`close`.  Across batches each worker keeps its table registry
+    and parser caches, the driver tracks what every worker already
+    holds, and work routes by the stable pin hash — see the module
+    docstring for the full contract, including the
     supervision / retry / downgrade ladder.
 
     ``parse_all`` is thread-safe: concurrent batches (e.g. a broadcast
@@ -554,7 +611,9 @@ class ProcessWorkerPool(WorkerPool):
 
     @property
     def workers(self) -> int:
-        # Like the per-batch backend: never more processes than cores.
+        # A CPU-bound pool gains nothing from oversubscription, and each
+        # extra fork pays its own copy-on-write faults: never more
+        # processes than cores.
         return min(self.max_workers, _available_cpus()) or 1
 
     def pin(self, digest: str) -> int:
@@ -572,32 +631,29 @@ class ProcessWorkerPool(WorkerPool):
 
     # -- lifecycle -------------------------------------------------------------
     def _spawn_worker(self) -> _Worker:
-        """Fork one worker under the shared fork lock.
+        """Start one worker; under ``fork`` it inherits the driver's parser.
 
-        ``_FORK_PARSER`` is module-global state: a concurrent per-batch
-        ``ProcessPoolBackend`` fork must not see (or null) our parser
-        mid-flight.
+        The parser rides as a ``Process`` argument, which ``fork`` hands
+        to the child as-is (no pickling) and which belongs to this one
+        process object — concurrent spawns from other pools or threads
+        cannot see or swap it.
         """
         weights = self.parser.model.weights
-        with procpool._FORK_LOCK:
-            fork_start = multiprocessing.get_start_method() == "fork"
-            if fork_start:
-                procpool._FORK_PARSER = self.parser
-            try:
-                parent_conn, child_conn = multiprocessing.Pipe()
-                process = multiprocessing.Process(
-                    target=_pool_worker_main,
-                    args=(child_conn, weights, self.parser.config),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                return _Worker(
-                    process=process, conn=parent_conn, weights=dict(weights)
-                )
-            finally:
-                if fork_start:
-                    procpool._FORK_PARSER = None
+        fork_start = multiprocessing.get_start_method() == "fork"
+        parent_conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_pool_worker_main,
+            args=(
+                child_conn,
+                self.parser if fork_start else None,
+                weights,
+                self.parser.config,
+            ),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process=process, conn=parent_conn, weights=dict(weights))
 
     def _ensure_workers(self) -> None:
         if self._workers or self._fallback is not None:
@@ -1004,7 +1060,7 @@ class ProcessWorkerPool(WorkerPool):
         return parse, time.perf_counter() - started
 
     # -- the batch entry point -------------------------------------------------
-    def parse_all(self, items: Sequence) -> List[PoolResult]:
+    def parse_all(self, items: Sequence[BatchItem]) -> List[PoolResult]:
         with self._lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
@@ -1020,7 +1076,7 @@ class ProcessWorkerPool(WorkerPool):
                 digest = item.table.fingerprint.digest
                 self._tables.setdefault(digest, item.table)
                 unit: WorkUnit = (digest, item.question, item.k)
-                deadline = getattr(item, "deadline", None)
+                deadline = item.deadline
                 if unit not in deadlines:
                     ordered_units.append(unit)
                     deadlines[unit] = deadline
@@ -1072,8 +1128,6 @@ class ProcessWorkerPool(WorkerPool):
                 if self._fallback is not None:
                     # Downgraded mid-batch: the thread fallback finishes
                     # the stragglers (bit-identical by determinism).
-                    from .batch import BatchItem
-
                     leftovers = [u for u in ordered_units if u in pending]
                     fallback_items = [
                         BatchItem(

@@ -9,9 +9,6 @@ Builds the paper's interactive-service shape out of stdlib asyncio:
   byte-compatible; v2 lines carry the typed
   :class:`~repro.api.QueryResult` envelope with per-connection version
   negotiation);
-* :func:`~repro.serving.server.answer_payload` — **deprecated** shim for
-  the ad-hoc v1 wire dict; use :func:`repro.api.wire.v1_answer_payload`
-  or :func:`repro.api.result_from_served` instead;
 * :func:`~repro.serving.bench.run_serving_bench` — the serving bench
   harness (sequential vs concurrent sessions vs hot-set eviction, plus
   the ``route`` regime: pruned vs broadcast corpus-wide ``ask_any``).
@@ -35,7 +32,6 @@ from .server import (
     ServedAnswer,
     ServerClosed,
     ServerStats,
-    answer_payload,
 )
 
 __all__ = [
@@ -43,7 +39,6 @@ __all__ = [
     "ServedAnswer",
     "ServerClosed",
     "ServerStats",
-    "answer_payload",
     "SERVE_MODES",
     "RouteTiming",
     "ServeBenchReport",

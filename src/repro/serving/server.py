@@ -43,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -207,19 +206,14 @@ class AsyncServer:
         :meth:`~repro.tables.catalog.TableCatalog.ask_many`.
     backend:
         ``"thread"`` (shared caches, default) or ``"process"`` (the
-        GIL-free pool of :mod:`repro.perf.procpool`) — the pool one
-        batch of multiplexed questions runs on.
+        GIL-free :class:`~repro.perf.pool.ProcessWorkerPool`) — the
+        engine's long-lived :class:`~repro.perf.pool.WorkerPool` that
+        every batch of multiplexed questions runs on.
     max_batch:
         Upper bound on questions merged into one dispatcher batch.
     max_line_bytes:
         Upper bound on one TCP request line.  Longer lines are answered
         with a structured ``BAD_REQUEST`` (the connection survives).
-    persistent:
-        When true (the default) batches run on the engine's long-lived
-        :class:`~repro.perf.pool.WorkerPool` — warm workers with
-        incremental table shipping and shard pinning, reused across
-        every dispatcher batch.  ``False`` restores the per-batch
-        executors.
     max_pending:
         Backpressure bound: the most requests the dispatcher queue will
         hold.  When it is full, new requests are **shed** immediately
@@ -238,7 +232,6 @@ class AsyncServer:
         backend: str = "thread",
         max_batch: int = 64,
         max_line_bytes: int = 64 * 1024,
-        persistent: bool = True,
         max_pending: int = 1024,
     ) -> None:
         if max_workers < 1:
@@ -260,17 +253,13 @@ class AsyncServer:
         else:
             self.catalog = catalog
             self.engine = ReproEngine(
-                catalog,
-                workers=max_workers,
-                backend=backend,
-                persistent_pools=persistent,
+                catalog, workers=max_workers, backend=backend
             )
             self._owns_engine = True
         self.max_workers = max_workers
         self.backend = backend
         self.max_batch = max_batch
         self.max_line_bytes = max_line_bytes
-        self.persistent = persistent
         self.max_pending = max_pending
         self.stats = ServerStats()
         # One dispatcher thread: batches run serially (parallelism lives
@@ -321,7 +310,7 @@ class AsyncServer:
         :class:`~repro.api.errors.ServerClosed` (never an internal
         ``AttributeError`` — the queue handoff is identity-checked).
         When the server built its own engine it also tears down the
-        engine's persistent pools; a caller-supplied engine keeps its
+        engine's worker pools; a caller-supplied engine keeps its
         pools (its owner decides their lifetime).
         """
         self._draining = True
@@ -590,9 +579,7 @@ class AsyncServer:
                     future.set_result(outcome)
 
     def _pool(self, backend: Optional[str]):
-        """The engine's persistent pool for ``backend`` (``None`` if off)."""
-        if not self.persistent:
-            return None
+        """The engine's long-lived pool for ``backend``."""
         return self.engine.pool(backend or self.backend)
 
     def _answer_batch(self, requests: Sequence[_AskRequest]) -> List[object]:
@@ -961,20 +948,3 @@ class AsyncServer:
         self.stats.retrieval_shards = int(retrieval["shards"])
         self.stats.retrieval_terms = int(retrieval["postings_terms"])
         self.stats.retrieval_postings_bytes = int(retrieval["postings_bytes"])
-
-
-def answer_payload(answer: ServedAnswer) -> Dict[str, object]:
-    """Deprecated: the ad-hoc v1 wire dict for one served answer.
-
-    Use :func:`repro.api.wire.v1_answer_payload` for the frozen v1 shape,
-    or :meth:`repro.api.QueryResult.to_dict` (via
-    :func:`repro.api.result_from_served`) for the typed v2 envelope.
-    """
-    warnings.warn(
-        "repro.serving.answer_payload is deprecated; use "
-        "repro.api.wire.v1_answer_payload (legacy v1 shape) or "
-        "repro.api.result_from_served(...).to_dict() (typed v2 envelope)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return wire.v1_answer_payload(answer)

@@ -756,12 +756,11 @@ class TableCatalog:
         """Answer a batch of ``(question, ref)`` pairs, index-aligned.
 
         Routing resolves every ref up front, then the batch rides
-        :meth:`NLInterface.ask_many` — thread pool by default,
-        ``backend="process"`` for the GIL-free process pool, or a
-        persistent :class:`~repro.perf.pool.WorkerPool` (``pool``)
-        reused across batches.  ``deadlines`` (index-aligned absolute
-        monotonic instants) bounds each item — see
-        :meth:`NLInterface.ask_many`.
+        :meth:`NLInterface.ask_many` on the long-lived
+        :class:`~repro.perf.pool.WorkerPool` passed as ``pool``, or on a
+        ``backend``/``workers`` pool built for this call when none is.
+        ``deadlines`` (index-aligned absolute monotonic instants) bounds
+        each item — see :meth:`NLInterface.ask_many`.
         """
         shards = [self._shard_for(ref) for _, ref in items]
         pairs = [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.interface import InterfaceSession, NLInterface
@@ -130,6 +132,31 @@ class TestRouting:
         assert len(batched) == len(items)
         for (question, name), response in zip(items, batched):
             assert _signature(response) == _signature(catalog.ask(question, name))
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_ask_many_honours_deadlines_without_a_pool(self, corpus, backend):
+        """With no pool passed, the pool built for the call still honours
+        each item's deadline: an already-expired item comes back as a
+        ``DeadlineExceeded`` error while its batch-mate answers normally."""
+        tables, questions = corpus
+        catalog = TableCatalog()
+        catalog.register_all(tables)
+        items = [
+            (questions["olympics"], "olympics"),
+            (questions["medals"], "medals"),
+        ]
+        responses = catalog.ask_many(
+            items,
+            workers=2,
+            backend=backend,
+            deadlines=[time.monotonic() - 1.0, None],
+        )
+        outcomes = [
+            type(response.error).__name__ if response.error else "ok"
+            for response in responses
+        ]
+        assert outcomes == ["DeadlineExceeded", "ok"]
+        assert _signature(responses[1]) == _signature(catalog.ask(*items[1]))
 
     def test_ask_any_routes_to_the_right_table(self, corpus):
         tables, _ = corpus

@@ -27,12 +27,17 @@ from repro import faults
 from repro.api import QueryRequest, ReproClient
 from repro.api.errors import ApiError, ErrorCode
 from repro.perf import create_pool
-from repro.perf.batch import BatchItem
 from repro.perf.diskcache import DiskCache
 from repro.serving import AsyncServer
 from repro.tables import TableCatalog
 
-from test_perf_batch import build_items, make_parser, signature
+from test_perf_batch import (
+    build_items,
+    make_parser,
+    normalize,
+    sequential_signatures,
+    signature,
+)
 from test_api import _ServerThread
 
 
@@ -60,15 +65,6 @@ def catalog(corpus):
     catalog = TableCatalog()
     catalog.register_all(tables)
     return catalog
-
-
-def normalize(items):
-    return [BatchItem(question=question, table=table) for question, table in items]
-
-
-def sequential_signatures(items):
-    parser = make_parser()
-    return [signature(parser.parse(question, table)) for question, table in items]
 
 
 def result_signatures(results):

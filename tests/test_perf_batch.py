@@ -1,19 +1,22 @@
-"""Concurrency tests for :class:`repro.perf.BatchParser` and the interface
-batch entry points.
+"""Concurrency tests for batch parsing on :func:`repro.perf.create_pool`
+pools and the interface batch entry points.
 
 The contract under test: batching is a pure throughput optimisation —
-for any pool size the results are order-stable (``results[i]`` answers
-``items[i]``) and bit-identical (same candidate s-expressions, scores,
-probabilities and answers) to a plain sequential loop.
+for any pool size and either backend the results are order-stable
+(``results[i]`` answers ``items[i]``) and bit-identical (same candidate
+s-expressions, scores, probabilities and answers) to a plain sequential
+loop.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.interface import NLInterface
 from repro.parser import SemanticParser
-from repro.perf import BatchItem, BatchParser, run_parse_bench
+from repro.perf import BatchItem, ProcessWorkerPool, create_pool, run_parse_bench
 from repro.tables import Table
 
 
@@ -74,60 +77,61 @@ def signature(parse):
     ]
 
 
+def normalize(items):
+    return [BatchItem(question=question, table=table) for question, table in items]
+
+
+def sequential_signatures(items, parser=None):
+    parser = parser or make_parser()
+    return [signature(parser.parse(question, table)) for question, table in items]
+
+
+def assert_index_aligned(results, items):
+    assert len(results) == len(items)
+    for (parse, seconds), (question, table) in zip(results, items):
+        assert parse.question == question
+        assert parse.table is table
+        assert seconds >= 0.0
+
+
 class TestBatchParserConcurrency:
+    """The thread pool: inline with one worker, threaded above that."""
+
     def test_results_match_sequential_loop_for_all_pool_sizes(self):
         items = build_items()
-        reference_parser = make_parser()
-        reference = [
-            signature(reference_parser.parse(question, table))
-            for question, table in items
-        ]
+        reference = sequential_signatures(items)
         for workers in (1, 2, 8):
-            parser = make_parser()
-            report = BatchParser(parser, max_workers=workers).parse_all(items)
-            assert report.workers == workers
-            assert len(report) == len(items)
-            for i, result in enumerate(report):
-                assert result.index == i
-                assert result.question == items[i][0]
-                assert result.table is items[i][1]
-                assert result.seconds >= 0.0
-            assert [signature(r.parse) for r in report] == reference, (
+            with create_pool("thread", make_parser(), workers) as pool:
+                results = pool.parse_all(normalize(items))
+            assert pool.max_workers == workers
+            assert_index_aligned(results, items)
+            assert [signature(parse) for parse, _ in results] == reference, (
                 f"pool size {workers} diverged from the sequential loop"
             )
 
     def test_repeated_questions_share_caches_across_workers(self):
         items = build_items() * 3
         parser = make_parser()
-        report = BatchParser(parser, max_workers=8).parse_all(items)
+        with create_pool("thread", parser, 8) as pool:
+            results = pool.parse_all(normalize(items))
         stats = parser.cache_stats()
         assert stats["candidates"]["hits"] > 0
         assert stats["execution"]["hits"] > 0
         # Index-alignment under heavy duplication.
-        assert [r.question for r in report] == [question for question, _ in items]
+        assert [parse.question for parse, _ in results] == [
+            question for question, _ in items
+        ]
 
     def test_batch_items_carry_their_own_k(self):
         olympics, _ = build_tables()
         item = BatchItem(question="what is the highest year", table=olympics, k=1)
-        report = BatchParser(make_parser(), max_workers=2).parse_all([item])
-        assert len(report.results[0].parse.candidates) == 1
+        with create_pool("thread", make_parser(), 2) as pool:
+            (parse, _), = pool.parse_all([item])
+        assert len(parse.candidates) == 1
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
-            BatchParser(max_workers=0)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            BatchParser(backend="fiber")
-
-    def test_report_timing_fields(self):
-        report = BatchParser(make_parser(), max_workers=2).parse_all(build_items())
-        assert report.total_seconds > 0
-        assert len(report.per_question_seconds) == len(build_items())
-        assert report.throughput > 0
-        assert report.mean_seconds == pytest.approx(
-            report.total_seconds / len(report)
-        )
+            create_pool("thread", make_parser(), 0)
 
 
 class TestProcessBackend:
@@ -136,34 +140,26 @@ class TestProcessBackend:
 
     def test_results_match_sequential_loop(self):
         items = build_items()
-        reference_parser = make_parser()
-        reference = [
-            signature(reference_parser.parse(question, table))
-            for question, table in items
-        ]
-        parser = make_parser()
-        report = BatchParser(parser, max_workers=4, backend="process").parse_all(items)
-        assert report.backend == "process"
-        assert len(report) == len(items)
-        for i, result in enumerate(report):
-            assert result.index == i
-            assert result.question == items[i][0]
-            assert result.table is items[i][1]
-            assert result.seconds >= 0.0
-        assert [signature(r.parse) for r in report] == reference, (
+        reference = sequential_signatures(items)
+        with create_pool("process", make_parser(), 4) as pool:
+            assert pool.backend == "process"
+            results = pool.parse_all(normalize(items))
+        assert_index_aligned(results, items)
+        assert [signature(parse) for parse, _ in results] == reference, (
             "process backend diverged from the sequential loop"
         )
 
     def test_duplicate_items_share_one_work_unit(self):
         items = build_items()[:2] * 3
-        report = BatchParser(make_parser(), max_workers=2, backend="process").parse_all(items)
-        assert [r.question for r in report] == [question for question, _ in items]
+        with create_pool("process", make_parser(), 2) as pool:
+            results = pool.parse_all(normalize(items))
+        assert [parse.question for parse, _ in results] == [
+            question for question, _ in items
+        ]
         # Duplicates fan out from one parsed unit: identical signatures.
         for offset in (2, 4):
             for i in range(2):
-                assert signature(report.results[i].parse) == signature(
-                    report.results[i + offset].parse
-                )
+                assert signature(results[i][0]) == signature(results[i + offset][0])
 
     def test_batch_items_carry_their_own_k(self):
         olympics, _ = build_tables()
@@ -171,58 +167,52 @@ class TestProcessBackend:
             BatchItem(question="what is the highest year", table=olympics, k=1),
             BatchItem(question="what is the highest year", table=olympics, k=3),
         ]
-        report = BatchParser(make_parser(), max_workers=2, backend="process").parse_all(items)
-        assert len(report.results[0].parse.candidates) == 1
-        assert len(report.results[1].parse.candidates) == 3
+        with create_pool("process", make_parser(), 2) as pool:
+            results = pool.parse_all(items)
+        assert len(results[0][0].candidates) == 1
+        assert len(results[1][0].candidates) == 3
 
     def test_concurrent_batches_do_not_cross_fork_parsers(self):
-        """Regression: ``_FORK_PARSER`` is module state shared by every
-        process-backend batch.  Two batches forking concurrently from
-        two threads used to race the set/clear window, so one batch's
-        workers could inherit the *other* batch's parser (or ``None``).
-        Both batches must complete bit-identical to their own parser's
-        sequential loop."""
-        import threading
-
+        """Two process pools with different weights fork from two threads
+        at once.  Each forked worker receives its own pool's parser as a
+        process argument, never through shared module state, so each
+        batch must match its own parser's sequential loop.  A worker that
+        inherited the other pool's parser (or none) would rank with the
+        wrong weights and diverge."""
         base_items = build_items()
-        reference_parser = make_parser()
-        reference = [
-            signature(reference_parser.parse(question, table))
-            for question, table in base_items
-        ]
-        # The second batch runs a *differently weighted* parser: if its
-        # fork inherits the first batch's parser, signatures diverge.
+        reference = sequential_signatures(base_items)
+        # The second pool runs a *differently weighted* parser.
         shifted_weights = dict(WEIGHTS)
         shifted_weights["op:Aggregate"] = 5.0
-        shifted_parser = make_parser()
-        shifted_parser.model.weights = dict(shifted_weights)
-        shifted_reference_parser = make_parser()
-        shifted_reference_parser.model.weights = dict(shifted_weights)
-        shifted_reference = [
-            signature(shifted_reference_parser.parse(question, table))
-            for question, table in base_items
-        ]
+
+        def shifted_parser():
+            parser = make_parser()
+            parser.model.weights = dict(shifted_weights)
+            return parser
+
+        shifted_reference = sequential_signatures(base_items, shifted_parser())
 
         outcomes: dict = {}
         barrier = threading.Barrier(2)
 
         def run(tag, parser):
             barrier.wait()
-            outcomes[tag] = BatchParser(
-                parser, max_workers=2, backend="process"
-            ).parse_all(list(base_items))
+            with ProcessWorkerPool(parser, max_workers=2) as pool:
+                outcomes[tag] = pool.parse_all(normalize(base_items))
 
         threads = [
             threading.Thread(target=run, args=("base", make_parser())),
-            threading.Thread(target=run, args=("shifted", shifted_parser)),
+            threading.Thread(target=run, args=("shifted", shifted_parser())),
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
 
-        assert [signature(r.parse) for r in outcomes["base"]] == reference
-        assert [signature(r.parse) for r in outcomes["shifted"]] == shifted_reference
+        assert [signature(parse) for parse, _ in outcomes["base"]] == reference
+        assert [signature(parse) for parse, _ in outcomes["shifted"]] == (
+            shifted_reference
+        )
 
 
 class TestInterfaceBatch:

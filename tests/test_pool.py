@@ -22,24 +22,21 @@ import time
 import pytest
 
 from repro.perf import (
-    BatchParser,
+    BatchItem,
     DeadlineExceeded,
     ProcessWorkerPool,
     ThreadWorkerPool,
     create_pool,
 )
-from repro.perf.batch import BatchItem
 
-from test_perf_batch import build_items, build_tables, make_parser, signature
-
-
-def sequential_signatures(items):
-    parser = make_parser()
-    return [signature(parser.parse(question, table)) for question, table in items]
-
-
-def normalize(items):
-    return [BatchItem(question=question, table=table) for question, table in items]
+from test_perf_batch import (
+    build_items,
+    build_tables,
+    make_parser,
+    normalize,
+    sequential_signatures,
+    signature,
+)
 
 
 class TestCreatePool:
@@ -103,16 +100,6 @@ class TestThreadPoolPersistence:
         expected = [signature(fresh.parse(q, t)) for q, t in items]
         assert [signature(parse) for parse, _ in results] == expected
 
-    def test_batch_parser_rides_the_pool(self):
-        items = build_items()
-        reference = sequential_signatures(items)
-        pool = create_pool("thread", make_parser())
-        batch = BatchParser(pool.parser, pool=pool)
-        report = batch.parse_all(items)
-        assert report.backend == "thread"
-        assert [signature(r.parse) for r in report] == reference
-        assert pool.batches == 1
-
 
 class TestProcessPoolPersistence:
     def test_bit_identical_and_pids_stable_across_batches(self):
@@ -141,7 +128,9 @@ class TestProcessPoolPersistence:
 
     def test_mid_run_registered_table_ships_alone(self):
         """A table registered between batches crosses the pipe once —
-        the rest of the corpus is never re-pickled."""
+        the rest of the corpus is never re-pickled.  Strict pinning
+        (``spill=False``) keeps each table on its one pinned worker, so
+        the count does not depend on how many cores the host has."""
         olympics, medals = build_tables()
         olympics_digest = olympics.fingerprint.digest
         medals_digest = medals.fingerprint.digest
@@ -151,7 +140,7 @@ class TestProcessPoolPersistence:
             if t.fingerprint.digest == olympics_digest
         ]
         assert first
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser(), spill=False) as pool:
             pool.parse_all(normalize(first))
             assert pool.last_shipped == [olympics_digest]
             mixed = build_items()

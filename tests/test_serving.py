@@ -18,7 +18,7 @@ from repro.api import ReproEngine
 from repro.api.wire import v1_answer_payload
 from repro.interface import NLInterface
 from repro.tables import CatalogError, TableCatalog
-from repro.serving import AsyncServer, ServerClosed, answer_payload, run_serving_bench
+from repro.serving import AsyncServer, ServerClosed, run_serving_bench
 
 
 @pytest.fixture
@@ -235,15 +235,6 @@ class TestAsyncServer:
 
 
 class TestAnswerPayload:
-    def test_deprecated_shim_warns_and_delegates(self, corpus, catalog):
-        """repro.serving.answer_payload survives as a warning shim over
-        the frozen v1 codec in repro.api.wire."""
-        _, questions = corpus
-        answer = catalog.ask(questions["olympics"], "olympics")
-        with pytest.warns(DeprecationWarning, match="v1_answer_payload"):
-            shimmed = answer_payload(answer)
-        assert shimmed == v1_answer_payload(answer)
-
     def test_single_table_payload(self, corpus, catalog):
         _, questions = corpus
         payload = v1_answer_payload(catalog.ask(questions["olympics"], "olympics"))
