@@ -3,12 +3,11 @@
 
 The CI wire-shape gate: any drift between what the server emits and the
 committed schemas (``schemas/query_result.v2.json``,
-``schemas/serve_response.v1.json``, ``schemas/bench_serve.v3.json``,
 ``schemas/bench_churn.v1.json``, ``schemas/bench_discovery.v1.json``,
 ``schemas/bench_join.v1.json``) fails the build.  The committed
-``BENCH_serve.json``, ``BENCH_churn.json``, ``BENCH_discovery.json``
-and ``BENCH_join.json`` artifacts are themselves fixtures: a bench
-payload that stops matching its schema fails here before it ever lands.
+``BENCH_churn.json``, ``BENCH_discovery.json`` and ``BENCH_join.json``
+artifacts are themselves fixtures: a bench payload that stops matching
+its schema fails here before it ever lands.
 
 Usage::
 
@@ -16,8 +15,8 @@ Usage::
     # (e.g. from `repro serve --self-test N --emit-results results.jsonl`)
     python scripts/validate_wire.py --schema v2 results.jsonl
 
-    # a recorded v1 response fixture (single JSON object per file)
-    python scripts/validate_wire.py --schema v1 schemas/fixtures/*.v1.json
+    # a recorded v2 fixture (single JSON object per file)
+    python scripts/validate_wire.py --schema v2 schemas/fixtures/*.v2.json
 
     # no arguments: validate the committed fixtures
     python scripts/validate_wire.py
@@ -40,20 +39,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.api import schema as wire_schema  # noqa: E402
 
 SCHEMAS = {
-    "v1": "serve_response.v1.json",
     "v2": "query_result.v2.json",
-    "bench-serve-v3": "bench_serve.v3.json",
     "bench-churn-v1": "bench_churn.v1.json",
     "bench-discovery-v1": "bench_discovery.v1.json",
     "bench-join-v1": "bench_join.v1.json",
 }
 
 FIXTURES = [
-    ("v1", REPO_ROOT / "schemas" / "fixtures" / "ask_response.v1.json"),
-    ("v1", REPO_ROOT / "schemas" / "fixtures" / "ask_any_response.v1.json"),
     ("v2", REPO_ROOT / "schemas" / "fixtures" / "query_result.v2.json"),
     ("v2", REPO_ROOT / "schemas" / "fixtures" / "query_result_composed.v2.json"),
-    ("bench-serve-v3", REPO_ROOT / "BENCH_serve.json"),
     ("bench-churn-v1", REPO_ROOT / "BENCH_churn.json"),
     ("bench-discovery-v1", REPO_ROOT / "BENCH_discovery.json"),
     ("bench-join-v1", REPO_ROOT / "BENCH_join.json"),

@@ -19,15 +19,15 @@ The package is organised as:
   content-addressed term/entity index and shard router that prune the
   corpus *before* parsing (retrieve-then-parse),
 * :mod:`repro.serving` — the asyncio serving layer over the multi-table
-  catalog of :mod:`repro.tables.catalog` (concurrent sessions, TCP
-  endpoint, serving bench),
+  catalog of :mod:`repro.tables.catalog` (concurrent sessions through
+  one ``aquery`` entry point, TCP endpoint),
 * :mod:`repro.api` — the unified query API: the typed, versioned
   :class:`~repro.api.QueryRequest`/:class:`~repro.api.QueryResult`
   envelope with lossless JSON codecs and the structured
   :class:`~repro.api.ErrorCode` taxonomy, the
   :class:`~repro.api.ReproEngine` façade (sync ``query``/``query_many``,
   async ``aquery``) every entry point routes through, the
-  :class:`~repro.api.ReproClient` (in-process or TCP), and the v1/v2
+  :class:`~repro.api.ReproClient` (in-process or TCP), and the v2
   JSON-lines wire protocol of :mod:`repro.api.wire`.
 """
 

@@ -468,8 +468,14 @@ class ReproEngine:
             # while this request executes.
             accepted_version = self.catalog.version
             if request.resolved_mode == "table":
-                ref = self.catalog.resolve(request.target)
-                response = self.catalog.ask(request.question, ref, k=request.k)
+                # Pin the resolved snapshot, as the serving dispatcher
+                # does: an update landing before the parse supersedes the
+                # shard but cannot retire it under this request.
+                ref = self.catalog.pin(request.target)
+                try:
+                    response = self.catalog.ask(request.question, ref, k=request.k)
+                finally:
+                    self.catalog.unpin(ref)
                 return result_from_response(
                     request, response, shard=ShardInfo.from_ref(ref),
                     cache=self.cache_stats(),
@@ -505,63 +511,72 @@ class ReproEngine:
         results: List[Optional[QueryResult]] = [None] * len(requests)
         accepted_version = self.catalog.version
         grouped: Dict[Tuple, List[Tuple[int, QueryRequest, object]]] = {}
-        for position, raw_request in enumerate(requests):
-            try:
-                request = self._coerce(raw_request, options)
-                request.validate()
-            except Exception as error:
-                fallback = QueryRequest(
-                    question=raw_request if isinstance(raw_request, str) else ""
-                )
-                coerced = raw_request if isinstance(raw_request, QueryRequest) else fallback
-                results[position] = error_result(coerced, classify_exception(error))
-                continue
-            if request.resolved_mode == "any":
-                results[position] = self.query(request)
-                continue
-            try:
-                ref = self.catalog.resolve(request.target)
-            except Exception as error:
-                results[position] = error_result(request, classify_exception(error))
-                continue
-            key = (request.k, request.backend or self.backend)
-            grouped.setdefault(key, []).append((position, request, ref))
-        for (k, backend), members in grouped.items():
-            # deadline_ms → absolute monotonic deadlines, one budget per
-            # request, started here (the in-process analogue of the
-            # serving dispatcher's enqueue-time stamp).
-            started = time.monotonic()
-            deadlines = [
-                started + request.deadline_ms / 1000.0
-                if request.deadline_ms is not None
-                else None
-                for _, request, _ in members
-            ]
-            try:
-                responses = self.catalog.ask_many(
-                    [(request.question, ref) for _, request, ref in members],
-                    k=k,
-                    workers=self.workers,
-                    backend=backend,
-                    pool=self.pool(backend),
-                    deadlines=deadlines,
-                )
-            except Exception as error:
-                coded = classify_exception(error)
-                for position, request, _ in members:
-                    results[position] = error_result(request, coded)
-                continue
-            for (position, request, ref), response in zip(members, responses):
-                if response.error is not None:
-                    results[position] = error_result(
-                        request, classify_exception(response.error)
+        pinned: List[object] = []
+        try:
+            for position, raw_request in enumerate(requests):
+                try:
+                    request = self._coerce(raw_request, options)
+                    request.validate()
+                except Exception as error:
+                    fallback = QueryRequest(
+                        question=raw_request if isinstance(raw_request, str) else ""
                     )
+                    coerced = (
+                        raw_request if isinstance(raw_request, QueryRequest) else fallback
+                    )
+                    results[position] = error_result(coerced, classify_exception(error))
                     continue
-                results[position] = result_from_response(
-                    request, response, shard=ShardInfo.from_ref(ref),
-                    cache=self.cache_stats(),
-                    corpus_version=accepted_version,
-                )
+                if request.resolved_mode == "any":
+                    results[position] = self.query(request)
+                    continue
+                try:
+                    # Pinned until every group has run (see query()).
+                    ref = self.catalog.pin(request.target)
+                except Exception as error:
+                    results[position] = error_result(request, classify_exception(error))
+                    continue
+                pinned.append(ref)
+                key = (request.k, request.backend or self.backend)
+                grouped.setdefault(key, []).append((position, request, ref))
+            for (k, backend), members in grouped.items():
+                # deadline_ms → absolute monotonic deadlines, one budget
+                # per request, started here (the in-process analogue of
+                # the serving dispatcher's enqueue-time stamp).
+                started = time.monotonic()
+                deadlines = [
+                    started + request.deadline_ms / 1000.0
+                    if request.deadline_ms is not None
+                    else None
+                    for _, request, _ in members
+                ]
+                try:
+                    responses = self.catalog.ask_many(
+                        [(request.question, ref) for _, request, ref in members],
+                        k=k,
+                        workers=self.workers,
+                        backend=backend,
+                        pool=self.pool(backend),
+                        deadlines=deadlines,
+                    )
+                except Exception as error:
+                    coded = classify_exception(error)
+                    for position, request, _ in members:
+                        results[position] = error_result(request, coded)
+                    continue
+                for (position, request, ref), response in zip(members, responses):
+                    if response.error is not None:
+                        results[position] = error_result(
+                            request, classify_exception(response.error)
+                        )
+                        continue
+                    results[position] = result_from_response(
+                        request, response, shard=ShardInfo.from_ref(ref),
+                        cache=self.cache_stats(),
+                        corpus_version=accepted_version,
+                    )
+        finally:
+            for ref in pinned:
+                self.catalog.unpin(ref)
         return [result for result in results if result is not None]
 
     async def aquery(self, request: RequestLike, **options) -> QueryResult:

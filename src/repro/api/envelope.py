@@ -74,23 +74,16 @@ class QueryRequest:
     #: Optional end-to-end budget in milliseconds.  The serving layer
     #: starts the clock when it accepts the request; a request whose
     #: budget expires — in the dispatcher queue or on a hung worker —
-    #: returns a coded ``TIMEOUT`` error instead of an answer.  Additive
-    #: v2 wire field (v1 stays frozen and never carries it).
+    #: returns a coded ``TIMEOUT`` error instead of an answer.
     deadline_ms: Optional[int] = None
     #: Optional top-N routing cap for corpus-wide requests: at most this
     #: many highest-ranked shards are parsed (the router's heap path).
     #: ``None`` keeps every retrieval hit — the default, and the only
     #: setting the no-lost-answers contract is unconditional for.
-    #: Additive v2 wire field (v1 stays frozen and never carries it).
     max_candidates: Optional[int] = None
 
     def validate(self) -> None:
-        """Raise a coded ``BAD_REQUEST`` on any malformed field.
-
-        The messages for the fields shared with the v1 wire protocol
-        (question/k/prune) are byte-for-byte the v1 server's, so v1
-        clients keep seeing the exact responses they always did.
-        """
+        """Raise a coded ``BAD_REQUEST`` on any malformed field."""
         if not isinstance(self.question, str) or not self.question.strip():
             raise bad_request("missing question")
         if self.k is not None and (isinstance(self.k, bool) or not isinstance(self.k, int)):
@@ -160,8 +153,8 @@ class QueryRequest:
             raise bad_request(f"unknown request fields: {', '.join(unknown)}")
         target = payload.get("target")
         if target is None:
-            # ``table`` is the v1 field name, accepted as an alias so v1
-            # request bodies upgrade to v2 by adding the version stamp.
+            # ``table`` is accepted as an alias of ``target``: request
+            # bodies written for the retired v1 wire still parse.
             target = payload.get("table")
         request = cls(
             question=payload.get("question"),

@@ -115,8 +115,7 @@ def classify_exception(error: BaseException) -> ApiError:
     well-formed request is a server-side bug and reports ``INTERNAL`` —
     request-construction sites must raise coded ``BAD_REQUEST`` errors
     themselves (see :meth:`QueryRequest.validate`).  Non-catalog
-    messages keep the legacy ``"TypeName: message"`` form the v1 wire
-    always used.
+    messages take the ``"TypeName: message"`` form.
     """
     # Imported lazily: repro.tables is a heavier import than this module
     # and the catalog itself imports nothing from repro.api.

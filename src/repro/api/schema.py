@@ -1,9 +1,8 @@
 """Wire-shape validation against the committed JSON Schemas.
 
 The v2 :class:`~repro.api.envelope.QueryResult` envelope is committed as
-``schemas/query_result.v2.json`` (and the frozen v1 ``ask`` response as
-``schemas/serve_response.v1.json``); CI validates live ``repro serve
---self-test`` output and the recorded fixtures against them, so wire
+``schemas/query_result.v2.json``; CI validates live ``repro serve
+--self-test`` output and the recorded fixtures against it, so wire
 drift fails the build instead of surprising a client.
 
 Validation uses the ``jsonschema`` package when importable and falls
@@ -143,11 +142,6 @@ def validate_payload(payload: Any, schema: Dict[str, Any]) -> None:
 def validate_query_result(payload: Dict[str, Any]) -> None:
     """Validate a serialized v2 :class:`QueryResult` against its schema."""
     validate_payload(payload, load_schema("query_result.v2.json"))
-
-
-def validate_v1_response(payload: Dict[str, Any]) -> None:
-    """Validate a v1 ``ask`` wire response against the frozen v1 schema."""
-    validate_payload(payload, load_schema("serve_response.v1.json"))
 
 
 def validate_lines(

@@ -1,31 +1,21 @@
-"""The versioned JSON-lines wire protocol (v1 legacy + v2 envelope).
+"""The JSON-lines wire protocol (v2, the typed envelope).
 
-One request per line, one response line per request.  Two protocol
-versions coexist on the same port:
-
-**v1 (legacy, frozen)** — the shapes the PR-3 server spoke.  Requests
-are bare objects (``{"question": ..., "table": ...}``, ``{"op":
-"list"}``); responses are the ad-hoc ``{"ok": ...}`` dicts of
-:func:`v1_answer_payload`.  v1 lines are recognised by the *absence* of
-a ``"v"`` key and keep receiving byte-compatible v1 responses — locked
-by ``tests/test_serving.py``.
-
-**v2 (the typed envelope)** — requests carry ``{"v": 2, "id": ...,
-"op": ...}``; the ``query`` op embeds the
-:class:`~repro.api.envelope.QueryRequest` fields and the response
-carries the full serialized :class:`~repro.api.envelope.QueryResult`
-(explanations, routing decision, timing) under ``"result"``, plus a
-top-level coded ``"error"`` on failure::
+One request per line, one response line per request.  Requests carry
+``{"v": 2, "id": ..., "op": ...}``; the ``query`` op (the default)
+embeds the :class:`~repro.api.envelope.QueryRequest` fields and the
+response carries the full serialized
+:class:`~repro.api.envelope.QueryResult` (explanations, routing
+decision, timing) under ``"result"``, plus a top-level coded
+``"error"`` on failure::
 
     → {"v": 2, "id": 1, "op": "query", "question": "...", "target": "olympics"}
     ← {"v": 2, "id": 1, "ok": true, "result": {...QueryResult...}}
     ← {"v": 2, "id": 2, "ok": false, "error": {"code": "UNKNOWN_TABLE", ...}}
 
-Version negotiation is per connection: ``{"v": 2, "op": "hello"}`` pins
-the connection to v2 (subsequent lines may omit ``"v"``); any line's
-explicit ``"v"`` wins for that line.  A connection that never says
-``"v"`` is a v1 client and never sees a v2 shape — including for
-unparsable lines.
+v2 is the only version.  A line without ``"v"`` is read as v2, any
+other ``"v"`` is answered ``UNSUPPORTED_VERSION``, and ``{"op":
+"hello"}`` reports ``versions: [2]`` to clients that negotiate.  Every
+response — unparsable lines included — is a v2 envelope.
 """
 
 from __future__ import annotations
@@ -33,22 +23,20 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Union
 
-from ..tables.catalog import CatalogAnswer
 from .envelope import ENVELOPE_VERSION, QueryRequest, QueryResult
 from .errors import ApiError, ErrorCode, bad_request
 
 #: Protocol versions the server answers.
-PROTOCOL_VERSIONS = (1, 2)
+PROTOCOL_VERSIONS = (2,)
 
-#: Ops of the v2 vocabulary (v1 keeps its own: ping/list/stats/ask).
-V2_OPS = ("hello", "ping", "list", "stats", "query", "ask")
+#: Ops of the v2 vocabulary.
+V2_OPS = ("hello", "ping", "list", "stats", "query")
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
     """Decode one raw wire line into a request object.
 
-    Raises a coded ``BAD_REQUEST`` whose message matches the v1 server's
-    historical strings (so the v1 error rendering stays byte-compatible).
+    Raises a coded ``BAD_REQUEST`` when the line is not a JSON object.
     """
     try:
         request = json.loads(line.decode("utf-8"))
@@ -59,14 +47,12 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     return request
 
 
-def request_version(request: Dict[str, Any], negotiated: Optional[int]) -> int:
-    """The protocol version governing one request line.
+def check_version(request: Dict[str, Any]) -> None:
+    """Raise ``UNSUPPORTED_VERSION`` unless the line speaks v2.
 
-    An explicit ``"v"`` wins; otherwise the connection's negotiated
-    version; otherwise v1 (the legacy default).  Unsupported versions
-    raise ``UNSUPPORTED_VERSION``.
+    A line without ``"v"`` is read as v2.
     """
-    version = request.get("v", negotiated if negotiated is not None else 1)
+    version = request.get("v", 2)
     if not isinstance(version, int) or isinstance(version, bool) or (
         version not in PROTOCOL_VERSIONS
     ):
@@ -75,7 +61,6 @@ def request_version(request: Dict[str, Any], negotiated: Optional[int]) -> int:
             f"unsupported protocol version {version!r} "
             f"(supported: {', '.join(str(v) for v in PROTOCOL_VERSIONS)})",
         )
-    return version
 
 
 def query_request_from_wire(request: Dict[str, Any]) -> QueryRequest:
@@ -158,55 +143,3 @@ def v2_ok_response(
     payload: Dict[str, Any] = {"v": ENVELOPE_VERSION, "id": request_id, "ok": True}
     payload.update(fields)
     return payload
-
-
-# -- v1 response shapes (frozen) ---------------------------------------------
-
-
-def v1_error_response(error: ApiError) -> Dict[str, Any]:
-    """The legacy error line — message only, byte-compatible with PR 3."""
-    return {"ok": False, "error": error.message}
-
-
-def v1_answer_payload(answer) -> Dict[str, Any]:
-    """The legacy wire form of one served answer (v1 ``ask`` responses).
-
-    Single-table responses carry the routed table, the top candidate's
-    answer/utterance and the candidate count; corpus-wide answers add the
-    parsed-shard ranking plus the routing decision (how many shards were
-    pruned before parsing, and whether the broadcast fallback fired).
-    Frozen: v1 clients parse these keys.  New code should read
-    :meth:`QueryResult.to_dict` on the v2 protocol instead.
-    """
-    if isinstance(answer, CatalogAnswer):
-        ranked = [
-            {
-                "table": ref.name,
-                "digest": ref.short,
-                "answer": list(response.top.answer) if response.top else [],
-                "score": response.top.candidate.score if response.top else None,
-            }
-            for ref, response in answer.ranked
-        ]
-        routing = answer.routing
-        return {
-            "ok": True,
-            "routed": "any",
-            "table": answer.best_ref.name if answer.best_ref else None,
-            "answer": list(answer.answer),
-            "ranked": ranked,
-            "pruned": answer.pruned,
-            "shards_parsed": answer.shards_parsed,
-            "shards_pruned": answer.shards_pruned,
-            "fallback": routing.fallback if routing is not None else False,
-        }
-    top = answer.top
-    return {
-        "ok": True,
-        "routed": "table",
-        "table": answer.table.name,
-        "answer": list(top.answer) if top else [],
-        "utterance": top.utterance if top else None,
-        "candidates": len(answer.explained),
-        "parse_seconds": answer.parse_seconds,
-    }

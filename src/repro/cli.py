@@ -1,6 +1,6 @@
 """Command-line interface for the reproduction.
 
-Eleven sub-commands cover the workflows a downstream user needs::
+Twelve sub-commands cover the workflows a downstream user needs::
 
     python -m repro explain --table table.csv --query '(aggregate max (column-values "Year" (column-records "Country" (value "Greece"))))'
     python -m repro ask     --table table.csv --question "When did Greece last host?" --k 5
@@ -10,9 +10,10 @@ Eleven sub-commands cover the workflows a downstream user needs::
     python -m repro catalog --corpus corpus/ --question "which country hosted in 2004" --any
     python -m repro route   --corpus corpus/ --question "which country hosted in 2004"
     python -m repro serve   --corpus corpus/ --port 8765
-    python -m repro bench-serve --tables 4 --questions 4 --sessions 8 --output BENCH_serve.json
     python -m repro update  --corpus corpus/ --name olympics --table new_olympics.csv
     python -m repro bench-churn --tables 4 --questions 4 --edits 12 --output BENCH_churn.json
+    python -m repro bench-discovery --output BENCH_discovery.json
+    python -m repro bench-join --output BENCH_join.json
 
 * ``explain`` — parse a lambda DCS s-expression, execute it on a CSV table
   and print the utterance + provenance highlights (Section 5).
@@ -37,14 +38,12 @@ Eleven sub-commands cover the workflows a downstream user needs::
   question: every shard's retrieval score, the matched terms, which
   shards ``ask_any`` would parse versus prune, and whether the broadcast
   fallback fires.  Pure inspection: nothing is parsed.
-* ``serve`` — serve a corpus over the versioned JSON-lines TCP endpoint
-  (v1 legacy + v2 typed envelope, see :mod:`repro.api.wire`), or run an
-  in-process ``--self-test`` of N concurrent sessions
-  (``--emit-results`` writes their v2 ``QueryResult`` envelopes as JSON
-  lines for schema validation).
-* ``bench-serve`` — run the serving harness (sequential vs concurrent
-  async sessions vs hot-set eviction) and optionally write
-  ``BENCH_serve.json``.
+* ``serve`` — serve a corpus over the JSON-lines TCP endpoint (the v2
+  typed envelope, see :mod:`repro.api.wire`), or run an in-process
+  ``--self-test`` of N concurrent sessions through
+  :meth:`~repro.serving.AsyncServer.aquery` (``--emit-results`` writes
+  the ``QueryResult`` envelopes the server returned as JSON lines for
+  schema validation).
 * ``update`` — publish new content under a registered table name
   (versioned lineage: the catalog diffs the snapshots, patches the
   retrieval index and per-column structures in place, and retires the
@@ -53,6 +52,13 @@ Eleven sub-commands cover the workflows a downstream user needs::
   maintenance vs from-scratch rebuild under a random edit script,
   plus the bit-identity verdicts) and optionally write
   ``BENCH_churn.json``.
+* ``bench-discovery`` — run the table-discovery harness (router
+  recall@k over a synthetic many-shard corpus, bulk vs sequential
+  registration, pruned-vs-broadcast identity) and optionally write
+  ``BENCH_discovery.json``.
+* ``bench-join`` — run the cross-table composition harness (shard-set
+  routing recall plus the composed-answer SQL oracle) and optionally
+  write ``BENCH_join.json``.
 
 The question-answering commands (``ask``, ``catalog``, ``serve``,
 ``route``) are thin faces over :class:`repro.api.ReproEngine` — the same
@@ -242,33 +248,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "envelope (JSON lines) for schema validation",
     )
     serve_cmd.add_argument("--model", help="path to a saved LogLinearModel JSON file")
-
-    bench_serve_cmd = subparsers.add_parser(
-        "bench-serve",
-        help="benchmark sequential vs concurrent-async serving over a catalog",
-    )
-    bench_serve_cmd.add_argument("--tables", type=int, default=4)
-    bench_serve_cmd.add_argument("--questions", type=int, default=4, help="questions per table")
-    bench_serve_cmd.add_argument("--seed", type=int, default=2019)
-    bench_serve_cmd.add_argument("--repeats", type=int, default=2)
-    bench_serve_cmd.add_argument("--sessions", type=int, default=8)
-    bench_serve_cmd.add_argument("--workers", type=int, default=8)
-    bench_serve_cmd.add_argument(
-        "--backend", choices=["thread", "process"], default="thread"
-    )
-    bench_serve_cmd.add_argument(
-        "--disk-cache", help="disk cache root (enables the async_hotset mode)"
-    )
-    bench_serve_cmd.add_argument(
-        "--max-hot", type=int, help="hot-shard bound of the async_hotset mode"
-    )
-    bench_serve_cmd.add_argument(
-        "--route",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="also run the corpus-wide route mode (pruned vs broadcast ask_any)",
-    )
-    bench_serve_cmd.add_argument("--output", help="write the timing payload to this JSON file")
 
     update_cmd = subparsers.add_parser(
         "update",
@@ -702,8 +681,7 @@ def run_route(args: argparse.Namespace, out) -> int:
 def run_serve(args: argparse.Namespace, out) -> int:
     import asyncio
 
-    from .api import result_from_served
-    from .serving import split_sessions
+    from .api import QueryRequest
 
     tables, questions = _load_corpus(args.corpus)
     if not tables:
@@ -720,7 +698,17 @@ def run_serve(args: argparse.Namespace, out) -> int:
                 file=out,
             )
             return 1
-        streams = split_sessions(questions, max(1, args.self_test))
+        # Round-robin the questions into per-session streams.
+        sessions = max(1, args.self_test)
+        streams = [questions[start::sessions] for start in range(sessions)]
+        streams = [stream for stream in streams if stream]
+
+        async def _session(server, stream):
+            # One user session: each question awaits the previous answer.
+            return [
+                await server.aquery(QueryRequest(question=question, target=table))
+                for question, table in stream
+            ]
 
         async def _self_test():
             import time
@@ -731,42 +719,41 @@ def run_serve(args: argparse.Namespace, out) -> int:
             ) as server:
                 started = time.perf_counter()
                 answered = await asyncio.gather(
-                    *(server.run_session(stream) for stream in streams)
+                    *(_session(server, stream) for stream in streams)
                 )
                 elapsed = time.perf_counter() - started
-                return answered, elapsed, server.stats.as_dict()
+                return answered, elapsed, server.stats_payload()["server"]
 
         answered, elapsed, stats = asyncio.run(_self_test())
-        total = sum(len(session) for session in answered)
+        results = [result for session in answered for result in session]
         if args.emit_results:
-            # Every served answer, lifted into the typed v2 envelope —
-            # one JSON line per question, validated against
-            # schemas/query_result.v2.json by scripts/validate_wire.py
-            # (CI runs exactly that pipeline).
+            # The envelopes the server returned, one JSON line per
+            # question, validated against schemas/query_result.v2.json by
+            # scripts/validate_wire.py (CI runs exactly that pipeline).
             emit_path = Path(args.emit_results)
             emit_path.parent.mkdir(parents=True, exist_ok=True)
-            from .api import ShardInfo
-
             with emit_path.open("w", encoding="utf-8") as handle:
-                for stream, session in zip(streams, answered):
-                    for (question, ref), answer in zip(stream, session):
-                        shard = (
-                            ShardInfo.from_ref(engine.catalog.resolve(ref))
-                            if ref is not None
-                            else None
-                        )
-                        result = result_from_served(question, answer, shard=shard)
-                        handle.write(
-                            json.dumps(result.to_dict(), ensure_ascii=False) + "\n"
-                        )
-            print(f"wrote {total} v2 result envelopes to {emit_path}", file=out)
-        rate = f" ({total / elapsed:.1f} q/s)" if elapsed > 0 else ""
+                for result in results:
+                    handle.write(
+                        json.dumps(result.to_dict(), ensure_ascii=False) + "\n"
+                    )
+            print(f"wrote {len(results)} v2 result envelopes to {emit_path}", file=out)
+        rate = f" ({len(results) / elapsed:.1f} q/s)" if elapsed > 0 else ""
         print(
-            f"{len(streams)} concurrent sessions answered {total} questions "
+            f"{len(streams)} concurrent sessions answered {len(results)} questions "
             f"in {elapsed:.2f}s{rate}",
             file=out,
         )
         print(f"dispatcher: {stats}", file=out)
+        # An untrained parser may find no executable candidate; any other
+        # coded error means the serving path itself failed.
+        for result in results:
+            if result.error_code not in (None, ErrorCode.PARSE_FAILURE):
+                print(
+                    f"error[{result.error_code.value}]: {result.error.message}",
+                    file=out,
+                )
+                return 1
         return 0
 
     async def _serve_forever():
@@ -778,8 +765,8 @@ def run_serve(args: argparse.Namespace, out) -> int:
             address = tcp.sockets[0].getsockname()
             print(
                 f"serving {len(engine)} tables on {address[0]}:{address[1]} "
-                "(JSON lines, protocol v1+v2; send {\"op\": \"list\"} to "
-                "enumerate, {\"v\": 2, \"op\": \"hello\"} to negotiate v2)",
+                "(JSON lines, protocol v2; send {\"op\": \"list\"} to "
+                "enumerate, {\"question\": ..., \"target\": ...} to ask)",
                 file=out,
             )
             out.flush()
@@ -791,66 +778,6 @@ def run_serve(args: argparse.Namespace, out) -> int:
     except KeyboardInterrupt:
         print("stopped", file=out)
     return 0
-
-
-def run_bench_serve(args: argparse.Namespace, out) -> int:
-    from .perf import bench_pairs_from_dataset
-    from .serving import run_serving_bench
-
-    pairs = bench_pairs_from_dataset(
-        num_tables=args.tables, questions_per_table=args.questions, seed=args.seed
-    )
-    report = run_serving_bench(
-        pairs,
-        sessions=args.sessions,
-        workers=args.workers,
-        backend=args.backend,
-        repeats=args.repeats,
-        disk_cache_dir=args.disk_cache,
-        max_hot_shards=args.max_hot,
-        route=args.route,
-    )
-    print(
-        f"workload: {report.questions} questions over {report.tables} tables, "
-        f"{report.sessions} sessions, backend={report.backend}",
-        file=out,
-    )
-    print(
-        f"{'mode':<14} {'total':>10} {'throughput':>12} {'p50/p95/p99':>16} "
-        f"{'identical':>10} {'speedup':>8}",
-        file=out,
-    )
-    for mode, total, throughput, latency, identical, speedup in report.rows():
-        print(
-            f"{mode:<14} {total:>10} {throughput:>12} {latency:>16} "
-            f"{identical:>10} {speedup:>8}",
-            file=out,
-        )
-    if report.route is not None:
-        route = report.route
-        print(
-            f"route: {route.questions} corpus-wide questions over "
-            f"{route.shards} shards "
-            f"({route.fallbacks} fallbacks to broadcast)",
-            file=out,
-        )
-        for regime, total, parsed, matched, speedup in report.route_rows():
-            print(
-                f"{regime:<14} {total:>10} {parsed:>22} {matched:>10} {speedup:>8}",
-                file=out,
-            )
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote timings to {path}", file=out)
-    ok = all(t.identical for t in report.modes.values())
-    if report.route is not None:
-        ok = ok and report.route.top_answers_match
-    return 0 if ok else 1
 
 
 def run_update(args: argparse.Namespace, out) -> int:
@@ -1018,7 +945,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "catalog": run_catalog,
         "route": run_route,
         "serve": run_serve,
-        "bench-serve": run_bench_serve,
         "update": run_update,
         "bench-churn": run_bench_churn,
         "bench-discovery": run_bench_discovery,

@@ -92,6 +92,29 @@ def timing_summary(per_question_seconds: Sequence[float]) -> Dict[str, float]:
     }
 
 
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample (0 < q <= 1)."""
+    if not ordered:
+        return 0.0
+    rank = max(1, -(-int(q * 1000) * len(ordered) // 1000))  # ceil without float drift
+    return ordered[min(len(ordered), rank) - 1]
+
+
+def latency_summary(per_question_seconds: Sequence[float]) -> Dict[str, float]:
+    """p50/p95/p99 of a per-question latency series, in rounded ms.
+
+    The tail percentiles are the serving story (a throughput win that
+    costs a 10x p99 is not a win); like :func:`timing_summary` the
+    artifacts store this summary, never the raw series.
+    """
+    ordered = sorted(per_question_seconds)
+    return {
+        "p50_ms": round(_percentile(ordered, 0.50) * 1000, 1),
+        "p95_ms": round(_percentile(ordered, 0.95) * 1000, 1),
+        "p99_ms": round(_percentile(ordered, 0.99) * 1000, 1),
+    }
+
+
 @dataclass
 class ModeTiming:
     """Timing of one harness mode over the whole workload."""

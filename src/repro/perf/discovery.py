@@ -41,15 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dataset.corpus import CorpusConfig, DiscoveryCorpus, build_discovery_corpus
 from ..tables.catalog import TableCatalog
-from .bench import quantize_seconds
-
-
-def _latency_summary(series: Sequence[float]) -> Dict[str, float]:
-    # Imported lazily: repro.serving imports repro.interface, which
-    # imports repro.perf at package init (the same cycle churn avoids).
-    from ..serving.bench import latency_summary
-
-    return latency_summary(series)
+from .bench import latency_summary, quantize_seconds
 
 #: The recall cutoffs every run reports.
 RECALL_KS = (1, 5, 10)
@@ -114,7 +106,7 @@ class DiscoveryReport:
                 ),
             ]
         )
-        latencies = _latency_summary(self.routing_seconds)
+        latencies = latency_summary(self.routing_seconds)
         out.append(
             (
                 "routing latency",
@@ -140,7 +132,7 @@ class DiscoveryReport:
         usual quantized resolution, the same artifact-diff contract as
         the other committed bench payloads.
         """
-        latencies = _latency_summary(self.routing_seconds)
+        latencies = latency_summary(self.routing_seconds)
         return {
             "schema": "repro-bench-discovery-v1",
             "shards": self.shards,

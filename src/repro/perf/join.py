@@ -36,14 +36,7 @@ from ..dataset.join_corpus import JoinCorpus, JoinCorpusConfig, build_join_corpu
 from ..dcs.sexpr import from_sexpr
 from ..sql.equivalence import check_composed_equivalence
 from ..tables.catalog import TableCatalog
-
-
-def _latency_summary(series: Sequence[float]) -> Dict[str, float]:
-    # Imported lazily: repro.serving imports repro.interface, which
-    # imports repro.perf at package init (the same cycle churn avoids).
-    from ..serving.bench import latency_summary
-
-    return latency_summary(series)
+from .bench import latency_summary
 
 
 #: The recall cutoffs the join bench reports (pairs, so no @10 tier).
@@ -111,8 +104,8 @@ class JoinReport:
                 ),
             ]
         )
-        routing = _latency_summary(self.routing_seconds)
-        compose = _latency_summary(self.compose_seconds)
+        routing = latency_summary(self.routing_seconds)
+        compose = latency_summary(self.compose_seconds)
         out.append(
             (
                 "set-routing latency",
@@ -135,8 +128,8 @@ class JoinReport:
         everything wall-clock-derived lives under ``timings``, the same
         artifact-diff contract as the other committed bench payloads.
         """
-        routing = _latency_summary(self.routing_seconds)
-        compose = _latency_summary(self.compose_seconds)
+        routing = latency_summary(self.routing_seconds)
+        compose = latency_summary(self.compose_seconds)
         return {
             "schema": "repro-bench-join-v1",
             "pairs": self.pairs,

@@ -24,18 +24,17 @@ reproduction, built on three pieces that already exist:
 The event loop never blocks on parsing: it only awaits futures resolved
 by the dispatcher.
 
-The TCP front end (:meth:`AsyncServer.serve`) speaks the **versioned
-JSON-lines protocol** of :mod:`repro.api.wire`: legacy v1 lines
-(``{"question": ..., "table": ...}`` → ``{"ok": true, ...}``) keep
-their byte-compatible responses, while v2 lines (``{"v": 2, "id": ...,
-"op": "query", ...}``) carry the full serialized
+Every question enters through :meth:`AsyncServer.aquery`, in process
+and from the TCP front end (:meth:`AsyncServer.serve`) alike.  The front
+end speaks the JSON-lines protocol of :mod:`repro.api.wire`: one
+request per line (``{"v": 2, "id": ..., "op": "query", ...}``; a line
+without ``"v"`` is read as v2), answered with the full serialized
 :class:`~repro.api.envelope.QueryResult` — candidates, routing
-decision, timing — built by the same
-:mod:`repro.api.engine` builders the in-process façade uses, so the
-wire answer is bit-identical to :meth:`ReproEngine.query`.  Version
-negotiation is per connection (``{"v": 2, "op": "hello"}``); lines are
-framed manually with a bounded buffer, so an oversized line gets a
-structured ``BAD_REQUEST`` response instead of killing the connection.
+decision, timing — built by the same :mod:`repro.api.engine` builders
+the in-process façade uses, so the wire answer is bit-identical to
+:meth:`ReproEngine.query`.  Lines are framed manually with a bounded
+buffer, so an oversized line gets a structured ``BAD_REQUEST`` response
+instead of killing the connection.
 """
 
 from __future__ import annotations
@@ -61,11 +60,7 @@ from ..api.errors import (
 )
 from ..interface.nl_interface import InterfaceResponse
 from ..perf.pool import DeadlineExceeded
-from ..tables.catalog import CatalogAnswer, CatalogError, TableCatalog, TableLike
-
-#: What one served question resolves to: a routed single-table response
-#: or a corpus-wide ranking.
-ServedAnswer = Union[InterfaceResponse, CatalogAnswer]
+from ..tables.catalog import CatalogError, TableCatalog, TableLike
 
 #: Chunk size for the manual line framing of the TCP front end.
 _READ_CHUNK = 65536
@@ -78,12 +73,12 @@ class _AskRequest:
     ``prune`` only applies corpus-wide: ``None`` defers to the catalog's
     routing policy, ``False`` forces the broadcast for this request.
     ``backend`` overrides the server's pool backend for this request.
-    ``want_ref`` asks the dispatcher to return the *resolved* catalog
-    ref alongside the answer (a :class:`_ResolvedAnswer`) — how
-    :meth:`AsyncServer.aquery` learns the shard identity without ever
-    resolving on the event loop.  ``deadline`` is an absolute
-    ``time.monotonic()`` instant computed at enqueue from the request's
-    ``deadline_ms``, so queue wait and worker time draw from one budget.
+    A routed request is answered with a :class:`_ResolvedAnswer` that
+    carries the *resolved* catalog ref — how :meth:`AsyncServer.aquery`
+    learns the shard identity without ever resolving on the event loop.
+    ``deadline`` is an absolute ``time.monotonic()`` instant computed at
+    enqueue from the request's ``deadline_ms``, so queue wait and worker
+    time draw from one budget.
     """
 
     question: str
@@ -91,7 +86,6 @@ class _AskRequest:
     k: Optional[int]
     prune: Optional[bool] = None
     backend: Optional[str] = None
-    want_ref: bool = False
     deadline: Optional[float] = None
     #: Corpus-wide only: top-N routing cap (the router's heap path);
     #: ``None`` keeps every retrieval hit.
@@ -100,7 +94,7 @@ class _AskRequest:
 
 @dataclass(frozen=True)
 class _ResolvedAnswer:
-    """A routed answer paired with its resolved shard ref (``want_ref``)."""
+    """A routed answer paired with its resolved shard ref."""
 
     ref: object
     answer: "InterfaceResponse"
@@ -181,15 +175,6 @@ class ServerStats:
                 round(self.requests / self.batches, 2) if self.batches else 0.0
             ),
         }
-
-
-class _Connection:
-    """Per-connection wire state: the negotiated protocol version."""
-
-    __slots__ = ("version",)
-
-    def __init__(self) -> None:
-        self.version: Optional[int] = None
 
 
 class AsyncServer:
@@ -278,7 +263,7 @@ class AsyncServer:
 
     # -- lifecycle -------------------------------------------------------------
     async def start(self) -> "AsyncServer":
-        """Start the dispatcher (idempotent; ``ask`` calls it lazily)."""
+        """Start the dispatcher (idempotent; ``aquery`` calls it lazily)."""
         if self._dispatcher is None or self._dispatcher.done():
             self._queue = asyncio.Queue(
                 maxsize=self.max_pending if self.max_pending else 0
@@ -298,17 +283,17 @@ class AsyncServer:
     async def stop(self, drain: bool = True, drain_timeout: float = 60.0) -> None:
         """Stop the server; by default **drain** accepted work first.
 
-        Graceful shutdown: intake closes immediately (new :meth:`ask`
-        calls get :class:`~repro.api.errors.ServerClosed`), every
+        Graceful shutdown: intake closes immediately (new :meth:`aquery`
+        calls get a ``SERVER_CLOSED`` error envelope), every
         already-accepted request is allowed up to ``drain_timeout``
         seconds to finish, and only then is the dispatcher torn down.
         ``drain=False`` restores the old hard stop that fails queued
         requests.  Idempotent and safe to call concurrently — a second
         ``stop`` (even racing the first) returns cleanly.
 
-        Concurrent :meth:`ask` calls racing a stop get a clean
-        :class:`~repro.api.errors.ServerClosed` (never an internal
-        ``AttributeError`` — the queue handoff is identity-checked).
+        Concurrent :meth:`aquery` calls racing a stop get a clean
+        ``SERVER_CLOSED`` (never an internal ``AttributeError`` — the
+        queue handoff is identity-checked).
         When the server built its own engine it also tears down the
         engine's worker pools; a caller-supplied engine keeps its
         pools (its owner decides their lifetime).
@@ -356,7 +341,7 @@ class AsyncServer:
         if self._owns_engine:
             self.engine.close()
         # Lazy restart stays possible (historic semantics): only an
-        # in-progress drain turns new asks away.
+        # in-progress drain turns new requests away.
         self._draining = False
 
     async def __aenter__(self) -> "AsyncServer":
@@ -403,47 +388,19 @@ class AsyncServer:
             future.set_exception(ServerClosed("server stopped"))
         return await future
 
-    async def ask(
-        self,
-        question: str,
-        table: Optional[TableLike] = None,
-        k: Optional[int] = None,
-        prune: Optional[bool] = None,
-        backend: Optional[str] = None,
-        deadline_ms: Optional[int] = None,
-        max_candidates: Optional[int] = None,
-    ) -> ServedAnswer:
-        """Answer one question; ``table=None`` routes corpus-wide.
-
-        Safe to call from any number of concurrent tasks: requests are
-        queued, micro-batched and answered off the event loop.  ``prune``
-        (corpus-wide only) overrides the catalog's routing policy per
-        request; ``max_candidates`` (corpus-wide only) caps routing at
-        the top N shards; ``backend`` overrides the server's pool
-        backend.  ``deadline_ms`` bounds the whole wait (queue + parse):
-        past it the request fails with a coded ``TIMEOUT`` while the
-        rest of its batch completes.
-        """
-        deadline = (
-            time.monotonic() + deadline_ms / 1000.0
-            if deadline_ms is not None
-            else None
-        )
-        return await self._enqueue(
-            _AskRequest(
-                question, table, k, prune, backend, deadline=deadline,
-                max_candidates=max_candidates,
-            )
-        )
-
     async def aquery(self, request: QueryRequest):
         """Answer one :class:`QueryRequest` through the dispatcher.
 
-        The v2 face of :meth:`ask`: the request is validated, resolved
-        and micro-batched like any other, and the answer comes back as a
+        The server's one entry point.  Safe to call from any number of
+        concurrent tasks: the request is validated, queued,
+        micro-batched with whatever else arrived and answered off the
+        event loop.  The answer comes back as a
         :class:`~repro.api.envelope.QueryResult` built by the shared
         :mod:`repro.api.engine` builders — bit-identical (modulo timing)
-        to :meth:`ReproEngine.query` on the same catalog.
+        to :meth:`ReproEngine.query` on the same catalog.  Failures come
+        back as coded error envelopes, never as exceptions: a full queue
+        is ``OVERLOADED``, a stopping server ``SERVER_CLOSED``, an
+        expired ``deadline_ms`` ``TIMEOUT``.
 
         Resolution happens on the *dispatcher thread*, never here: the
         catalog's resolve path takes the catalog lock (held across disk
@@ -465,70 +422,34 @@ class AsyncServer:
                 if request.deadline_ms is not None
                 else None
             )
-            if request.resolved_mode == "table":
-                outcome = await self._enqueue(
-                    _AskRequest(
-                        request.question,
-                        request.target,
-                        request.k,
-                        request.prune,
-                        request.backend,
-                        want_ref=True,
-                        deadline=deadline,
-                    )
+            routed = request.resolved_mode == "table"
+            outcome = await self._enqueue(
+                _AskRequest(
+                    request.question,
+                    request.target if routed else None,
+                    request.k,
+                    request.prune,
+                    request.backend,
+                    deadline=deadline,
+                    max_candidates=request.max_candidates,
                 )
-                ref, answer = outcome.ref, outcome.answer
-            else:
-                ref = None
-                answer = await self._enqueue(
-                    _AskRequest(
-                        request.question,
-                        None,
-                        request.k,
-                        request.prune,
-                        request.backend,
-                        deadline=deadline,
-                        max_candidates=request.max_candidates,
-                    )
-                )
+            )
         except Exception as error:
             return error_result(request, classify_exception(error))
         # The resolved ref carries the *registered* identity (which may
         # alias the table's own name) — exactly what ReproEngine.query
         # reports, keeping the wire envelope bit-identical to it.
+        if routed:
+            shard, answer = ShardInfo.from_ref(outcome.ref), outcome.answer
+        else:
+            shard, answer = None, outcome
         return result_from_served(
             request.question,
             answer,
             request=request,
-            shard=ShardInfo.from_ref(ref) if ref is not None else None,
+            shard=shard,
             corpus_version=accepted_version,
         )
-
-    async def ask_gathered(
-        self, items: Sequence[Tuple[str, Optional[TableLike]]], k: Optional[int] = None
-    ) -> List[ServedAnswer]:
-        """Answer many questions concurrently; results index-aligned."""
-        return list(
-            await asyncio.gather(
-                *(self.ask(question, table=ref, k=k) for question, ref in items)
-            )
-        )
-
-    async def run_session(
-        self,
-        items: Sequence[Tuple[str, Optional[TableLike]]],
-        k: Optional[int] = None,
-    ) -> List[ServedAnswer]:
-        """One user session: questions asked *in order*, answers aligned.
-
-        Within a session each question awaits the previous answer (the
-        interactive regime of the paper); across sessions the dispatcher
-        interleaves freely.
-        """
-        answers: List[ServedAnswer] = []
-        for question, ref in items:
-            answers.append(await self.ask(question, table=ref, k=k))
-        return answers
 
     # -- dispatcher ------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
@@ -690,11 +611,7 @@ class AsyncServer:
                         # dead past every retry) fails only its own future.
                         outcomes[position] = _Failure(response.error)
                         continue
-                    outcomes[position] = (
-                        _ResolvedAnswer(ref, response)
-                        if request.want_ref
-                        else response
-                    )
+                    outcomes[position] = _ResolvedAnswer(ref, response)
             for position, future in broadcasts:
                 try:
                     outcomes[position] = future.result()
@@ -713,11 +630,10 @@ class AsyncServer:
     async def serve(self, host: str = "127.0.0.1", port: int = 8765):
         """Open the JSON-lines TCP endpoint; returns the asyncio server.
 
-        One request per line; see :mod:`repro.api.wire` for both protocol
-        versions.  v1: ``{"op": "list"}`` enumerates the catalog,
-        ``{"op": "stats"}`` reports catalog + dispatcher counters.  v2:
-        ``{"v": 2, "op": "hello"}`` negotiates, ``{"v": 2, "op":
-        "query", ...}`` answers with the serialized ``QueryResult``.
+        One request per line; see :mod:`repro.api.wire`.  ``{"op":
+        "query", ...}`` (the default op) answers with the serialized
+        ``QueryResult``, ``{"op": "list"}`` enumerates the catalog,
+        ``{"op": "stats"}`` reports catalog + dispatcher counters.
         """
         await self.start()
         return await asyncio.start_server(self._handle_client, host, port)
@@ -725,8 +641,6 @@ class AsyncServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        connection = _Connection()
-
         async def send(payload: Dict[str, object]) -> None:
             if faults.should_fire("wire.drop_connection"):
                 # Injected fault: kill the connection with a hard RST
@@ -759,14 +673,14 @@ class AsyncServer:
                         dropping = False
                         continue
                     if len(line) > self.max_line_bytes:
-                        await send(self._oversized_payload(connection))
+                        await send(self._oversized_payload())
                         continue
-                    await send(await self._handle_line(line, connection))
+                    await send(await self._handle_line(line))
                     continue
                 if dropping:
                     buffer.clear()
                 elif len(buffer) > self.max_line_bytes:
-                    await send(self._oversized_payload(connection))
+                    await send(self._oversized_payload())
                     dropping = True
                     buffer.clear()
                 chunk = await reader.read(_READ_CHUNK)
@@ -774,7 +688,7 @@ class AsyncServer:
                     if buffer and not dropping:
                         # Trailing unterminated line at EOF (legacy
                         # readline behaviour): answer it before closing.
-                        await send(await self._handle_line(bytes(buffer), connection))
+                        await send(await self._handle_line(bytes(buffer)))
                     break
                 buffer += chunk
         except ConnectionResetError:
@@ -786,74 +700,32 @@ class AsyncServer:
             except (ConnectionError, OSError):  # pragma: no cover - teardown race
                 pass
 
-    def _oversized_payload(self, connection: _Connection) -> Dict[str, object]:
-        error = ApiError(
-            ErrorCode.BAD_REQUEST,
-            f"bad request: line exceeds {self.max_line_bytes} bytes",
+    def _oversized_payload(self) -> Dict[str, object]:
+        return wire.v2_error_response(
+            ApiError(
+                ErrorCode.BAD_REQUEST,
+                f"bad request: line exceeds {self.max_line_bytes} bytes",
+            )
         )
-        if (connection.version or 1) >= 2:
-            return wire.v2_error_response(error)
-        return wire.v1_error_response(error)
 
-    async def _handle_line(
-        self, line: bytes, connection: _Connection
-    ) -> Dict[str, object]:
-        """Answer one wire line in whichever protocol version governs it."""
+    async def _handle_line(self, line: bytes) -> Dict[str, object]:
+        """Answer one wire line with a v2 response envelope."""
         try:
             request = wire.decode_line(line)
         except ApiError as error:
-            if (connection.version or 1) >= 2:
-                return wire.v2_error_response(error)
-            return wire.v1_error_response(error)
+            return wire.v2_error_response(error)
         request_id = request.get("id")
         try:
-            version = wire.request_version(request, connection.version)
+            wire.check_version(request)
         except ApiError as error:
-            # An unsupported version is answered in the newest shape we
-            # speak — the requester already left v1 territory.
             return wire.v2_error_response(error, request_id)
-        if version >= 2:
-            return await self._handle_v2(request, connection)
-        return await self._handle_v1(request)
-
-    # -- v1 (legacy, byte-compatible) ------------------------------------------
-    async def _handle_v1(self, request: Dict[str, object]) -> Dict[str, object]:
-        op = request.get("op", "ask")
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        if op == "list":
-            return {"ok": True, "tables": self._table_listing()}
-        if op == "stats":
-            return {"ok": True, **self._stats_payload()}
-        if op != "ask":
-            return wire.v1_error_response(
-                ApiError(ErrorCode.UNKNOWN_OP, f"unknown op {op!r}")
-            )
-        try:
-            ask_request = self._wire_ask_request(request)
-            answer = await self.ask(
-                ask_request.question,
-                table=ask_request.ref,
-                k=ask_request.k,
-                prune=ask_request.prune,
-            )
-        except Exception as error:
-            return wire.v1_error_response(self._wire_error(error))
-        return wire.v1_answer_payload(answer)
-
-    # -- v2 (the typed envelope) -----------------------------------------------
-    async def _handle_v2(
-        self, request: Dict[str, object], connection: _Connection
-    ) -> Dict[str, object]:
-        request_id = request.get("id")
         op = request.get("op", "query")
         if op not in wire.V2_OPS:
             return wire.v2_error_response(
                 ApiError(ErrorCode.UNKNOWN_OP, f"unknown op {op!r}"), request_id
             )
         if op == "hello":
-            # Per-connection negotiation: subsequent lines may omit "v".
-            connection.version = 2
+            # ReproClient sends hello to check it reached a v2 server.
             return wire.v2_ok_response(
                 request_id, versions=list(wire.PROTOCOL_VERSIONS)
             )
@@ -862,8 +734,7 @@ class AsyncServer:
         if op == "list":
             return wire.v2_ok_response(request_id, tables=self._table_listing())
         if op == "stats":
-            return wire.v2_ok_response(request_id, **self._stats_payload())
-        # What remains of V2_OPS: "query" and its v1-flavoured alias "ask".
+            return wire.v2_ok_response(request_id, **self.stats_payload())
         try:
             query = wire.query_request_from_wire(request)
             query.validate()
@@ -873,28 +744,6 @@ class AsyncServer:
         return wire.v2_result_response(result, request_id)
 
     # -- shared wire helpers ---------------------------------------------------
-    def _wire_ask_request(self, request: Dict[str, object]) -> _AskRequest:
-        """Validate a v1 ``ask`` body through the shared request codec.
-
-        Only the v1 vocabulary is read — the legacy protocol always
-        ignored unknown keys, and that leniency is part of its contract.
-        """
-        query = QueryRequest.from_dict(
-            {
-                key: request[key]
-                for key in ("question", "table", "k", "prune")
-                if key in request
-            }
-        )
-        query.validate()
-        return _AskRequest(
-            question=query.question,
-            ref=query.target if query.resolved_mode == "table" else None,
-            k=query.k,
-            prune=query.prune,
-            backend=query.backend,
-        )
-
     def _wire_error(self, error: Exception) -> ApiError:
         if isinstance(error, ApiError):
             return error
@@ -903,7 +752,12 @@ class AsyncServer:
     def _table_listing(self) -> List[Dict[str, object]]:
         return wire.table_listing(self.catalog)
 
-    def _stats_payload(self) -> Dict[str, object]:
+    def stats_payload(self) -> Dict[str, object]:
+        """The ``stats`` op's body: catalog counters + fresh dispatcher counters.
+
+        The mirrored :class:`ServerStats` fields refresh here, so read
+        this rather than ``stats.as_dict()`` for current values.
+        """
         self._refresh_pool_counters()
         self._refresh_churn_counters()
         self._refresh_retrieval_counters()
@@ -914,8 +768,8 @@ class AsyncServer:
 
         The pools own the ground truth (``respawns``/``downgrades``
         accumulate inside :mod:`repro.perf.pool`); the server copies
-        them whenever stats are served so both wire versions and the
-        in-process ``stats`` see one consistent story.
+        them whenever stats are served so the wire and the in-process
+        ``stats`` see one consistent story.
         """
         respawns = 0
         downgrades = 0

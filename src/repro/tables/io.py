@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from .table import Table, TableError
+from .values import DateValue
 
 PathLike = Union[str, Path]
 
@@ -67,19 +68,39 @@ def table_to_csv(table: Table, destination: Union[PathLike, io.TextIOBase], deli
 
 
 def table_to_json(table: Table) -> str:
-    """Serialise a table (name, columns, display rows) to a JSON string."""
+    """Serialise a table (name, columns, display rows) to a JSON string.
+
+    Columns whose bare years are typed as dates are listed under
+    ``"date_columns"`` (omitted when there are none), so
+    :func:`table_from_json` rebuilds the same typed cells.
+    """
     payload = {
         "name": table.name,
         "columns": table.columns,
         "rows": [[cell.display() for cell in record.cells] for record in table.records],
     }
+    # A bare year typed as a date displays as "1896", which re-parses as
+    # a number unless its column comes back as a date column.
+    date_columns = [
+        column
+        for column in table.columns
+        if any(
+            isinstance(value, DateValue) and value.is_numeric
+            for value in table.column_values(column)
+        )
+    ]
+    if date_columns:
+        payload["date_columns"] = date_columns
     return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
 def table_from_json(
     text: str, date_columns: Optional[Sequence[str]] = None
 ) -> Table:
-    """Deserialise a table from the JSON produced by :func:`table_to_json`."""
+    """Deserialise a table from the JSON produced by :func:`table_to_json`.
+
+    An explicit ``date_columns`` argument wins over the payload's own.
+    """
     payload = json.loads(text)
     missing = {"name", "columns", "rows"} - set(payload)
     if missing:
@@ -88,7 +109,9 @@ def table_from_json(
         columns=payload["columns"],
         rows=payload["rows"],
         name=payload["name"],
-        date_columns=date_columns,
+        date_columns=(
+            date_columns if date_columns is not None else payload.get("date_columns")
+        ),
     )
 
 

@@ -11,8 +11,8 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "bench_smoke: fast, scaled-down sweep of the bench code paths "
-        "(parse: all backends, disk cache warm/cold; serving: sequential "
-        "vs async vs hot-set eviction); select with -m bench_smoke",
+        "(parse: all backends, disk cache warm/cold); select with "
+        "-m bench_smoke",
     )
 
 

@@ -496,16 +496,67 @@ class TestServingChurn:
             catalog.resolve(old.digest)
         assert catalog.resolve("games").digest == games_v2.fingerprint.digest
 
+    def test_engine_query_completes_against_pinned_version(self, games, games_v2):
+        """ReproEngine.query pins the shard it resolved, as the dispatcher
+        does: an update landing between resolve and parse neither fails
+        the request with UNKNOWN_TABLE nor changes its snapshot."""
+        engine = ReproEngine(tables=[games])
+        catalog = engine.catalog
+        old = catalog.resolve("games")
+        accepted_version = catalog.version
+        real_ask = catalog.ask
+
+        def updating_ask(question, ref, **kwargs):
+            if catalog.resolve("games").digest == old.digest:
+                catalog.update("games", games_v2)
+            return real_ask(question, ref, **kwargs)
+
+        catalog.ask = updating_ask
+        result = engine.query("which city is in the USA", target="games")
+        assert result.ok
+        assert result.shard.digest == old.digest
+        assert result.corpus_version == accepted_version
+        # The call drained its pin, so the superseded shard retired.
+        with pytest.raises(UnknownTableError):
+            catalog.resolve(old.digest)
+
+    def test_engine_query_many_completes_against_pinned_version(
+        self, games, games_v2
+    ):
+        """The same contract for every request of a query_many group."""
+        engine = ReproEngine(tables=[games])
+        catalog = engine.catalog
+        old = catalog.resolve("games")
+        accepted_version = catalog.version
+        real_ask_many = catalog.ask_many
+
+        def updating_ask_many(items, **kwargs):
+            if catalog.resolve("games").digest == old.digest:
+                catalog.update("games", games_v2)
+            return real_ask_many(items, **kwargs)
+
+        catalog.ask_many = updating_ask_many
+        request = QueryRequest(question="which city is in the USA", target="games")
+        results = engine.query_many([request, request])
+        assert len(results) == 2
+        for result in results:
+            assert result.ok
+            assert result.shard.digest == old.digest
+            assert result.corpus_version == accepted_version
+        with pytest.raises(UnknownTableError):
+            catalog.resolve(old.digest)
+
     def test_server_stats_mirror_churn_counters(self, games, games_v2):
         catalog = TableCatalog()
         catalog.register(games)
 
         async def drive():
             async with AsyncServer(catalog, max_workers=2) as server:
-                await server.ask("which city", table="games")
+                request = QueryRequest(question="which city", target="games")
+                await server.aquery(request)
                 catalog.update("games", games_v2)
-                await server.ask("which city", table="games")
-                return server._stats_payload()
+                await server.aquery(request)
+                return server.stats_payload()
 
         payload = asyncio.run(drive())
         server_stats = payload["server"]

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import ast
 import io
 import json
 
@@ -341,6 +342,40 @@ class TestServeCommand:
         assert "concurrent sessions answered" in text
         assert "dispatcher:" in text
 
+    def test_self_test_prints_fresh_dispatcher_counters(self, corpus_dir):
+        """The counters mirrored from the catalog refresh before printing
+        (they used to print 0 retrieval shards on a 3-table corpus)."""
+        out = io.StringIO()
+        code = main(
+            ["serve", "--corpus", str(corpus_dir), "--self-test", "2",
+             "--workers", "2"],
+            out=out,
+        )
+        assert code == 0
+        line = next(
+            line for line in out.getvalue().splitlines()
+            if line.startswith("dispatcher: ")
+        )
+        stats = ast.literal_eval(line[len("dispatcher: "):])
+        assert stats["retrieval_shards"] == 3
+        assert stats["retrieval_terms"] > 0
+        assert stats["pinned_requests"] == stats["requests"] == 6
+
+    def test_self_test_exits_nonzero_on_a_serving_error(self, corpus_dir):
+        """A question whose table is missing is a coded failure of the
+        run, not a silently emitted error envelope."""
+        questions = corpus_dir / "questions.jsonl"
+        with questions.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"question": "x", "table": "atlantis"}) + "\n")
+        out = io.StringIO()
+        code = main(
+            ["serve", "--corpus", str(corpus_dir), "--self-test", "2",
+             "--workers", "2"],
+            out=out,
+        )
+        assert code == 1
+        assert "error[UNKNOWN_TABLE]" in out.getvalue()
+
     def test_self_test_emits_schema_valid_results(self, corpus_dir, tmp_path):
         from repro.api import schema as wire_schema
 
@@ -365,40 +400,3 @@ class TestServeCommand:
         code = main(["serve", "--corpus", str(flat), "--self-test", "2"], out=out)
         assert code == 1
         assert "questions.jsonl" in out.getvalue()
-
-
-class TestBenchServeCommand:
-    def test_bench_serve_writes_artifact(self, tmp_path):
-        out = io.StringIO()
-        artifact = tmp_path / "BENCH_serve.json"
-        code = main(
-            ["bench-serve", "--tables", "2", "--questions", "2", "--repeats", "1",
-             "--sessions", "2", "--workers", "2", "--output", str(artifact)],
-            out=out,
-        )
-        text = out.getvalue()
-        assert code == 0
-        assert "sequential" in text and "async" in text
-        assert "route:" in text and "broadcast" in text and "pruned" in text
-        payload = json.loads(artifact.read_text())
-        assert payload["schema"] == "repro-bench-serve-v3"
-        assert payload["modes"]["async"]["identical"] is True
-        assert payload["route"]["top_answers_match"] is True
-        assert payload["timings"]["modes"]["async"]["total_seconds"] > 0
-        latency = payload["timings"]["modes"]["async"]["latency"]
-        assert set(latency) == {"p50_ms", "p95_ms", "p99_ms"}
-        assert latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
-
-    def test_bench_serve_no_route_skips_route_mode(self, tmp_path):
-        out = io.StringIO()
-        artifact = tmp_path / "BENCH_serve.json"
-        code = main(
-            ["bench-serve", "--tables", "2", "--questions", "2", "--repeats", "1",
-             "--sessions", "2", "--workers", "2", "--no-route",
-             "--output", str(artifact)],
-            out=out,
-        )
-        assert code == 0
-        assert "route:" not in out.getvalue()
-        payload = json.loads(artifact.read_text())
-        assert "route" not in payload

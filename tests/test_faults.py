@@ -219,7 +219,11 @@ class TestDeadlineWithHangingWorker:
                             deadline_ms=400,
                         )
                     ),
-                    server.ask("what is the highest year", "olympics"),
+                    server.aquery(
+                        QueryRequest(
+                            question="what is the highest year", target="olympics"
+                        )
+                    ),
                 )
                 elapsed = time.monotonic() - started
                 server._refresh_pool_counters()  # what the stats op does

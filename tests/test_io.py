@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.dataset import DatasetConfig, build_dataset
 from repro.tables import (
     Table,
     TableError,
@@ -57,8 +58,32 @@ class TestJSON:
         with pytest.raises(TableError):
             table_from_json('{"columns": ["A"]}')
 
+    def test_year_as_date_typing_survives(self):
+        table = Table(
+            columns=["Year", "City"],
+            rows=[["1896", "Athens"], ["2004", "Athens"]],
+            name="hosts",
+            date_columns=["Year"],
+        )
+        loaded = table_from_json(table_to_json(table))
+        assert loaded.fingerprint == table.fingerprint
+        # An explicit argument still wins over the payload's own list.
+        untyped = table_from_json(table_to_json(table), date_columns=[])
+        assert untyped.fingerprint != table.fingerprint
+
 
 class TestDirectories:
+    def test_dataset_round_trip_keeps_every_fingerprint(self, tmp_path):
+        """What `repro dataset --output` writes, `serve --corpus` reads back
+        with the same content identity (year columns stay dates)."""
+        dataset = build_dataset(
+            DatasetConfig(num_tables=6, questions_per_table=2, seed=0)
+        )
+        save_tables(dataset.tables, tmp_path / "tables")
+        loaded = load_tables(tmp_path / "tables")
+        assert [table.fingerprint for table in loaded] == [
+            table.fingerprint for table in dataset.tables
+        ]
     def test_save_and_load_many(self, tmp_path, olympics_table, medals_table):
         paths = save_tables([olympics_table, medals_table], tmp_path / "tables")
         assert len(paths) == 2

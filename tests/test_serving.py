@@ -1,8 +1,8 @@
-"""Tests for the asyncio serving layer (ISSUE 3).
+"""Tests for the asyncio serving layer.
 
-The acceptance bar: >= 8 concurrent sessions with order-stable outputs,
-bit-identical to the sequential path, plus the TCP front end and the
-serving bench integrity sweep.
+The acceptance bar: >= 8 concurrent sessions through ``aquery`` with
+order-stable outputs, bit-identical to the sequential path (also under
+hot-set eviction), plus the v2 TCP front end.
 """
 
 from __future__ import annotations
@@ -12,13 +12,10 @@ import json
 
 import pytest
 
-import warnings
-
-from repro.api import ReproEngine
-from repro.api.wire import v1_answer_payload
+from repro.api import ErrorCode, QueryRequest, ReproEngine
 from repro.interface import NLInterface
-from repro.tables import CatalogError, TableCatalog
-from repro.serving import AsyncServer, ServerClosed, run_serving_bench
+from repro.tables import TableCatalog
+from repro.serving import AsyncServer
 
 
 @pytest.fixture
@@ -46,6 +43,16 @@ def _signature(response):
     ]
 
 
+def _ask(server, question, target=None, **fields):
+    """One request through the server's only entry point."""
+    return server.aquery(QueryRequest(question=question, target=target, **fields))
+
+
+async def _session(server, items):
+    """One user session: each question awaits the previous answer."""
+    return [await _ask(server, question, target) for question, target in items]
+
+
 class TestAsyncServer:
     def test_concurrent_sessions_are_order_stable_and_bit_identical(
         self, corpus, catalog
@@ -63,19 +70,43 @@ class TestAsyncServer:
 
         async def drive():
             async with AsyncServer(catalog, max_workers=4) as server:
-                sessions = [server.run_session(workload) for _ in range(8)]
+                sessions = [_session(server, workload) for _ in range(8)]
                 return await asyncio.gather(*sessions), server.stats.as_dict()
 
         per_session, stats = asyncio.run(drive())
         assert len(per_session) == 8
-        for answers in per_session:
-            assert [_signature(response) for response in answers] == reference
+        for results in per_session:
+            assert [_signature(result.raw) for result in results] == reference
         assert stats["requests"] == 8 * len(workload)
         assert stats["errors"] == 0
         # Shard-affinity batching composed every batch (a group per
         # distinct shard, never more groups than requests) — and, per the
         # assertions above, changed no output.
         assert stats["batches"] <= stats["shard_groups"] <= stats["requests"]
+
+    def test_hot_set_eviction_keeps_answers_identical(self, corpus, tmp_path):
+        """Serving under memory pressure: with at most 2 of 3 shards hot,
+        concurrent sessions evict and rehydrate shards, and every answer
+        still equals the unbounded in-process engine's."""
+        tables, questions = corpus
+        workload = [(questions[table.name], table.name) for table in tables] * 2
+        reference = ReproEngine(tables=tables)
+        expected = [
+            reference.query(question, target=name).canonical_dict()
+            for question, name in workload
+        ]
+        catalog = TableCatalog(cache_dir=str(tmp_path), max_hot_shards=2)
+        catalog.register_all(tables)
+
+        async def drive():
+            async with AsyncServer(catalog, max_workers=4) as server:
+                return await asyncio.gather(
+                    *(_session(server, workload) for _ in range(4))
+                )
+
+        for results in asyncio.run(drive()):
+            assert [result.canonical_dict() for result in results] == expected
+        assert catalog.stats()["evictions"] >= 1
 
     def test_batches_are_composed_with_shard_affinity(self, corpus, catalog):
         """Within one dispatcher batch, requests reach ask_many grouped by
@@ -99,12 +130,14 @@ class TestAsyncServer:
 
         async def drive():
             async with AsyncServer(catalog, max_workers=4) as server:
-                return await server.ask_gathered(interleaved)
+                return await asyncio.gather(
+                    *(_ask(server, question, name) for question, name in interleaved)
+                )
 
-        answers = asyncio.run(drive())
+        results = asyncio.run(drive())
         catalog.ask_many = inner_ask_many
-        for (question, name), response in zip(interleaved, answers):
-            assert _signature(response) == _signature(catalog.ask(question, name))
+        for (question, name), result in zip(interleaved, results):
+            assert _signature(result.raw) == _signature(catalog.ask(question, name))
         for batch_digests in observed:
             runs = [
                 digest
@@ -121,10 +154,7 @@ class TestAsyncServer:
         async def drive():
             async with AsyncServer(catalog, max_workers=4) as server:
                 await asyncio.gather(
-                    *(
-                        server.ask(questions["olympics"], "olympics")
-                        for _ in range(12)
-                    )
+                    *(_ask(server, questions["olympics"], "olympics") for _ in range(12))
                 )
                 return server.stats.as_dict()
 
@@ -133,17 +163,19 @@ class TestAsyncServer:
         # At least some arrivals were merged (the first batch may be 1).
         assert stats["batches"] < 12
 
-    def test_ask_gathered_is_index_aligned(self, corpus, catalog):
+    def test_gathered_queries_are_index_aligned(self, corpus, catalog):
         tables, questions = corpus
         items = [(questions[table.name], table.name) for table in tables]
 
         async def drive():
             async with AsyncServer(catalog, max_workers=4) as server:
-                return await server.ask_gathered(items)
+                return await asyncio.gather(
+                    *(_ask(server, question, name) for question, name in items)
+                )
 
-        answers = asyncio.run(drive())
-        for (question, name), response in zip(items, answers):
-            assert _signature(response) == _signature(catalog.ask(question, name))
+        results = asyncio.run(drive())
+        for (question, name), result in zip(items, results):
+            assert _signature(result.raw) == _signature(catalog.ask(question, name))
 
     def test_mixed_k_requests_keep_their_own_k(self, corpus, catalog):
         _, questions = corpus
@@ -151,24 +183,25 @@ class TestAsyncServer:
         async def drive():
             async with AsyncServer(catalog, max_workers=4) as server:
                 return await asyncio.gather(
-                    server.ask(questions["olympics"], "olympics", k=2),
-                    server.ask(questions["olympics"], "olympics", k=5),
+                    _ask(server, questions["olympics"], "olympics", k=2),
+                    _ask(server, questions["olympics"], "olympics", k=5),
                 )
 
         small, large = asyncio.run(drive())
-        assert len(small.explained) == 2
-        assert len(large.explained) == 5
+        assert len(small.candidates) == 2
+        assert len(large.candidates) == 5
 
     def test_corpus_wide_routing(self, corpus, catalog):
         tables, questions = corpus
 
         async def drive():
             async with AsyncServer(catalog, max_workers=4) as server:
-                return await server.ask(questions["olympics"])  # no table
+                return await _ask(server, questions["olympics"])  # no target
 
-        answer = asyncio.run(drive())
-        assert answer.best_ref.digest == tables[0].fingerprint.digest
-        assert answer.answer == ("Greece",)
+        result = asyncio.run(drive())
+        assert result.routing.mode == "any"
+        assert result.shard.digest == tables[0].fingerprint.digest
+        assert result.answer == ("Greece",)
 
     def test_unknown_ref_fails_only_its_own_request(self, corpus, catalog):
         _, questions = corpus
@@ -176,15 +209,14 @@ class TestAsyncServer:
         async def drive():
             async with AsyncServer(catalog, max_workers=4) as server:
                 return await asyncio.gather(
-                    server.ask(questions["olympics"], "olympics"),
-                    server.ask(questions["olympics"], "atlantis"),
-                    server.ask(questions["medals"], "medals"),
-                    return_exceptions=True,
+                    _ask(server, questions["olympics"], "olympics"),
+                    _ask(server, questions["olympics"], "atlantis"),
+                    _ask(server, questions["medals"], "medals"),
                 )
 
         good, bad, also_good = asyncio.run(drive())
-        assert good.top.answer == ("Greece",)
-        assert isinstance(bad, CatalogError)
+        assert good.answer == ("Greece",)
+        assert bad.error_code is ErrorCode.UNKNOWN_TABLE
         assert also_good.top is not None
 
     def test_hard_stop_fails_queued_requests(self, corpus, catalog):
@@ -194,79 +226,44 @@ class TestAsyncServer:
             server = AsyncServer(catalog, max_workers=4)
             await server.start()
             # Enqueue without giving the dispatcher a chance to finish,
-            # then hard-stop: the pending future must fail, not hang.
+            # then hard-stop: the pending request must fail, not hang.
             task = asyncio.get_running_loop().create_task(
-                server.ask(questions["olympics"], "olympics")
+                _ask(server, questions["olympics"], "olympics")
             )
             await asyncio.sleep(0)
             await server.stop(drain=False)
-            with pytest.raises(ServerClosed):
-                await asyncio.wait_for(task, timeout=10)
+            result = await asyncio.wait_for(task, timeout=10)
+            assert result.error_code is ErrorCode.SERVER_CLOSED
 
         asyncio.run(drive())
 
     def test_graceful_stop_drains_accepted_requests(self, corpus, catalog):
         """The default stop() finishes accepted work before closing —
         an enqueued request gets its real answer, while a request
-        arriving *during* the drain is turned away with ServerClosed."""
+        arriving *during* the drain is turned away with SERVER_CLOSED."""
         _, questions = corpus
 
         async def drive():
             server = AsyncServer(catalog, max_workers=4)
             await server.start()
             task = asyncio.get_running_loop().create_task(
-                server.ask(questions["olympics"], "olympics")
+                _ask(server, questions["olympics"], "olympics")
             )
             await asyncio.sleep(0)
             await server.stop()
-            answer = await asyncio.wait_for(task, timeout=10)
-            assert answer.top.answer == ("Greece",)
+            result = await asyncio.wait_for(task, timeout=10)
+            assert result.answer == ("Greece",)
             # While a drain is in progress, new work is turned away.
             server._draining = True
-            with pytest.raises(ServerClosed):
-                await server.ask(questions["olympics"], "olympics")
+            turned_away = await _ask(server, questions["olympics"], "olympics")
+            assert turned_away.error_code is ErrorCode.SERVER_CLOSED
             server._draining = False
             # After the drain finishes, lazy restart works again.
-            again = await server.ask(questions["olympics"], "olympics")
-            assert again.top.answer == ("Greece",)
+            again = await _ask(server, questions["olympics"], "olympics")
+            assert again.answer == ("Greece",)
             await server.stop()
 
         asyncio.run(drive())
-
-
-class TestAnswerPayload:
-    def test_single_table_payload(self, corpus, catalog):
-        _, questions = corpus
-        payload = v1_answer_payload(catalog.ask(questions["olympics"], "olympics"))
-        assert payload["ok"] is True
-        assert payload["routed"] == "table"
-        assert payload["answer"] == ["Greece"]
-        assert payload["candidates"] >= 1
-        json.dumps(payload)  # wire-serialisable
-
-    def test_corpus_wide_payload(self, corpus, catalog):
-        _, questions = corpus
-        payload = v1_answer_payload(catalog.ask_any(questions["olympics"]))
-        assert payload["ok"] is True
-        assert payload["routed"] == "any"
-        assert payload["answer"] == ["Greece"]
-        # The retrieve-then-parse pipeline: only parsed shards are ranked,
-        # and the payload reports the routing decision.
-        assert payload["pruned"] is True
-        assert payload["fallback"] is False
-        assert len(payload["ranked"]) == payload["shards_parsed"]
-        assert payload["shards_parsed"] + payload["shards_pruned"] == 3
-        json.dumps(payload)
-
-    def test_corpus_wide_payload_broadcast(self, corpus, catalog):
-        _, questions = corpus
-        payload = v1_answer_payload(
-            catalog.ask_any(questions["olympics"], prune=False)
-        )
-        assert payload["pruned"] is False
-        assert len(payload["ranked"]) == 3
-        assert payload["shards_pruned"] == 0
-        json.dumps(payload)
 
 
 class TestTcpEndpoint:
@@ -297,24 +294,35 @@ class TestTcpEndpoint:
                     table.name for table in tables
                 }
 
+                # No hello, no "v": bare lines are answered as v2.
                 routed = await call(
+                    {"question": questions["olympics"], "target": "olympics"}
+                )
+                assert routed["v"] == 2 and routed["ok"] is True
+                assert routed["result"]["answer"] == ["Greece"]
+                assert routed["result"]["routing"]["mode"] == "table"
+
+                # The retired v1 "table" key still names the target.
+                aliased = await call(
                     {"question": questions["olympics"], "table": "olympics"}
                 )
-                assert routed["answer"] == ["Greece"]
+                assert aliased["result"]["answer"] == ["Greece"]
 
                 anywhere = await call({"question": questions["olympics"]})
-                assert anywhere["routed"] == "any"
-                assert anywhere["answer"] == ["Greece"]
+                assert anywhere["result"]["routing"]["mode"] == "any"
+                assert anywhere["result"]["answer"] == ["Greece"]
 
                 stats = await call({"op": "stats"})
                 assert stats["catalog"]["shards"] == 3
-                assert stats["server"]["requests"] >= 2
+                assert stats["server"]["requests"] >= 3
 
-                unknown = await call({"question": "x", "table": "atlantis"})
+                unknown = await call({"question": "x", "target": "atlantis"})
                 assert unknown["ok"] is False
+                assert unknown["error"]["code"] == "UNKNOWN_TABLE"
 
                 garbage = await call(b"not json")
-                assert garbage["ok"] is False
+                assert garbage["v"] == 2 and garbage["ok"] is False
+                assert garbage["error"]["code"] == "BAD_REQUEST"
 
                 writer.close()
                 await writer.wait_closed()
@@ -325,45 +333,42 @@ class TestTcpEndpoint:
 
 
 class TestServingRaceRegressions:
-    """The stop()/ask() races and thread-placement contracts."""
+    """The stop()/aquery() races and thread-placement contracts."""
 
     def test_ask_racing_stop_is_server_closed_never_attribute_error(
         self, corpus, catalog
     ):
-        """Regression: a stop() landing while asks were in flight used to
-        surface as ``AttributeError: 'NoneType' object has no attribute
-        'put'`` on the nulled queue.  Every racing ask must now end in a
-        real answer or a clean ServerClosed."""
+        """Regression: a stop() landing while requests were in flight
+        used to surface as ``AttributeError: 'NoneType' object has no
+        attribute 'put'`` on the nulled queue.  Every racing request must
+        now end in a real answer or a clean SERVER_CLOSED."""
         _, questions = corpus
 
         async def drive():
             server = AsyncServer(catalog, max_workers=2)
             await server.start()
-
-            async def one_ask():
-                try:
-                    return await server.ask(questions["olympics"], "olympics")
-                except ServerClosed as error:
-                    return error
-
             tasks = [
-                asyncio.get_running_loop().create_task(one_ask())
+                asyncio.get_running_loop().create_task(
+                    _ask(server, questions["olympics"], "olympics")
+                )
                 for _ in range(8)
             ]
             await asyncio.sleep(0)
             await server.stop()
             outcomes = await asyncio.gather(*tasks)
-            # A straggler ask may have lazily restarted the dispatcher;
+            # A straggler request may have lazily restarted the dispatcher;
             # tear it down again so nothing outlives the loop.
             await server.stop()
             return outcomes
 
         for outcome in asyncio.run(drive()):
-            assert isinstance(outcome, ServerClosed) or outcome.top is not None
+            assert outcome.error_code is ErrorCode.SERVER_CLOSED or (
+                outcome.top is not None
+            )
 
     def test_stop_nulling_queue_between_start_and_capture(self, corpus, catalog):
         """The exact historical interleaving, pinned deterministically:
-        stop() nulls the queue after ask()'s lazy start() returns but
+        stop() nulls the queue after aquery()'s lazy start() returns but
         before the queue reference is captured."""
         _, questions = corpus
 
@@ -377,8 +382,8 @@ class TestServingRaceRegressions:
                 server._queue = None  # what the concurrent stop() does
 
             server.start = start_then_lose_queue
-            with pytest.raises(ServerClosed):
-                await server.ask(questions["olympics"], "olympics")
+            result = await _ask(server, questions["olympics"], "olympics")
+            assert result.error_code is ErrorCode.SERVER_CLOSED
             server.start = real_start
             await server.stop()
 
@@ -413,10 +418,10 @@ class TestServingRaceRegressions:
                 return server
 
             server.start = noop_start
-            with pytest.raises(ServerClosed):
-                await asyncio.wait_for(
-                    server.ask(questions["olympics"], "olympics"), timeout=10
-                )
+            result = await asyncio.wait_for(
+                _ask(server, questions["olympics"], "olympics"), timeout=10
+            )
+            assert result.error_code is ErrorCode.SERVER_CLOSED
             server.start = real_start
             server._queue = real_queue
             await server.stop()
@@ -432,8 +437,6 @@ class TestServingRaceRegressions:
         dispatcher thread."""
         import threading
 
-        from repro.api.envelope import QueryRequest
-
         _, questions = corpus
         seen_threads = []
         real_resolve = catalog.resolve
@@ -446,11 +449,7 @@ class TestServingRaceRegressions:
 
         async def drive():
             async with AsyncServer(catalog, max_workers=2) as server:
-                return await server.aquery(
-                    QueryRequest(
-                        question=questions["olympics"], target="olympics"
-                    )
-                )
+                return await _ask(server, questions["olympics"], "olympics")
 
         try:
             result = asyncio.run(drive())
@@ -484,10 +483,10 @@ class TestServingRaceRegressions:
         async def drive():
             async with AsyncServer(catalog, max_workers=2, max_batch=8) as server:
                 routed_task = asyncio.get_running_loop().create_task(
-                    server.ask(questions["olympics"], "olympics")
+                    _ask(server, questions["olympics"], "olympics")
                 )
                 broadcast_task = asyncio.get_running_loop().create_task(
-                    server.ask(questions["medals"])
+                    _ask(server, questions["medals"])
                 )
                 return await asyncio.gather(routed_task, broadcast_task)
 
@@ -498,10 +497,10 @@ class TestServingRaceRegressions:
         assert seen_threads
         for name in seen_threads:
             assert name.startswith("repro-serve-job")
-        assert routed.top.answer == ("Greece",)
+        assert routed.answer == ("Greece",)
         reference = real_ask_any(questions["medals"])
         assert broadcast.answer == reference.answer
-        assert broadcast.best_ref.digest == reference.best_ref.digest
+        assert broadcast.shard.digest == reference.best_ref.digest
 
 
 class TestBackpressure:
@@ -512,7 +511,7 @@ class TestBackpressure:
         delay, never a raw exception)."""
         import threading
 
-        from repro.api.errors import RETRYABLE_CODES, ApiError, ErrorCode
+        from repro.api.errors import RETRYABLE_CODES
 
         _, questions = corpus
 
@@ -528,17 +527,16 @@ class TestBackpressure:
 
             server._answer_batch = gated_answer_batch
             loop = asyncio.get_running_loop()
-            # First ask: picked up by the dispatcher, stuck at the gate.
-            busy = loop.create_task(server.ask(questions["olympics"], "olympics"))
+            # First request: picked up by the dispatcher, stuck at the gate.
+            busy = loop.create_task(_ask(server, questions["olympics"], "olympics"))
             await asyncio.sleep(0.05)
-            # Second ask: fills the (size-1) queue.
-            queued = loop.create_task(server.ask(questions["medals"], "medals"))
+            # Second request: fills the (size-1) queue.
+            queued = loop.create_task(_ask(server, questions["medals"], "medals"))
             await asyncio.sleep(0.05)
-            # Third ask: the queue is full — shed, coded, immediate.
-            with pytest.raises(ApiError) as excinfo:
-                await server.ask(questions["roster"], "roster")
-            assert excinfo.value.code is ErrorCode.OVERLOADED
-            assert excinfo.value.code in RETRYABLE_CODES
+            # Third request: the queue is full — shed, coded, immediate.
+            shed = await _ask(server, questions["roster"], "roster")
+            assert shed.error_code is ErrorCode.OVERLOADED
+            assert shed.error_code in RETRYABLE_CODES
             gate.set()
             first, second = await asyncio.gather(busy, queued)
             stats = server.stats.as_dict()
@@ -559,13 +557,13 @@ class TestBackpressure:
         async def drive():
             server = AsyncServer(catalog, max_workers=2)
             await server.stop()  # never started: still clean
-            answer = await server.ask(questions["olympics"], "olympics")
+            result = await _ask(server, questions["olympics"], "olympics")
             await server.stop()
             await server.stop()
-            return answer
+            return result
 
-        answer = asyncio.run(drive())
-        assert answer.top.answer == ("Greece",)
+        result = asyncio.run(drive())
+        assert result.answer == ("Greece",)
 
 
 class TestServerStats:
@@ -616,7 +614,7 @@ class TestWireProtocolV2:
             async with AsyncServer(catalog, max_workers=4) as server:
                 tcp, reader, writer = await _open_server(server)
                 hello = await _tcp_call(reader, writer, {"v": 2, "op": "hello"})
-                assert hello["ok"] is True and 2 in hello["versions"]
+                assert hello["ok"] is True and hello["versions"] == [2]
 
                 # Routed to one table.
                 routed = await _tcp_call(
@@ -644,7 +642,7 @@ class TestWireProtocolV2:
                 assert wire_any.routing.scores  # per-shard retrieval scores
                 assert wire_any.shard.name == "olympics"
 
-                # After hello, lines may omit "v" and still speak v2.
+                # Lines may omit "v" and still speak v2.
                 bare = await _tcp_call(
                     reader, writer, {"question": questions["medals"],
                                      "target": "medals"},
@@ -668,88 +666,33 @@ class TestWireProtocolV2:
 
         asyncio.run(drive())
 
-    def test_v1_lines_keep_byte_compatible_shapes(self, corpus, catalog):
-        """A connection that never says "v" is a v1 client: every response
-        keeps the exact legacy key set (locked against the v1 schema)."""
-        from repro.api import schema as wire_schema
-
-        _, questions = corpus
-        v1_schema = wire_schema.load_schema("serve_response.v1.json")
-
-        async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
-                tcp, reader, writer = await _open_server(server)
-
-                routed = await _tcp_call(
-                    reader, writer,
-                    {"question": questions["olympics"], "table": "olympics"},
-                )
-                assert set(routed) == {
-                    "ok", "routed", "table", "answer", "utterance",
-                    "candidates", "parse_seconds",
-                }
-                wire_schema.validate_payload(routed, v1_schema)
-                assert routed["answer"] == ["Greece"]
-
-                anywhere = await _tcp_call(
-                    reader, writer, {"question": questions["olympics"]}
-                )
-                assert set(anywhere) == {
-                    "ok", "routed", "table", "answer", "ranked", "pruned",
-                    "shards_parsed", "shards_pruned", "fallback",
-                }
-                wire_schema.validate_payload(anywhere, v1_schema)
-
-                unknown = await _tcp_call(
-                    reader, writer, {"question": "x", "table": "atlantis"}
-                )
-                assert set(unknown) == {"ok", "error"}
-                wire_schema.validate_payload(unknown, v1_schema)
-
-                writer.close()
-                await writer.wait_closed()
-                tcp.close()
-                await tcp.wait_closed()
-
-        asyncio.run(drive())
-
     def test_oversized_line_gets_bad_request_and_connection_survives(
         self, corpus, catalog
     ):
         """Regression: a >64 KiB line used to kill the connection with no
         response (StreamReader.readline raised past the handler).  Now it
         is answered with a structured BAD_REQUEST and the connection keeps
-        serving — in both protocol versions."""
+        serving."""
         _, questions = corpus
 
         async def drive():
             async with AsyncServer(catalog, max_workers=4) as server:
                 tcp, reader, writer = await _open_server(server)
 
-                # v1 connection: oversized line → legacy error shape.
                 huge = json.dumps(
-                    {"question": "x" * (80 * 1024), "table": "olympics"}
+                    {"question": "x" * (80 * 1024), "target": "olympics"}
                 ).encode("utf-8")
                 assert len(huge) > 64 * 1024
                 answer = await _tcp_call(reader, writer, huge)
-                assert answer["ok"] is False and "error" in answer
-                # ... and the next request on the same connection works.
-                ok = await _tcp_call(
-                    reader, writer,
-                    {"question": questions["olympics"], "table": "olympics"},
-                )
-                assert ok["ok"] is True and ok["answer"] == ["Greece"]
-
-                # v2-negotiated connection: structured code, same survival.
-                await _tcp_call(reader, writer, {"v": 2, "op": "hello"})
-                answer = await _tcp_call(reader, writer, huge)
-                assert answer["ok"] is False
+                assert answer["v"] == 2 and answer["ok"] is False
                 assert answer["error"]["code"] == "BAD_REQUEST"
+                # ... and the next request on the same connection works.
                 ok = await _tcp_call(
                     reader, writer,
                     {"question": questions["olympics"], "target": "olympics"},
                 )
                 assert ok["ok"] is True
+                assert ok["result"]["answer"] == ["Greece"]
 
                 writer.close()
                 await writer.wait_closed()
@@ -760,9 +703,8 @@ class TestWireProtocolV2:
 
 
 #: The wire-protocol error paths, by expected code.  Each case gives the
-#: request body (bytes are sent raw); the v2 variant adds {"v": 2}
-#: (malformed lines that cannot carry "v" are sent on a hello-negotiated
-#: connection instead).
+#: request body (bytes are sent raw); it is sent bare and again with
+#: {"v": 2} added (malformed lines that cannot carry "v" are sent twice).
 _ERROR_CASES = [
     ("malformed-utf8", b"\xff\xfe{", "BAD_REQUEST"),
     ("not-json", b"{nope", "BAD_REQUEST"),
@@ -778,21 +720,23 @@ _ERROR_CASES = [
 
 
 class TestWireErrorPaths:
-    """Satellite: every malformed line answers with a *coded* error on v2
-    and the frozen two-key shape on v1 — codes asserted, never messages."""
+    """Satellite: every malformed line answers with a *coded* v2 error,
+    with or without "v" — codes asserted, never messages."""
 
     @pytest.mark.parametrize(
         "name,body,code", _ERROR_CASES, ids=[case[0] for case in _ERROR_CASES]
     )
-    def test_v1_error_shape(self, catalog, name, body, code):
+    def test_v2_error_codes(self, catalog, name, body, code):
         async def drive():
             async with AsyncServer(catalog, max_workers=2) as server:
                 tcp, reader, writer = await _open_server(server)
-                response = await _tcp_call(reader, writer, body)
-                assert response["ok"] is False
-                assert set(response) == {"ok", "error"}
-                assert isinstance(response["error"], str)
-                # The connection survived the error.
+                versioned = body if isinstance(body, bytes) else {"v": 2, **body}
+                for request in (body, versioned):
+                    response = await _tcp_call(reader, writer, request)
+                    assert response["v"] == 2
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == code
+                # The connection survived the errors.
                 pong = await _tcp_call(reader, writer, {"op": "ping"})
                 assert pong["pong"] is True
                 writer.close()
@@ -802,92 +746,22 @@ class TestWireErrorPaths:
 
         asyncio.run(drive())
 
-    @pytest.mark.parametrize(
-        "name,body,code", _ERROR_CASES, ids=[case[0] for case in _ERROR_CASES]
-    )
-    def test_v2_error_codes(self, catalog, name, body, code):
-        async def drive():
-            async with AsyncServer(catalog, max_workers=2) as server:
-                tcp, reader, writer = await _open_server(server)
-                # Negotiate v2 so even unparsable lines answer in v2 shape.
-                await _tcp_call(reader, writer, {"v": 2, "op": "hello"})
-                request = body if isinstance(body, bytes) else {"v": 2, **body}
-                response = await _tcp_call(reader, writer, request)
-                assert response["v"] == 2
-                assert response["ok"] is False
-                assert response["error"]["code"] == code
-                pong = await _tcp_call(reader, writer, {"v": 2, "op": "ping"})
-                assert pong["pong"] is True
-                writer.close()
-                await writer.wait_closed()
-                tcp.close()
-                await tcp.wait_closed()
-
-        asyncio.run(drive())
-
     def test_unsupported_version_is_coded(self, catalog):
+        """v2 is the only version: the retired v1 and an unknown v3 are
+        both refused with a coded error."""
         async def drive():
             async with AsyncServer(catalog, max_workers=2) as server:
                 tcp, reader, writer = await _open_server(server)
-                response = await _tcp_call(
-                    reader, writer, {"v": 3, "op": "query", "question": "x"}
-                )
-                assert response["ok"] is False
-                assert response["error"]["code"] == "UNSUPPORTED_VERSION"
+                for version in (1, 3):
+                    response = await _tcp_call(
+                        reader, writer,
+                        {"v": version, "op": "query", "question": "x"},
+                    )
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == "UNSUPPORTED_VERSION"
                 writer.close()
                 await writer.wait_closed()
                 tcp.close()
                 await tcp.wait_closed()
 
         asyncio.run(drive())
-
-
-@pytest.mark.bench_smoke
-class TestServingBenchSmoke:
-    def test_serving_bench_stays_bit_identical(self, corpus, tmp_path):
-        """The serving harness sweep: sequential vs async vs hot-set
-        eviction, every mode bit-identical to the reference."""
-        tables, questions = corpus
-        pairs = [(questions[table.name], table) for table in tables]
-        report = run_serving_bench(
-            pairs,
-            sessions=4,
-            workers=4,
-            repeats=2,
-            disk_cache_dir=str(tmp_path),
-            max_hot_shards=2,
-        )
-        assert set(report.modes) == {"sequential", "async", "async_hotset"}
-        assert all(timing.identical for timing in report.modes.values())
-        hotset = report.modes["async_hotset"]
-        assert hotset.catalog_stats["evictions"] >= 1
-        # The route mode ran and upheld the fallback contract; on this
-        # disjoint-content corpus pruning parsed strictly fewer shards.
-        assert report.route is not None
-        assert report.route.top_answers_match
-        assert report.route.strictly_fewer
-        payload = report.to_payload()
-        assert payload["schema"] == "repro-bench-serve-v3"
-        assert payload["route"]["top_answers_match"] is True
-        assert payload["route"]["strictly_fewer"] is True
-        assert set(payload["timings"]["route"]) == {
-            "broadcast_seconds", "pruned_seconds", "speedup"
-        }
-        # v3: every mode records request-latency percentiles, and each
-        # mode timed as many questions as it answered.
-        for name, timing in report.modes.items():
-            mode_timings = payload["timings"]["modes"][name]
-            assert set(mode_timings["latency"]) == {"p50_ms", "p95_ms", "p99_ms"}
-            assert mode_timings["latency"]["p50_ms"] > 0
-            assert (
-                mode_timings["latency"]["p50_ms"]
-                <= mode_timings["latency"]["p95_ms"]
-                <= mode_timings["latency"]["p99_ms"]
-            )
-            assert len(timing.per_question_seconds) == timing.questions
-        json.dumps(payload)
-        # The committed-artifact gate: the payload satisfies the v3
-        # wire schema the CI fixture check enforces.
-        from repro.api.schema import load_schema, validate_payload
-
-        validate_payload(payload, load_schema("bench_serve.v3.json"))

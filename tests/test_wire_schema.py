@@ -1,10 +1,9 @@
-"""The committed wire schemas gate the envelope shape (ISSUE 5, CI task).
+"""The committed wire schema gates the envelope shape.
 
 Live engine output, live server output and the recorded fixtures must
-all validate against ``schemas/query_result.v2.json`` /
-``schemas/serve_response.v1.json`` — the same check CI runs via
-``scripts/validate_wire.py``, so wire drift fails tier-1 before it
-fails the build.
+all validate against ``schemas/query_result.v2.json`` — the same check
+CI runs via ``scripts/validate_wire.py``, so wire drift fails tier-1
+before it fails the build.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import ReproEngine, schema as wire_schema
-from repro.api.wire import v1_answer_payload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,11 +26,6 @@ def engine(olympics_table, medals_table):
 @pytest.fixture
 def v2_schema():
     return wire_schema.load_schema("query_result.v2.json")
-
-
-@pytest.fixture
-def v1_schema():
-    return wire_schema.load_schema("serve_response.v1.json")
 
 
 class TestLivePayloads:
@@ -49,17 +42,6 @@ class TestLivePayloads:
             wire_schema.validate_payload(result.to_dict(), v2_schema)
             # The bundled subset validator agrees with jsonschema.
             wire_schema.validate_subset(result.to_dict(), v2_schema)
-
-    def test_v1_payloads_validate(self, engine, v1_schema):
-        question = "which country hosted in 2004"
-        payloads = [
-            v1_answer_payload(engine.catalog.ask(question, "olympics")),
-            v1_answer_payload(engine.catalog.ask_any(question)),
-            {"ok": False, "error": "unknown table 'atlantis'"},
-        ]
-        for payload in payloads:
-            wire_schema.validate_payload(payload, v1_schema)
-            wire_schema.validate_subset(payload, v1_schema)
 
     def test_drift_is_caught(self, engine, v2_schema):
         payload = engine.query("which country hosted in 2004").to_dict()
@@ -80,9 +62,8 @@ class TestRecordedFixtures:
     @pytest.mark.parametrize(
         "fixture,schema_name",
         [
-            ("ask_response.v1.json", "serve_response.v1.json"),
-            ("ask_any_response.v1.json", "serve_response.v1.json"),
             ("query_result.v2.json", "query_result.v2.json"),
+            ("query_result_composed.v2.json", "query_result.v2.json"),
         ],
     )
     def test_fixture_validates(self, fixture, schema_name):
