@@ -317,12 +317,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="max_candidates cap of the routed hot path under test",
     )
     bench_discovery_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="bulk-extraction worker count (default: CPU count)",
-    )
-    bench_discovery_cmd.add_argument(
         "--identity-sample",
         type=int,
         default=8,
@@ -871,7 +865,6 @@ def run_bench_discovery(args: argparse.Namespace, out) -> int:
             seed=args.seed,
         ),
         max_candidates=args.top,
-        workers=args.workers,
         identity_sample=args.identity_sample,
         build_repeats=args.repeats,
     )

@@ -81,8 +81,7 @@ class ExecutionCache:
         """
         return {
             sexpr: entry
-            for (entry_fingerprint, sexpr), entry in self._lru.items()
-            if entry_fingerprint == fingerprint
+            for (_, sexpr), entry in self._lru.items_for(fingerprint.digest).items()
         }
 
     def load_entries(self, fingerprint: TableFingerprint, entries: Dict[str, object]) -> int:
@@ -107,16 +106,7 @@ class ExecutionCache:
         the shared cache only holds hot tables.  A later question over the
         same content warm-starts from the disk bundle instead.
         """
-        keys = [
-            key
-            for key in self._lru.keys()
-            if key[0] == fingerprint
-        ]
-        removed = 0
-        for key in keys:
-            if self._lru.pop(key, _MISS) is not _MISS:
-                removed += 1
-        return removed
+        return self._lru.discard(fingerprint.digest)
 
     # -- introspection --------------------------------------------------------
     @property

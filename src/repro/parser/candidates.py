@@ -121,7 +121,13 @@ class ParserConfig:
     * ``table_cache_size`` / ``execution_cache_size`` /
       ``candidate_cache_size`` — LRU bounds of the per-table
       lexicon+grammar caches, the sub-query execution cache and the
-      candidate-list cache.
+      candidate-list cache.  ``candidate_cache_size`` also bounds the
+      serving pools' ranked-parse memo (and, times eight, their
+      explanation memo).
+
+    Each cache indexes its entries by table, so
+    :meth:`SemanticParser.evict_table` drops one table from all of them
+    at O(that table's entries).
     """
 
     generation: GenerationConfig = field(default_factory=GenerationConfig)
@@ -182,10 +188,10 @@ class SemanticParser:
         #: Fingerprint digests whose on-disk execution bundle was already
         #: merged into the in-memory cache (one load per table content).
         self._loaded_execution_bundles: Set[str] = set()
-        #: Per-digest size of the last persisted execution bundle and the
-        #: global execution-cache miss counter at that moment; both gate
-        #: :meth:`_store_execution_bundle` so cold parses neither rescan
-        #: nor rewrite bundles that cannot have grown enough.
+        #: Per-digest size of the last persisted execution bundle (gates
+        #: :meth:`_store_execution_bundle`'s rewrites) and the global
+        #: execution-cache miss counter when it was written (lets
+        #: :meth:`flush_table` skip a table nothing executed on since).
         self._stored_bundle_sizes: Dict[str, int] = {}
         self._stored_bundle_misses: Dict[str, int] = {}
 
@@ -320,36 +326,26 @@ class SemanticParser:
     def _store_execution_bundle(self, table: Table) -> None:
         """Persist the table's memoized sub-query results after a cold parse.
 
-        Amortised twice over: every cold question adds *some* entries, but
-        rewriting the bundle per question would re-pickle a growing
-        payload Q times per table, and even *counting* the table's entries
-        means snapshotting the whole (shared, up to 100k-entry) execution
-        LRU.  So the snapshot runs only when the global miss counter grew
-        enough since the last write to possibly cross the threshold, and
-        the bundle is (re)written only when it actually outgrew the last
-        persisted one by 25% — writes per table are logarithmic in its
-        entry count while warm starts still see the bulk of the shared
-        sub-trees.
+        Amortised: every cold question adds *some* entries, but rewriting
+        the bundle per question would re-pickle a growing payload Q times
+        per table.  So the bundle is (re)written only when the table's
+        in-memory entries outgrew the last persisted bundle by 25% —
+        writes per table are logarithmic in its entry count while warm
+        starts still see the bulk of the shared sub-trees.  Reading the
+        table's entries costs O(its own entries), not a scan of the
+        shared execution LRU.  A grown but unwritten bundle is what
+        :meth:`flush_table` persists before an eviction.
         """
         if not self.config.memoize_execution:
             return
         digest = table.fingerprint.digest
         self._loaded_execution_bundles.add(digest)
         stored = self._stored_bundle_sizes.get(digest, 0)
-        misses = self._execution_cache.misses
-        # Misses are global (every table), so this over-triggers — but a
-        # bundle cannot have gained more entries than the cache gained
-        # misses, making the cheap check a safe gate for the O(cache) scan.
-        if misses - self._stored_bundle_misses.get(digest, 0) < max(1, stored // 4):
-            return
         bundle = self._execution_cache.entries_for(table.fingerprint)
-        # Re-arm the gate whether or not we write: the next scan should
-        # wait for another batch of misses either way (the size check
-        # below still sees all accumulated growth when it finally runs).
-        self._stored_bundle_misses[digest] = misses
         if bundle and len(bundle) >= max(stored + 1, int(stored * 1.25)):
             self._disk_cache.put_execution_bundle(digest, bundle)
             self._stored_bundle_sizes[digest] = len(bundle)
+            self._stored_bundle_misses[digest] = self._execution_cache.misses
 
     # -- shard eviction hooks ---------------------------------------------------
     def flush_table(self, table: Table) -> None:
@@ -358,24 +354,26 @@ class SemanticParser:
         Called by :class:`~repro.tables.catalog.TableCatalog` ahead of
         evicting a cold shard: unlike the amortised gate in
         :meth:`_store_execution_bundle`, eviction must not lose entries,
-        so a non-empty bundle is always written — a size comparison could
-        skip a *changed* bundle whose entry count happens to match (the
-        shared LRU can evict old entries while new ones arrive), and
-        evictions are rare enough that the unconditional write is cheap.
+        so every in-memory entry is merged into the stored bundle — a
+        size comparison could skip a *changed* bundle whose entry count
+        happens to match (the shared LRU can evict old entries while new
+        ones arrive), and evictions are rare enough that the write is
+        cheap.  The one skip is a table whose bundle was written with
+        nothing executed since, which already holds every entry.
         Candidate lists need no flushing — they are written to disk at
         generation time.
         """
         if self._disk_cache is None or not self.config.memoize_execution:
             return
         digest = table.fingerprint.digest
-        # No executions at all since this table's last flush (the global
-        # miss counter is unchanged) means its bundle cannot have gained
-        # entries: skip the O(cache) snapshot and the read-merge-write
-        # round-trip entirely.  Misses are global so this only ever
-        # over-triggers — a flush may still find nothing new, never the
-        # reverse.  This is the hot case under shard eviction pressure
-        # once the serving pool's warm registries satisfy repeat traffic
-        # without re-executing anything.
+        # No executions at all since this table's bundle was last written
+        # (the global miss counter is unchanged) means it cannot have
+        # gained entries: skip the read-merge-write round-trip entirely.
+        # Misses are global so this only ever over-triggers — a flush may
+        # still find nothing new, never the reverse.  This is the hot
+        # case under shard eviction pressure once the serving pool's
+        # ranked memo satisfies repeat traffic without re-executing
+        # anything.
         if self._execution_cache.misses == self._stored_bundle_misses.get(digest, -1):
             return
         bundle = self._execution_cache.entries_for(table.fingerprint)
@@ -404,9 +402,7 @@ class SemanticParser:
         fingerprint = table.fingerprint
         self._lexicons.pop(fingerprint)
         self._grammars.pop(fingerprint)
-        for key in list(self._candidate_cache.keys()):
-            if key[0] == fingerprint:
-                self._candidate_cache.pop(key)
+        self._candidate_cache.discard(fingerprint.digest)
         self._execution_cache.evict_fingerprint(fingerprint)
         self._loaded_execution_bundles.discard(fingerprint.digest)
 

@@ -21,7 +21,8 @@ table set, and its retrieval index snapshot is structurally equal to a
 fresh build.  The payload becomes the committed ``BENCH_churn.json``
 trajectory artifact (schema ``repro-bench-churn-v1``, validated by
 ``scripts/validate_wire.py``); the ``repro bench-churn`` CLI sub-command
-and the CI ``churn-smoke`` job run the same harness on demand.
+and the ``churn`` entry of the CI ``suite-smoke`` job run the same
+harness on demand.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ popularity) it reports:
 
 The payload becomes the committed ``BENCH_discovery.json`` (schema
 ``repro-bench-discovery-v1``, validated by ``scripts/validate_wire.py``);
-``repro bench-discovery`` and the CI ``discovery-smoke`` job run the
-same harness.
+``repro bench-discovery`` and the ``discovery`` entry of the CI
+``suite-smoke`` job run the same harness.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class DiscoveryReport:
     index_stats: Dict[str, int] = field(default_factory=dict)
     build_sequential_seconds: float = 0.0
     build_bulk_seconds: float = 0.0
-    build_workers: int = 1
     build_repeats: int = 1
     identical_index: bool = True
     routing_seconds: List[float] = field(default_factory=list)
@@ -166,7 +165,9 @@ class DiscoveryReport:
                     ),
                     "bulk_seconds": quantize_seconds(self.build_bulk_seconds),
                     "speedup": round(self.build_speedup, 2),
-                    "workers": self.build_workers,
+                    # Extraction runs in process; the field is kept
+                    # for the repro-bench-discovery-v1 schema.
+                    "workers": 1,
                     "repeats": self.build_repeats,
                     "identical_index": self.identical_index,
                 },
@@ -197,7 +198,6 @@ def _answer_signature(answer) -> List[Tuple]:
 def run_discovery_bench(
     config: Optional[CorpusConfig] = None,
     max_candidates: int = 10,
-    workers: Optional[int] = None,
     identity_sample: int = 8,
     corpus: Optional[DiscoveryCorpus] = None,
     build_repeats: int = 3,
@@ -238,7 +238,7 @@ def run_discovery_bench(
 
         started = time.perf_counter()
         catalog = TableCatalog()
-        catalog.register_many(tables, names=names, workers=workers)
+        catalog.register_many(tables, names=names)
         bulk_seconds = min(bulk_seconds, time.perf_counter() - started)
 
     identical_index = (
@@ -323,7 +323,6 @@ def run_discovery_bench(
         },
         build_sequential_seconds=sequential_seconds,
         build_bulk_seconds=bulk_seconds,
-        build_workers=workers or 1,
         build_repeats=max(1, build_repeats),
         identical_index=identical_index,
         routing_seconds=routing_seconds,

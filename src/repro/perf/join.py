@@ -22,7 +22,8 @@ and target column live in *different* shards) this harness reports:
 
 The payload becomes the committed ``BENCH_join.json`` (schema
 ``repro-bench-join-v1``, validated by ``scripts/validate_wire.py``);
-``repro bench-join`` and the CI ``join-smoke`` job run the same harness.
+``repro bench-join`` and the ``join`` entry of the CI ``suite-smoke`` job
+run the same harness.
 """
 
 from __future__ import annotations

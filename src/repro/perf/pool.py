@@ -253,11 +253,8 @@ class WorkerPool:
         digest never shipped is a no-op.
         """
         targets = set(digests)
-        if not targets:
-            return
-        for key in list(self.explanations.keys()):
-            if key[0].digest in targets:
-                self.explanations.pop(key)
+        for digest in targets:
+            self.explanations.discard(digest)
         self.retired += len(targets)
 
     def stats(self) -> Dict[str, object]:
@@ -291,16 +288,11 @@ class ThreadWorkerPool(WorkerPool):
     parser caches are shared (the thread backend's defining property),
     so answers are trivially bit-identical to the sequential loop.
 
-    Like the process flavour's worker-side table registries, the pool
-    keeps its own fingerprint-addressed **warm registry** of generated
-    candidate lists, immune to the catalog's shard eviction: eviction
-    drops the *parser's* per-table caches (driver policy — bounded hot
-    set), but the pool re-seeds the parser's own candidate cache from
-    the registry before each parse, so an evicted-and-rehydrated shard
-    skips candidate generation entirely.  Entries are the parser's own
-    content-addressed cache values — generation is deterministic and
-    weight-independent (ranking re-runs with the live weights every
-    parse), so re-seeding cannot change any answer.
+    Repeat traffic is answered by the pool's **ranked memo** of whole
+    parses, keyed ``(fingerprint, question, k)`` and valid for one
+    weights snapshot.  It lives outside the parser, so it survives the
+    catalog's shard eviction (which drops the parser's per-table caches)
+    and leaves only when the table's version is retired.
     """
 
     backend = "thread"
@@ -310,10 +302,6 @@ class ThreadWorkerPool(WorkerPool):
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._close_lock = threading.Lock()
-        # Same content-addressed keys and bound as the parser's own
-        # candidate cache (reaching into parser internals deliberately —
-        # this is persistence plumbing, not API).
-        self._registry = LRUCache(maxsize=parser.config.candidate_cache_size)
         # Fully-ranked parses, valid only for the weights snapshot below:
         # the thread analogue of the process workers' per-batch weight
         # resync.  Keyed (fingerprint, question, k); flushed whenever the
@@ -328,10 +316,6 @@ class ThreadWorkerPool(WorkerPool):
         # switch churn — cap like the process flavour does.
         return min(self.max_workers, _available_cpus()) or 1
 
-    def registry_size(self) -> int:
-        """Entries held in the eviction-immune warm registry."""
-        return len(self._registry)
-
     def _parse_one(self, item: BatchItem) -> PoolResult:
         if _deadline_expired(item.deadline):
             self.timeouts += 1
@@ -341,9 +325,7 @@ class ThreadWorkerPool(WorkerPool):
                 ),
                 0.0,
             )
-        parser = self.parser
-        warm = parser.config.cache_candidates
-        key = (item.table.fingerprint, item.question)
+        warm = self.parser.config.cache_candidates
         ranked_key = (item.table.fingerprint, item.question, item.k)
         started = time.perf_counter()
         if warm:
@@ -356,16 +338,9 @@ class ThreadWorkerPool(WorkerPool):
                     dataclasses.replace(ranked, table=item.table),
                     time.perf_counter() - started,
                 )
-            if parser._candidate_cache.get(key) is None:
-                entry = self._registry.get(key)
-                if entry is not None:
-                    parser._candidate_cache.put(key, entry)
-        parse = parser.parse(item.question, item.table, k=item.k)
+        parse = self.parser.parse(item.question, item.table, k=item.k)
         elapsed = time.perf_counter() - started
         if warm:
-            entry = parser._candidate_cache.get(key)
-            if entry is not None:
-                self._registry.put(key, entry)
             self._ranked.put(ranked_key, parse)
         return parse, elapsed
 
@@ -393,7 +368,6 @@ class ThreadWorkerPool(WorkerPool):
             if self._closed:
                 return
             self._closed = True
-        self._registry.clear()
         self._ranked.clear()
         self.explanations.clear()
         if self._executor is not None:
@@ -402,19 +376,12 @@ class ThreadWorkerPool(WorkerPool):
 
     def retire(self, digests: Sequence[str]) -> None:
         targets = set(digests)
-        if not targets:
-            return
-        # Both caches key on (fingerprint, question[, k]); drop exactly
-        # the superseded versions' entries and nothing else.
-        for cache in (self._registry, self._ranked):
-            for key in list(cache.keys()):
-                if key[0].digest in targets:
-                    cache.pop(key)
+        for digest in targets:
+            self._ranked.discard(digest)
         super().retire(targets)
 
     def stats(self) -> Dict[str, object]:
         payload = super().stats()
-        payload["registry"] = self.registry_size()
         payload["ranked"] = len(self._ranked)
         return payload
 

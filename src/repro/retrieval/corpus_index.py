@@ -37,7 +37,6 @@ there is.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -164,13 +163,8 @@ def extract_shard_posting(table: Table) -> ShardPosting:
     )
 
 
-#: Below this many tables the pool start-up cost outweighs the win; the
-#: bulk path stays in-process (still batch-memoized).
-_PARALLEL_MIN_TABLES = 64
-
-
-def _extract_postings_batch(tables: Sequence[Table]) -> List[ShardPosting]:
-    """Extract postings for a batch, amortizing normalization across it.
+def extract_shard_postings(tables: Sequence[Table]) -> List[ShardPosting]:
+    """Extract many tables' postings at once, index-aligned.
 
     Per-table extraction re-normalizes every cell display string from
     scratch; a corpus of near-duplicate tables drawn from shared
@@ -180,8 +174,9 @@ def _extract_postings_batch(tables: Sequence[Table]) -> List[ShardPosting]:
     by header — exact keys for both functions, so the output is
     bit-identical to mapping :func:`extract_shard_posting` over the batch
     (property-tested in ``tests/test_retrieval.py``).  The memos live for
-    one batch only: the per-table path stays allocation-free and the
-    process-pool workers each amortize their own chunk.
+    one batch only, so the per-table path stays allocation-free.  It runs
+    in process: the memo already makes it faster than the per-table loop,
+    and forking workers for it cost more than it saved.
     """
     key_memo: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
     header_memo: Dict[str, FrozenSet[str]] = {}
@@ -223,69 +218,6 @@ def _extract_postings_batch(tables: Sequence[Table]) -> List[ShardPosting]:
             )
         )
     return postings
-
-
-def extract_shard_postings(
-    tables: Sequence[Table],
-    workers: Optional[int] = None,
-    backend: str = "auto",
-) -> List[ShardPosting]:
-    """Extract many tables' postings at once, index-aligned.
-
-    Extraction is pure per-table work, so it parallelizes without any
-    lock: the batch is split into one contiguous chunk per worker and
-    mapped over a pool, each chunk running the batch-memoized
-    :func:`_extract_postings_batch`.  ``backend`` selects the pool:
-
-    * ``"auto"`` (default) — fork-based process pool when more than one
-      CPU and at least :data:`_PARALLEL_MIN_TABLES` tables warrant it,
-      else in-process;
-    * ``"process"`` / ``"thread"`` — force that pool (process degrades
-      to threads where fork is unavailable);
-    * ``"inline"`` — force the in-process batch path (the sequential
-      reference the discovery bench compares against).
-
-    ``workers`` defaults to the CPU count.  Output order always matches
-    input order, whatever the backend.
-    """
-    tables = list(tables)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    parallel = workers > 1 and len(tables) >= _PARALLEL_MIN_TABLES
-    if backend == "inline" or (backend == "auto" and not parallel):
-        return _extract_postings_batch(tables)
-    import concurrent.futures
-
-    chunk_size = -(-len(tables) // workers)  # ceil: one chunk per worker
-    chunks = [
-        tables[start : start + chunk_size]
-        for start in range(0, len(tables), chunk_size)
-    ]
-    if backend in ("auto", "process"):
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)), mp_context=context
-            ) as executor:
-                return [
-                    posting
-                    for batch in executor.map(_extract_postings_batch, chunks)
-                    for posting in batch
-                ]
-        except (ValueError, OSError):
-            pass  # no fork start method (or spawn failed): degrade to threads
-    with concurrent.futures.ThreadPoolExecutor(
-        max_workers=min(workers, len(chunks))
-    ) as executor:
-        return [
-            posting
-            for batch in executor.map(_extract_postings_batch, chunks)
-            for posting in batch
-        ]
 
 
 def extract_question_terms(question: str, max_span_length: int = 5) -> QuestionTerms:
@@ -374,9 +306,9 @@ class CorpusIndex:
         """Publish many pre-extracted postings under one lock acquisition.
 
         The merge half of the bulk build: extraction
-        (:func:`extract_shard_postings`) runs lock-free and in parallel,
-        then the whole batch lands here — one acquisition instead of one
-        per table, which is what keeps a thousand-shard registration from
+        (:func:`extract_shard_postings`) runs outside this lock, then the
+        whole batch lands here — one acquisition instead of one per
+        table, which is what keeps a thousand-shard registration from
         serializing on the index lock.  Idempotent per digest exactly
         like :meth:`add_posting`; returns the published postings,
         index-aligned.

@@ -118,24 +118,17 @@ class ServerStats:
     the int ``0``, which broke type-sensitive consumers).
 
     The failure counters tell the fault-tolerance story: ``timeouts``
-    (requests that expired their ``deadline_ms``), ``shed`` (requests
-    rejected ``OVERLOADED`` by the bounded queue), ``worker_respawns``
-    and ``pool_downgrades`` (mirrored from the persistent pools each
-    time the stats are served).  ``timeouts`` count separately from
-    ``errors`` — a timeout is also an error.
+    (requests that expired their ``deadline_ms``) and ``shed`` (requests
+    rejected ``OVERLOADED`` by the bounded queue).  ``timeouts`` count
+    separately from ``errors`` — a timeout is also an error.
+    ``pinned_requests`` counts routed requests this server pinned to
+    their resolved snapshot so a concurrent ``update`` could not retire
+    it under them.
 
-    The churn counters tell the live-corpus story: ``corpus_updates``
-    and ``shards_retired`` (mirrored from the catalog's lineage
-    machinery each time the stats are served) plus ``pinned_requests``
-    (routed requests this server pinned to their resolved snapshot so a
-    concurrent ``update`` could not retire it under them).
-
-    The retrieval counters tell the corpus-scale story:
-    ``retrieval_shards`` / ``retrieval_terms`` /
-    ``retrieval_postings_bytes`` (mirrored from the corpus index's O(1)
-    scale counters each time the stats are served) — how many shards the
-    router ranks per corpus-wide question and what the inverted index
-    costs in memory.
+    Only counters the dispatcher itself owns live here; the ``stats``
+    op's ``server`` section adds the pools', the catalog's and the
+    corpus index's counters, read from their owners when the payload is
+    built (:meth:`AsyncServer.stats_payload`).
     """
 
     requests: int = 0
@@ -145,14 +138,7 @@ class ServerStats:
     shard_groups: int = 0
     timeouts: int = 0
     shed: int = 0
-    worker_respawns: int = 0
-    pool_downgrades: int = 0
-    corpus_updates: int = 0
-    shards_retired: int = 0
     pinned_requests: int = 0
-    retrieval_shards: int = 0
-    retrieval_terms: int = 0
-    retrieval_postings_bytes: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -163,14 +149,7 @@ class ServerStats:
             "shard_groups": self.shard_groups,
             "timeouts": self.timeouts,
             "shed": self.shed,
-            "worker_respawns": self.worker_respawns,
-            "pool_downgrades": self.pool_downgrades,
-            "corpus_updates": self.corpus_updates,
-            "shards_retired": self.shards_retired,
             "pinned_requests": self.pinned_requests,
-            "retrieval_shards": self.retrieval_shards,
-            "retrieval_terms": self.retrieval_terms,
-            "retrieval_postings_bytes": self.retrieval_postings_bytes,
             "mean_batch": (
                 round(self.requests / self.batches, 2) if self.batches else 0.0
             ),
@@ -753,52 +732,25 @@ class AsyncServer:
         return wire.table_listing(self.catalog)
 
     def stats_payload(self) -> Dict[str, object]:
-        """The ``stats`` op's body: catalog counters + fresh dispatcher counters.
+        """The ``stats`` op's body: catalog counters + dispatcher counters.
 
-        The mirrored :class:`ServerStats` fields refresh here, so read
-        this rather than ``stats.as_dict()`` for current values.
+        The ``server`` section adds, to the dispatcher's own counters,
+        the ones the pools (``respawns``/``downgrades``), the catalog
+        (``updates``/``retired``) and the corpus index (its O(1) scale
+        counters) own — read from them here, so every value is current
+        whenever the payload is built.
         """
-        self._refresh_pool_counters()
-        self._refresh_churn_counters()
-        self._refresh_retrieval_counters()
-        return wire.stats_payload(self.catalog, self.stats.as_dict())
-
-    def _refresh_pool_counters(self) -> None:
-        """Mirror the persistent pools' fault counters into the stats.
-
-        The pools own the ground truth (``respawns``/``downgrades``
-        accumulate inside :mod:`repro.perf.pool`); the server copies
-        them whenever stats are served so the wire and the in-process
-        ``stats`` see one consistent story.
-        """
-        respawns = 0
-        downgrades = 0
-        for pool_stats in self.engine.pool_stats().values():
-            respawns += int(pool_stats.get("respawns", 0) or 0)
-            downgrades += int(pool_stats.get("downgrades", 0) or 0)
-        self.stats.worker_respawns = respawns
-        self.stats.pool_downgrades = downgrades
-
-    def _refresh_churn_counters(self) -> None:
-        """Mirror the catalog's lineage counters into the stats.
-
-        The catalog owns the ground truth (``updates``/``retired``
-        accumulate inside :class:`TableCatalog`); the server copies them
-        whenever stats are served, the same contract as the pool fault
-        counters above.
-        """
-        self.stats.corpus_updates = self.catalog.updates
-        self.stats.shards_retired = self.catalog.retired
-
-    def _refresh_retrieval_counters(self) -> None:
-        """Mirror the corpus index's scale counters into the stats.
-
-        The index owns the ground truth (incrementally-maintained O(1)
-        counters in :meth:`CorpusIndex.stats`); the server copies them
-        whenever stats are served, the same contract as the churn
-        counters above.
-        """
-        retrieval = self.catalog.stats()["retrieval"]
-        self.stats.retrieval_shards = int(retrieval["shards"])
-        self.stats.retrieval_terms = int(retrieval["postings_terms"])
-        self.stats.retrieval_postings_bytes = int(retrieval["postings_bytes"])
+        payload = wire.stats_payload(self.catalog, self.stats.as_dict())
+        pools = self.engine.pool_stats().values()
+        catalog = payload["catalog"]
+        retrieval = catalog["retrieval"]
+        payload["server"].update(
+            worker_respawns=sum(int(pool.get("respawns", 0)) for pool in pools),
+            pool_downgrades=sum(int(pool.get("downgrades", 0)) for pool in pools),
+            corpus_updates=catalog["updates"],
+            shards_retired=catalog["retired"],
+            retrieval_shards=int(retrieval["shards"]),
+            retrieval_terms=int(retrieval["postings_terms"]),
+            retrieval_postings_bytes=int(retrieval["postings_bytes"]),
+        )
+        return payload

@@ -362,21 +362,19 @@ class TableCatalog:
         self,
         tables: Sequence[Table],
         names: Optional[Sequence[str]] = None,
-        *,
-        workers: Optional[int] = None,
-        extract_backend: str = "auto",
     ) -> List[TableRef]:
-        """Bulk-register a corpus: parallel posting extraction, one merge.
+        """Bulk-register a corpus: batch posting extraction, one merge.
 
         Semantically equivalent to :meth:`register_all` (same refs, same
         final catalog state, same eviction count under a hot limit), but
         built for hundreds-to-thousands of tables: posting extraction —
-        the pure, per-table expensive half of registration — runs through
+        the pure, per-table expensive half of registration — runs once
+        for the batch through
         :func:`~repro.retrieval.corpus_index.extract_shard_postings`
-        (batch-memoized, optionally pooled; see ``workers`` /
-        ``extract_backend`` there), and the whole batch then merges into
-        the corpus index under **one** lock acquisition
-        (:meth:`CorpusIndex.add_postings`) instead of one per table.
+        (memoized across the batch's shared cell strings), and the whole
+        batch then merges into the corpus index under **one** lock
+        acquisition (:meth:`CorpusIndex.add_postings`) instead of one per
+        table.
 
         One deliberate strengthening over :meth:`register_all`: names are
         validated for the *entire batch* (against the catalog and within
@@ -420,11 +418,7 @@ class TableCatalog:
                     seen.add(digest)
                     pending.append(table)
             if pending:
-                self._index.add_postings(
-                    extract_shard_postings(
-                        pending, workers=workers, backend=extract_backend
-                    )
-                )
+                self._index.add_postings(extract_shard_postings(pending))
             refs: List[TableRef] = []
             for table, name, digest in zip(tables, resolved_names, digests):
                 shard = self._shards.get(digest)

@@ -16,7 +16,8 @@ This module provides the fix used throughout the repository:
   or a cell *type* changes the fingerprint.
 * :class:`LRUCache` — a small, thread-safe, bounded LRU mapping used for
   every fingerprint-keyed cache (parser lexicons/grammars, explanation
-  generators, candidate lists, execution results).
+  generators, candidate lists, execution results), indexed by table so
+  one table's entries leave a cache in one :meth:`~LRUCache.discard`.
 
 The fingerprint is exposed as :attr:`repro.tables.table.Table.fingerprint`
 and computed lazily exactly once per table object.
@@ -28,7 +29,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from .values import DateValue, NumberValue, StringValue, Value
 
@@ -131,14 +132,37 @@ def fingerprint_table(table: "Table") -> TableFingerprint:
 _MISSING = object()
 
 
+def _table_digest(key: Any) -> Optional[str]:
+    """The content digest a cache key belongs to, or ``None``.
+
+    Every per-table cache in the repository keys its entries by a bare
+    :class:`TableFingerprint` (lexicons, grammars, explanation
+    generators, indexes, schema profiles) or by a tuple led by one
+    (candidate lists, execution results, ranked parses, explanations).
+    """
+    if isinstance(key, TableFingerprint):
+        return key.digest
+    if isinstance(key, tuple) and key and isinstance(key[0], TableFingerprint):
+        return key[0].digest
+    return None
+
+
 class LRUCache:
     """A thread-safe, bounded least-recently-used mapping.
 
     Used for every content-addressed cache in the repository: parser
     lexicons and grammars, explanation generators, per-question candidate
-    lists and memoized execution results.  Eviction keeps long-running
-    deployments at a fixed memory footprint; hit/miss/eviction counters
-    feed the bench reports and ``SemanticParser.cache_stats()``.
+    lists, memoized execution results and the pools' ranked-parse and
+    explanation memos.  Eviction keeps long-running deployments at a
+    fixed memory footprint; hit/miss/eviction counters feed the bench
+    reports and ``SemanticParser.cache_stats()``.
+
+    The cache also knows which entries belong to which table: every key
+    that is a :class:`TableFingerprint`, or a tuple led by one, is
+    indexed under its digest, so :meth:`items_for` and :meth:`discard`
+    cost O(that table's entries) rather than a scan of the whole cache.
+    The index is bookkeeping only — it changes neither the LRU order nor
+    any counter.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -146,6 +170,8 @@ class LRUCache:
             raise ValueError(f"LRUCache needs maxsize >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
+        #: digest -> the keys of that table's entries (insertion-ordered).
+        self._by_table: Dict[str, Dict[Any, None]] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -166,11 +192,7 @@ class LRUCache:
     def put(self, key: Any, value: Any) -> None:
         """Insert or refresh ``key``, evicting the LRU entry when full."""
         with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            self._insert(key, value)
 
     def get_or_create(self, key: Any, factory: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, building it on a miss.
@@ -194,11 +216,7 @@ class LRUCache:
             if value is not _MISSING:
                 self._data.move_to_end(key)
                 return value
-            self._data[key] = built
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
+            self._insert(key, built)
             return built
 
     def pop(self, key: Any, default: Any = None) -> Any:
@@ -209,7 +227,57 @@ class LRUCache:
         """
         with self._lock:
             value = self._data.pop(key, _MISSING)
-            return default if value is _MISSING else value
+            if value is _MISSING:
+                return default
+            self._unindex(key)
+            return value
+
+    def discard(self, digest: str) -> int:
+        """Remove every entry of the table with content ``digest``.
+
+        The one way a table leaves a cache (shard eviction, version
+        retirement).  Like :meth:`pop` it is bookkeeping: no counter
+        moves.  Returns the number of entries removed.
+        """
+        with self._lock:
+            keys = self._by_table.pop(digest, None)
+            if not keys:
+                return 0
+            for key in keys:
+                del self._data[key]
+            return len(keys)
+
+    def items_for(self, digest: str) -> Dict[Any, Any]:
+        """A snapshot ``{key: value}`` of one table's entries.
+
+        Oldest insertion first; no recency or counter effects.
+        """
+        with self._lock:
+            keys = self._by_table.get(digest, ())
+            return {key: self._data[key] for key in keys}
+
+    # -- index maintenance (callers hold the lock) ------------------------------
+    def _insert(self, key: Any, value: Any) -> None:
+        data = self._data
+        if key not in data:
+            digest = _table_digest(key)
+            if digest is not None:
+                self._by_table.setdefault(digest, {})[key] = None
+        data[key] = value
+        data.move_to_end(key)
+        while len(data) > self.maxsize:
+            evicted, _ = data.popitem(last=False)
+            self._unindex(evicted)
+            self.evictions += 1
+
+    def _unindex(self, key: Any) -> None:
+        digest = _table_digest(key)
+        if digest is None:
+            return
+        keys = self._by_table[digest]
+        del keys[key]
+        if not keys:
+            del self._by_table[digest]
 
     # -- introspection --------------------------------------------------------
     def __len__(self) -> int:
@@ -220,18 +288,10 @@ class LRUCache:
         with self._lock:
             return key in self._data
 
-    def keys(self) -> Iterator[Any]:
-        with self._lock:
-            return iter(list(self._data.keys()))
-
-    def items(self):
-        """A snapshot of ``(key, value)`` pairs (no recency/counter effects)."""
-        with self._lock:
-            return list(self._data.items())
-
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+            self._by_table.clear()
 
     def stats(self) -> Dict[str, int]:
         """Counters for bench reports: size, capacity, hits, misses, evictions."""

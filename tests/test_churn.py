@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api import ErrorCode, ReproEngine, classify_exception
 from repro.api.envelope import QueryRequest, QueryResult
+from repro.interface import NLInterface
 from repro.perf import BatchItem, DiskCache, run_churn_bench
 from repro.perf.churn import churn_edit_script
 from repro.retrieval.corpus_index import CorpusIndex
@@ -384,20 +385,24 @@ class TestPoolRetirement:
         from repro.parser.candidates import SemanticParser
         from repro.perf import create_pool
 
-        pool = create_pool("thread", SemanticParser(), max_workers=2)
+        parser = SemanticParser()
+        pool = create_pool("thread", parser, max_workers=2)
         try:
-            pool.parse_all([BatchItem(question="which city", table=games, k=3)])
-            assert pool.registry_size() >= 1
-            pool.retire([games.fingerprint.digest])
-            assert pool.registry_size() == 0
+            NLInterface(parser, k=3).ask_many([("which city", games)], pool=pool)
+            digest = games.fingerprint.digest
+            assert pool.stats()["ranked"] >= 1
+            assert pool.explanations.items_for(digest)
+            pool.retire([digest])
+            assert pool.stats()["ranked"] == 0
+            assert not pool.explanations.items_for(digest)
             assert pool.stats()["retired"] == 1
             # Unrelated digests are untouched.
             pool.parse_all(
                 [BatchItem(question="which city", table=games_v2, k=3)]
             )
-            before = pool.registry_size()
+            before = pool.stats()["ranked"]
             pool.retire(["0" * 64])
-            assert pool.registry_size() == before
+            assert pool.stats()["ranked"] == before
         finally:
             pool.close()
 
@@ -428,10 +433,13 @@ class TestPoolRetirement:
         engine = ReproEngine(tables=[games])
         try:
             pool = engine.pool("thread")
-            pool.parse_all([BatchItem(question="which city", table=games, k=3)])
-            assert pool.registry_size() >= 1
+            digest = games.fingerprint.digest
+            engine.catalog.interface.ask_many([("which city", games)], pool=pool)
+            assert pool.stats()["ranked"] >= 1
+            assert pool.explanations.items_for(digest)
             engine.update("games", games_v2)
-            assert pool.registry_size() == 0
+            assert pool.stats()["ranked"] == 0
+            assert not pool.explanations.items_for(digest)
             assert pool.stats()["retired"] == 1
         finally:
             engine.close()

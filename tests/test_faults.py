@@ -226,8 +226,7 @@ class TestDeadlineWithHangingWorker:
                     ),
                 )
                 elapsed = time.monotonic() - started
-                server._refresh_pool_counters()  # what the stats op does
-                return timed, mate, elapsed, server.stats.as_dict()
+                return timed, mate, elapsed, server.stats_payload()["server"]
 
         timed, mate, elapsed, stats = asyncio.run(drive())
         assert timed.ok is False

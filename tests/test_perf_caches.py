@@ -10,7 +10,11 @@ the fingerprint-keyed replacement.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dcs import ExecutionCache, Executor, MemoizedExecutor, from_sexpr
 from repro.parser import Lexicon, ParserConfig, SemanticParser
@@ -120,6 +124,128 @@ class TestLRUCache:
         assert cache.stats()["misses"] == 1
         cache.clear()
         assert len(cache) == 0
+
+
+# ---------------------------------------------------------------------------
+# the per-table index: differential against a scanning reference
+# ---------------------------------------------------------------------------
+
+FINGERPRINTS = [TableFingerprint(digest * 64, 2, 2) for digest in "ab"]
+DIGESTS = [fingerprint.digest for fingerprint in FINGERPRINTS] + ["c" * 64]
+
+#: All three key shapes: a bare fingerprint, tuples led by one, and keys
+#: the index must ignore (including a tuple that merely *contains* one).
+KEYS = [
+    *FINGERPRINTS,
+    *[(fingerprint, "q") for fingerprint in FINGERPRINTS],
+    *[(fingerprint, "q", 3) for fingerprint in FINGERPRINTS],
+    "plain",
+    ("plain", FINGERPRINTS[0]),
+    (),
+]
+
+
+def _owned_by(key, digest):
+    """The reference's notion of ownership, decided per key by a scan."""
+    return any(
+        fingerprint.digest == digest
+        and (key == fingerprint or (isinstance(key, tuple) and key[:1] == (fingerprint,)))
+        for fingerprint in FINGERPRINTS
+    )
+
+
+class ScanningLRU:
+    """The reference: a plain OrderedDict whose per-table ops scan every key."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.data = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+
+    def _trim(self):
+        while len(self.data) > self.maxsize:
+            self.data.popitem(last=False)
+            self.evictions += 1
+
+    def get(self, key, default=None):
+        if key not in self.data:
+            self.misses += 1
+            return default
+        self.data.move_to_end(key)
+        self.hits += 1
+        return self.data[key]
+
+    def put(self, key, value):
+        self.data[key] = value
+        self.data.move_to_end(key)
+        self._trim()
+
+    def get_or_create(self, key, factory):
+        if key in self.data:
+            return self.get(key)
+        self.misses += 1
+        self.data[key] = value = factory()
+        self._trim()
+        return value
+
+    def pop(self, key, default=None):
+        return self.data.pop(key, default)
+
+    def items_for(self, digest):
+        return {key: value for key, value in self.data.items() if _owned_by(key, digest)}
+
+    def discard(self, digest):
+        owned = self.items_for(digest)
+        for key in owned:
+            del self.data[key]
+        return len(owned)
+
+    def clear(self):
+        self.data.clear()
+
+    def counters(self):
+        return {
+            "size": len(self.data),
+            "maxsize": self.maxsize,
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
+
+cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from(KEYS), st.integers(0, 9)),
+        st.tuples(st.just("get"), st.sampled_from(KEYS)),
+        st.tuples(st.just("get_or_create"), st.sampled_from(KEYS), st.integers(0, 9)),
+        st.tuples(st.just("pop"), st.sampled_from(KEYS)),
+        st.tuples(st.just("discard"), st.sampled_from(DIGESTS)),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=40,
+)
+
+
+class TestLRUCacheTableIndex:
+    @given(maxsize=st.integers(1, 5), ops=cache_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_index_matches_a_full_scan(self, maxsize, ops):
+        cache, reference = LRUCache(maxsize=maxsize), ScanningLRU(maxsize)
+        for op in ops:
+            name, args = op[0], op[1:]
+            if name in ("put", "get_or_create"):
+                key, value = args
+                args = (key, value) if name == "put" else (key, lambda: value)
+            assert getattr(cache, name)(*args) == getattr(reference, name)(*args), op
+            # Same entries in the same LRU order, same counters.
+            assert list(cache._data.items()) == list(reference.data.items())
+            assert cache.stats() == reference.counters()
+            for digest in DIGESTS:
+                assert cache.items_for(digest) == reference.items_for(digest)
+            # No digest outlives its last entry.
+            assert set(cache._by_table) == {
+                digest for digest in DIGESTS if reference.items_for(digest)
+            }
 
 
 # ---------------------------------------------------------------------------

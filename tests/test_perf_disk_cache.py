@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.dataset import DatasetConfig, build_dataset
 from repro.parser import ParserConfig, SemanticParser
 from repro.parser.grammar import CandidateGrammar
 from repro.perf import DiskCache
@@ -151,6 +152,28 @@ class TestEvictionHooks:
         bundle = DiskCache(tmp_path).get_execution_bundle(table.fingerprint.digest)
         assert bundle  # non-empty dict of sexpr -> result
 
+    @pytest.mark.parametrize("first,second", [(0, 3), (5, 4)])
+    def test_flush_after_an_unwritten_growth_persists_every_entry(
+        self, tmp_path, first, second
+    ):
+        """A cold parse that grows a table's bundle by less than the 25%
+        rewrite threshold leaves the growth unwritten; the eviction-time
+        flush must still persist it, however many misses other tables
+        made in between."""
+        dataset = build_dataset(DatasetConfig(num_tables=4, questions_per_table=6, seed=0))
+        by_table = dataset.by_table()
+        t_examples, u_examples = list(by_table.values())[:2]
+        table_t = t_examples[0].table
+        parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
+        parser.parse(t_examples[first].question, table_t)
+        for example in u_examples:
+            parser.parse(example.question, example.table)
+        parser.parse(t_examples[second].question, table_t)
+        parser.flush_table(table_t)
+        in_memory = parser._execution_cache.entries_for(table_t.fingerprint)
+        on_disk = DiskCache(tmp_path).get_execution_bundle(table_t.fingerprint.digest)
+        assert set(in_memory) <= set(on_disk)
+
     def test_evict_table_drops_in_memory_state(self, tmp_path):
         parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
         table = small_table()
@@ -160,9 +183,7 @@ class TestEvictionHooks:
         parser.evict_table(table)
         assert table.fingerprint not in parser._lexicons
         assert table.fingerprint not in parser._grammars
-        assert not any(
-            key[0] == table.fingerprint for key in parser._candidate_cache.keys()
-        )
+        assert not parser._candidate_cache.items_for(table.fingerprint.digest)
         assert not parser._execution_cache.entries_for(table.fingerprint)
 
     def test_parse_after_evict_is_identical_and_served_from_disk(self, tmp_path):

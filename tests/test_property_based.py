@@ -233,7 +233,9 @@ class TestMemoizedExecutionProperties:
             MemoizedExecutor(table, cache=cache).execute(query)
         except DCSError:
             return
-        cached_sexprs = {sexpr for _fingerprint, sexpr in cache._lru.keys()}
+        cached_sexprs = {
+            sexpr for _fingerprint, sexpr in cache._lru.items_for(table.fingerprint.digest)
+        }
         for node in query.walk():
             assert to_sexpr(node) in cached_sexprs
 
