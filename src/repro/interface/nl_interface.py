@@ -187,6 +187,10 @@ class NLInterface:
         (order-stable, identical to asking sequentially): the long-lived
         ``pool`` when one is passed, else a ``create_pool(backend,
         parser, workers)`` pool built for this call and closed after it.
+        The pool parses each question to its top ``k`` only, so that is
+        all it memoizes (or ships back from a worker process), and each
+        response's ``parse`` holds just those ``k`` candidates — with the
+        same scores and probabilities as the top of a full parse.
         Explanation stays sequential per response since it is cheap
         relative to parsing.  Returns one :class:`InterfaceResponse` per
         input pair, index-aligned.
@@ -200,7 +204,7 @@ class NLInterface:
         if deadlines is None:
             deadlines = [None] * len(items)
         batch = [
-            BatchItem(question=question, table=table, deadline=deadline)
+            BatchItem(question=question, table=table, k=limit, deadline=deadline)
             for (question, table), deadline in zip(items, deadlines)
         ]
         if pool is None:

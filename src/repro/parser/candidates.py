@@ -28,7 +28,7 @@ from ..dcs.typing import validate
 from .features import FeatureVector, extract_features
 from .grammar import CandidateGrammar, GenerationConfig
 from .lexicon import LexicalAnalysis, Lexicon
-from .model import LogLinearModel
+from .model import LogLinearModel, softmax
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,10 @@ class ParserConfig:
       sub-trees.
     * ``cache_candidates`` — memoize the full (weight-independent)
       candidate list per ``(table, question)``; re-parsing the same
-      question only re-*ranks* with the current model weights.
+      question only re-*ranks* with the current model weights.  This
+      unranked list is the one full copy of a question's candidates a
+      process keeps: training and the online learner re-rank from it
+      after every weight change.
     * ``index_tables`` — answer executor cache misses from the
       content-addressed :class:`~repro.tables.index.TableIndex` (hash and
       bisect lookups) instead of row scans; ``False`` keeps the seed's
@@ -122,8 +125,8 @@ class ParserConfig:
       ``candidate_cache_size`` — LRU bounds of the per-table
       lexicon+grammar caches, the sub-query execution cache and the
       candidate-list cache.  ``candidate_cache_size`` also bounds the
-      serving pools' ranked-parse memo (and, times eight, their
-      explanation memo).
+      serving pools' ranked memo, which holds only the top-k parse each
+      caller serves (and, times eight, their explanation memo).
 
     Each cache indexes its entries by table, so
     :meth:`SemanticParser.evict_table` drops one table from all of them
@@ -421,11 +424,19 @@ class SemanticParser:
 
     # -- parsing -----------------------------------------------------------------------
     def parse(self, question: str, table: Table, k: Optional[int] = None) -> ParseOutput:
-        """Parse a question into a ranked candidate list (top-``k`` if given)."""
+        """Parse a question into a ranked candidate list.
+
+        The list is cut to the top ``config.max_candidates``, and to the
+        top ``k`` when that is smaller.  Probabilities are normalised over
+        every candidate before the cut, so a top-``k`` parse is a prefix
+        of the full one.
+        """
         started = time.perf_counter()
         candidates, analysis = self.generate_candidates(question, table)
         ranked = self.rank(candidates)
-        limit = k if k is not None else self.config.max_candidates
+        limit = self.config.max_candidates
+        if k is not None:
+            limit = min(k, limit)
         elapsed = time.perf_counter() - started
         return ParseOutput(
             question=question,
@@ -439,9 +450,10 @@ class SemanticParser:
         """Order candidates by model probability (Equation 4)."""
         if not candidates:
             return []
-        feature_vectors = [candidate.features for candidate in candidates]
-        probabilities = self.model.probabilities(feature_vectors)
-        scores = self.model.scores(feature_vectors)
+        # Score once: the model's probabilities are the softmax of these
+        # same scores, so calling both would score every candidate twice.
+        scores = self.model.scores([candidate.features for candidate in candidates])
+        probabilities = softmax(scores)
         rescored = [
             Candidate(
                 query=candidate.query,

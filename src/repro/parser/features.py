@@ -14,6 +14,16 @@ parsers:
 * denotation features — answer size, emptiness, answer type vs. the
   question's expected answer type,
 * structural features — operator counts, query size.
+
+A cold question builds one vector per candidate (a few hundred) and the
+parser's candidate cache keeps them, so the vectors share what they can.
+Every key that is not a literal comes from a vocabulary built once at
+import: ``op:<node class>`` for each query class of :mod:`repro.dcs.ast`
+and the three outcome keys of each trigger group.  Every integral count
+below 256 is one shared float.  Keys, insertion order and values are
+exactly those of formatting each key and converting each count afresh,
+so every score is unchanged.  A node class outside the vocabulary gets
+its key formatted per vector; nothing here is mutated at run time.
 """
 
 from __future__ import annotations
@@ -42,6 +52,27 @@ _AVG_TRIGGERS = ("average", "mean")
 _SUM_TRIGGERS = ("total", "sum", "combined", "altogether")
 _NEIGHBOR_TRIGGERS = ("after", "before", "next", "previous", "above", "below", "following")
 _UNION_TRIGGERS = (" or ",)
+
+#: ``op:<class name>`` for every query node class, by class name.
+_OP_KEYS: Dict[str, str] = {
+    name: f"op:{name}"
+    for name, node_class in vars(ast).items()
+    if isinstance(node_class, type) and issubclass(node_class, Query)
+}
+#: The (match, missing_op, spurious_op) keys of each trigger group.
+_TRIGGER_KEYS: Dict[str, Tuple[str, str, str]] = {
+    name: (f"trigger:{name}:match", f"trigger:{name}:missing_op",
+           f"trigger:{name}:spurious_op")
+    for name in ("count", "difference", "max", "min", "avg", "sum", "neighbor", "union")
+}
+#: ``float(n)`` for the small counts vectors hold: operator counts, query
+#: size and depth, column and entity counts, answer sizes.
+_COUNTS: Tuple[float, ...] = tuple(float(n) for n in range(256))
+
+
+def _count(n: int) -> float:
+    """``float(n)``, one shared object per value for small ``n``."""
+    return _COUNTS[n] if 0 <= n < len(_COUNTS) else float(n)
 
 
 def extract_features(
@@ -120,7 +151,7 @@ def _column_features(
         if column_tokens and column_tokens & question_tokens:
             mentioned += 1
     features["columns:mentioned_fraction"] = mentioned / len(columns)
-    features["columns:unmentioned"] = float(len(columns) - mentioned)
+    features["columns:unmentioned"] = _count(len(columns) - mentioned)
 
 
 def _operator_features(features: FeatureVector, question_lower: str, query: Query) -> None:
@@ -129,7 +160,7 @@ def _operator_features(features: FeatureVector, question_lower: str, query: Quer
     # repeated traversals one of the hottest paths of a cold parse.
     nodes = list(query.walk())
     for operator, count in Counter(type(node).__name__ for node in nodes).items():
-        features[f"op:{operator}"] = float(count)
+        features[_OP_KEYS.get(operator) or f"op:{operator}"] = _count(count)
 
     has_count = any(
         isinstance(node, ast.Aggregate) and node.function == AggregateFunction.COUNT
@@ -167,25 +198,26 @@ def _trigger_feature(
     query_has_operator: bool,
 ) -> None:
     question_has_trigger = any(trigger in question_lower for trigger in triggers)
+    match, missing_op, spurious_op = _TRIGGER_KEYS[name]
     if question_has_trigger and query_has_operator:
-        features[f"trigger:{name}:match"] = 1.0
+        features[match] = 1.0
     elif question_has_trigger and not query_has_operator:
-        features[f"trigger:{name}:missing_op"] = 1.0
+        features[missing_op] = 1.0
     elif query_has_operator and not question_has_trigger:
-        features[f"trigger:{name}:spurious_op"] = 1.0
+        features[spurious_op] = 1.0
 
 
 def _structure_features(features: FeatureVector, query: Query) -> None:
-    features["structure:size"] = float(query.size())
-    features["structure:depth"] = float(query.depth())
-    features["structure:columns"] = float(len(query.columns()))
+    features["structure:size"] = _count(query.size())
+    features["structure:depth"] = _count(query.depth())
+    features["structure:columns"] = _count(len(query.columns()))
 
 
 def _denotation_features(
     features: FeatureVector, question_lower: str, result: ExecutionResult
 ) -> None:
     answer = result.answer_values()
-    features["answer:size"] = float(len(answer))
+    features["answer:size"] = _count(len(answer))
     if not answer:
         features["answer:empty"] = 1.0
         return
@@ -219,7 +251,7 @@ def _entity_features(
                 if value == node.value:
                     used.add((column, value))
     features["entities:used_fraction"] = len(used) / len(matched)
-    features["entities:unused"] = float(len(matched) - len(used))
+    features["entities:unused"] = _count(len(matched) - len(used))
 
 
 def _has_superlative(nodes: Sequence[Query], kind: SuperlativeKind) -> bool:

@@ -288,11 +288,14 @@ class ThreadWorkerPool(WorkerPool):
     parser caches are shared (the thread backend's defining property),
     so answers are trivially bit-identical to the sequential loop.
 
-    Repeat traffic is answered by the pool's **ranked memo** of whole
-    parses, keyed ``(fingerprint, question, k)`` and valid for one
-    weights snapshot.  It lives outside the parser, so it survives the
-    catalog's shard eviction (which drops the parser's per-table caches)
-    and leaves only when the table's version is retired.
+    Repeat traffic is answered by the pool's **ranked memo**: the
+    ``ParseOutput`` each unit produced — the top ``k`` its caller serves
+    (:meth:`NLInterface.ask_many` passes its ``k``), or the whole list
+    for a unit without one — keyed ``(fingerprint, question, k)`` and
+    valid for one weights snapshot.  It lives outside the parser, so it
+    survives the catalog's shard eviction (which drops the parser's
+    per-table caches) and leaves only when the table's version is
+    retired.
     """
 
     backend = "thread"
@@ -302,10 +305,11 @@ class ThreadWorkerPool(WorkerPool):
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._close_lock = threading.Lock()
-        # Fully-ranked parses, valid only for the weights snapshot below:
-        # the thread analogue of the process workers' per-batch weight
-        # resync.  Keyed (fingerprint, question, k); flushed whenever the
-        # model weights change, so online training invalidates cleanly.
+        # Ranked parses as served (cut to the unit's k), valid only for
+        # the weights snapshot below: the thread analogue of the process
+        # workers' per-batch weight resync.  Keyed (fingerprint, question,
+        # k); flushed whenever the model weights change, so online
+        # training invalidates cleanly.
         self._ranked = LRUCache(maxsize=parser.config.candidate_cache_size)
         self._ranked_weights: Optional[Dict[str, float]] = None
 

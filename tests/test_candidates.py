@@ -3,8 +3,21 @@
 import pytest
 
 from repro.dcs import builder as q, to_sexpr
-from repro.parser import ParserConfig, SemanticParser
+from repro.parser import LogLinearModel, ParserConfig, SemanticParser
 from repro.parser.grammar import GenerationConfig
+
+
+class CountingModel(LogLinearModel):
+    """A model that counts how many feature vectors it scores."""
+
+    def __init__(self):
+        super().__init__()
+        self.weights = {"op:Aggregate": 0.7, "answer:singleton": 0.2, "overlap:f1": 1.1}
+        self.calls = 0
+
+    def score(self, features):
+        self.calls += 1
+        return super().score(features)
 
 
 class TestParsing:
@@ -69,6 +82,42 @@ class TestParsing:
         parser.parse("total of Fiji", medals_table)
         parser.parse("gold of Samoa", medals_table)
         assert len(parser._lexicons) == 1
+
+
+class TestRanking:
+    def test_rank_scores_each_candidate_once(self, medals_table):
+        model = CountingModel()
+        parser = SemanticParser(model=model)
+        candidates, _ = parser.generate_candidates("total of Fiji", medals_table)
+        assert candidates
+        model.calls = 0
+        ranked = parser.rank(candidates)
+        assert model.calls == len(candidates)
+        # The scores and probabilities are the model's own, in a stable
+        # descending-score order.
+        vectors = [candidate.features for candidate in candidates]
+        expected = sorted(
+            zip(
+                [candidate.sexpr for candidate in candidates],
+                model.scores(vectors),
+                model.probabilities(vectors),
+            ),
+            key=lambda entry: -entry[1],
+        )
+        assert [(c.sexpr, c.score, c.probability) for c in ranked] == expected
+
+    @pytest.mark.parametrize("k", [1, 3, 1000])
+    def test_top_k_parse_is_a_prefix_of_the_full_parse(self, medals_table, k):
+        config = ParserConfig(max_candidates=20)
+        full = SemanticParser(model=CountingModel(), config=config)
+        cut = SemanticParser(model=CountingModel(), config=config)
+        question = "difference between Fiji and Tonga"
+        expected = full.parse(question, medals_table).candidates[:k]
+        output = cut.parse(question, medals_table, k=k)
+        assert len(output.candidates) == min(k, 20)
+        assert [(c.sexpr, c.score, c.probability) for c in output.candidates] == [
+            (c.sexpr, c.score, c.probability) for c in expected
+        ]
 
 
 class TestConfiguration:

@@ -1,9 +1,16 @@
 """Unit tests for feature extraction."""
 
+from collections import Counter
+
 import pytest
 
-from repro.dcs import builder as q, execute
-from repro.parser import Lexicon, extract_features
+from repro.dataset import DatasetConfig, build_dataset
+from repro.dcs import ast, builder as q, execute
+from repro.dcs.ast import AggregateFunction, SuperlativeKind
+from repro.parser import Lexicon, SemanticParser, extract_features
+from repro.parser import features as feature_module
+from repro.parser.lexicon import content_tokens, tokenize
+from repro.core.utterance import utterance
 
 
 def features_for(question, table, query, with_result=True, with_analysis=True):
@@ -109,3 +116,180 @@ class TestStructureFeatures:
         features = features_for("how many more", medals_table, query)
         assert features["op:Aggregate"] == 2.0
         assert features["op:Difference"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the shared vocabulary
+# ---------------------------------------------------------------------------
+
+
+def reference_features(question, table, query, analysis, result):
+    """φ(x, T, z) with every key formatted and every count converted afresh.
+
+    An independent restatement of the feature definitions: the shared key
+    vocabulary and count constants must never change a key, a value or
+    the insertion order.
+    """
+    features = {}
+    question_lower = question.lower()
+    question_tokens = set(content_tokens(question))
+
+    query_tokens = set(content_tokens(utterance(query)))
+    if not query_tokens or not question_tokens:
+        features["overlap:empty"] = 1.0
+    else:
+        common = question_tokens & query_tokens
+        precision = len(common) / len(query_tokens)
+        recall = len(common) / len(question_tokens)
+        features["overlap:precision"] = precision
+        features["overlap:recall"] = recall
+        if precision + recall > 0:
+            features["overlap:f1"] = 2 * precision * recall / (precision + recall)
+
+    columns = query.columns()
+    if columns:
+        mentioned = 0
+        for column in columns:
+            tokens = set(content_tokens(column)) or set(tokenize(column))
+            if tokens and tokens & question_tokens:
+                mentioned += 1
+        features["columns:mentioned_fraction"] = mentioned / len(columns)
+        features["columns:unmentioned"] = float(len(columns) - mentioned)
+
+    nodes = list(query.walk())
+    for operator, count in Counter(type(node).__name__ for node in nodes).items():
+        features[f"op:{operator}"] = float(count)
+
+    def has(kinds, test=lambda node: True):
+        return any(isinstance(node, kinds) and test(node) for node in nodes)
+
+    def aggregate(function):
+        return has(ast.Aggregate, lambda node: node.function == function)
+
+    def superlative(kind):
+        return has(
+            (ast.SuperlativeRecords, ast.FirstLastRecords, ast.IndexSuperlative,
+             ast.CompareValues, ast.MostCommonValue),
+            lambda node: node.kind == kind,
+        )
+
+    groups = [
+        ("count", feature_module._COUNT_TRIGGERS, aggregate(AggregateFunction.COUNT)),
+        ("difference", feature_module._DIFFERENCE_TRIGGERS, has(ast.Difference)),
+        ("max", feature_module._MAX_TRIGGERS,
+         superlative(SuperlativeKind.ARGMAX) or aggregate(AggregateFunction.MAX)),
+        ("min", feature_module._MIN_TRIGGERS,
+         superlative(SuperlativeKind.ARGMIN) or aggregate(AggregateFunction.MIN)),
+        ("avg", feature_module._AVG_TRIGGERS, aggregate(AggregateFunction.AVG)),
+        ("sum", feature_module._SUM_TRIGGERS, aggregate(AggregateFunction.SUM)),
+        ("neighbor", feature_module._NEIGHBOR_TRIGGERS,
+         has((ast.PrevRecords, ast.NextRecords))),
+        ("union", feature_module._UNION_TRIGGERS, has(ast.Union)),
+    ]
+    for name, triggers, has_operator in groups:
+        has_trigger = any(trigger in question_lower for trigger in triggers)
+        if has_trigger and has_operator:
+            features[f"trigger:{name}:match"] = 1.0
+        elif has_trigger:
+            features[f"trigger:{name}:missing_op"] = 1.0
+        elif has_operator:
+            features[f"trigger:{name}:spurious_op"] = 1.0
+
+    features["structure:size"] = float(query.size())
+    features["structure:depth"] = float(query.depth())
+    features["structure:columns"] = float(len(query.columns()))
+
+    answer = result.answer_values()
+    features["answer:size"] = float(len(answer))
+    if not answer:
+        features["answer:empty"] = 1.0
+    else:
+        if len(answer) == 1:
+            features["answer:singleton"] = 1.0
+        elif len(answer) > 5:
+            features["answer:large"] = 1.0
+        numeric = all(value.is_numeric for value in answer)
+        expects_number = any(
+            trigger in question_lower
+            for trigger in ("how many", "how much", "what year", "difference",
+                            "what is the number")
+        )
+        if expects_number and numeric:
+            features["answer:number_match"] = 1.0
+        elif expects_number:
+            features["answer:number_mismatch"] = 1.0
+        elif numeric:
+            features["answer:unexpected_number"] = 1.0
+
+    matched = set(analysis.matched_entities())
+    if matched:
+        used = {
+            (column, value)
+            for node in query.walk()
+            if isinstance(node, ast.ValueLiteral)
+            for column, value in matched
+            if value == node.value
+        }
+        features["entities:used_fraction"] = len(used) / len(matched)
+        features["entities:unused"] = float(len(matched) - len(used))
+    return features
+
+
+def exact(features):
+    """Keys in order, with each value's type and exact bits."""
+    return [(key, type(value), value.hex()) for key, value in features.items()]
+
+
+#: Features whose value is an integral count (the rest are flags or ratios).
+COUNT_KEYS = ("op:", "structure:", "answer:size", "columns:unmentioned", "entities:unused")
+
+
+@pytest.fixture(scope="module")
+def generated():
+    """Every (question, table, candidates, analysis) of a small corpus."""
+    dataset = build_dataset(DatasetConfig(num_tables=6, questions_per_table=4, seed=0))
+    parser = SemanticParser()
+    out = []
+    for example in dataset.examples:
+        candidates, analysis = parser.generate_candidates(example.question, example.table)
+        out.append((example.question, example.table, candidates, analysis))
+    return out
+
+
+class TestSharedVocabulary:
+    def test_vectors_equal_the_afresh_reference(self, generated):
+        checked = 0
+        for question, table, candidates, analysis in generated:
+            for candidate in candidates:
+                expected = reference_features(
+                    question, table, candidate.query, analysis, candidate.result
+                )
+                assert exact(candidate.features) == exact(expected), candidate.sexpr
+                checked += 1
+        assert checked > 1000
+
+    def test_equal_keys_and_counts_are_shared_objects(self, generated):
+        keys = {}
+        counts = {}
+        for _, _, candidates, _ in generated:
+            for candidate in candidates:
+                for key, value in candidate.features.items():
+                    assert keys.setdefault(key, key) is key, key
+                    if key.startswith(COUNT_KEYS):
+                        assert counts.setdefault(value, value) is value, (key, value)
+        assert any(key.startswith("op:") for key in keys)
+        assert any(key.startswith("trigger:") for key in keys)
+        assert len(counts) > 3
+
+    def test_unknown_node_class_and_large_counts_fall_back(self):
+        class Unlisted(ast.AllRecords):
+            pass
+
+        # Utterance rendering has no rule for an unlisted class, so only the
+        # operator group is run.
+        features = {}
+        feature_module._operator_features(features, "how many?", q.count(Unlisted()))
+        assert features["op:Aggregate"] == 1.0
+        assert features["op:Unlisted"] == 1.0
+        assert feature_module._count(10**6) == 1e6
+        assert feature_module._count(-1) == -1.0

@@ -10,7 +10,10 @@ The serving hot path's contract, flavour by flavour:
   pins shards to workers with a stable hash, and spills
   deterministically;
 * the thread flavour's ranked-parse memo survives catalog shard eviction
-  and invalidates on weight change.
+  and invalidates on weight change;
+* a batch from ``NLInterface.ask_many`` parses to the interface's top-k
+  only, so the thread memo keeps and a process reply carries no more
+  candidates than are served.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import time
 
 import pytest
 
+from repro.interface import NLInterface
 from repro.perf import (
     BatchItem,
     DeadlineExceeded,
@@ -173,6 +177,70 @@ class TestProcessPoolPersistence:
                 thread.join()
         for tag in ("a", "b"):
             assert [signature(parse) for parse, _ in outcomes[tag]] == reference
+
+
+def served(responses):
+    """What ``ask_many`` served, explanation by explanation."""
+    return [
+        [
+            (item.candidate.sexpr, item.candidate.score,
+             item.candidate.probability, item.answer)
+            for item in response.explained
+        ]
+        for response in responses
+    ]
+
+
+def full_parse_top(items, k):
+    """The top ``k`` of a full sequential parse of every item."""
+    parser = make_parser()
+    return [
+        [
+            (c.sexpr, c.score, c.probability, c.answer)
+            for c in parser.parse(question, table).candidates[:k]
+        ]
+        for question, table in items
+    ]
+
+
+class TestServedTopK:
+    """``ask_many`` hands its ``k`` to the pool, which keeps only that."""
+
+    def test_thread_memo_holds_the_served_top_k(self):
+        items = build_items()
+        expected = full_parse_top(items, 3)
+        parser = make_parser()
+        with ThreadWorkerPool(parser) as pool:
+            interface = NLInterface(parser, k=3)
+            responses = interface.ask_many(items, pool=pool)
+            assert served(responses) == expected
+            assert all(len(response.parse) <= 3 for response in responses)
+            digests = {table.fingerprint.digest for _, table in items}
+            entries = [
+                parse
+                for digest in digests
+                for parse in pool._ranked.items_for(digest).values()
+            ]
+            assert len(entries) == len(items)
+            assert all(len(parse.candidates) <= 3 for parse in entries)
+            # A repeat batch is answered from the memo, with the same values.
+            hits = pool._ranked.stats()["hits"]
+            assert served(interface.ask_many(items, pool=pool)) == expected
+            assert pool._ranked.stats()["hits"] - hits == len(items)
+
+    def test_process_reply_carries_the_served_top_k(self):
+        items = build_items()
+        parser = make_parser()
+        with ThreadWorkerPool(make_parser()) as thread_pool:
+            reference = served(
+                NLInterface(thread_pool.parser, k=3).ask_many(items, pool=thread_pool)
+            )
+        with ProcessWorkerPool(parser) as pool:
+            responses = NLInterface(parser, k=3).ask_many(items, pool=pool)
+            # Every parse came back over a worker pipe, not inline.
+            assert pool.inline_parses == 0
+        assert all(len(response.parse.candidates) <= 3 for response in responses)
+        assert served(responses) == reference == full_parse_top(items, 3)
 
 
 class TestDeadlines:
