@@ -187,10 +187,15 @@ class NLInterface:
         (order-stable, identical to asking sequentially): the long-lived
         ``pool`` when one is passed, else a ``create_pool(backend,
         parser, workers)`` pool built for this call and closed after it.
-        The pool parses each question to its top ``k`` only, so that is
-        all it memoizes (or ships back from a worker process), and each
-        response's ``parse`` holds just those ``k`` candidates — with the
-        same scores and probabilities as the top of a full parse.
+        The pool parses each question to its top ``k`` only: that is all
+        its ranked memo (the thread pool's, or each process worker's)
+        keeps, and the parser stores no unranked candidate list for it,
+        so a served question stays resident once.  Each response's
+        ``parse`` holds just those ``k`` candidates — with the same
+        scores and probabilities as the top of a full parse.  Asking
+        again with another ``k``, or after a weight change, generates
+        the question afresh instead of re-ranking it (unless a full
+        parse, such as :meth:`ask`, cached its list).
         Explanation stays sequential per response since it is cheap
         relative to parsing.  Returns one :class:`InterfaceResponse` per
         input pair, index-aligned.

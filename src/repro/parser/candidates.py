@@ -109,10 +109,13 @@ class ParserConfig:
       sub-trees.
     * ``cache_candidates`` — memoize the full (weight-independent)
       candidate list per ``(table, question)``; re-parsing the same
-      question only re-*ranks* with the current model weights.  This
-      unranked list is the one full copy of a question's candidates a
-      process keeps: training and the online learner re-rank from it
-      after every weight change.
+      question only re-*ranks* with the current model weights.  Full
+      parses (``parse(k=None)``) and direct
+      :meth:`SemanticParser.generate_candidates` calls store the list —
+      training and the online learner re-rank from it after every weight
+      change.  Top-``k`` parses only read it: the serving pools memoize
+      the ``k`` candidates they serve instead, so a served question is
+      not resident twice.  The flag also switches those pool memos on.
     * ``index_tables`` — answer executor cache misses from the
       content-addressed :class:`~repro.tables.index.TableIndex` (hash and
       bisect lookups) instead of row scans; ``False`` keeps the seed's
@@ -124,9 +127,11 @@ class ParserConfig:
     * ``table_cache_size`` / ``execution_cache_size`` /
       ``candidate_cache_size`` — LRU bounds of the per-table
       lexicon+grammar caches, the sub-query execution cache and the
-      candidate-list cache.  ``candidate_cache_size`` also bounds the
-      serving pools' ranked memo, which holds only the top-k parse each
-      caller serves (and, times eight, their explanation memo).
+      candidate-list cache (filled by full parses only).
+      ``candidate_cache_size`` also bounds the ranked memo of a
+      :class:`~repro.perf.pool.ThreadWorkerPool` and of each process
+      worker, which holds only the top-k parse each caller serves (and,
+      times eight, the pool's explanation memo).
 
     Each cache indexes its entries by table, so
     :meth:`SemanticParser.evict_table` drops one table from all of them
@@ -245,15 +250,24 @@ class SemanticParser:
         self._loaded_execution_bundles.clear()
 
     # -- candidate generation -------------------------------------------------------
-    def generate_candidates(self, question: str, table: Table) -> Tuple[List[Candidate], LexicalAnalysis]:
+    def generate_candidates(
+        self, question: str, table: Table, *, store: bool = True
+    ) -> Tuple[List[Candidate], LexicalAnalysis]:
         """Generate (unranked) executable candidates with their features.
 
         Generation is independent of the model weights (only ranking uses
         them), so with ``config.cache_candidates`` the whole candidate
         list is memoized per ``(table content, question)``: a warm parse
         skips lexical analysis, grammar generation and execution entirely.
+
+        ``store=False`` still answers from a cached list but adds none to
+        the in-memory cache: a top-``k`` parse passes it, because its
+        caller memoizes the ``k`` candidates it serves.  The disk store,
+        when configured, persists the list either way — it costs no
+        resident memory.
         """
         cache_key = (table.fingerprint, question)
+        store = store and self.config.cache_candidates
         if self.config.cache_candidates:
             cached = self._candidate_cache.get(cache_key)
             if cached is not None:
@@ -266,7 +280,7 @@ class SemanticParser:
             )
             if stored is not None:
                 candidates, analysis = stored
-                if self.config.cache_candidates:
+                if store:
                     self._candidate_cache.put(cache_key, (tuple(candidates), analysis))
                 return list(candidates), analysis
             self._load_execution_bundle(table)
@@ -301,7 +315,7 @@ class SemanticParser:
                 question, table, query, analysis=analysis, result=result
             )
             candidates.append(Candidate(query=query, features=features, result=result))
-        if self.config.cache_candidates:
+        if store:
             self._candidate_cache.put(cache_key, (tuple(candidates), analysis))
         if self._disk_cache is not None:
             self._disk_cache.put_candidates(
@@ -430,38 +444,57 @@ class SemanticParser:
         top ``k`` when that is smaller.  Probabilities are normalised over
         every candidate before the cut, so a top-``k`` parse is a prefix
         of the full one.
+
+        A full parse (``k=None``) stores the unranked list in the
+        candidate cache, so training and the online learner can re-rank
+        it after a weight change.  A top-``k`` parse reads that cache but
+        stores nothing: its caller (a worker pool's ranked memo) keeps
+        the ``k`` candidates it serves.  Asking the same question again
+        with another ``k``, or after a weight change, therefore
+        regenerates it unless a full parse cached it.
         """
         started = time.perf_counter()
-        candidates, analysis = self.generate_candidates(question, table)
-        ranked = self.rank(candidates)
+        candidates, analysis = self.generate_candidates(
+            question, table, store=k is None
+        )
         limit = self.config.max_candidates
         if k is not None:
             limit = min(k, limit)
+        ranked = self.rank(candidates, k=limit)
         elapsed = time.perf_counter() - started
         return ParseOutput(
             question=question,
             table=table,
-            candidates=ranked[:limit],
+            candidates=ranked,
             analysis=analysis,
             generation_seconds=elapsed,
         )
 
-    def rank(self, candidates: Sequence[Candidate]) -> List[Candidate]:
-        """Order candidates by model probability (Equation 4)."""
+    def rank(
+        self, candidates: Sequence[Candidate], k: Optional[int] = None
+    ) -> List[Candidate]:
+        """Order candidates by model probability (Equation 4).
+
+        Every candidate is scored once and the softmax runs over all of
+        them, but only the first ``k`` of the order (all when ``k`` is
+        ``None``) are rebuilt with their score and probability: a
+        top-``k`` ranking is exactly the prefix of the full one.  Ties
+        keep input order, as in :meth:`LogLinearModel.rank`.
+        """
         if not candidates:
             return []
         # Score once: the model's probabilities are the softmax of these
         # same scores, so calling both would score every candidate twice.
         scores = self.model.scores([candidate.features for candidate in candidates])
         probabilities = softmax(scores)
-        rescored = [
+        order = sorted(range(len(scores)), key=lambda index: -scores[index])
+        return [
             Candidate(
-                query=candidate.query,
-                features=candidate.features,
-                result=candidate.result,
-                score=score,
-                probability=probability,
+                query=candidates[index].query,
+                features=candidates[index].features,
+                result=candidates[index].result,
+                score=scores[index],
+                probability=probabilities[index],
             )
-            for candidate, score, probability in zip(candidates, scores, probabilities)
+            for index in order[:k]
         ]
-        return sorted(rescored, key=lambda candidate: -candidate.score)

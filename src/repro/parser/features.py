@@ -15,8 +15,9 @@ parsers:
   question's expected answer type,
 * structural features — operator counts, query size.
 
-A cold question builds one vector per candidate (a few hundred) and the
-parser's candidate cache keeps them, so the vectors share what they can.
+A cold question builds one vector per candidate (a few hundred) and,
+after a full parse, the parser's candidate cache keeps them, so the
+vectors share what they can.
 Every key that is not a literal comes from a vocabulary built once at
 import: ``op:<node class>`` for each query class of :mod:`repro.dcs.ast`
 and the three outcome keys of each trigger group.  Every integral count

@@ -15,14 +15,24 @@ Two flavours behind one interface:
 * :class:`ThreadWorkerPool` — one ``ThreadPoolExecutor`` driving the
   shared :class:`~repro.parser.candidates.SemanticParser`, built lazily
   on the first multi-item batch (a one-worker pool, or a one-item
-  batch, parses inline).  Every cache stays shared.
+  batch, parses inline).  Every cache stays shared, and a ranked memo
+  answers repeat units.
 * :class:`ProcessWorkerPool` — worker *processes*, each holding a
-  fingerprint-addressed table registry that survives between batches.
+  fingerprint-addressed table registry that survives between batches
+  and parsing through its own one-worker :class:`ThreadWorkerPool`, so
+  each worker memoizes what it served the same way.
   The driver ships only fingerprints a worker has never seen
   (incremental registry updates — never the whole corpus re-pickled per
   batch), re-syncs model weights only when they changed, and pins shards
   to workers with a stable digest hash so a shard's questions land on
-  the worker whose lexicon/grammar/index are already hot.
+  the worker whose lexicon/grammar/index and memo are already hot.
+
+A unit with a ``k`` (every unit :meth:`NLInterface.ask_many` sends) is
+parsed to its top ``k``, which is all the ranked memo keeps: the parser
+stores no unranked candidate list for it, so a served question stays
+resident once.  A unit without one is a full parse and fills the
+parser's candidate cache as well, for callers that re-rank (the online
+learner's and the retraining pipeline's prefetch).
 
 Correctness contract (locked in by ``tests/test_pool.py`` and
 ``tests/test_perf_batch.py``): ``parse_all`` results are index-aligned
@@ -295,7 +305,11 @@ class ThreadWorkerPool(WorkerPool):
     valid for one weights snapshot.  It lives outside the parser, so it
     survives the catalog's shard eviction (which drops the parser's
     per-table caches) and leaves only when the table's version is
-    retired.
+    retired.  For a top-``k`` unit it is the only copy: the parser
+    stores no unranked list, so the same question under another ``k``
+    or new weights is generated again (unless a full parse cached its
+    list).  Each process worker parses through a one-worker pool of
+    this class to get the same memo.
     """
 
     backend = "thread"
@@ -306,10 +320,9 @@ class ThreadWorkerPool(WorkerPool):
         self._closed = False
         self._close_lock = threading.Lock()
         # Ranked parses as served (cut to the unit's k), valid only for
-        # the weights snapshot below: the thread analogue of the process
-        # workers' per-batch weight resync.  Keyed (fingerprint, question,
-        # k); flushed whenever the model weights change, so online
-        # training invalidates cleanly.
+        # the weights snapshot below.  Keyed (fingerprint, question, k);
+        # flushed whenever the model weights change, so online training
+        # invalidates cleanly.
         self._ranked = LRUCache(maxsize=parser.config.candidate_cache_size)
         self._ranked_weights: Optional[Dict[str, float]] = None
 
@@ -404,7 +417,11 @@ def _pool_worker_main(
     """The long-lived worker loop (runs in a child process).
 
     State that persists across batches: the fingerprint-addressed table
-    registry and the worker's parser with all its per-table caches.
+    registry, the worker's parser with all its per-table caches, and a
+    one-worker :class:`ThreadWorkerPool` over that parser whose ranked
+    memo keeps each reply — the top ``k`` the caller serves — exactly as
+    the thread flavour does: a repeat unit is answered from it, a weight
+    change flushes it and a ``retire`` drops the digest from it.
     Under the ``fork`` start method ``parser`` is the driver's own
     parser, inherited copy-on-write with its warm per-table caches (a
     ``Process`` argument is never pickled by ``fork``); under ``spawn``
@@ -430,6 +447,7 @@ def _pool_worker_main(
         model = LogLinearModel()
         model.weights = dict(weights)
         parser = SemanticParser(model=model, config=config)
+    memo = ThreadWorkerPool(parser, max_workers=1)
     tables: Dict[str, Table] = {}
     while True:
         try:
@@ -449,8 +467,9 @@ def _pool_worker_main(
         if kind == "retire":
             # A superseded table version will never be asked again: drop
             # it from the registry *and* from the worker parser's
-            # per-table caches, or every live-corpus edit leaks one
-            # table per worker forever.
+            # per-table caches and ranked memo, or every live-corpus edit
+            # leaks one table per worker forever.
+            memo.retire(message[1])
             for digest in message[1]:
                 table = tables.pop(digest, None)
                 if table is not None:
@@ -484,14 +503,14 @@ def _pool_worker_main(
         for unit in units:
             try:
                 digest, question, k = unit
-                table = tables[digest]
-                started = time.perf_counter()
-                parse = parser.parse(question, table, k=k)
-                elapsed = time.perf_counter() - started
+                [(parse, elapsed)] = memo.parse_all(
+                    [BatchItem(question, tables[digest], k=k)]
+                )
                 # The driver re-attaches its own table object; candidates
-                # only reference cells, never the table itself.
-                parse.table = None
-                conn.send(("unit", unit, parse, elapsed))
+                # only reference cells, never the table itself.  A copy,
+                # because the memo may hold this very parse.
+                reply = dataclasses.replace(parse, table=None)
+                conn.send(("unit", unit, reply, elapsed))
             except Exception as error:  # surface, don't kill the worker
                 conn.send(("unit_error", unit, f"{type(error).__name__}: {error}"))
         conn.send(("done",))

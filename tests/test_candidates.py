@@ -106,6 +106,22 @@ class TestRanking:
         )
         assert [(c.sexpr, c.score, c.probability) for c in ranked] == expected
 
+    @pytest.mark.parametrize("k", [0, 1, 5, 1000])
+    def test_rank_top_k_is_the_prefix_of_the_full_rank(self, medals_table, k):
+        """All-zero weights tie every score: the cut must keep input order."""
+        parser = SemanticParser(model=LogLinearModel())
+        candidates, _ = parser.generate_candidates(
+            "difference between Fiji and Tonga", medals_table
+        )
+        assert len(candidates) > 5
+        full = parser.rank(candidates)
+        assert {candidate.score for candidate in full} == {0.0}
+        cut = parser.rank(candidates, k=k)
+        assert [(c.sexpr, c.score, c.probability) for c in cut] == [
+            (c.sexpr, c.score, c.probability) for c in full[:k]
+        ]
+        assert [c.sexpr for c in cut] == [c.sexpr for c in candidates[:k]]
+
     @pytest.mark.parametrize("k", [1, 3, 1000])
     def test_top_k_parse_is_a_prefix_of_the_full_parse(self, medals_table, k):
         config = ParserConfig(max_candidates=20)

@@ -380,6 +380,54 @@ class TestColdWarmParseCache:
         assert warm.top.score == parser.model.score(warm.top.features)
 
 
+class TestTopKParseCache:
+    """A top-``k`` parse reads the candidate cache but never fills it."""
+
+    QUESTION = "what is the score of y"
+
+    @pytest.fixture
+    def generate_calls(self, monkeypatch):
+        calls = []
+        original_generate = CandidateGrammar.generate
+        monkeypatch.setattr(
+            CandidateGrammar,
+            "generate",
+            lambda self, analysis: calls.append(1) or original_generate(self, analysis),
+        )
+        return calls
+
+    @pytest.mark.parametrize("warm_up", ["generate_candidates", "parse"])
+    def test_top_k_parse_is_answered_from_a_cached_list(self, generate_calls, warm_up):
+        parser = SemanticParser()
+        table = small_table()
+        getattr(parser, warm_up)(self.QUESTION, table)
+        assert len(generate_calls) == 1
+        hits = parser.cache_stats()["candidates"]["hits"]
+        top = parser.parse(self.QUESTION, small_table(), k=3)
+        assert len(generate_calls) == 1
+        assert parser.cache_stats()["candidates"]["hits"] == hits + 1
+        full = parser.parse(self.QUESTION, table)
+        assert [(c.sexpr, c.score, c.probability) for c in top.candidates] == [
+            (c.sexpr, c.score, c.probability) for c in full.candidates[:3]
+        ]
+
+    def test_top_k_parse_stores_no_list(self, generate_calls):
+        """The trade-off: the caller memoizes the top k, so the same
+        question under another k (or new weights) is generated again."""
+        parser = SemanticParser()
+        table = small_table()
+        parser.parse(self.QUESTION, table, k=3)
+        assert len(parser._candidate_cache) == 0
+        parser.parse(self.QUESTION, table, k=2)
+        assert len(generate_calls) == 2
+        assert len(parser._candidate_cache) == 0
+        # A full parse and a direct generation still store the list.
+        parser.parse(self.QUESTION, table)
+        assert len(parser._candidate_cache) == 1
+        parser.generate_candidates("score of z", table)
+        assert len(parser._candidate_cache) == 2
+
+
 class TestMemoizedExecutorWarmth:
     def test_warm_execution_hits_cache_with_equal_result(self, olympics_table):
         query = from_sexpr(

@@ -13,17 +13,20 @@ The serving hot path's contract, flavour by flavour:
   and invalidates on weight change;
 * a batch from ``NLInterface.ask_many`` parses to the interface's top-k
   only, so the thread memo keeps and a process reply carries no more
-  candidates than are served.
+  candidates than are served, and the parser stores no unranked list;
+* each process worker memoizes its replies as the thread flavour does.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
 import pytest
 
 from repro.interface import NLInterface
+from repro.parser.grammar import CandidateGrammar
 from repro.perf import (
     BatchItem,
     DeadlineExceeded,
@@ -241,6 +244,124 @@ class TestServedTopK:
             assert pool.inline_parses == 0
         assert all(len(response.parse.candidates) <= 3 for response in responses)
         assert served(responses) == reference == full_parse_top(items, 3)
+
+    @pytest.mark.parametrize("per_call", [False, True])
+    def test_served_questions_leave_no_unranked_list(self, per_call):
+        """The memo's top k is the only copy a served question leaves:
+        the parser's candidate cache stays empty, through a long-lived
+        pool and through the per-call pool ``pool=None`` builds."""
+        items = build_items()
+        parser = make_parser()
+        interface = NLInterface(parser, k=3)
+        if per_call:
+            responses = interface.ask_many(items, pool=None)
+        else:
+            with ThreadWorkerPool(parser) as pool:
+                responses = interface.ask_many(items, pool=pool)
+        assert served(responses) == full_parse_top(items, 3)
+        for _, table in items:
+            assert not parser._candidate_cache.items_for(table.fingerprint.digest)
+
+
+def thread_served(items, weights=None):
+    """What ``ask_many(k=3)`` serves through a fresh thread pool."""
+    parser = make_parser()
+    parser.model.weights.update(weights or {})
+    with ThreadWorkerPool(parser) as pool:
+        return served(NLInterface(parser, k=3).ask_many(items, pool=pool))
+
+
+@pytest.fixture
+def worker_generations(monkeypatch):
+    """Counts ``CandidateGrammar.generate`` calls, forked workers included.
+
+    ``None`` when workers do not fork: a spawned worker imports the
+    grammar afresh, without the counting patch.
+    """
+    if multiprocessing.get_start_method() != "fork":
+        return None
+    counter = multiprocessing.Value("i", 0)
+    original = CandidateGrammar.generate
+
+    def generate(self, analysis):
+        with counter.get_lock():
+            counter.value += 1
+        return original(self, analysis)
+
+    monkeypatch.setattr(CandidateGrammar, "generate", generate)
+    return counter
+
+
+class TestProcessWorkerMemo:
+    """Each process worker memoizes the top k it serves, as the thread
+    pool does: repeats come from the memo, a weight change flushes it
+    and ``retire`` drops the digest from it."""
+
+    @staticmethod
+    def generated(counter):
+        return counter.value if counter is not None else 0
+
+    @staticmethod
+    def counted(counter, pool):
+        """Whether generation counts can be compared: workers fork (so
+        they count), and none was respawned with an empty memo (as an
+        injected ``worker.crash_before_batch`` does)."""
+        return counter is not None and pool.respawns == 0
+
+    def test_repeat_batch_is_answered_from_the_worker_memo(self, worker_generations):
+        items = build_items()
+        reference = thread_served(items)
+        parser = make_parser()
+        interface = NLInterface(parser, k=3)
+        with ProcessWorkerPool(parser, spill=False) as pool:
+            first = served(interface.ask_many(items, pool=pool))
+            cold = self.generated(worker_generations)
+            repeat = served(interface.ask_many(items, pool=pool))
+            assert pool.inline_parses == 0
+            if self.counted(worker_generations, pool):
+                # Nothing was regenerated: the workers stored no unranked
+                # list, so only their memos could answer.
+                assert worker_generations.value == cold
+        assert first == repeat == reference
+
+    def test_weight_change_flushes_the_worker_memo(self, worker_generations):
+        items = build_items()
+        reference = thread_served(items, {"op:Aggregate": 5.0})
+        parser = make_parser()
+        interface = NLInterface(parser, k=3)
+        with ProcessWorkerPool(parser, spill=False) as pool:
+            interface.ask_many(items, pool=pool)
+            before = self.generated(worker_generations)
+            parser.model.weights["op:Aggregate"] = 5.0
+            after = served(interface.ask_many(items, pool=pool))
+            assert pool.inline_parses == 0
+            if self.counted(worker_generations, pool):
+                # The documented trade-off: new weights regenerate.
+                assert worker_generations.value - before == len(items)
+        assert after == reference
+
+    def test_retire_drops_the_digest_from_the_worker_memo(self, worker_generations):
+        items = build_items()
+        reference = thread_served(items)
+        olympics, _ = build_tables()
+        digest = olympics.fingerprint.digest
+        parser = make_parser()
+        interface = NLInterface(parser, k=3)
+        with ProcessWorkerPool(parser, spill=False) as pool:
+            interface.ask_many(items, pool=pool)
+            pool.retire([digest])
+            before = self.generated(worker_generations)
+            # The same content comes back: it is shipped again and only
+            # its questions are regenerated.
+            again = served(interface.ask_many(items, pool=pool))
+            assert pool.last_shipped == [digest]
+            assert pool.inline_parses == 0
+            if self.counted(worker_generations, pool):
+                retired = sum(
+                    1 for _, table in items if table.fingerprint.digest == digest
+                )
+                assert worker_generations.value - before == retired
+        assert again == reference
 
 
 class TestDeadlines:

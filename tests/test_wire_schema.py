@@ -84,27 +84,50 @@ class TestRecordedFixtures:
             wire_schema.validate_lines(["{bad"], v2_schema)
 
 
+@pytest.fixture
+def validate_wire():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "validate_wire", REPO_ROOT / "scripts" / "validate_wire.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestValidateWireScript:
-    def test_script_validates_the_committed_fixtures(self):
-        import importlib.util
+    def test_script_validates_the_committed_fixtures(self, validate_wire):
+        assert validate_wire.main([]) == 0
 
-        spec = importlib.util.spec_from_file_location(
-            "validate_wire", REPO_ROOT / "scripts" / "validate_wire.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert module.main([]) == 0
-
-    def test_script_fails_on_drift(self, tmp_path, engine):
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "validate_wire", REPO_ROOT / "scripts" / "validate_wire.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+    def test_script_fails_on_drift(self, tmp_path, engine, validate_wire):
         payload = engine.query("which country hosted in 2004").to_dict()
         payload["drifted"] = True
         drifted = tmp_path / "drifted.jsonl"
         drifted.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-        assert module.main(["--schema", "v2", str(drifted)]) == 1
+        assert validate_wire.main(["--schema", "v2", str(drifted)]) == 1
+
+    def test_identical_ignores_run_fields_but_not_answers(
+        self, tmp_path, engine, validate_wire
+    ):
+        questions = ["which country hosted in 2004", "what is the total of fiji"]
+        payloads = [engine.query(question).to_dict() for question in questions]
+
+        def write(name, envelopes):
+            path = tmp_path / name
+            path.write_text(
+                "".join(json.dumps(payload) + "\n" for payload in envelopes),
+                encoding="utf-8",
+            )
+            return str(path)
+
+        first = write("first.jsonl", payloads)
+        rerun = [dict(payload) for payload in payloads]
+        rerun[0]["request_id"] = "another-run"
+        rerun[1]["corpus_version"] += 1
+        same = write("same.jsonl", rerun)
+        args = ["--schema", "v2", "--identical", first]
+        assert validate_wire.main(args + [same]) == 0
+        assert validate_wire.main(args + [write("short.jsonl", payloads[:1])]) == 1
+        swapped = write("swapped.jsonl", payloads[::-1])
+        assert validate_wire.main(args + [swapped]) == 1
