@@ -115,16 +115,17 @@ class NLInterface:
         """Unload every in-memory artifact of ``table``'s content.
 
         The interface-level shard-eviction hook used by
-        :class:`~repro.tables.catalog.TableCatalog`: flushes the parser's
-        execution bundle to the disk store (when configured), then drops
-        the parser caches, the explanation generator and the process-wide
-        index/schema entries for this content.  Results after eviction are
-        bit-identical — everything dropped is derived state.
+        :class:`~repro.tables.catalog.TableCatalog`: drops the parser
+        caches, the explanation generator and the process-wide
+        index/schema entries for this content.  Nothing needs persisting
+        first: candidate lists reach the disk store (when configured) at
+        generation time, and the sub-query memo never outlives a parse.
+        Results after eviction are bit-identical — everything dropped is
+        derived state.
         """
         from ..tables.index import evict_index
         from ..tables.schema import evict_schema
 
-        self.parser.flush_table(table)
         self.parser.evict_table(table)
         self._generators.pop(table.fingerprint)
         evict_index(table.fingerprint)
@@ -133,19 +134,11 @@ class NLInterface:
     def retire_table(self, table: Table) -> None:
         """Drop a *superseded* table version's in-memory derived state.
 
-        Same scope as :meth:`evict_table` minus the disk flush: a retired
-        version can never be asked again, so persisting its execution
-        bundle would only grow the lineage garbage
-        :meth:`~repro.tables.catalog.TableCatalog.prune_lineage` collects.
-        Entries of every other fingerprint are untouched.
+        The same as :meth:`evict_table`; the catalog's churn path calls
+        it under this name, so a retirement can be timed apart from an
+        eviction.  Entries of every other fingerprint are untouched.
         """
-        from ..tables.index import evict_index
-        from ..tables.schema import evict_schema
-
-        self.parser.retire_table(table)
-        self._generators.pop(table.fingerprint)
-        evict_index(table.fingerprint)
-        evict_schema(table.fingerprint)
+        self.evict_table(table)
 
     def ask(self, question: str, table: Table, k: Optional[int] = None) -> InterfaceResponse:
         """Parse a question and explain the top-k candidates."""

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tables.fingerprint import LRUCache
 from ..tables.index import index_cache_stats
@@ -22,7 +24,7 @@ from ..tables.table import Table
 from ..dcs.ast import Query
 from ..dcs.errors import DCSError
 from ..dcs.executor import ExecutionResult, Executor
-from ..dcs.memo import DEFAULT_EXECUTION_CACHE_SIZE, ExecutionCache, MemoizedExecutor
+from ..dcs.memo import MemoizedExecutor
 from ..dcs.sexpr import to_sexpr
 from ..dcs.typing import validate
 from .features import FeatureVector, extract_features
@@ -45,8 +47,14 @@ class Candidate:
     def answer(self) -> Tuple[str, ...]:
         return self.result.answer_strings()
 
-    @property
+    @cached_property
     def sexpr(self) -> str:
+        """The query's s-expression, serialized on first read only.
+
+        Serving reads it at least twice per candidate (the explanation
+        memo key, then the envelope), so a candidate held in a ranked
+        memo keeps its string instead of re-walking the query per read.
+        """
         return to_sexpr(self.query)
 
     def __repr__(self) -> str:
@@ -103,10 +111,10 @@ class ParserConfig:
     id) and bounded by an LRU, so long-running deployments neither leak
     nor alias recycled tables:
 
-    * ``memoize_execution`` — execute candidate sub-queries through a
-      shared :class:`~repro.dcs.memo.MemoizedExecutor`, so the ~600
-      candidates of one question stop re-walking the table for shared
-      sub-trees.
+    * ``memoize_execution`` — execute a cold question's candidates
+      through one :class:`~repro.dcs.memo.MemoizedExecutor`, so its ~600
+      candidates stop re-walking the table for shared sub-trees.  The
+      memo lives for that one generation call and is never resident.
     * ``cache_candidates`` — memoize the full (weight-independent)
       candidate list per ``(table, question)``; re-parsing the same
       question only re-*ranks* with the current model weights.  Full
@@ -120,14 +128,14 @@ class ParserConfig:
       content-addressed :class:`~repro.tables.index.TableIndex` (hash and
       bisect lookups) instead of row scans; ``False`` keeps the seed's
       scan path.
-    * ``disk_cache_dir`` — when set, candidate lists and execution memo
-      bundles are persisted to a content-addressed on-disk store
+    * ``disk_cache_dir`` — when set, candidate lists are persisted to a
+      content-addressed on-disk store
       (:class:`~repro.perf.diskcache.DiskCache`) shared across processes,
-      so a warm-start process skips cold parsing entirely.
-    * ``table_cache_size`` / ``execution_cache_size`` /
-      ``candidate_cache_size`` — LRU bounds of the per-table
-      lexicon+grammar caches, the sub-query execution cache and the
-      candidate-list cache (filled by full parses only).
+      so a warm-start process skips cold parsing of every question it
+      has seen; a new question is generated cold.
+    * ``table_cache_size`` / ``candidate_cache_size`` — LRU bounds of
+      the per-table lexicon+grammar caches and the candidate-list cache
+      (filled by full parses only).
       ``candidate_cache_size`` also bounds the ranked memo of a
       :class:`~repro.perf.pool.ThreadWorkerPool` and of each process
       worker, which holds only the top-k parse each caller serves (and,
@@ -147,7 +155,6 @@ class ParserConfig:
     index_tables: bool = True
     disk_cache_dir: Optional[str] = None
     table_cache_size: int = 64
-    execution_cache_size: int = DEFAULT_EXECUTION_CACHE_SIZE
     candidate_cache_size: int = 256
 
     def generation_signature(self) -> str:
@@ -179,8 +186,12 @@ class SemanticParser:
         self.config = config or ParserConfig()
         self._lexicons: LRUCache = LRUCache(maxsize=self.config.table_cache_size)
         self._grammars: LRUCache = LRUCache(maxsize=self.config.table_cache_size)
-        self._execution_cache = ExecutionCache(maxsize=self.config.execution_cache_size)
         self._candidate_cache: LRUCache = LRUCache(maxsize=self.config.candidate_cache_size)
+        #: Sub-query memo hits and misses, summed over every generation
+        #: call (each call's memo dies with it, see generate_candidates).
+        self._execution_lock = threading.Lock()
+        self._execution_hits = 0
+        self._execution_misses = 0
         if self.config.disk_cache_dir:
             # Imported lazily: repro.perf imports this module at package
             # init, so a module-level import would be circular.
@@ -193,15 +204,6 @@ class SemanticParser:
         else:
             self._disk_cache = None
             self._generation_signature = ""
-        #: Fingerprint digests whose on-disk execution bundle was already
-        #: merged into the in-memory cache (one load per table content).
-        self._loaded_execution_bundles: Set[str] = set()
-        #: Per-digest size of the last persisted execution bundle (gates
-        #: :meth:`_store_execution_bundle`'s rewrites) and the global
-        #: execution-cache miss counter when it was written (lets
-        #: :meth:`flush_table` skip a table nothing executed on since).
-        self._stored_bundle_sizes: Dict[str, int] = {}
-        self._stored_bundle_misses: Dict[str, int] = {}
 
     # -- per-table caches ---------------------------------------------------------
     # Keyed by content fingerprint, NOT id(table): CPython recycles object
@@ -219,16 +221,25 @@ class SemanticParser:
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/size counters of every parser cache (for bench reports).
 
-        ``indexes`` reports the process-wide table-index registry (shared
-        by every parser in the process); ``disk`` reports this parser's
-        on-disk store, all-zero when none is configured.
+        ``execution`` sums the sub-query memo's hits and misses over every
+        generation call; its ``size`` is always 0, because no memo
+        outlives its call.  ``indexes`` reports the process-wide
+        table-index registry (shared by every parser in the process);
+        ``disk`` reports this parser's on-disk store, all-zero when none
+        is configured.
         """
         from ..perf.diskcache import DiskCache  # lazy: avoids an import cycle
 
+        with self._execution_lock:
+            execution = {
+                "size": 0,
+                "hits": self._execution_hits,
+                "misses": self._execution_misses,
+            }
         return {
             "lexicons": self._lexicons.stats(),
             "grammars": self._grammars.stats(),
-            "execution": self._execution_cache.stats(),
+            "execution": execution,
             "candidates": self._candidate_cache.stats(),
             "indexes": index_cache_stats(),
             "disk": (
@@ -237,7 +248,7 @@ class SemanticParser:
         }
 
     def clear_caches(self) -> None:
-        """Drop every cached lexicon, grammar, execution and candidate entry.
+        """Drop every cached lexicon, grammar and candidate entry.
 
         In-memory only: the on-disk store (if any) and the process-wide
         index registry are deliberately left intact — both are
@@ -245,9 +256,7 @@ class SemanticParser:
         """
         self._lexicons.clear()
         self._grammars.clear()
-        self._execution_cache.clear()
         self._candidate_cache.clear()
-        self._loaded_execution_bundles.clear()
 
     # -- candidate generation -------------------------------------------------------
     def generate_candidates(
@@ -265,6 +274,14 @@ class SemanticParser:
         caller memoizes the ``k`` candidates it serves.  The disk store,
         when configured, persists the list either way — it costs no
         resident memory.
+
+        With ``config.memoize_execution`` a cold call executes its
+        candidates through one :class:`~repro.dcs.memo.MemoizedExecutor`
+        whose memo (a dict keyed by s-expression) is private to the call
+        and dropped when it returns: candidates of one question share
+        sub-trees, nothing carries over to the next question.  Only the
+        memo's hit and miss counts outlive the call, in
+        :meth:`cache_stats`.
         """
         cache_key = (table.fingerprint, question)
         store = store and self.config.cache_candidates
@@ -283,7 +300,6 @@ class SemanticParser:
                 if store:
                     self._candidate_cache.put(cache_key, (tuple(candidates), analysis))
                 return list(candidates), analysis
-            self._load_execution_bundle(table)
         analysis = self._lexicon(table).analyze(question)
         raw_queries = self._grammar(table).generate(analysis)
         # With indexing on, validation reuses one content-addressed schema
@@ -291,11 +307,7 @@ class SemanticParser:
         schema = table_schema(table) if self.config.index_tables else None
         executor: Executor
         if self.config.memoize_execution:
-            executor = MemoizedExecutor(
-                table,
-                cache=self._execution_cache,
-                use_index=self.config.index_tables,
-            )
+            executor = MemoizedExecutor(table, use_index=self.config.index_tables)
         else:
             executor = Executor(table, use_index=self.config.index_tables)
         candidates: List[Candidate] = []
@@ -315,126 +327,35 @@ class SemanticParser:
                 question, table, query, analysis=analysis, result=result
             )
             candidates.append(Candidate(query=query, features=features, result=result))
+        if isinstance(executor, MemoizedExecutor):
+            with self._execution_lock:
+                self._execution_hits += executor.hits
+                self._execution_misses += executor.misses
         if store:
             self._candidate_cache.put(cache_key, (tuple(candidates), analysis))
         if self._disk_cache is not None:
             self._disk_cache.put_candidates(
                 table.fingerprint.digest, question, signature, (tuple(candidates), analysis)
             )
-            self._store_execution_bundle(table)
         return candidates, analysis
 
-    # -- disk persistence ------------------------------------------------------
-    def _load_execution_bundle(self, table: Table) -> None:
-        """Warm-start the execution cache from disk, once per table content.
-
-        Only reached on a candidate-list disk miss: a *new* question over
-        a *known* table still reuses every memoized sub-query result a
-        previous process persisted.
-        """
-        digest = table.fingerprint.digest
-        if not self.config.memoize_execution or digest in self._loaded_execution_bundles:
-            return
-        self._loaded_execution_bundles.add(digest)
-        bundle = self._disk_cache.get_execution_bundle(digest)
-        if bundle:
-            self._execution_cache.load_entries(table.fingerprint, bundle)
-
-    def _store_execution_bundle(self, table: Table) -> None:
-        """Persist the table's memoized sub-query results after a cold parse.
-
-        Amortised: every cold question adds *some* entries, but rewriting
-        the bundle per question would re-pickle a growing payload Q times
-        per table.  So the bundle is (re)written only when the table's
-        in-memory entries outgrew the last persisted bundle by 25% —
-        writes per table are logarithmic in its entry count while warm
-        starts still see the bulk of the shared sub-trees.  Reading the
-        table's entries costs O(its own entries), not a scan of the
-        shared execution LRU.  A grown but unwritten bundle is what
-        :meth:`flush_table` persists before an eviction.
-        """
-        if not self.config.memoize_execution:
-            return
-        digest = table.fingerprint.digest
-        self._loaded_execution_bundles.add(digest)
-        stored = self._stored_bundle_sizes.get(digest, 0)
-        bundle = self._execution_cache.entries_for(table.fingerprint)
-        if bundle and len(bundle) >= max(stored + 1, int(stored * 1.25)):
-            self._disk_cache.put_execution_bundle(digest, bundle)
-            self._stored_bundle_sizes[digest] = len(bundle)
-            self._stored_bundle_misses[digest] = self._execution_cache.misses
-
-    # -- shard eviction hooks ---------------------------------------------------
-    def flush_table(self, table: Table) -> None:
-        """Force-persist ``table``'s execution bundle to the disk store.
-
-        Called by :class:`~repro.tables.catalog.TableCatalog` ahead of
-        evicting a cold shard: unlike the amortised gate in
-        :meth:`_store_execution_bundle`, eviction must not lose entries,
-        so every in-memory entry is merged into the stored bundle — a
-        size comparison could skip a *changed* bundle whose entry count
-        happens to match (the shared LRU can evict old entries while new
-        ones arrive), and evictions are rare enough that the write is
-        cheap.  The one skip is a table whose bundle was written with
-        nothing executed since, which already holds every entry.
-        Candidate lists need no flushing — they are written to disk at
-        generation time.
-        """
-        if self._disk_cache is None or not self.config.memoize_execution:
-            return
-        digest = table.fingerprint.digest
-        # No executions at all since this table's bundle was last written
-        # (the global miss counter is unchanged) means it cannot have
-        # gained entries: skip the read-merge-write round-trip entirely.
-        # Misses are global so this only ever over-triggers — a flush may
-        # still find nothing new, never the reverse.  This is the hot
-        # case under shard eviction pressure once the serving pool's
-        # ranked memo satisfies repeat traffic without re-executing
-        # anything.
-        if self._execution_cache.misses == self._stored_bundle_misses.get(digest, -1):
-            return
-        bundle = self._execution_cache.entries_for(table.fingerprint)
-        if bundle:
-            # Merge over the stored bundle rather than replacing it:
-            # entries the bounded in-memory LRU already dropped stay
-            # available for future warm starts (they are immutable and
-            # deterministic, so stale-vs-fresh conflicts cannot exist).
-            stored = self._disk_cache.get_execution_bundle(digest) or {}
-            stored.update(bundle)
-            self._disk_cache.put_execution_bundle(digest, stored)
-            self._stored_bundle_sizes[digest] = len(stored)
-            self._stored_bundle_misses[digest] = self._execution_cache.misses
-
+    # -- shard eviction hook -----------------------------------------------------
     def evict_table(self, table: Table) -> None:
         """Drop every in-memory artifact of ``table``'s content.
 
-        The in-memory complement of :meth:`flush_table`: lexicon, grammar,
-        per-question candidate lists and memoized execution entries are
-        removed, and the loaded-bundle marker is cleared so the next
-        question over the same content warm-starts from the disk store
-        (when configured) instead of trusting stale memory bookkeeping.
-        Content-addressing makes this safe at any time: a concurrent
-        parse of the same table simply rebuilds what it needs.
+        The lexicon, the grammar and the per-question candidate lists are
+        removed; nothing is lost, because candidate lists reach the disk
+        store (when configured) at generation time.  The same call serves
+        shard eviction, whose digest may come back, and version
+        retirement, whose digest never does: the parser keeps no other
+        per-table state.  Content-addressing makes this safe at any
+        time: a concurrent parse of the same table simply rebuilds what
+        it needs.
         """
         fingerprint = table.fingerprint
         self._lexicons.pop(fingerprint)
         self._grammars.pop(fingerprint)
         self._candidate_cache.discard(fingerprint.digest)
-        self._execution_cache.evict_fingerprint(fingerprint)
-        self._loaded_execution_bundles.discard(fingerprint.digest)
-
-    def retire_table(self, table: Table) -> None:
-        """Drop a superseded version's state for good (the churn hook).
-
-        :meth:`evict_table` plus the per-digest disk-bundle bookkeeping
-        (``_stored_bundle_sizes``/``_stored_bundle_misses``): an evicted
-        shard's digest comes back, a retired version's never does, so
-        keeping its markers would leak an entry per edit under churn.
-        """
-        self.evict_table(table)
-        digest = table.fingerprint.digest
-        self._stored_bundle_sizes.pop(digest, None)
-        self._stored_bundle_misses.pop(digest, None)
 
     # -- parsing -----------------------------------------------------------------------
     def parse(self, question: str, table: Table, k: Optional[int] = None) -> ParseOutput:

@@ -17,7 +17,9 @@ parsers:
 
 A cold question builds one vector per candidate (a few hundred) and,
 after a full parse, the parser's candidate cache keeps them, so the
-vectors share what they can.
+vectors share what they can.  Question-only work (the question's
+content tokens, the trigger groups it mentions and whether it expects a
+number) is memoised per question instead of redone per candidate.
 Every key that is not a literal comes from a vocabulary built once at
 import: ``op:<node class>`` for each query class of :mod:`repro.dcs.ast`
 and the three outcome keys of each trigger group.  Every integral count
@@ -53,6 +55,19 @@ _AVG_TRIGGERS = ("average", "mean")
 _SUM_TRIGGERS = ("total", "sum", "combined", "altogether")
 _NEIGHBOR_TRIGGERS = ("after", "before", "next", "previous", "above", "below", "following")
 _UNION_TRIGGERS = (" or ",)
+#: The trigger phrases of each operator group, by group name.
+_TRIGGER_GROUPS: Dict[str, Tuple[str, ...]] = {
+    "count": _COUNT_TRIGGERS,
+    "difference": _DIFFERENCE_TRIGGERS,
+    "max": _MAX_TRIGGERS,
+    "min": _MIN_TRIGGERS,
+    "avg": _AVG_TRIGGERS,
+    "sum": _SUM_TRIGGERS,
+    "neighbor": _NEIGHBOR_TRIGGERS,
+    "union": _UNION_TRIGGERS,
+}
+#: Phrases that make a question expect a numeric answer.
+_NUMBER_TRIGGERS = ("how many", "how much", "what year", "difference", "what is the number")
 
 #: ``op:<class name>`` for every query node class, by class name.
 _OP_KEYS: Dict[str, str] = {
@@ -64,7 +79,7 @@ _OP_KEYS: Dict[str, str] = {
 _TRIGGER_KEYS: Dict[str, Tuple[str, str, str]] = {
     name: (f"trigger:{name}:match", f"trigger:{name}:missing_op",
            f"trigger:{name}:spurious_op")
-    for name in ("count", "difference", "max", "min", "avg", "sum", "neighbor", "union")
+    for name in _TRIGGER_GROUPS
 }
 #: ``float(n)`` for the small counts vectors hold: operator counts, query
 #: size and depth, column and entity counts, answer sizes.
@@ -105,10 +120,12 @@ def extract_features(
 
 
 def clear_token_caches() -> None:
-    """Drop the memoised token sets (benchmarks use this so each measured
-    mode starts cold)."""
+    """Drop the memoised token sets and question trigger scans (benchmarks
+    use this so each measured mode starts cold)."""
     _content_token_set.cache_clear()
     _column_token_set.cache_clear()
+    _mentioned_trigger_groups.cache_clear()
+    _expects_number.cache_clear()
 
 
 @lru_cache(maxsize=8192)
@@ -122,6 +139,26 @@ def _content_token_set(text: str) -> FrozenSet[str]:
 def _column_token_set(column: str) -> FrozenSet[str]:
     """Cached token set of a column header, with the stop-word fallback."""
     return _content_token_set(column) or frozenset(tokenize(column))
+
+
+@lru_cache(maxsize=8192)
+def _mentioned_trigger_groups(question_lower: str) -> FrozenSet[str]:
+    """The trigger groups whose phrases occur in the lowered question.
+
+    Question-only work: scanned once per question, not once for each of
+    its few hundred candidates.
+    """
+    return frozenset(
+        name
+        for name, triggers in _TRIGGER_GROUPS.items()
+        if any(trigger in question_lower for trigger in triggers)
+    )
+
+
+@lru_cache(maxsize=8192)
+def _expects_number(question_lower: str) -> bool:
+    """Whether the lowered question asks for a number (once per question)."""
+    return any(trigger in question_lower for trigger in _NUMBER_TRIGGERS)
 
 
 def _utterance_overlap_features(
@@ -181,24 +218,24 @@ def _operator_features(features: FeatureVector, question_lower: str, query: Quer
     )
     has_union = any(isinstance(node, ast.Union) for node in nodes)
 
-    _trigger_feature(features, "count", question_lower, _COUNT_TRIGGERS, has_count)
-    _trigger_feature(features, "difference", question_lower, _DIFFERENCE_TRIGGERS, has_difference)
-    _trigger_feature(features, "max", question_lower, _MAX_TRIGGERS, has_max)
-    _trigger_feature(features, "min", question_lower, _MIN_TRIGGERS, has_min)
-    _trigger_feature(features, "avg", question_lower, _AVG_TRIGGERS, has_avg)
-    _trigger_feature(features, "sum", question_lower, _SUM_TRIGGERS, has_sum)
-    _trigger_feature(features, "neighbor", question_lower, _NEIGHBOR_TRIGGERS, has_neighbor)
-    _trigger_feature(features, "union", question_lower, _UNION_TRIGGERS, has_union)
+    mentioned = _mentioned_trigger_groups(question_lower)
+    _trigger_feature(features, "count", mentioned, has_count)
+    _trigger_feature(features, "difference", mentioned, has_difference)
+    _trigger_feature(features, "max", mentioned, has_max)
+    _trigger_feature(features, "min", mentioned, has_min)
+    _trigger_feature(features, "avg", mentioned, has_avg)
+    _trigger_feature(features, "sum", mentioned, has_sum)
+    _trigger_feature(features, "neighbor", mentioned, has_neighbor)
+    _trigger_feature(features, "union", mentioned, has_union)
 
 
 def _trigger_feature(
     features: FeatureVector,
     name: str,
-    question_lower: str,
-    triggers: Sequence[str],
+    mentioned: FrozenSet[str],
     query_has_operator: bool,
 ) -> None:
-    question_has_trigger = any(trigger in question_lower for trigger in triggers)
+    question_has_trigger = name in mentioned
     match, missing_op, spurious_op = _TRIGGER_KEYS[name]
     if question_has_trigger and query_has_operator:
         features[match] = 1.0
@@ -227,10 +264,7 @@ def _denotation_features(
     elif len(answer) > 5:
         features["answer:large"] = 1.0
     numeric = all(value.is_numeric for value in answer)
-    expects_number = any(
-        trigger in question_lower
-        for trigger in ("how many", "how much", "what year", "difference", "what is the number")
-    )
+    expects_number = _expects_number(question_lower)
     if expects_number and numeric:
         features["answer:number_match"] = 1.0
     elif expects_number and not numeric:

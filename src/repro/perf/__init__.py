@@ -3,8 +3,8 @@
 The paper's interactive deployment stands or falls on latency (Table 7):
 every question triggers generation and execution of up to 600 candidate
 lambda DCS queries.  This package holds the throughput machinery built on
-the content-addressed caches of :mod:`repro.tables.fingerprint` and
-:mod:`repro.dcs.memo`:
+the content-addressed caches of :mod:`repro.tables.fingerprint` and the
+per-question sub-query memo of :mod:`repro.dcs.memo`:
 
 * :class:`~repro.perf.pool.WorkerPool` — the one way a batch of
   (question, table) pairs is parsed: :func:`~repro.perf.pool.create_pool`
@@ -12,7 +12,7 @@ the content-addressed caches of :mod:`repro.tables.fingerprint` and
   sequential loop, that stays warm across batches (fingerprint-addressed
   table shipping, shard pinning, supervised worker processes);
 * :class:`~repro.perf.diskcache.DiskCache` — the content-addressed
-  on-disk store persisting candidate lists and execution memo bundles
+  on-disk store persisting candidate lists (and evicted catalog tables)
   across processes and sessions;
 * :func:`~repro.perf.bench.run_parse_bench` — the five-mode perf harness
   (sequential / memoized / indexed / batched / process) whose payload
@@ -24,7 +24,7 @@ the content-addressed caches of :mod:`repro.tables.fingerprint` and
   performance-related through ``repro.perf``.
 """
 
-from ..dcs.memo import ExecutionCache, MemoizedExecutor, execute_memoized
+from ..dcs.memo import MemoizedExecutor, execute_memoized
 from ..tables.fingerprint import LRUCache, TableFingerprint, fingerprint_table
 from ..tables.index import TableIndex, clear_index_cache, index_cache_stats, table_index
 from .bench import (
@@ -87,7 +87,6 @@ __all__ = [
     "run_parse_bench",
     "sequential_parser_config",
     "timing_summary",
-    "ExecutionCache",
     "MemoizedExecutor",
     "execute_memoized",
     "LRUCache",

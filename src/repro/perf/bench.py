@@ -7,8 +7,8 @@ configurations:
 * ``sequential`` — the seed hot path: plain row-scan :class:`Executor`,
   no sub-query memoization, no candidate-list cache (per-table lexicons
   and grammars are still built once, as the seed did);
-* ``memoized``  — content-addressed caching (shared execution cache +
-  per-question candidate cache), still row scans, sequential loop;
+* ``memoized``  — caching (a per-question sub-query memo + the
+  content-addressed candidate cache), still row scans, sequential loop;
 * ``indexed``   — the same caches with cache misses answered from the
   content-addressed :class:`~repro.tables.index.TableIndex` (hash and
   bisect lookups instead of scans), sequential loop;

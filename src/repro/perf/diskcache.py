@@ -1,9 +1,10 @@
 """A content-addressed on-disk cache shared across processes.
 
-The in-memory caches of PR 1 die with the process; this store makes the
-expensive artifacts — whole candidate lists and memoized execution
-results — survive restarts and be shared by concurrent workers.  It
-works because every key is already content-addressed: the
+The in-memory caches die with the process; this store makes the
+expensive artifact — a question's whole candidate list — survive
+restarts and be shared by concurrent workers, and it holds the tables of
+evicted catalog shards.  It works because every key is already
+content-addressed: the
 :class:`~repro.tables.fingerprint.TableFingerprint` digest is stable
 across processes and sessions, so a warm-start process can trust a disk
 entry written by any other process that saw the same table content.
@@ -13,10 +14,12 @@ Layout (all paths under the cache root)::
     v1/<namespace>/<digest[:2]>/<digest>.pkl
 
 where ``namespace`` is ``candidates`` (one entry per
-``(table fingerprint, question, generation signature)``) or
-``execution`` (one bundle of memoized sub-query results per table
-fingerprint), and ``digest`` is a SHA-256 over the entry key.  The
-two-hex-digit fan-out directory keeps any single directory small.
+``(table fingerprint, question, generation signature)``) or ``tables``
+(one pickled table per evicted shard's fingerprint), and ``digest`` is a
+SHA-256 over the entry key.  The two-hex-digit fan-out directory keeps
+any single directory small.  Sub-query results are not stored: a
+question's execution memo lives only for its own generation call, so a
+new question over a known table is generated cold.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent writers —
 thread pools, process pools, parallel test runs — can share one root
@@ -44,8 +47,6 @@ DISK_CACHE_SCHEMA = "repro-diskcache-v1"
 
 #: Namespace of per-question candidate-list entries.
 CANDIDATES_NAMESPACE = "candidates"
-#: Namespace of per-table execution-memo bundles.
-EXECUTION_NAMESPACE = "execution"
 #: Namespace of evicted catalog shards (pickled tables, keyed by digest).
 TABLES_NAMESPACE = "tables"
 
@@ -156,12 +157,6 @@ class DiskCache:
         self, fingerprint_digest: str, question: str, signature: str, payload: Any
     ) -> None:
         self.put(CANDIDATES_NAMESPACE, (fingerprint_digest, question, signature), payload)
-
-    def get_execution_bundle(self, fingerprint_digest: str) -> Optional[Dict[str, Any]]:
-        return self.get(EXECUTION_NAMESPACE, (fingerprint_digest,))
-
-    def put_execution_bundle(self, fingerprint_digest: str, bundle: Dict[str, Any]) -> None:
-        self.put(EXECUTION_NAMESPACE, (fingerprint_digest,), bundle)
 
     def remove(self, namespace: str, key: object) -> bool:
         """Unlink one entry; returns whether a file was removed."""

@@ -163,7 +163,7 @@ def _refresh_inherited_locks(parser: SemanticParser) -> None:
 
     for cache in (parser._lexicons, parser._grammars, parser._candidate_cache):
         cache._lock = threading.RLock()
-    parser._execution_cache._lru._lock = threading.RLock()
+    parser._execution_lock = threading.Lock()
     index_module._INDEX_REGISTRY._lock = threading.RLock()
     schema_module._PROFILE_CACHE._lock = threading.RLock()
     if parser._disk_cache is not None:
@@ -474,7 +474,7 @@ def _pool_worker_main(
                 table = tables.pop(digest, None)
                 if table is not None:
                     try:
-                        parser.retire_table(table)
+                        parser.evict_table(table)
                     except Exception:  # pragma: no cover - best effort
                         pass
             continue

@@ -11,23 +11,23 @@ questions with the retrieve-then-parse pipeline of
 :meth:`TableCatalog.ask_any` (the :mod:`repro.retrieval` corpus index
 prunes the shard set before the parser runs, with a guaranteed broadcast
 fallback), and keeps the memory footprint bounded by evicting cold
-shards — their candidate lists, execution bundles and the pickled table
-itself — to the :class:`~repro.perf.diskcache.DiskCache`.
+shards — the pickled table itself, beside the candidate lists its
+questions already wrote — to the :class:`~repro.perf.diskcache.DiskCache`.
 
 Because every cache in the repository is keyed by content fingerprint,
 routing many tables through one shared :class:`~repro.interface.NLInterface`
 needs no per-table plumbing: a question over shard A can never read
 shard B's state, and two shards with equal content transparently share
-lexicons, grammars, indexes and memoized execution results.
+lexicons, grammars, indexes and candidate lists.
 
 Eviction is loss-free by construction.  Everything dropped from memory
-is *derived* state: with a cache directory configured, the execution
-bundle and candidate lists are flushed to the content-addressed disk
-store and the table is pickled beside them, so a rehydrated shard
-answers bit-identically to one that never went cold (locked in by
-``tests/test_catalog.py``); without a cache directory the table stays in
-memory and only the derived caches are dropped, trading rehydration
-speed for the same answers.
+is *derived* state: with a cache directory configured, every candidate
+list is already in the content-addressed disk store (written at
+generation time) and the table is pickled beside them, so a rehydrated
+shard answers bit-identically to one that never went cold (locked in by
+``tests/test_catalog.py``) and its known questions skip generation;
+without a cache directory the table stays in memory and only the derived
+caches are dropped, trading rehydration speed for the same answers.
 
 The asyncio serving layer over this catalog lives in
 :mod:`repro.serving`.
@@ -201,7 +201,7 @@ class TableCatalog:
     interface:
         The shared :class:`~repro.interface.NLInterface` to route through.
         Omitted, the catalog builds one whose parser persists candidate
-        lists and execution bundles under ``cache_dir`` (when given).
+        lists under ``cache_dir`` (when given).
     cache_dir:
         Root of the content-addressed :class:`~repro.perf.diskcache.DiskCache`.
         Enables *full* eviction: cold shards drop their table from memory
@@ -563,9 +563,7 @@ class TableCatalog:
         table = shard.table
         if table is not None:
             # Drop the in-memory derived state for exactly this
-            # fingerprint — no disk flush: persisting a superseded
-            # version's bundles would only grow the lineage garbage
-            # prune_lineage exists to collect.
+            # fingerprint; nothing is persisted for a superseded version.
             self.interface.retire_table(table)
         del self._shards[digest]
         self.retired += 1
@@ -949,12 +947,13 @@ class TableCatalog:
     def evict(self, ref: TableLike) -> TableRef:
         """Unload one shard's in-memory state, persisting it first.
 
-        With a ``cache_dir``: the execution bundle is flushed and the
-        table pickled to the disk store, then the table and every derived
-        cache entry are dropped — the shard survives as a cold stub that
-        rehydrates on its next question.  Without one: only derived
-        caches are dropped (the table stays resident), since dropping the
-        sole copy would lose data.
+        With a ``cache_dir``: the table is pickled to the disk store
+        (its candidate lists are there already, written at generation
+        time), then the table and every derived cache entry are dropped —
+        the shard survives as a cold stub that rehydrates on its next
+        question.  Without one: only derived caches are dropped (the
+        table stays resident), since dropping the sole copy would lose
+        data.
 
         The shard's corpus-index posting is deliberately *kept*: routing
         a question must work without the table in memory — that is what

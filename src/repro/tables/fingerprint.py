@@ -152,8 +152,7 @@ class LRUCache:
 
     Used for every content-addressed cache in the repository: parser
     lexicons and grammars, explanation generators, per-question candidate
-    lists, memoized execution results and the pools' ranked-parse and
-    explanation memos.  Eviction keeps long-running deployments at a
+    lists and the pools' ranked-parse and explanation memos.  Eviction keeps long-running deployments at a
     fixed memory footprint; hit/miss/eviction counters feed the bench
     reports and ``SemanticParser.cache_stats()``.
 

@@ -157,3 +157,47 @@ class TestConfiguration:
         output = parser.parse("games hosted by Atlantis", olympics_table)
         # No match for Atlantis: with empty answers allowed, candidates may be empty results.
         assert isinstance(output.candidates, list)
+
+
+class TestCandidateSexpr:
+    """A candidate serializes its query once, on the first read."""
+
+    @pytest.fixture
+    def to_sexpr_calls(self, monkeypatch):
+        from repro.parser import candidates as candidates_module
+
+        calls = []
+
+        def counting(query):
+            calls.append(query)
+            return to_sexpr(query)
+
+        monkeypatch.setattr(candidates_module, "to_sexpr", counting)
+        return calls
+
+    def test_repeated_reads_make_no_to_sexpr_call(self, medals_table, to_sexpr_calls):
+        output = SemanticParser().parse("What was the total of Fiji?", medals_table, k=7)
+        first = [candidate.sexpr for candidate in output.candidates]
+        assert len(to_sexpr_calls) == len(output.candidates)
+        to_sexpr_calls.clear()
+        again = [candidate.sexpr for candidate in output.candidates]
+        repr(output.candidates[0])
+        assert to_sexpr_calls == []
+        assert again == first == [to_sexpr(c.query) for c in output.candidates]
+
+    def test_a_repeated_served_question_reserializes_nothing(
+        self, medals_table, to_sexpr_calls
+    ):
+        from repro.interface import NLInterface
+        from repro.perf import create_pool
+
+        interface = NLInterface(k=7)
+        items = [("What was the total of Fiji?", medals_table)]
+        with create_pool("thread", interface.parser) as pool:
+            first = interface.ask_many(items, pool=pool)
+            to_sexpr_calls.clear()
+            second = interface.ask_many(items, pool=pool)
+        assert to_sexpr_calls == []
+        assert [e.candidate.sexpr for e in second[0].explained] == [
+            e.candidate.sexpr for e in first[0].explained
+        ]

@@ -224,11 +224,10 @@ class TestEviction:
 
         catalog.evict("olympics")
         assert not catalog.is_hot("olympics")
-        # The table and its execution bundle landed in the disk store.
+        # The table landed in the disk store.
         disk = DiskCache(tmp_path)
         digest = tables[0].fingerprint.digest
         assert disk.get_table(digest) is not None
-        assert disk.get_execution_bundle(digest)
 
         after = catalog.ask(question, "olympics")
         assert _signature(after) == _signature(before)

@@ -10,15 +10,21 @@ the fingerprint-keyed replacement.
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dcs import ExecutionCache, Executor, MemoizedExecutor, from_sexpr
+from repro.dataset import DatasetConfig, build_dataset
+from repro.dcs import Executor, MemoizedExecutor, from_sexpr
 from repro.parser import Lexicon, ParserConfig, SemanticParser
+from repro.parser import candidates as candidates_module
 from repro.parser.grammar import CandidateGrammar
+from repro.perf import BatchItem, create_pool
+from repro.perf.pool import _refresh_inherited_locks
 from repro.tables import LRUCache, Table, TableFingerprint, fingerprint_table
 
 
@@ -433,26 +439,139 @@ class TestMemoizedExecutorWarmth:
         query = from_sexpr(
             '(aggregate max (column-values "Year" (column-records "Country" (value "Greece"))))'
         )
-        cache = ExecutionCache()
-        executor = MemoizedExecutor(olympics_table, cache=cache)
+        executor = MemoizedExecutor(olympics_table)
         cold = executor.execute(query)
-        misses_after_cold = cache.misses
+        misses_after_cold = executor.misses
         warm = executor.execute(query)
         assert warm == cold
-        assert cache.misses == misses_after_cold  # no new table walk
-        assert cache.hits > 0
+        assert executor.misses == misses_after_cold  # no new table walk
+        assert executor.hits > 0
         assert cold == Executor(olympics_table).execute(query)
 
-    def test_cache_is_shared_across_equal_content_tables(self, olympics_table):
-        clone = Table(
-            columns=olympics_table.columns,
-            rows=[[cell.value for cell in record.cells] for record in olympics_table],
-            name="same content, different object",
+
+def _exact_candidates(candidates):
+    """Every candidate's s-expression, feature items (in order) and result."""
+    return [
+        (candidate.sexpr, list(candidate.features.items()), candidate.result)
+        for candidate in candidates
+    ]
+
+
+class TestPerCallExecutionMemo:
+    """Each cold generation call memoizes sub-queries in a memo of its own."""
+
+    @pytest.fixture
+    def executors(self, monkeypatch):
+        """Every MemoizedExecutor the parser builds, in creation order."""
+        built = []
+
+        class Recording(MemoizedExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(candidates_module, "MemoizedExecutor", Recording)
+        return built
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_memoized_generation_equals_the_plain_reference(self, seed):
+        dataset = build_dataset(
+            DatasetConfig(num_tables=6, questions_per_table=3, seed=seed)
         )
-        query = from_sexpr('(aggregate count (column-records "Country" (value "Greece")))')
-        cache = ExecutionCache()
-        MemoizedExecutor(olympics_table, cache=cache).execute(query)
-        size_before = len(cache)
-        result = MemoizedExecutor(clone, cache=cache).execute(query)
-        assert len(cache) == size_before  # pure hits: content-addressed sharing
-        assert result.scalar().as_number() == 2
+        memoized = SemanticParser(config=ParserConfig(memoize_execution=True))
+        plain = SemanticParser(config=ParserConfig(memoize_execution=False))
+        compared = 0
+        for example in dataset.examples:
+            fast, _ = memoized.generate_candidates(example.question, example.table)
+            slow, _ = plain.generate_candidates(example.question, example.table)
+            assert _exact_candidates(fast) == _exact_candidates(slow), example.question
+            compared += len(fast)
+        assert compared > 1000
+        assert memoized.cache_stats()["execution"]["hits"] > 0
+        assert plain.cache_stats()["execution"]["hits"] == 0
+
+    def test_counters_sum_every_call_and_size_stays_zero(self, executors):
+        dataset = build_dataset(DatasetConfig(num_tables=3, questions_per_table=2, seed=0))
+        parser = SemanticParser()
+        for example in dataset.examples:
+            parser.parse(example.question, example.table, k=3)
+        stats = parser.cache_stats()["execution"]
+        assert len(executors) == len(dataset.examples)
+        assert stats == {
+            "size": 0,
+            "hits": sum(executor.hits for executor in executors),
+            "misses": sum(executor.misses for executor in executors),
+        }
+        assert stats["hits"] > 0
+
+    @pytest.fixture
+    def fast_switching(self):
+        """A short GIL switch interval, so a lost counter update would show."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_counters_sum_every_call_under_a_thread_pool(self, executors, fast_switching):
+        dataset = build_dataset(DatasetConfig(num_tables=4, questions_per_table=3, seed=5))
+        parser = SemanticParser()
+        items = list({
+            (example.table.fingerprint, example.question): BatchItem(
+                example.question, example.table, k=3
+            )
+            for example in dataset.examples
+        }.values())
+        with create_pool("thread", parser, 4) as pool:
+            results = pool.parse_all(items)
+        assert all(not isinstance(parse, Exception) for parse, _ in results)
+        assert len(executors) == len(items)
+        stats = parser.cache_stats()["execution"]
+        assert stats["size"] == 0
+        assert stats["hits"] == sum(executor.hits for executor in executors)
+        assert stats["misses"] == sum(executor.misses for executor in executors)
+
+    def test_counters_sum_every_call_from_more_threads_than_cores(
+        self, executors, fast_switching
+    ):
+        parser = SemanticParser(config=ParserConfig(cache_candidates=False))
+        table = small_table()
+        questions = ["what is the score of y", "which letter has score 3"]
+
+        def generate():
+            for question in questions * 3:
+                parser.generate_candidates(question, table)
+
+        threads = [threading.Thread(target=generate) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(executors) == 6 * 6
+        stats = parser.cache_stats()["execution"]
+        assert stats["hits"] == sum(executor.hits for executor in executors)
+        assert stats["misses"] == sum(executor.misses for executor in executors)
+
+    def test_no_memo_outlives_its_call(self, executors):
+        parser = SemanticParser()
+        table = small_table()
+        parser.generate_candidates("what is the score of y", table)
+        parser.generate_candidates("what is the score of z", table)
+        first, second = executors
+        # The second question re-executes what the first one shared.
+        assert set(first.memo) & set(second.memo)
+        assert second.misses == len(second.memo)
+
+    def test_refresh_inherited_locks_replaces_the_counter_lock(self):
+        parser = SemanticParser()
+        inherited = parser._execution_lock
+        inherited.acquire()  # as if another thread held it at fork time
+        try:
+            _refresh_inherited_locks(parser)
+            assert parser._execution_lock is not inherited
+            parser.parse("what is the score of y", small_table(), k=2)
+            assert parser.cache_stats()["execution"]["misses"] > 0
+        finally:
+            inherited.release()

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import pickle
 
-import pytest
-
-from repro.dataset import DatasetConfig, build_dataset
 from repro.parser import ParserConfig, SemanticParser
 from repro.parser.grammar import CandidateGrammar
 from repro.perf import DiskCache
@@ -101,18 +98,6 @@ class TestParserDiskWiring:
         assert parser.cache_stats()["disk"] == DiskCache.empty_stats()
         assert "indexes" in parser.cache_stats()
 
-    def test_execution_bundle_warms_new_questions_on_known_table(self, tmp_path):
-        first = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
-        first.parse("which country hosted in 2004", small_table())
-
-        second = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
-        second.parse("what is the highest year", small_table())  # new question
-        stats = second.cache_stats()
-        # The persisted execution bundle pre-populated the cache: shared
-        # sub-queries (column selections etc.) hit without re-execution.
-        assert stats["execution"]["hits"] > 0
-        assert stats["disk"]["hits"] >= 1  # the execution bundle itself
-
     def test_different_generation_config_never_shares_entries(self, tmp_path):
         loose = ParserConfig(disk_cache_dir=str(tmp_path), drop_empty_answers=False)
         strict = ParserConfig(disk_cache_dir=str(tmp_path))
@@ -142,55 +127,22 @@ class TestParserDiskWiring:
 
 
 class TestEvictionHooks:
-    """The parser-level flush/evict hooks behind catalog shard eviction."""
-
-    def test_flush_table_persists_the_execution_bundle(self, tmp_path):
-        parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
-        table = small_table()
-        parser.parse("which country hosted in 2004", table)
-        parser.flush_table(table)
-        bundle = DiskCache(tmp_path).get_execution_bundle(table.fingerprint.digest)
-        assert bundle  # non-empty dict of sexpr -> result
-
-    @pytest.mark.parametrize("first,second", [(0, 3), (5, 4)])
-    def test_flush_after_an_unwritten_growth_persists_every_entry(
-        self, tmp_path, first, second
-    ):
-        """A cold parse that grows a table's bundle by less than the 25%
-        rewrite threshold leaves the growth unwritten; the eviction-time
-        flush must still persist it, however many misses other tables
-        made in between."""
-        dataset = build_dataset(DatasetConfig(num_tables=4, questions_per_table=6, seed=0))
-        by_table = dataset.by_table()
-        t_examples, u_examples = list(by_table.values())[:2]
-        table_t = t_examples[0].table
-        parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
-        parser.parse(t_examples[first].question, table_t)
-        for example in u_examples:
-            parser.parse(example.question, example.table)
-        parser.parse(t_examples[second].question, table_t)
-        parser.flush_table(table_t)
-        in_memory = parser._execution_cache.entries_for(table_t.fingerprint)
-        on_disk = DiskCache(tmp_path).get_execution_bundle(table_t.fingerprint.digest)
-        assert set(in_memory) <= set(on_disk)
+    """The parser-level evict hook behind catalog shard eviction."""
 
     def test_evict_table_drops_in_memory_state(self, tmp_path):
         parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
         table = small_table()
         parser.parse("which country hosted in 2004", table)
         assert table.fingerprint in parser._lexicons
-        parser.flush_table(table)
         parser.evict_table(table)
         assert table.fingerprint not in parser._lexicons
         assert table.fingerprint not in parser._grammars
         assert not parser._candidate_cache.items_for(table.fingerprint.digest)
-        assert not parser._execution_cache.entries_for(table.fingerprint)
 
     def test_parse_after_evict_is_identical_and_served_from_disk(self, tmp_path):
         parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
         table = small_table()
         before = signature(parser.parse("which country hosted in 2004", table))
-        parser.flush_table(table)
         parser.evict_table(table)
         disk_hits = parser._disk_cache.hits
         after = signature(parser.parse("which country hosted in 2004", table))
@@ -201,18 +153,5 @@ class TestEvictionHooks:
         parser = SemanticParser()
         table = small_table()
         before = signature(parser.parse("which country hosted in 2004", table))
-        parser.flush_table(table)  # no-op without a store
         parser.evict_table(table)
         assert signature(parser.parse("which country hosted in 2004", table)) == before
-
-    def test_execution_cache_evict_fingerprint_is_scoped(self):
-        parser = SemanticParser()
-        table_a, table_b = small_table("a"), Table(
-            columns=["Rank", "Nation"], rows=[[1, "Fiji"], [2, "Samoa"]], name="b"
-        )
-        parser.parse("which country hosted in 2004", table_a)
-        parser.parse("which nation is ranked 1", table_b)
-        removed = parser._execution_cache.evict_fingerprint(table_a.fingerprint)
-        assert removed > 0
-        assert not parser._execution_cache.entries_for(table_a.fingerprint)
-        assert parser._execution_cache.entries_for(table_b.fingerprint)

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.core import HighlightLevel, compute_provenance, highlight, utterance
 from repro.dcs import (
-    ExecutionCache,
     Executor,
     MemoizedExecutor,
     builder as q,
@@ -206,10 +205,10 @@ class TestMemoizedExecutionProperties:
         except DCSError as error:
             plain, plain_error = None, error
 
-        cache = ExecutionCache()
+        executor = MemoizedExecutor(table)
         for _round in ("cold", "warm"):
             try:
-                memoized = MemoizedExecutor(table, cache=cache).execute(query)
+                memoized = executor.execute(query)
             except DCSError as error:
                 assert plain_error is not None, (
                     f"memoized raised on the {_round} round but plain succeeded: {error}"
@@ -228,16 +227,13 @@ class TestMemoizedExecutionProperties:
     @SETTINGS
     def test_memoization_covers_every_subquery(self, pair):
         table, query = pair
-        cache = ExecutionCache()
+        executor = MemoizedExecutor(table)
         try:
-            MemoizedExecutor(table, cache=cache).execute(query)
+            executor.execute(query)
         except DCSError:
             return
-        cached_sexprs = {
-            sexpr for _fingerprint, sexpr in cache._lru.items_for(table.fingerprint.digest)
-        }
         for node in query.walk():
-            assert to_sexpr(node) in cached_sexprs
+            assert to_sexpr(node) in executor.memo
 
 
 @st.composite
@@ -329,12 +325,11 @@ class TestIndexedExecutionProperties:
         """The production stack — memoization over the index — still equals
         the plain scan executor."""
         table, query = pair
-        cache = ExecutionCache()
         try:
             expected = Executor(table, use_index=False).execute(query)
         except DCSError:
             return
-        assert MemoizedExecutor(table, cache=cache).execute(query) == expected
+        assert MemoizedExecutor(table).execute(query) == expected
 
 
 # ---------------------------------------------------------------------------
