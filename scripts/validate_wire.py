@@ -3,8 +3,9 @@
 
 The CI wire-shape gate: any drift between what the server emits and the
 committed schemas (``schemas/query_result.v2.json``,
-``schemas/bench_churn.v1.json``, ``schemas/bench_discovery.v1.json``,
-``schemas/bench_join.v1.json``) fails the build.  The committed
+``schemas/bench_parse.v3.json``, ``schemas/bench_churn.v1.json``,
+``schemas/bench_discovery.v1.json``, ``schemas/bench_join.v1.json``)
+fails the build.  The committed ``BENCH_parse.json``,
 ``BENCH_churn.json``, ``BENCH_discovery.json`` and ``BENCH_join.json``
 artifacts are themselves fixtures: a bench payload that stops matching
 its schema fails here before it ever lands.
@@ -49,6 +50,7 @@ from repro.api import schema as wire_schema  # noqa: E402
 
 SCHEMAS = {
     "v2": "query_result.v2.json",
+    "bench-parse-v3": "bench_parse.v3.json",
     "bench-churn-v1": "bench_churn.v1.json",
     "bench-discovery-v1": "bench_discovery.v1.json",
     "bench-join-v1": "bench_join.v1.json",
@@ -57,6 +59,7 @@ SCHEMAS = {
 FIXTURES = [
     ("v2", REPO_ROOT / "schemas" / "fixtures" / "query_result.v2.json"),
     ("v2", REPO_ROOT / "schemas" / "fixtures" / "query_result_composed.v2.json"),
+    ("bench-parse-v3", REPO_ROOT / "BENCH_parse.json"),
     ("bench-churn-v1", REPO_ROOT / "BENCH_churn.json"),
     ("bench-discovery-v1", REPO_ROOT / "BENCH_discovery.json"),
     ("bench-join-v1", REPO_ROOT / "BENCH_join.json"),

@@ -1,8 +1,10 @@
 """Setup shim.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-editable installs keep working on environments whose setuptools/pip lack
-PEP 660 editable-wheel support (no ``wheel`` package available offline).
+The repository declares no package metadata: there is no
+``pyproject.toml``, and ``setup()`` below takes no arguments, so
+``python setup.py --name`` prints ``UNKNOWN`` and an install carries no
+package.  The code runs from the source tree with ``PYTHONPATH=src``
+(see README.md).
 """
 
 from setuptools import setup

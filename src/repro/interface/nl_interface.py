@@ -116,20 +116,18 @@ class NLInterface:
 
         The interface-level shard-eviction hook used by
         :class:`~repro.tables.catalog.TableCatalog`: drops the parser
-        caches, the explanation generator and the process-wide
-        index/schema entries for this content.  Nothing needs persisting
+        caches, the explanation generator and the process-wide index
+        entry for this content.  Nothing needs persisting
         first: candidate lists reach the disk store (when configured) at
         generation time, and the sub-query memo never outlives a parse.
         Results after eviction are bit-identical — everything dropped is
         derived state.
         """
         from ..tables.index import evict_index
-        from ..tables.schema import evict_schema
 
         self.parser.evict_table(table)
         self._generators.pop(table.fingerprint)
         evict_index(table.fingerprint)
-        evict_schema(table.fingerprint)
 
     def retire_table(self, table: Table) -> None:
         """Drop a *superseded* table version's in-memory derived state.

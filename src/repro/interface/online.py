@@ -23,7 +23,6 @@ from typing import Callable, List, Optional, Sequence
 from ..dcs.executor import answers_match
 from ..parser.candidates import SemanticParser
 from ..parser.evaluation import EvaluationExample, find_correct_indices
-from ..perf.pool import BatchItem, create_pool
 from ..users.worker import SimulatedWorker
 from .nl_interface import NLInterface
 
@@ -96,18 +95,11 @@ class OnlineLearner:
         k: int = 7,
         perturbations: int = 2,
         learn: bool = True,
-        prefetch_workers: int = 0,
     ) -> None:
         self.parser = parser
         self.k = k
         self.perturbations = perturbations
         self.learn = learn
-        #: With ``prefetch_workers > 1`` the whole question stream is
-        #: candidate-generated concurrently up front.  This is sound even
-        #: though the model learns between steps: generation is
-        #: weight-independent (only ranking reads the weights), so the
-        #: per-step interaction below just re-ranks cached candidates.
-        self.prefetch_workers = prefetch_workers
 
     def run(
         self,
@@ -115,11 +107,6 @@ class OnlineLearner:
         worker: SimulatedWorker,
     ) -> OnlineReport:
         """Process a stream of questions with one simulated worker in the loop."""
-        if self.prefetch_workers > 1 and self.parser.config.cache_candidates:
-            with create_pool("thread", self.parser, self.prefetch_workers) as pool:
-                pool.parse_all(
-                    [BatchItem(example.question, example.table) for example in examples]
-                )
         report = OnlineReport()
         for index, example in enumerate(examples):
             report.interactions.append(self._step(index, example, worker))

@@ -14,16 +14,13 @@ The pipeline reproduced here is the one behind the paper's Table 9:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from ..dataset.dataset import Dataset, DatasetExample
+from ..dataset.dataset import DatasetExample
 from ..parser.candidates import SemanticParser
 from ..parser.evaluation import EvaluationExample, EvaluationReport, evaluate_parser
-from ..parser.model import LogLinearModel
 from ..parser.training import Trainer, TrainerConfig, TrainingExample
-from ..perf.pool import BatchItem, create_pool
 from ..users.feedback import FeedbackCollector, FeedbackConfig, FeedbackResult
 
 
@@ -61,19 +58,12 @@ class RetrainingComparison:
 
 @dataclass
 class RetrainingConfig:
-    """Knobs of the feedback-retraining pipeline.
-
-    ``prefetch_workers > 1`` warms the baseline parser's content-addressed
-    caches concurrently before feedback collection: candidate generation
-    is weight-independent, so the sequential worker-in-the-loop pass then
-    runs on cache hits.
-    """
+    """Knobs of the feedback-retraining pipeline."""
 
     epochs: int = 4
     k: int = 7
     seed: int = 53
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    prefetch_workers: int = 0
 
 
 class RetrainingPipeline:
@@ -88,16 +78,6 @@ class RetrainingPipeline:
     # -- feedback collection -------------------------------------------------------
     def collect_feedback(self, examples: Sequence[DatasetExample]) -> FeedbackResult:
         """Run the explanation interface over training questions (step 2)."""
-        if (
-            self.config.prefetch_workers > 1
-            and self.baseline.config.cache_candidates
-        ):
-            with create_pool(
-                "thread", self.baseline, self.config.prefetch_workers
-            ) as pool:
-                pool.parse_all(
-                    [BatchItem(example.question, example.table) for example in examples]
-                )
         collector = FeedbackCollector(self.baseline, self.config.feedback)
         return collector.collect(examples)
 
@@ -106,10 +86,15 @@ class RetrainingPipeline:
         self,
         training_examples: Sequence[TrainingExample],
         use_annotations: bool,
-        fresh: bool = True,
     ) -> SemanticParser:
-        """Train a parser on the given examples, with or without annotations."""
-        parser = SemanticParser() if fresh else self.baseline
+        """Train a new parser on the given examples, with or without annotations.
+
+        The parser starts from fresh weights on the baseline's
+        :class:`~repro.parser.candidates.CandidateGenerator`, so it has
+        the baseline's config and ranks the candidate lists the baseline
+        already generated: only the ranker is retrained (Section 6).
+        """
+        parser = SemanticParser(generator=self.baseline.generator)
         trainer = Trainer(
             parser,
             TrainerConfig(

@@ -13,7 +13,7 @@ from .lexicon import (
 from .grammar import CandidateGrammar, GenerationConfig
 from .features import FeatureVector, extract_features
 from .model import AdaGradSettings, LogLinearModel, dot, log_softmax, softmax
-from .candidates import Candidate, ParseOutput, ParserConfig, SemanticParser
+from .candidates import Candidate, CandidateGenerator, ParseOutput, ParserConfig, SemanticParser
 from .evaluation import (
     EvaluationExample,
     EvaluationReport,
@@ -52,6 +52,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "SemanticParser",
+    "CandidateGenerator",
     "ParserConfig",
     "ParseOutput",
     "Candidate",

@@ -5,6 +5,10 @@ the paper uses as a black box (Section 2): given an NL question and a
 table it produces a ranked list of candidate lambda DCS queries.  The
 deployment interface (:mod:`repro.interface`) consumes the ranked list, and
 the trainer (:mod:`repro.parser.training`) updates the underlying model.
+
+A :class:`CandidateGenerator` yields a question's candidates without
+reading any weight; a :class:`SemanticParser` is a model ranking what its
+generator yields (the paper retrains only the ranker, Section 6).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tables.fingerprint import LRUCache
 from ..tables.index import index_cache_stats
-from ..tables.schema import table_schema
 from ..tables.table import Table
 from ..dcs.ast import Query
 from ..dcs.errors import DCSError
@@ -105,8 +108,9 @@ class ParseOutput:
 class ParserConfig:
     """Behavioural knobs of the parser.
 
-    The caching knobs control the content-addressed caches that make the
-    deployment hot path fast.  All caches are keyed by
+    The caching knobs control the content-addressed caches, all owned by
+    the parser's :class:`CandidateGenerator`, that make the deployment
+    hot path fast.  All caches are keyed by
     :class:`~repro.tables.fingerprint.TableFingerprint` (never by object
     id) and bounded by an LRU, so long-running deployments neither leak
     nor alias recycled tables:
@@ -142,8 +146,8 @@ class ParserConfig:
       times eight, the pool's explanation memo).
 
     Each cache indexes its entries by table, so
-    :meth:`SemanticParser.evict_table` drops one table from all of them
-    at O(that table's entries).
+    :meth:`CandidateGenerator.evict_table` drops one table from all of
+    them at O(that table's entries).
     """
 
     generation: GenerationConfig = field(default_factory=GenerationConfig)
@@ -174,21 +178,22 @@ class ParserConfig:
         return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:16]
 
 
-class SemanticParser:
-    """Maps NL questions over tables to ranked lambda DCS candidates."""
+class CandidateGenerator:
+    """The weight-free half of the parser: a question's executable candidates.
 
-    def __init__(
-        self,
-        model: Optional[LogLinearModel] = None,
-        config: Optional[ParserConfig] = None,
-    ) -> None:
-        self.model = model or LogLinearModel()
+    Generation reads no model weight, so parsers sharing one generator
+    share every list it generated.  It owns every cache derived from
+    table content (lexicons, grammars, candidate lists, the disk store)
+    under one ``config``; all of them are thread-safe.
+    """
+
+    def __init__(self, config: Optional[ParserConfig] = None) -> None:
         self.config = config or ParserConfig()
         self._lexicons: LRUCache = LRUCache(maxsize=self.config.table_cache_size)
         self._grammars: LRUCache = LRUCache(maxsize=self.config.table_cache_size)
         self._candidate_cache: LRUCache = LRUCache(maxsize=self.config.candidate_cache_size)
         #: Sub-query memo hits and misses, summed over every generation
-        #: call (each call's memo dies with it, see generate_candidates).
+        #: call (each call's memo dies with it, see generate).
         self._execution_lock = threading.Lock()
         self._execution_hits = 0
         self._execution_misses = 0
@@ -219,14 +224,14 @@ class SemanticParser:
         )
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/size counters of every parser cache (for bench reports).
+        """Hit/miss/size counters of every generator cache (for bench reports).
 
         ``execution`` sums the sub-query memo's hits and misses over every
         generation call; its ``size`` is always 0, because no memo
         outlives its call.  ``indexes`` reports the process-wide
-        table-index registry (shared by every parser in the process);
-        ``disk`` reports this parser's on-disk store, all-zero when none
-        is configured.
+        table-index registry (shared by every generator in the process);
+        ``disk`` reports this generator's on-disk store, all-zero when
+        none is configured.
         """
         from ..perf.diskcache import DiskCache  # lazy: avoids an import cycle
 
@@ -259,7 +264,7 @@ class SemanticParser:
         self._candidate_cache.clear()
 
     # -- candidate generation -------------------------------------------------------
-    def generate_candidates(
+    def generate(
         self, question: str, table: Table, *, store: bool = True
     ) -> Tuple[List[Candidate], LexicalAnalysis]:
         """Generate (unranked) executable candidates with their features.
@@ -301,10 +306,12 @@ class SemanticParser:
                     self._candidate_cache.put(cache_key, (tuple(candidates), analysis))
                 return list(candidates), analysis
         analysis = self._lexicon(table).analyze(question)
-        raw_queries = self._grammar(table).generate(analysis)
-        # With indexing on, validation reuses one content-addressed schema
-        # per question; off, it re-profiles per candidate (the seed path).
-        schema = table_schema(table) if self.config.index_tables else None
+        grammar = self._grammar(table)
+        raw_queries = grammar.generate(analysis)
+        # With indexing on, validation reads the schema the grammar
+        # profiled once per table; off, it re-profiles per candidate (the
+        # seed path).
+        schema = grammar.schema if self.config.index_tables else None
         executor: Executor
         if self.config.memoize_execution:
             executor = MemoizedExecutor(table, use_index=self.config.index_tables)
@@ -347,7 +354,7 @@ class SemanticParser:
         removed; nothing is lost, because candidate lists reach the disk
         store (when configured) at generation time.  The same call serves
         shard eviction, whose digest may come back, and version
-        retirement, whose digest never does: the parser keeps no other
+        retirement, whose digest never does: the generator keeps no other
         per-table state.  Content-addressing makes this safe at any
         time: a concurrent parse of the same table simply rebuilds what
         it needs.
@@ -356,6 +363,54 @@ class SemanticParser:
         self._lexicons.pop(fingerprint)
         self._grammars.pop(fingerprint)
         self._candidate_cache.discard(fingerprint.digest)
+
+
+class SemanticParser:
+    """Maps NL questions over tables to ranked lambda DCS candidates.
+
+    A model plus a :class:`CandidateGenerator`: a private one built on
+    ``config``, or a shared ``generator`` that brings its own config (a
+    ``config`` that differs from it is a ``ValueError``).  The cache and
+    eviction methods act on the generator, so on every parser sharing it.
+    """
+
+    def __init__(
+        self,
+        model: Optional[LogLinearModel] = None,
+        config: Optional[ParserConfig] = None,
+        generator: Optional[CandidateGenerator] = None,
+    ) -> None:
+        if generator is None:
+            generator = CandidateGenerator(config)
+        elif config is not None and config != generator.config:
+            raise ValueError(
+                "config conflicts with the shared generator's config; "
+                "pass one or the other"
+            )
+        self.model = model or LogLinearModel()
+        self.generator = generator
+
+    @property
+    def config(self) -> ParserConfig:
+        return self.generator.config
+
+    def cache_stats(self) -> Dict[str, Dict[str, int]]:
+        """See :meth:`CandidateGenerator.cache_stats`."""
+        return self.generator.cache_stats()
+
+    def clear_caches(self) -> None:
+        """See :meth:`CandidateGenerator.clear_caches`."""
+        self.generator.clear_caches()
+
+    def generate_candidates(
+        self, question: str, table: Table, *, store: bool = True
+    ) -> Tuple[List[Candidate], LexicalAnalysis]:
+        """See :meth:`CandidateGenerator.generate`."""
+        return self.generator.generate(question, table, store=store)
+
+    def evict_table(self, table: Table) -> None:
+        """See :meth:`CandidateGenerator.evict_table`."""
+        self.generator.evict_table(table)
 
     # -- parsing -----------------------------------------------------------------------
     def parse(self, question: str, table: Table, k: Optional[int] = None) -> ParseOutput:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..tables.knowledge_base import KnowledgeBase
-from ..tables.schema import TableSchema, infer_schema
 from ..tables.table import Table
 from ..tables.values import (
     DateValue,
@@ -157,7 +156,6 @@ class Lexicon:
 
     def __init__(self, table: Table, max_span_length: int = 5) -> None:
         self.table = table
-        self.schema: TableSchema = infer_schema(table)
         self.kb = KnowledgeBase(table)
         self.max_span_length = max_span_length
         self._value_index = self._build_value_index()

@@ -42,7 +42,6 @@ from ..parser.candidates import ParserConfig, SemanticParser
 from ..parser.features import clear_token_caches
 from ..parser.model import LogLinearModel
 from ..tables.index import clear_index_cache
-from ..tables.schema import clear_schema_cache
 from ..tables.table import Table
 from .pool import BatchItem, create_pool
 
@@ -225,12 +224,11 @@ def _reset_shared_caches() -> None:
     """Start a harness mode cold: clear every *process-wide* cache.
 
     Per-parser caches are fresh anyway (each mode builds its own parser);
-    the index registry, the schema profile cache and the memoised token
-    sets are module-level and would otherwise leak one mode's warm-up
-    into the next, biasing the asserted speedups by run order.
+    the index registry and the memoised token sets are module-level and
+    would otherwise leak one mode's warm-up into the next, biasing the
+    asserted speedups by run order.
     """
     clear_index_cache()
-    clear_schema_cache()
     clear_token_caches()
 
 

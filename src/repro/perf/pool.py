@@ -2,9 +2,9 @@
 
 The paper's interactive deployment (Table 7) answers a stream of
 questions; every batch of ``(question, table)`` pairs — served
-requests, ``NLInterface.ask_many``, the online learner's prefetch and
-the parse bench's pooled modes — runs on a :class:`WorkerPool`.  The
-serving layer (:class:`~repro.api.engine.ReproEngine` /
+requests, ``NLInterface.ask_many`` and the parse bench's pooled modes —
+runs on a :class:`WorkerPool`.  The serving layer
+(:class:`~repro.api.engine.ReproEngine` /
 :class:`~repro.serving.server.AsyncServer`) creates one pool per backend
 and reuses it across every batch until :meth:`~WorkerPool.close`; a
 caller with no long-lived pool builds one with :func:`create_pool` for
@@ -31,8 +31,7 @@ A unit with a ``k`` (every unit :meth:`NLInterface.ask_many` sends) is
 parsed to its top ``k``, which is all the ranked memo keeps: the parser
 stores no unranked candidate list for it, so a served question stays
 resident once.  A unit without one is a full parse and fills the
-parser's candidate cache as well, for callers that re-rank (the online
-learner's and the retraining pipeline's prefetch).
+parser's candidate cache as well.
 
 Correctness contract (locked in by ``tests/test_pool.py`` and
 ``tests/test_perf_batch.py``): ``parse_all`` results are index-aligned
@@ -159,15 +158,14 @@ def _refresh_inherited_locks(parser: SemanticParser) -> None:
     internals deliberately — this is fork-inheritance plumbing, not API.
     """
     from ..tables import index as index_module
-    from ..tables import schema as schema_module
 
-    for cache in (parser._lexicons, parser._grammars, parser._candidate_cache):
+    generator = parser.generator
+    for cache in (generator._lexicons, generator._grammars, generator._candidate_cache):
         cache._lock = threading.RLock()
-    parser._execution_lock = threading.Lock()
+    generator._execution_lock = threading.Lock()
     index_module._INDEX_REGISTRY._lock = threading.RLock()
-    schema_module._PROFILE_CACHE._lock = threading.RLock()
-    if parser._disk_cache is not None:
-        parser._disk_cache._lock = threading.Lock()
+    if generator._disk_cache is not None:
+        generator._disk_cache._lock = threading.Lock()
 
 
 class PoolError(RuntimeError):

@@ -35,10 +35,8 @@ from .catalog import (
 from .schema import (
     ColumnProfile,
     TableSchema,
-    evict_schema,
     infer_schema,
     profile_column,
-    table_schema,
 )
 from .io import (
     load_tables,
@@ -73,7 +71,6 @@ __all__ = [
     "clear_index_cache",
     "evict_index",
     "update_index",
-    "evict_schema",
     "TableDiff",
     "diff_tables",
     "KnowledgeBase",
@@ -89,7 +86,6 @@ __all__ = [
     "TableSchema",
     "infer_schema",
     "profile_column",
-    "table_schema",
     "table_from_csv",
     "table_from_tsv",
     "table_from_json",

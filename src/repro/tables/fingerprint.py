@@ -137,8 +137,8 @@ def _table_digest(key: Any) -> Optional[str]:
 
     Every per-table cache in the repository keys its entries by a bare
     :class:`TableFingerprint` (lexicons, grammars, explanation
-    generators, indexes, schema profiles) or by a tuple led by one
-    (candidate lists, execution results, ranked parses, explanations).
+    generators, indexes) or by a tuple led by one (candidate lists,
+    ranked parses, explanations).
     """
     if isinstance(key, TableFingerprint):
         return key.digest

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .fingerprint import LRUCache
 from .table import Table
 from .values import DateValue, NumberValue, StringValue
 
@@ -103,36 +102,3 @@ def infer_schema(table: Table) -> TableSchema:
         table_name=table.name,
         profiles={column: profile_column(table, column) for column in table.columns},
     )
-
-
-#: Content-addressed profile cache backing :func:`table_schema`.  Profiles
-#: are derived purely from headers and typed cells, so they are safely
-#: shared between equal-content tables (the table *name* is re-attached
-#: per call and never cached).
-_PROFILE_CACHE = LRUCache(maxsize=256)
-
-
-def clear_schema_cache() -> None:
-    """Drop every cached column profile (benchmarks use this so each
-    measured mode starts cold)."""
-    _PROFILE_CACHE.clear()
-
-
-def evict_schema(fingerprint) -> None:
-    """Drop one table content's cached profiles (the shard-eviction hook)."""
-    _PROFILE_CACHE.pop(fingerprint)
-
-
-def table_schema(table: Table) -> TableSchema:
-    """The (cached) :class:`TableSchema` of ``table``'s content.
-
-    Identical to :func:`infer_schema` in output, but the per-column
-    profiling — an O(cells) pass — runs once per table *content*: the
-    candidate validator used to recompute it for every one of the ~600
-    candidates of a question.
-    """
-    profiles = _PROFILE_CACHE.get_or_create(
-        table.fingerprint,
-        lambda: {column: profile_column(table, column) for column in table.columns},
-    )
-    return TableSchema(table_name=table.name, profiles=profiles)

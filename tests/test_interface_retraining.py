@@ -58,7 +58,33 @@ class TestComparison:
         baseline, split = pipeline_inputs
         before = dict(baseline.model.weights)
         pipeline = RetrainingPipeline(baseline, RetrainingConfig(epochs=1))
-        pipeline.train_parser(
-            split.train.training_examples()[:8], use_annotations=False, fresh=True
-        )
+        pipeline.train_parser(split.train.training_examples()[:8], use_annotations=False)
         assert baseline.model.weights == before
+
+
+class TestTrainParserSharesBaselineGenerator:
+    def test_trained_parser_keeps_config_and_generates_nothing(self, monkeypatch):
+        from repro.dataset import DatasetConfig, build_dataset
+        from repro.parser import ParserConfig, SemanticParser, train_parser
+        from repro.parser.grammar import CandidateGrammar, GenerationConfig
+
+        examples = build_dataset(
+            DatasetConfig(num_tables=3, questions_per_table=3, seed=61)
+        ).training_examples()
+        config = ParserConfig(generation=GenerationConfig(enable_difference=False))
+        baseline = train_parser(
+            examples, epochs=1, use_annotations=False, seed=1,
+            parser=SemanticParser(config=config),
+        )
+        generated = []
+        original = CandidateGrammar.generate
+
+        def counting(grammar, analysis):
+            generated.append(analysis.question)
+            return original(grammar, analysis)
+
+        monkeypatch.setattr(CandidateGrammar, "generate", counting)
+        pipeline = RetrainingPipeline(baseline, RetrainingConfig(epochs=1))
+        trained = pipeline.train_parser(examples, use_annotations=False)
+        assert trained.config == config
+        assert generated == []

@@ -273,44 +273,3 @@ class TestParseBenchHarness:
     def test_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             run_parse_bench(build_items()[:1], repeats=0)
-
-
-class TestPrefetchWiring:
-    """Concurrent prefetch must not change what the learner/pipeline computes."""
-
-    @pytest.fixture(scope="class")
-    def stream(self):
-        from repro.dataset import DatasetConfig, build_dataset
-
-        dataset = build_dataset(
-            DatasetConfig(num_tables=6, questions_per_table=3, seed=77)
-        )
-        return dataset.evaluation_examples()[:10]
-
-    def test_online_learner_prefetch_is_behaviour_preserving(self, stream):
-        from repro.interface import OnlineLearner
-        from repro.users import worker_pool
-
-        def run(prefetch_workers):
-            parser = SemanticParser()
-            learner = OnlineLearner(parser, k=5, prefetch_workers=prefetch_workers)
-            report = learner.run(stream, worker_pool(1, seed=9)[0])
-            return [
-                (i.parser_correct, i.user_picked, i.hybrid_correct, i.updated)
-                for i in report.interactions
-            ], parser.model.weights
-
-        plain_interactions, plain_weights = run(0)
-        prefetched_interactions, prefetched_weights = run(4)
-        assert prefetched_interactions == plain_interactions
-        assert prefetched_weights == pytest.approx(plain_weights)
-
-    def test_online_prefetch_warms_candidate_cache(self, stream):
-        from repro.interface import OnlineLearner
-        from repro.users import worker_pool
-
-        parser = SemanticParser()
-        learner = OnlineLearner(parser, k=5, prefetch_workers=4)
-        learner.run(stream, worker_pool(1, seed=9)[0])
-        # Every _step after the prewarm pass generates from cache.
-        assert parser.cache_stats()["candidates"]["hits"] >= len(stream)

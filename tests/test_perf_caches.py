@@ -280,8 +280,8 @@ class TestIdReuseRegression:
         # so that dropping it below actually frees it (and its id).
         for index in range(3):
             churn = Table(columns=["Name", "Score"], rows=[[f"churn-{index}", index]])
-            parser._lexicon(churn)
-            parser._grammar(churn)
+            parser.generator._lexicon(churn)
+            parser.generator._grammar(churn)
         del churn
         stale_id = id(stale)
         del stale
@@ -300,7 +300,7 @@ class TestIdReuseRegression:
             pytest.skip("interpreter did not recycle the object id")
 
         # The lexicon served for `fresh` must index "new", not "old".
-        lexicon = parser._lexicon(fresh)
+        lexicon = parser.generator._lexicon(fresh)
         analysis = lexicon.analyze("what is the score of new")
         assert any(match.text == "new" for match in analysis.entities)
         assert not lexicon.analyze("what is the score of old").entities
@@ -313,11 +313,11 @@ class TestIdReuseRegression:
         parser = SemanticParser(config=ParserConfig(table_cache_size=4))
         for index in range(10):
             table = Table(columns=["A"], rows=[[f"value-{index}"]], name=f"t{index}")
-            parser._lexicon(table)
-            parser._grammar(table)
-        assert len(parser._lexicons) <= 4
-        assert len(parser._grammars) <= 4
-        assert parser._lexicons.evictions > 0
+            parser.generator._lexicon(table)
+            parser.generator._grammar(table)
+        assert len(parser.generator._lexicons) <= 4
+        assert len(parser.generator._grammars) <= 4
+        assert parser.generator._lexicons.evictions > 0
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +423,15 @@ class TestTopKParseCache:
         parser = SemanticParser()
         table = small_table()
         parser.parse(self.QUESTION, table, k=3)
-        assert len(parser._candidate_cache) == 0
+        assert len(parser.generator._candidate_cache) == 0
         parser.parse(self.QUESTION, table, k=2)
         assert len(generate_calls) == 2
-        assert len(parser._candidate_cache) == 0
+        assert len(parser.generator._candidate_cache) == 0
         # A full parse and a direct generation still store the list.
         parser.parse(self.QUESTION, table)
-        assert len(parser._candidate_cache) == 1
+        assert len(parser.generator._candidate_cache) == 1
         parser.generate_candidates("score of z", table)
-        assert len(parser._candidate_cache) == 2
+        assert len(parser.generator._candidate_cache) == 2
 
 
 class TestMemoizedExecutorWarmth:
@@ -566,11 +566,11 @@ class TestPerCallExecutionMemo:
 
     def test_refresh_inherited_locks_replaces_the_counter_lock(self):
         parser = SemanticParser()
-        inherited = parser._execution_lock
+        inherited = parser.generator._execution_lock
         inherited.acquire()  # as if another thread held it at fork time
         try:
             _refresh_inherited_locks(parser)
-            assert parser._execution_lock is not inherited
+            assert parser.generator._execution_lock is not inherited
             parser.parse("what is the score of y", small_table(), k=2)
             assert parser.cache_stats()["execution"]["misses"] > 0
         finally:

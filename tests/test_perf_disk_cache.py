@@ -133,21 +133,21 @@ class TestEvictionHooks:
         parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
         table = small_table()
         parser.parse("which country hosted in 2004", table)
-        assert table.fingerprint in parser._lexicons
+        assert table.fingerprint in parser.generator._lexicons
         parser.evict_table(table)
-        assert table.fingerprint not in parser._lexicons
-        assert table.fingerprint not in parser._grammars
-        assert not parser._candidate_cache.items_for(table.fingerprint.digest)
+        assert table.fingerprint not in parser.generator._lexicons
+        assert table.fingerprint not in parser.generator._grammars
+        assert not parser.generator._candidate_cache.items_for(table.fingerprint.digest)
 
     def test_parse_after_evict_is_identical_and_served_from_disk(self, tmp_path):
         parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
         table = small_table()
         before = signature(parser.parse("which country hosted in 2004", table))
         parser.evict_table(table)
-        disk_hits = parser._disk_cache.hits
+        disk_hits = parser.generator._disk_cache.hits
         after = signature(parser.parse("which country hosted in 2004", table))
         assert after == before
-        assert parser._disk_cache.hits > disk_hits  # candidates came from disk
+        assert parser.generator._disk_cache.hits > disk_hits  # candidates came from disk
 
     def test_evict_without_disk_cache_is_safe(self):
         parser = SemanticParser()

@@ -82,12 +82,12 @@ class TestThreadPoolPersistence:
         olympics, medals = build_tables()
         for table in (olympics, medals):
             pool.parser.evict_table(table)
-        assert len(pool.parser._candidate_cache) == 0
+        assert len(pool.parser.generator._candidate_cache) == 0
         results = pool.parse_all(normalize(items))
         assert [signature(parse) for parse, _ in results] == reference
         # The repeat came from the pool's ranked memo, not the parser:
         # nothing was regenerated into the parser's candidate cache.
-        assert len(pool.parser._candidate_cache) == 0
+        assert len(pool.parser.generator._candidate_cache) == 0
 
     def test_ranked_memo_invalidates_on_weight_change(self):
         items = build_items()[:2]
@@ -260,7 +260,7 @@ class TestServedTopK:
                 responses = interface.ask_many(items, pool=pool)
         assert served(responses) == full_parse_top(items, 3)
         for _, table in items:
-            assert not parser._candidate_cache.items_for(table.fingerprint.digest)
+            assert not parser.generator._candidate_cache.items_for(table.fingerprint.digest)
 
 
 def thread_served(items, weights=None):
