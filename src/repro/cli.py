@@ -70,14 +70,17 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .api import ApiError, ErrorCode, ReproEngine, classify_exception
-from .tables import CatalogError, Table, save_tables, table_from_csv
-from .dcs import from_sexpr, to_sexpr
+from .api.errors import bad_request
+from .tables import CatalogError, Table, TableError, save_tables, table_from_csv
+from .dcs import SexprError, from_sexpr, to_sexpr
 from .core import explain as explain_query
 from .parser import LogLinearModel, SemanticParser, train_parser
 from .interface import NLInterface
@@ -369,13 +372,32 @@ def build_argument_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _caller_input(what: str) -> Iterator[None]:
+    """Report a failure to read a caller-named file or s-expression as
+    ``BAD_REQUEST``: that input is the request, so the fault is the
+    caller's, never a traceback or ``INTERNAL``."""
+    try:
+        yield
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, csv.Error,
+            TableError, SexprError) as error:
+        raise bad_request(f"bad {what}: {type(error).__name__}: {error}") from error
+
+
 def _load_table(path: str) -> Table:
-    return table_from_csv(Path(path))
+    with _caller_input(f"table {path}"):
+        return table_from_csv(Path(path))
+
+
+def _load_model(path: str) -> LogLinearModel:
+    with _caller_input(f"model {path}"):
+        return LogLinearModel.load(path)
 
 
 def run_explain(args: argparse.Namespace, out) -> int:
     table = _load_table(args.table)
-    query = from_sexpr(args.query)
+    with _caller_input("query"):
+        query = from_sexpr(args.query)
     explanation = explain_query(query, table)
     if args.html:
         print(explanation.as_html(), file=out)
@@ -390,7 +412,7 @@ def run_ask(args: argparse.Namespace, out) -> int:
     table = _load_table(args.table)
     parser = SemanticParser()
     if args.model:
-        parser.model = LogLinearModel.load(args.model)
+        parser.model = _load_model(args.model)
     engine = ReproEngine(
         interface=NLInterface(parser=parser, k=args.k), tables=[table], k=args.k
     )
@@ -476,7 +498,7 @@ def run_bench_parse(args: argparse.Namespace, out) -> int:
         num_tables=args.tables, questions_per_table=args.questions, seed=args.seed
     )
     backends = ("thread", "process") if args.backend == "both" else (args.backend,)
-    model = LogLinearModel.load(args.model) if args.model else None
+    model = _load_model(args.model) if args.model else None
     report = run_parse_bench(
         pairs,
         model=model,
@@ -516,19 +538,20 @@ def _load_corpus(corpus: str):
 
     root = Path(corpus)
     tables_dir = root / "tables" if (root / "tables").is_dir() else root
-    tables = load_tables(tables_dir)
-    for csv_path in sorted(tables_dir.glob("*.csv")):
-        tables.append(table_from_csv(csv_path))
-    questions = []
-    questions_path = root / "questions.jsonl"
-    if questions_path.exists():
-        with questions_path.open(encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                payload = json.loads(line)
-                questions.append((payload["question"], payload["table"]))
+    with _caller_input(f"corpus {corpus}"):
+        tables = load_tables(tables_dir)
+        for csv_path in sorted(tables_dir.glob("*.csv")):
+            tables.append(table_from_csv(csv_path))
+        questions = []
+        questions_path = root / "questions.jsonl"
+        if questions_path.exists():
+            with questions_path.open(encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    payload = json.loads(line)
+                    questions.append((payload["question"], payload["table"]))
     return tables, questions
 
 
@@ -542,7 +565,7 @@ def _build_engine(args, k: int = 7) -> ReproEngine:
     interface = None
     if model_path:
         parser = SemanticParser(
-            model=LogLinearModel.load(model_path),
+            model=_load_model(model_path),
             config=ParserConfig(disk_cache_dir=cache_dir or None),
         )
         interface = NLInterface(parser=parser, k=k)
@@ -783,10 +806,11 @@ def run_update(args: argparse.Namespace, out) -> int:
     catalog = engine.catalog
     old_ref = catalog.resolve(args.name)
     path = Path(args.table)
-    if path.suffix.lower() == ".json":
-        new_table = table_from_json(path.read_text(encoding="utf-8"))
-    else:
-        new_table = table_from_csv(path)
+    with _caller_input(f"table {path}"):
+        if path.suffix.lower() == ".json":
+            new_table = table_from_json(path.read_text(encoding="utf-8"))
+        else:
+            new_table = table_from_csv(path)
     diff = diff_tables(catalog.table(old_ref), new_table)
     new_ref = engine.update(old_ref, new_table)
     if new_ref.digest == old_ref.digest:
@@ -947,8 +971,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return handlers[args.command](args, out)
     except (ApiError, CatalogError, OSError, ValueError) as error:
         # One coded line, no traceback: every catalog/API failure — and
-        # the mundane ones (missing files, unreadable models) — funnels
-        # through the repro.api error taxonomy.
+        # the mundane ones the input sites do not code themselves (an
+        # unwritable --output) — funnels through the repro.api taxonomy.
         coded = classify_exception(error)
         print(f"error[{coded.code.value}]: {coded.message}", file=out)
         return 1

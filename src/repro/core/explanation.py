@@ -71,18 +71,22 @@ class QueryExplanation:
 
 
 class ExplanationGenerator:
-    """Builds :class:`QueryExplanation` objects for one table."""
+    """Builds :class:`QueryExplanation` objects for one table.
+
+    Stateless and cheap to build: an explanation is a pure function of
+    (table content, query, ``sampling_seed``).
+    """
 
     def __init__(self, table: Table, sampling_seed: Optional[int] = 0) -> None:
         self.table = table
         self.executor = Executor(table)
         self.highlighter = Highlighter(table)
-        self.sampler = HighlightSampler(table, seed=sampling_seed)
+        self.sampler = HighlightSampler(self.highlighter, seed=sampling_seed)
 
     def explain(self, query: Query) -> QueryExplanation:
         utterance_result = derive(query)
         highlighted = self.highlighter.highlight(query, output=True)
-        sample = self.sampler.sample(query)
+        sample = self.sampler.sample(highlighted)
         result = self.executor.execute(query)
         return QueryExplanation(
             query=query,

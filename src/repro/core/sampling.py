@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..tables.table import Table
 from ..dcs import ast
 from ..dcs.ast import Query
 from .highlights import HighlightedTable, Highlighter
-from .provenance import MultilevelProvenance
 
 
 @dataclass(frozen=True)
@@ -51,40 +50,53 @@ class HighlightSample:
 
 
 class HighlightSampler:
-    """Samples representative rows for provenance-based highlights."""
+    """Samples representative rows for provenance-based highlights.
 
-    def __init__(self, table: Table, seed: Optional[int] = 0) -> None:
-        self.table = table
-        self.highlighter = Highlighter(table)
-        self._random = random.Random(seed)
+    Stateless: every :meth:`sample` call draws from a fresh
+    ``random.Random(seed)``, so a sample is a pure function of (table
+    content, query, seed), and two queries whose provenance strata hold
+    the same rows are shown the same rows.
+    """
 
-    def sample(self, query: Query, max_rows_per_stratum: int = 1) -> HighlightSample:
-        """Produce the Figure 7 sample for ``query``.
+    def __init__(self, highlighter: Highlighter, seed: Optional[int] = 0) -> None:
+        self.highlighter = highlighter
+        self.seed = seed
+
+    def sample(
+        self, highlighted: HighlightedTable, max_rows_per_stratum: int = 1
+    ) -> HighlightSample:
+        """Produce the Figure 7 sample of ``highlighter``'s highlight of a query.
 
         ``max_rows_per_stratum`` controls how many rows are drawn from each
         provenance stratum; the paper uses one (two from ``RO`` for
         difference queries, which is handled automatically).
         """
-        highlighted = self.highlighter.highlight(query, output=True)
+        query = highlighted.query
         provenance = highlighted.provenance
         output_rows = provenance.output_record_indices()
         execution_rows = provenance.execution_record_indices()
         column_rows = provenance.column_record_indices()
 
-        chosen: List[int] = []
-        chosen.extend(self._sample_output_rows(query, provenance, max_rows_per_stratum))
-        chosen.extend(
-            self._draw(execution_rows - output_rows - set(chosen), max_rows_per_stratum)
-        )
-        chosen.extend(
-            self._draw(column_rows - execution_rows - set(chosen), max_rows_per_stratum)
-        )
+        rng = random.Random(self.seed)
+        per_stratum = max_rows_per_stratum
+        if isinstance(query, ast.Difference):
+            # One row per subtracted operand.
+            chosen: List[int] = []
+            for operand in query.children():
+                operand_rows = self.highlighter.engine.output_provenance(operand)
+                chosen.extend(
+                    _draw(rng, operand_rows.record_indices() - set(chosen), per_stratum)
+                )
+        else:
+            chosen = _draw(rng, output_rows, per_stratum)
+        chosen.extend(_draw(rng, execution_rows - output_rows - set(chosen), per_stratum))
+        chosen.extend(_draw(rng, column_rows - execution_rows - set(chosen), per_stratum))
         # Keep the original table order (the paper orders sampled records by
         # their position in the source table).
         ordered = tuple(sorted(dict.fromkeys(chosen)))
         return HighlightSample(
             query=query,
-            table=self.table,
+            table=highlighted.table,
             row_indices=ordered,
             highlighted=highlighted.restricted_to_rows(list(ordered)),
             output_rows=output_rows,
@@ -92,31 +104,21 @@ class HighlightSampler:
             column_rows=column_rows,
         )
 
-    # -- internals --------------------------------------------------------------
-    def _sample_output_rows(
-        self, query: Query, provenance: MultilevelProvenance, per_stratum: int
-    ) -> List[int]:
-        """One row from ``RO`` — or one per subtracted operand for differences."""
-        if isinstance(query, ast.Difference):
-            rows: List[int] = []
-            engine = self.highlighter.engine
-            for operand in query.children():
-                operand_rows = engine.output_provenance(operand).record_indices()
-                rows.extend(self._draw(operand_rows - set(rows), per_stratum))
-            return rows
-        return self._draw(provenance.output_record_indices(), per_stratum)
 
-    def _draw(self, candidates: FrozenSet[int], count: int) -> List[int]:
-        pool = sorted(candidates)
-        if not pool or count <= 0:
-            return []
-        if len(pool) <= count:
-            return pool
-        return sorted(self._random.sample(pool, count))
+def _draw(rng: random.Random, candidates: FrozenSet[int], count: int) -> List[int]:
+    pool = sorted(candidates)
+    if not pool or count <= 0:
+        return []
+    if len(pool) <= count:
+        return pool
+    return sorted(rng.sample(pool, count))
 
 
 def sample_highlights(
     query: Query, table: Table, seed: Optional[int] = 0, max_rows_per_stratum: int = 1
 ) -> HighlightSample:
     """Convenience wrapper around :class:`HighlightSampler`."""
-    return HighlightSampler(table, seed=seed).sample(query, max_rows_per_stratum)
+    highlighter = Highlighter(table)
+    return HighlightSampler(highlighter, seed=seed).sample(
+        highlighter.highlight(query, output=True), max_rows_per_stratum
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..tables.fingerprint import LRUCache
 from ..tables.table import Table
@@ -92,49 +92,40 @@ class InterfaceResponse:
 
 
 class NLInterface:
-    """A natural-language interface over web tables with query explanations."""
+    """A natural-language interface over web tables with query explanations.
 
-    def __init__(
-        self,
-        parser: Optional[SemanticParser] = None,
-        k: int = 7,
-        table_cache_size: int = 64,
-    ) -> None:
+    It keeps no per-table state: the parser's generator holds every
+    per-table cache, and an explanation is a pure function of (table
+    content, query), so an :class:`ExplanationGenerator` is built where
+    a response is explained.
+    """
+
+    def __init__(self, parser: Optional[SemanticParser] = None, k: int = 7) -> None:
         self.parser = parser or SemanticParser()
         self.k = k
-        self._generators: LRUCache = LRUCache(maxsize=table_cache_size)
-
-    def _generator(self, table: Table) -> ExplanationGenerator:
-        # Content-addressed (never id-keyed: ids are recycled) and bounded,
-        # mirroring the parser's own per-table caches.
-        return self._generators.get_or_create(
-            table.fingerprint, lambda: ExplanationGenerator(table)
-        )
 
     def evict_table(self, table: Table) -> None:
         """Unload every in-memory artifact of ``table``'s content.
 
         The interface-level shard-eviction hook used by
-        :class:`~repro.tables.catalog.TableCatalog`: drops the parser
-        caches, the explanation generator and the process-wide index
-        entry for this content.  Nothing needs persisting
-        first: candidate lists reach the disk store (when configured) at
-        generation time, and the sub-query memo never outlives a parse.
-        Results after eviction are bit-identical — everything dropped is
-        derived state.
+        :class:`~repro.tables.catalog.TableCatalog`: the parser's
+        generator drops its per-table entry, its candidate lists and the
+        process-wide index entry for this content.  Nothing needs
+        persisting first: candidate lists reach the disk store (when
+        configured) at generation time, and the sub-query memo never
+        outlives a parse.  Results after eviction are bit-identical,
+        sampled highlight rows included — everything dropped is derived
+        state.
         """
-        from ..tables.index import evict_index
-
         self.parser.evict_table(table)
-        self._generators.pop(table.fingerprint)
-        evict_index(table.fingerprint)
 
     def retire_table(self, table: Table) -> None:
         """Drop a *superseded* table version's in-memory derived state.
 
-        The same as :meth:`evict_table`; the catalog's churn path calls
-        it under this name, so a retirement can be timed apart from an
-        eviction.  Entries of every other fingerprint are untouched.
+        The same one call as :meth:`evict_table`, column index included;
+        the catalog's churn path calls it under this name, so a
+        retirement can be timed apart from an eviction.  Entries of every
+        other fingerprint are untouched.
         """
         self.evict_table(table)
 
@@ -144,24 +135,7 @@ class NLInterface:
         started = time.perf_counter()
         parse = self.parser.parse(question, table)
         parse_seconds = time.perf_counter() - started
-
-        generator = self._generator(table)
-        explained: List[ExplainedCandidate] = []
-        started = time.perf_counter()
-        for rank, candidate in enumerate(parse.top_k(limit)):
-            explanation = generator.explain(candidate.query)
-            explained.append(
-                ExplainedCandidate(rank=rank, candidate=candidate, explanation=explanation)
-            )
-        explain_seconds = time.perf_counter() - started
-        return InterfaceResponse(
-            question=question,
-            table=table,
-            parse=parse,
-            explained=explained,
-            parse_seconds=parse_seconds,
-            explain_seconds=explain_seconds,
-        )
+        return _respond(question, table, parse, parse_seconds, limit)
 
     def ask_many(
         self,
@@ -188,7 +162,8 @@ class NLInterface:
         the question afresh instead of re-ranking it (unless a full
         parse, such as :meth:`ask`, cached its list).
         Explanation stays sequential per response since it is cheap
-        relative to parsing.  Returns one :class:`InterfaceResponse` per
+        relative to parsing; it goes through a long-lived ``pool``'s
+        explanation memo.  Returns one :class:`InterfaceResponse` per
         input pair, index-aligned.
 
         ``deadlines`` (index-aligned absolute ``time.monotonic()``
@@ -206,57 +181,56 @@ class NLInterface:
         if pool is None:
             with create_pool(backend, self.parser, workers) as call_pool:
                 results = call_pool.parse_all(batch)
-            warm_explanations = None
+            memo = None
         else:
             results = pool.parse_all(batch)
-            warm_explanations = pool.explanations
-        responses: List[InterfaceResponse] = []
-        for item, (parse, seconds) in zip(batch, results):
-            if isinstance(parse, Exception):
-                responses.append(
-                    InterfaceResponse(
-                        question=item.question,
-                        table=item.table,
-                        parse=None,
-                        explained=[],
-                        parse_seconds=seconds,
-                        explain_seconds=0.0,
-                        error=parse,
-                    )
-                )
-                continue
-            # The generator is built lazily: on a fully warm batch every
-            # explanation comes out of the pool registry and an evicted
-            # generator is never rebuilt at all.
-            generator: Optional[ExplanationGenerator] = None
-            started = time.perf_counter()
-            explained: List[ExplainedCandidate] = []
-            for rank, candidate in enumerate(parse.top_k(limit)):
-                explanation = None
-                key = None
-                if warm_explanations is not None:
-                    key = (item.table.fingerprint, candidate.sexpr)
-                    explanation = warm_explanations.get(key)
-                if explanation is None:
-                    if generator is None:
-                        generator = self._generator(item.table)
-                    explanation = generator.explain(candidate.query)
-                    if key is not None:
-                        warm_explanations.put(key, explanation)
-                explained.append(
-                    ExplainedCandidate(
-                        rank=rank, candidate=candidate, explanation=explanation
-                    )
-                )
-            explain_seconds = time.perf_counter() - started
-            responses.append(
-                InterfaceResponse(
-                    question=item.question,
-                    table=item.table,
-                    parse=parse,
-                    explained=explained,
-                    parse_seconds=seconds,
-                    explain_seconds=explain_seconds,
-                )
-            )
-        return responses
+            memo = pool.explanations
+        return [
+            _respond(item.question, item.table, parse, seconds, limit, memo)
+            for item, (parse, seconds) in zip(batch, results)
+        ]
+
+
+def _respond(
+    question: str,
+    table: Table,
+    parse: Union[ParseOutput, Exception],
+    parse_seconds: float,
+    limit: int,
+    memo: Optional[LRUCache] = None,
+) -> InterfaceResponse:
+    """The response to one parsed question: its top ``limit`` explained.
+
+    A failed parse (an exception in its place) makes an error response.
+    With a pool's explanation ``memo``, each explanation is read from it
+    under ``(fingerprint, sexpr)`` and put there on a miss.
+    """
+    if isinstance(parse, Exception):
+        return InterfaceResponse(
+            question=question, table=table, parse=None, explained=[],
+            parse_seconds=parse_seconds, explain_seconds=0.0, error=parse,
+        )
+    started = time.perf_counter()
+    generator: Optional[ExplanationGenerator] = None
+    explained: List[ExplainedCandidate] = []
+    for rank, candidate in enumerate(parse.top_k(limit)):
+        explanation = None
+        if memo is not None:
+            key = (table.fingerprint, candidate.sexpr)
+            explanation = memo.get(key)
+        if explanation is None:
+            generator = generator or ExplanationGenerator(table)
+            explanation = generator.explain(candidate.query)
+            if memo is not None:
+                memo.put(key, explanation)
+        explained.append(
+            ExplainedCandidate(rank=rank, candidate=candidate, explanation=explanation)
+        )
+    return InterfaceResponse(
+        question=question,
+        table=table,
+        parse=parse,
+        explained=explained,
+        parse_seconds=parse_seconds,
+        explain_seconds=time.perf_counter() - started,
+    )

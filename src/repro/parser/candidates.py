@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tables.fingerprint import LRUCache
-from ..tables.index import index_cache_stats
+from ..tables.index import evict_index, index_cache_stats
 from ..tables.table import Table
 from ..dcs.ast import Query
 from ..dcs.errors import DCSError
@@ -138,8 +138,8 @@ class ParserConfig:
       so a warm-start process skips cold parsing of every question it
       has seen; a new question is generated cold.
     * ``table_cache_size`` / ``candidate_cache_size`` — LRU bounds of
-      the per-table lexicon+grammar caches and the candidate-list cache
-      (filled by full parses only).
+      the one per-table lexicon-and-grammar cache and the candidate-list
+      cache (filled by full parses only).
       ``candidate_cache_size`` also bounds the ranked memo of a
       :class:`~repro.perf.pool.ThreadWorkerPool` and of each process
       worker, which holds only the top-k parse each caller serves (and,
@@ -183,14 +183,15 @@ class CandidateGenerator:
 
     Generation reads no model weight, so parsers sharing one generator
     share every list it generated.  It owns every cache derived from
-    table content (lexicons, grammars, candidate lists, the disk store)
-    under one ``config``; all of them are thread-safe.
+    table content (one lexicon-and-grammar entry per table, candidate
+    lists, the disk store) under one ``config``; all of them are
+    thread-safe.  Column indexes stay in the process-wide registry every
+    executor reads, from which :meth:`evict_table` drops them too.
     """
 
     def __init__(self, config: Optional[ParserConfig] = None) -> None:
         self.config = config or ParserConfig()
-        self._lexicons: LRUCache = LRUCache(maxsize=self.config.table_cache_size)
-        self._grammars: LRUCache = LRUCache(maxsize=self.config.table_cache_size)
+        self._per_table: LRUCache = LRUCache(maxsize=self.config.table_cache_size)
         self._candidate_cache: LRUCache = LRUCache(maxsize=self.config.candidate_cache_size)
         #: Sub-query memo hits and misses, summed over every generation
         #: call (each call's memo dies with it, see generate).
@@ -210,22 +211,20 @@ class CandidateGenerator:
             self._disk_cache = None
             self._generation_signature = ""
 
-    # -- per-table caches ---------------------------------------------------------
+    # -- per-table cache ----------------------------------------------------------
     # Keyed by content fingerprint, NOT id(table): CPython recycles object
-    # ids after garbage collection, so id-keyed caches can serve a stale
+    # ids after garbage collection, so an id-keyed cache can serve a stale
     # lexicon/grammar for a brand-new table (and grow without bound).
-    def _lexicon(self, table: Table) -> Lexicon:
-        return self._lexicons.get_or_create(table.fingerprint, lambda: Lexicon(table))
-
-    def _grammar(self, table: Table) -> CandidateGrammar:
-        return self._grammars.get_or_create(
+    def _lexicon_and_grammar(self, table: Table) -> Tuple[Lexicon, CandidateGrammar]:
+        return self._per_table.get_or_create(
             table.fingerprint,
-            lambda: CandidateGrammar(table, self.config.generation),
+            lambda: (Lexicon(table), CandidateGrammar(table, self.config.generation)),
         )
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/size counters of every generator cache (for bench reports).
 
+        ``lexicons`` and ``grammars`` both report the one per-table cache.
         ``execution`` sums the sub-query memo's hits and misses over every
         generation call; its ``size`` is always 0, because no memo
         outlives its call.  ``indexes`` reports the process-wide
@@ -241,9 +240,10 @@ class CandidateGenerator:
                 "hits": self._execution_hits,
                 "misses": self._execution_misses,
             }
+        per_table = self._per_table.stats()
         return {
-            "lexicons": self._lexicons.stats(),
-            "grammars": self._grammars.stats(),
+            "lexicons": per_table,
+            "grammars": dict(per_table),
             "execution": execution,
             "candidates": self._candidate_cache.stats(),
             "indexes": index_cache_stats(),
@@ -253,14 +253,13 @@ class CandidateGenerator:
         }
 
     def clear_caches(self) -> None:
-        """Drop every cached lexicon, grammar and candidate entry.
+        """Drop every cached per-table entry and candidate list.
 
         In-memory only: the on-disk store (if any) and the process-wide
         index registry are deliberately left intact — both are
         content-addressed and can never serve stale entries.
         """
-        self._lexicons.clear()
-        self._grammars.clear()
+        self._per_table.clear()
         self._candidate_cache.clear()
 
     # -- candidate generation -------------------------------------------------------
@@ -305,8 +304,8 @@ class CandidateGenerator:
                 if store:
                     self._candidate_cache.put(cache_key, (tuple(candidates), analysis))
                 return list(candidates), analysis
-        analysis = self._lexicon(table).analyze(question)
-        grammar = self._grammar(table)
+        lexicon, grammar = self._lexicon_and_grammar(table)
+        analysis = lexicon.analyze(question)
         raw_queries = grammar.generate(analysis)
         # With indexing on, validation reads the schema the grammar
         # profiled once per table; off, it re-profiles per candidate (the
@@ -350,19 +349,18 @@ class CandidateGenerator:
     def evict_table(self, table: Table) -> None:
         """Drop every in-memory artifact of ``table``'s content.
 
-        The lexicon, the grammar and the per-question candidate lists are
-        removed; nothing is lost, because candidate lists reach the disk
-        store (when configured) at generation time.  The same call serves
-        shard eviction, whose digest may come back, and version
-        retirement, whose digest never does: the generator keeps no other
-        per-table state.  Content-addressing makes this safe at any
-        time: a concurrent parse of the same table simply rebuilds what
-        it needs.
+        The lexicon-and-grammar entry, the per-question candidate lists
+        and the process-wide column index are removed; nothing is lost,
+        because candidate lists reach the disk store (when configured)
+        at generation time.  The same call serves shard eviction, whose
+        digest may come back, and version retirement, whose digest never
+        does.  Content-addressing makes this safe at any time: a
+        concurrent parse of the same table simply rebuilds what it needs.
         """
         fingerprint = table.fingerprint
-        self._lexicons.pop(fingerprint)
-        self._grammars.pop(fingerprint)
+        self._per_table.pop(fingerprint)
         self._candidate_cache.discard(fingerprint.digest)
+        evict_index(fingerprint)
 
 
 class SemanticParser:

@@ -101,13 +101,22 @@ class LogLinearModel:
         the difference between the feature expectation restricted to the
         correct candidates and the unrestricted feature expectation.
         """
+        return self.gradient_and_log_likelihood(feature_vectors, correct_indices)[0]
+
+    def gradient_and_log_likelihood(
+        self,
+        feature_vectors: Sequence[FeatureVector],
+        correct_indices: Sequence[int],
+    ) -> Tuple[FeatureVector, float]:
+        """:meth:`gradient` and, from the same scoring, the log of the
+        correct set's probability mass (``-inf`` when it is zero)."""
         if not feature_vectors or not correct_indices:
-            return {}
+            return {}, float("-inf")
         probabilities = self.probabilities(feature_vectors)
         correct = set(correct_indices)
         correct_mass = sum(probabilities[i] for i in correct)
         if correct_mass <= 0.0:
-            return {}
+            return {}, float("-inf")
         gradient: FeatureVector = {}
         for index, features in enumerate(feature_vectors):
             # posterior restricted to the correct set minus the full expectation
@@ -117,7 +126,7 @@ class LogLinearModel:
                 continue
             for name, value in features.items():
                 gradient[name] = gradient.get(name, 0.0) + coefficient * value
-        return gradient
+        return gradient, math.log(correct_mass)
 
     def apply_gradient(self, gradient: FeatureVector) -> None:
         """One AdaGrad ascent step with gradient clipping and L1 truncation."""

@@ -76,6 +76,10 @@ class TrainerConfig:
 
 @dataclass
 class EpochStats:
+    """One epoch; ``mean_log_likelihood`` averages each example's
+    ``log p(y | x, T)`` as its gradient saw it, before its own update
+    (examples with zero correct mass left out)."""
+
     epoch: int
     examples_used: int
     mean_log_likelihood: float
@@ -200,14 +204,14 @@ class Trainer:
                 weight = self._example_weight(
                     item, annotated_count, unannotated_count
                 )
-                gradient = self.parser.model.gradient(feature_vectors, rewards)
+                gradient, log_likelihood = self.parser.model.gradient_and_log_likelihood(
+                    feature_vectors, rewards
+                )
+                log_likelihoods.append(log_likelihood)
                 if gradient:
                     if weight != 1.0:
                         gradient = {name: value * weight for name, value in gradient.items()}
                     self.parser.model.apply_gradient(gradient)
-                log_likelihoods.append(
-                    self.parser.model.example_log_likelihood(feature_vectors, rewards)
-                )
             finite = [value for value in log_likelihoods if value != float("-inf")]
             stats.epochs.append(
                 EpochStats(

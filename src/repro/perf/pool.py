@@ -160,7 +160,7 @@ def _refresh_inherited_locks(parser: SemanticParser) -> None:
     from ..tables import index as index_module
 
     generator = parser.generator
-    for cache in (generator._lexicons, generator._grammars, generator._candidate_cache):
+    for cache in (generator._per_table, generator._candidate_cache):
         cache._lock = threading.RLock()
     generator._execution_lock = threading.Lock()
     index_module._INDEX_REGISTRY._lock = threading.RLock()
@@ -232,12 +232,12 @@ class WorkerPool:
         self.timeouts = 0
         #: Superseded table digests retired from this pool's registries.
         self.retired = 0
-        # Warm explanation registry, shared by both flavours and used by
+        # Warm explanation memo, shared by both flavours and used by
         # :meth:`NLInterface.ask_many` on the batch path: explanations
-        # are a pure function of (table content, query), so entries are
-        # keyed ``(fingerprint, query sexpr)`` and survive shard
-        # eviction — a warm batch never rebuilds an evicted
-        # ``ExplanationGenerator`` just to re-derive identical output.
+        # (sampled highlight rows included) are a pure function of
+        # (table content, query), so entries are keyed ``(fingerprint,
+        # query sexpr)`` and survive shard eviction — a warm batch
+        # re-derives no identical output, only retirement drops them.
         self.explanations = LRUCache(
             maxsize=parser.config.candidate_cache_size * 8
         )
@@ -465,8 +465,8 @@ def _pool_worker_main(
         if kind == "retire":
             # A superseded table version will never be asked again: drop
             # it from the registry *and* from the worker parser's
-            # per-table caches and ranked memo, or every live-corpus edit
-            # leaks one table per worker forever.
+            # per-table caches (its column index included) and ranked
+            # memo, or every live-corpus edit leaks one table per worker.
             memo.retire(message[1])
             for digest in message[1]:
                 table = tables.pop(digest, None)

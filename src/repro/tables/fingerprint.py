@@ -136,9 +136,9 @@ def _table_digest(key: Any) -> Optional[str]:
     """The content digest a cache key belongs to, or ``None``.
 
     Every per-table cache in the repository keys its entries by a bare
-    :class:`TableFingerprint` (lexicons, grammars, explanation
-    generators, indexes) or by a tuple led by one (candidate lists,
-    ranked parses, explanations).
+    :class:`TableFingerprint` (the generator's lexicon-and-grammar
+    entries, indexes) or by a tuple led by one (candidate lists, ranked
+    parses, explanations).
     """
     if isinstance(key, TableFingerprint):
         return key.digest
@@ -150,9 +150,10 @@ def _table_digest(key: Any) -> Optional[str]:
 class LRUCache:
     """A thread-safe, bounded least-recently-used mapping.
 
-    Used for every content-addressed cache in the repository: parser
-    lexicons and grammars, explanation generators, per-question candidate
-    lists and the pools' ranked-parse and explanation memos.  Eviction keeps long-running deployments at a
+    Used for every content-addressed cache in the repository: the
+    parser's per-table lexicon-and-grammar entries, column indexes,
+    per-question candidate lists and the pools' ranked-parse and
+    explanation memos.  Eviction keeps long-running deployments at a
     fixed memory footprint; hit/miss/eviction counters feed the bench
     reports and ``SemanticParser.cache_stats()``.
 

@@ -81,7 +81,7 @@ class TestParsing:
         parser = SemanticParser()
         parser.parse("total of Fiji", medals_table)
         parser.parse("gold of Samoa", medals_table)
-        assert len(parser.generator._lexicons) == 1
+        assert len(parser.generator._per_table) == 1
 
 
 class TestRanking:

@@ -3,11 +3,14 @@
 import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_argument_parser, main
 from repro.tables import table_to_csv
+
+WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "weights.json"
 
 
 @pytest.fixture
@@ -77,6 +80,30 @@ class TestAskCommand:
         assert "Traceback" not in text
         assert len(text.strip().splitlines()) == 1
 
+    def test_ask_shows_the_rows_explain_shows(self, tmp_path, large_table):
+        """Over 50 rows a candidate shows only its sampled rows (Section 5.3).
+
+        ``ask`` must show, for each candidate, what ``explain`` of the
+        candidate's s-expression shows.
+        """
+        path = tmp_path / "growth.csv"
+        table_to_csv(large_table, path)
+        ask = ["ask", "--table", str(path), "--question",
+               "what is the highest growth rate of madagascar", "--k", "3",
+               "--model", str(WEIGHTS)]
+        out = io.StringIO()
+        assert main(ask + ["--json"], out=out) == 0
+        sexprs = [candidate["sexpr"] for candidate in json.loads(out.getvalue())["candidates"]]
+        out = io.StringIO()
+        assert main(ask, out=out) == 0
+        blocks = out.getvalue().split("--- candidate ")[1:]
+        assert len(blocks) == len(sexprs) == 3
+        for block, sexpr in zip(blocks, sexprs):
+            shown = block.split(" ---\n", 1)[1].strip()
+            out = io.StringIO()
+            assert main(["explain", "--table", str(path), "--query", sexpr], out=out) == 0
+            assert shown == out.getvalue().split("\nanswer:", 1)[0].strip()
+
     def test_ask_json_emits_v2_envelope(self, table_csv):
         out = io.StringIO()
         code = main(
@@ -105,6 +132,77 @@ class TestAskCommand:
             out=out,
         )
         assert code == 0
+
+
+class TestBadInput:
+    """A malformed caller-named file or s-expression is one BAD_REQUEST line."""
+
+    RAGGED = "Year,Country\n1896,Greece\n2004\n"
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch, olympics_table):
+        (tmp_path / "flat").mkdir()
+        table_to_csv(olympics_table, tmp_path / "flat" / "olympics.csv")
+        (tmp_path / "ragged.csv").write_text(self.RAGGED, encoding="utf-8")
+        (tmp_path / "ragged_corpus").mkdir()
+        (tmp_path / "ragged_corpus" / "ragged.csv").write_text(self.RAGGED, encoding="utf-8")
+        (tmp_path / "garbled.json").write_text("not json", encoding="utf-8")
+        (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["explain", "--table", "ragged.csv", "--query", "(all-records)"],
+                id="explain-ragged-csv",
+            ),
+            pytest.param(
+                ["explain", "--table", "flat/olympics.csv", "--query", "(bogus"],
+                id="explain-unbalanced-sexpr",
+            ),
+            pytest.param(
+                ["ask", "--table", "missing.csv", "--question", "x"],
+                id="ask-missing-csv",
+            ),
+            pytest.param(
+                ["ask", "--table", "flat/olympics.csv", "--question", "x",
+                 "--model", "missing.json"],
+                id="ask-missing-model",
+            ),
+            pytest.param(
+                ["ask", "--table", "flat/olympics.csv", "--question", "x",
+                 "--model", "garbled.json"],
+                id="ask-garbled-model",
+            ),
+            pytest.param(
+                ["ask", "--table", "flat/olympics.csv", "--question", "x",
+                 "--model", "list.json"],
+                id="ask-non-object-model",
+            ),
+            pytest.param(
+                ["bench-parse", "--tables", "1", "--questions", "1",
+                 "--model", "missing.json"],
+                id="bench-parse-missing-model",
+            ),
+            pytest.param(["catalog", "--corpus", "ragged_corpus"], id="catalog-ragged-corpus"),
+            pytest.param(
+                ["catalog", "--corpus", "flat", "--model", "garbled.json"],
+                id="catalog-garbled-model",
+            ),
+            pytest.param(
+                ["update", "--corpus", "flat", "--name", "olympics", "--table", "ragged.csv"],
+                id="update-ragged-csv",
+            ),
+        ],
+    )
+    def test_exits_one_with_one_coded_line(self, inputs, argv):
+        out = io.StringIO()
+        code = main(argv, out=out)
+        lines = out.getvalue().strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("error[BAD_REQUEST]: ")
 
 
 class TestDatasetCommand:

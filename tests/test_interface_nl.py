@@ -46,13 +46,6 @@ class TestAsk:
         assert "What was the Total of Fiji?" in text
         assert "candidate 1" in text
 
-    def test_explanation_generators_cached_per_table(self, medals_table, olympics_table):
-        interface = NLInterface(k=2)
-        interface.ask("total of Fiji", medals_table)
-        interface.ask("total of Fiji again", medals_table)
-        interface.ask("when did Greece host", olympics_table)
-        assert len(interface._generators) == 2
-
     def test_custom_parser_injected(self, medals_table):
         parser = SemanticParser()
         parser.model.weights = {"trigger:count:match": 3.0}

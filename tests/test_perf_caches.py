@@ -280,8 +280,7 @@ class TestIdReuseRegression:
         # so that dropping it below actually frees it (and its id).
         for index in range(3):
             churn = Table(columns=["Name", "Score"], rows=[[f"churn-{index}", index]])
-            parser.generator._lexicon(churn)
-            parser.generator._grammar(churn)
+            parser.generator._lexicon_and_grammar(churn)
         del churn
         stale_id = id(stale)
         del stale
@@ -300,7 +299,7 @@ class TestIdReuseRegression:
             pytest.skip("interpreter did not recycle the object id")
 
         # The lexicon served for `fresh` must index "new", not "old".
-        lexicon = parser.generator._lexicon(fresh)
+        lexicon, _ = parser.generator._lexicon_and_grammar(fresh)
         analysis = lexicon.analyze("what is the score of new")
         assert any(match.text == "new" for match in analysis.entities)
         assert not lexicon.analyze("what is the score of old").entities
@@ -313,11 +312,11 @@ class TestIdReuseRegression:
         parser = SemanticParser(config=ParserConfig(table_cache_size=4))
         for index in range(10):
             table = Table(columns=["A"], rows=[[f"value-{index}"]], name=f"t{index}")
-            parser.generator._lexicon(table)
-            parser.generator._grammar(table)
-        assert len(parser.generator._lexicons) <= 4
-        assert len(parser.generator._grammars) <= 4
-        assert parser.generator._lexicons.evictions > 0
+            parser.generator._lexicon_and_grammar(table)
+        caches = parser.cache_stats()
+        assert caches["lexicons"]["size"] <= 4
+        assert caches["grammars"]["size"] <= 4
+        assert caches["lexicons"]["evictions"] > 0
 
 
 # ---------------------------------------------------------------------------

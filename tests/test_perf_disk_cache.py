@@ -15,6 +15,7 @@ from repro.parser.grammar import CandidateGrammar
 from repro.perf import DiskCache
 from repro.perf.diskcache import CANDIDATES_NAMESPACE, DISK_CACHE_SCHEMA
 from repro.tables import Table
+from repro.tables import index as index_module
 
 
 def small_table(name: str = "t") -> Table:
@@ -133,11 +134,12 @@ class TestEvictionHooks:
         parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
         table = small_table()
         parser.parse("which country hosted in 2004", table)
-        assert table.fingerprint in parser.generator._lexicons
+        assert table.fingerprint in parser.generator._per_table
+        assert table.fingerprint in index_module._INDEX_REGISTRY
         parser.evict_table(table)
-        assert table.fingerprint not in parser.generator._lexicons
-        assert table.fingerprint not in parser.generator._grammars
+        assert table.fingerprint not in parser.generator._per_table
         assert not parser.generator._candidate_cache.items_for(table.fingerprint.digest)
+        assert table.fingerprint not in index_module._INDEX_REGISTRY
 
     def test_parse_after_evict_is_identical_and_served_from_disk(self, tmp_path):
         parser = SemanticParser(config=ParserConfig(disk_cache_dir=str(tmp_path)))
