@@ -9,11 +9,15 @@ engine collapses them: it owns a :class:`~repro.tables.catalog.TableCatalog`
 and answers every :class:`~repro.api.envelope.QueryRequest` with a
 :class:`~repro.api.envelope.QueryResult` —
 
-* ``query`` / ``query_many`` — synchronous, with the same shard-grouped
-  batching the serving dispatcher uses;
+* ``answer`` — the one answer path: deadline checks, snapshot pinning,
+  shard-grouped batches on the engine's worker pool and corpus-wide
+  routing, with one raw outcome per request;
+* ``query`` / ``query_many`` — synchronous envelopes over ``answer``
+  (``query`` is ``query_many`` of one request);
 * ``aquery`` — the asyncio face (one request off the running loop);
 * ``server()`` — an :class:`~repro.serving.AsyncServer` bound to this
-  engine, for micro-batched concurrent sessions and the TCP endpoint.
+  engine, for micro-batched concurrent sessions and the TCP endpoint;
+  its dispatcher calls ``answer`` with each batch.
 
 Errors never escape as stringly exceptions: the engine returns an error
 envelope carrying an :class:`~repro.api.errors.ErrorCode`
@@ -28,11 +32,12 @@ hope.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..tables.catalog import CatalogAnswer, TableCatalog
+from ..tables.catalog import CatalogAnswer, CatalogError, TableCatalog, TableRef
 from .envelope import (
     CandidateInfo,
     ComposedInfo,
@@ -45,10 +50,16 @@ from .envelope import (
     ShardScoreInfo,
     TimingInfo,
 )
-from .errors import ApiError, ErrorCode, bad_request, classify_exception
+from .errors import ApiError, ErrorCode, bad_request, classify_exception, timeout_error
 
 #: What ``query`` accepts: a full request or a bare question string.
 RequestLike = Union[QueryRequest, str]
+
+#: One request's raw answer from :meth:`ReproEngine.answer`: a routed
+#: ``(TableRef, InterfaceResponse)`` pair naming the pinned snapshot it
+#: ran on, a corpus-wide :class:`CatalogAnswer`, or the exception that
+#: replaced either.
+Outcome = Union[Tuple[TableRef, Any], CatalogAnswer, Exception]
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +311,12 @@ class ReproEngine:
     interface / cache_dir / max_hot_shards / k / prune:
         Forwarded to :class:`TableCatalog` when ``catalog`` is omitted.
     workers / backend:
-        Pool defaults for batched queries (per-request ``backend``
-        overrides the default).  The engine owns one long-lived
+        The worker pool every answer is parsed on (per-request
+        ``backend`` overrides the default), a server bound to this
+        engine included.  The engine owns one long-lived
         :class:`~repro.perf.pool.WorkerPool` per backend, created lazily
-        and reused for every batched query until :meth:`close` — warm
-        workers, incremental table shipping and shard pinning.
+        and reused for every query until :meth:`close` — warm workers,
+        incremental table shipping and shard pinning.
     call_timeout:
         Per-dispatch watchdog of the persistent process pool: a worker
         sitting on one batch message longer than this (seconds) is
@@ -437,147 +449,190 @@ class ReproEngine:
         self.close()
 
     # -- the query API ---------------------------------------------------------
-    def _coerce(self, request: RequestLike, options: Dict[str, Any]) -> QueryRequest:
-        return coerce_request(request, options)
+    def answer(
+        self,
+        requests: Sequence[QueryRequest],
+        deadlines: Sequence[Optional[float]],
+        executor=None,
+        stats=None,
+    ) -> List[Outcome]:
+        """Answer validated requests, index-aligned: the one answer path.
+
+        :meth:`query`, :meth:`query_many` and the serving dispatcher all
+        answer through here.  ``deadlines`` holds each request's absolute
+        ``time.monotonic()`` deadline (``None``: no deadline).  Per
+        request comes back one raw :data:`Outcome`:
+
+        * a request already past its deadline fails with a coded
+          ``TIMEOUT`` and is never dispatched;
+        * a routed request is **pinned** to the snapshot its target
+          resolves to, so a concurrent :meth:`update` supersedes that
+          snapshot but cannot retire it before the unpin in the
+          ``finally`` below — the request completes against the exact
+          version it resolved;
+        * routed requests are grouped by ``(k, backend)`` and, within a
+          group, stably sorted by digest (**shard affinity**: same-shard
+          questions run adjacent on the worker and caches that are
+          already warm, answers unchanged), then answered by one
+          :meth:`TableCatalog.ask_many` call on the engine's pool;
+        * a corpus-wide request runs :meth:`TableCatalog.ask_any`, on
+          ``executor`` when one is given — submitted before the routed
+          groups run, so a slow corpus sweep overlaps them — else inline.
+
+        A failure replaces only its own request's outcome.  Resolution
+        takes the catalog lock, which is held across disk writes during
+        eviction, so an event loop calls this from a worker thread.
+        ``stats`` (the server's ``ServerStats``), when given, counts the
+        pinned requests and the shard groups.
+        """
+        outcomes: List[Optional[Outcome]] = [None] * len(requests)
+        # (k, backend) -> [(position, request, pinned ref, deadline)]
+        groups: Dict[Tuple[Optional[int], str], List[Tuple]] = {}
+        broadcasts: List[Tuple[int, Any]] = []
+        pinned: List[TableRef] = []
+        try:
+            for position, (request, deadline) in enumerate(zip(requests, deadlines)):
+                if deadline is not None and time.monotonic() >= deadline:
+                    outcomes[position] = timeout_error(
+                        f"deadline expired before dispatch of {request.question!r}"
+                    )
+                    continue
+                backend = request.backend or self.backend
+                if request.resolved_mode == "any":
+                    call = functools.partial(
+                        self.catalog.ask_any,
+                        request.question,
+                        k=request.k,
+                        workers=self.workers,
+                        backend=backend,
+                        prune=request.prune,
+                        pool=self.pool(backend),
+                        max_candidates=request.max_candidates,
+                    )
+                    broadcasts.append(
+                        (position, executor.submit(call) if executor else call)
+                    )
+                    continue
+                try:
+                    ref = self.catalog.pin(request.target)
+                except CatalogError as error:
+                    outcomes[position] = error
+                    continue
+                pinned.append(ref)
+                groups.setdefault((request.k, backend), []).append(
+                    (position, request, ref, deadline)
+                )
+            if stats is not None:
+                stats.pinned_requests += len(pinned)
+            for (k, backend), group in groups.items():
+                group.sort(key=lambda member: member[2].digest)
+                if stats is not None:
+                    stats.shard_groups += len({member[2].digest for member in group})
+                try:
+                    responses = self.catalog.ask_many(
+                        [(request.question, ref) for _, request, ref, _ in group],
+                        k=k,
+                        workers=self.workers,
+                        backend=backend,
+                        pool=self.pool(backend),
+                        deadlines=[deadline for _, _, _, deadline in group],
+                    )
+                except Exception as error:
+                    for position, _, _, _ in group:
+                        outcomes[position] = error
+                    continue
+                for (position, _, ref, _), response in zip(group, responses):
+                    # A per-item pool failure (deadline expiry, a worker
+                    # dead past every retry) fails only its own request.
+                    outcomes[position] = (
+                        response.error if response.error is not None else (ref, response)
+                    )
+            for position, job in broadcasts:
+                try:
+                    outcomes[position] = job.result() if executor else job()
+                except Exception as error:
+                    outcomes[position] = error
+        finally:
+            for ref in pinned:
+                self.catalog.unpin(ref)
+        return outcomes
 
     def query(self, request: RequestLike, **options) -> QueryResult:
         """Answer one request; never raises for request-level failures.
 
         ``request`` is a :class:`QueryRequest` or a bare question string
         (options — ``target``, ``mode``, ``k``, ``prune``, ``backend``,
-        ``request_id`` — then come as keywords).  Failures come back as
-        coded error envelopes; call ``.raise_for_error()`` to get
-        exception behaviour.
+        ``deadline_ms``, ``request_id`` — then come as keywords).  It is
+        :meth:`query_many` of one request: a routed question is parsed to
+        its top ``k`` on the engine's pool.  Failures come back as coded
+        error envelopes; call ``.raise_for_error()`` to get exception
+        behaviour.
         """
-        try:
-            request = self._coerce(request, options)
-        except ApiError as error:
-            coerced = request if isinstance(request, QueryRequest) else QueryRequest(
-                question=request if isinstance(request, str) else ""
-            )
-            return error_result(coerced, error)
-        try:
-            request.validate()
-            # Pin the corpus version at acceptance: results report the
-            # version they were computed against even if an update lands
-            # while this request executes.
-            accepted_version = self.catalog.version
-            if request.resolved_mode == "table":
-                # Pin the resolved snapshot, as the serving dispatcher
-                # does: an update landing before the parse supersedes the
-                # shard but cannot retire it under this request.
-                ref = self.catalog.pin(request.target)
-                try:
-                    response = self.catalog.ask(request.question, ref, k=request.k)
-                finally:
-                    self.catalog.unpin(ref)
-                return result_from_response(
-                    request, response, shard=ShardInfo.from_ref(ref),
-                    cache=self.cache_stats(),
-                    corpus_version=accepted_version,
-                )
-            backend = request.backend or self.backend
-            answer = self.catalog.ask_any(
-                request.question,
-                k=request.k,
-                workers=self.workers,
-                backend=backend,
-                prune=request.prune,
-                pool=self.pool(backend),
-                max_candidates=request.max_candidates,
-            )
-            return result_from_catalog_answer(
-                request, answer, cache=self.cache_stats(),
-                corpus_version=accepted_version,
-            )
-        except Exception as error:
-            return error_result(request, classify_exception(error))
+        return self.query_many([request], **options)[0]
 
     def query_many(self, requests: Sequence[RequestLike], **options) -> List[QueryResult]:
-        """Answer a batch, index-aligned, with shard-grouped batching.
+        """Answer a batch through :meth:`answer`, one envelope per request.
 
-        Explicit-table requests sharing ``(k, backend)`` ride one
-        :meth:`TableCatalog.ask_many` call (the same composition the
-        serving dispatcher uses); corpus-wide requests run the
-        retrieve-then-parse pipeline individually.  Per-request failures
+        Results are index-aligned with ``requests`` and report the
+        corpus version current when the call began; each request's
+        ``deadline_ms`` budget starts then too.  Per-request failures
         become per-request error envelopes — one bad ref never fails its
         neighbours.
         """
-        results: List[Optional[QueryResult]] = [None] * len(requests)
         accepted_version = self.catalog.version
-        grouped: Dict[Tuple, List[Tuple[int, QueryRequest, object]]] = {}
-        pinned: List[object] = []
-        try:
-            for position, raw_request in enumerate(requests):
-                try:
-                    request = self._coerce(raw_request, options)
-                    request.validate()
-                except Exception as error:
-                    fallback = QueryRequest(
-                        question=raw_request if isinstance(raw_request, str) else ""
-                    )
-                    coerced = (
-                        raw_request if isinstance(raw_request, QueryRequest) else fallback
-                    )
-                    results[position] = error_result(coerced, classify_exception(error))
-                    continue
-                if request.resolved_mode == "any":
-                    results[position] = self.query(request)
-                    continue
-                try:
-                    # Pinned until every group has run (see query()).
-                    ref = self.catalog.pin(request.target)
-                except Exception as error:
-                    results[position] = error_result(request, classify_exception(error))
-                    continue
-                pinned.append(ref)
-                key = (request.k, request.backend or self.backend)
-                grouped.setdefault(key, []).append((position, request, ref))
-            for (k, backend), members in grouped.items():
-                # deadline_ms → absolute monotonic deadlines, one budget
-                # per request, started here (the in-process analogue of
-                # the serving dispatcher's enqueue-time stamp).
-                started = time.monotonic()
-                deadlines = [
-                    started + request.deadline_ms / 1000.0
-                    if request.deadline_ms is not None
-                    else None
-                    for _, request, _ in members
-                ]
-                try:
-                    responses = self.catalog.ask_many(
-                        [(request.question, ref) for _, request, ref in members],
-                        k=k,
-                        workers=self.workers,
-                        backend=backend,
-                        pool=self.pool(backend),
-                        deadlines=deadlines,
-                    )
-                except Exception as error:
-                    coded = classify_exception(error)
-                    for position, request, _ in members:
-                        results[position] = error_result(request, coded)
-                    continue
-                for (position, request, ref), response in zip(members, responses):
-                    if response.error is not None:
-                        results[position] = error_result(
-                            request, classify_exception(response.error)
+        results: List[Optional[QueryResult]] = [None] * len(requests)
+        accepted: List[Tuple[int, QueryRequest]] = []
+        for position, raw_request in enumerate(requests):
+            request = None
+            try:
+                request = coerce_request(raw_request, options)
+                request.validate()
+            except Exception as error:
+                if request is None:
+                    request = (
+                        raw_request
+                        if isinstance(raw_request, QueryRequest)
+                        else QueryRequest(
+                            question=raw_request if isinstance(raw_request, str) else ""
                         )
-                        continue
-                    results[position] = result_from_response(
-                        request, response, shard=ShardInfo.from_ref(ref),
-                        cache=self.cache_stats(),
-                        corpus_version=accepted_version,
                     )
-        finally:
-            for ref in pinned:
-                self.catalog.unpin(ref)
-        return [result for result in results if result is not None]
+                results[position] = error_result(request, classify_exception(error))
+                continue
+            accepted.append((position, request))
+        started = time.monotonic()
+        outcomes = self.answer(
+            [request for _, request in accepted],
+            [
+                started + request.deadline_ms / 1000.0
+                if request.deadline_ms is not None
+                else None
+                for _, request in accepted
+            ],
+        )
+        for (position, request), outcome in zip(accepted, outcomes):
+            results[position] = self._result(request, outcome, accepted_version)
+        return results
+
+    def _result(
+        self, request: QueryRequest, outcome: Outcome, corpus_version: int
+    ) -> QueryResult:
+        """The envelope for one :meth:`answer` outcome."""
+        if isinstance(outcome, Exception):
+            return error_result(request, classify_exception(outcome))
+        if isinstance(outcome, CatalogAnswer):
+            return result_from_catalog_answer(
+                request, outcome, cache=self.cache_stats(),
+                corpus_version=corpus_version,
+            )
+        ref, response = outcome
+        return result_from_response(
+            request, response, shard=ShardInfo.from_ref(ref),
+            cache=self.cache_stats(), corpus_version=corpus_version,
+        )
 
     async def aquery(self, request: RequestLike, **options) -> QueryResult:
         """Asynchronous :meth:`query` — runs off the event loop."""
         import asyncio
-        import functools
 
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(

@@ -80,7 +80,7 @@ from typing import Iterator, List, Optional
 from .api import ApiError, ErrorCode, ReproEngine, classify_exception
 from .api.errors import bad_request
 from .tables import CatalogError, Table, TableError, save_tables, table_from_csv
-from .dcs import SexprError, from_sexpr, to_sexpr
+from .dcs import DCSError, SexprError, from_sexpr, to_sexpr
 from .core import explain as explain_query
 from .parser import LogLinearModel, SemanticParser, train_parser
 from .interface import NLInterface
@@ -222,10 +222,10 @@ def build_argument_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--max-hot", type=int, help="keep at most N shards hot")
     serve_cmd.add_argument("--host", default="127.0.0.1")
     serve_cmd.add_argument("--port", type=int, default=8765)
-    serve_cmd.add_argument("--workers", type=int, default=8, help="per-batch pool size")
+    serve_cmd.add_argument("--workers", type=int, default=8, help="worker pool size")
     serve_cmd.add_argument(
         "--backend", choices=["thread", "process"], default="thread",
-        help="pool backend one dispatcher batch fans out over",
+        help="worker pool backend",
     )
     serve_cmd.add_argument(
         "--max-pending", type=int, default=1024,
@@ -398,7 +398,12 @@ def run_explain(args: argparse.Namespace, out) -> int:
     table = _load_table(args.table)
     with _caller_input("query"):
         query = from_sexpr(args.query)
-    explanation = explain_query(query, table)
+    try:
+        explanation = explain_query(query, table)
+    except DCSError as error:
+        # A well-formed --query this table cannot run (a missing column,
+        # an empty operand) is the caller's request failing.
+        raise bad_request(f"bad query: {type(error).__name__}: {error}") from error
     if args.html:
         print(explanation.as_html(), file=out)
     else:
@@ -556,7 +561,8 @@ def _load_corpus(corpus: str):
 
 
 def _build_engine(args, k: int = 7) -> ReproEngine:
-    """An engine honouring the shared --cache-dir/--max-hot/--model flags."""
+    """An engine honouring the shared --cache-dir/--max-hot/--model flags
+    and, for ``serve``, its --workers/--backend pool flags."""
     from .parser import ParserConfig
 
     model_path = getattr(args, "model", None)
@@ -571,6 +577,8 @@ def _build_engine(args, k: int = 7) -> ReproEngine:
         interface = NLInterface(parser=parser, k=k)
     return ReproEngine(
         interface=interface, cache_dir=cache_dir, max_hot_shards=max_hot, k=k,
+        workers=getattr(args, "workers", 4),
+        backend=getattr(args, "backend", "thread"),
         call_timeout=getattr(args, "call_timeout", None),
     )
 
@@ -730,10 +738,7 @@ def run_serve(args: argparse.Namespace, out) -> int:
         async def _self_test():
             import time
 
-            async with engine.server(
-                max_workers=args.workers, backend=args.backend,
-                max_pending=args.max_pending,
-            ) as server:
+            async with engine.server(max_pending=args.max_pending) as server:
                 started = time.perf_counter()
                 answered = await asyncio.gather(
                     *(_session(server, stream) for stream in streams)
@@ -774,10 +779,7 @@ def run_serve(args: argparse.Namespace, out) -> int:
         return 0
 
     async def _serve_forever():
-        async with engine.server(
-            max_workers=args.workers, backend=args.backend,
-            max_pending=args.max_pending,
-        ) as server:
+        async with engine.server(max_pending=args.max_pending) as server:
             tcp = await server.serve(host=args.host, port=args.port)
             address = tcp.sockets[0].getsockname()
             print(

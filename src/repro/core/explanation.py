@@ -15,6 +15,7 @@ deployed interface does (Section 6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from ..tables.table import Table
@@ -39,9 +40,23 @@ class QueryExplanation:
     utterance: str
     derivation: DerivationNode
     highlighted: HighlightedTable
-    sample: HighlightSample
     result: ExecutionResult
     sexpr: str
+    #: Seed of the highlight sample's row draws.
+    sampling_seed: Optional[int] = 0
+
+    @cached_property
+    def sample(self) -> HighlightSample:
+        """The Figure 7 row sample of the highlight (Section 5.3).
+
+        Drawn on first read, because only a table over
+        :data:`LARGE_TABLE_THRESHOLD` rows displays it: an explanation of
+        a smaller table holds none unless a caller asks.  The sample is a
+        pure function of the highlight and the seed, so a late draw equals
+        an eager one.
+        """
+        sampler = HighlightSampler(Highlighter(self.table), seed=self.sampling_seed)
+        return sampler.sample(self.highlighted)
 
     @property
     def answer(self) -> Tuple[str, ...]:
@@ -79,14 +94,13 @@ class ExplanationGenerator:
 
     def __init__(self, table: Table, sampling_seed: Optional[int] = 0) -> None:
         self.table = table
+        self.sampling_seed = sampling_seed
         self.executor = Executor(table)
         self.highlighter = Highlighter(table)
-        self.sampler = HighlightSampler(self.highlighter, seed=sampling_seed)
 
     def explain(self, query: Query) -> QueryExplanation:
         utterance_result = derive(query)
         highlighted = self.highlighter.highlight(query, output=True)
-        sample = self.sampler.sample(highlighted)
         result = self.executor.execute(query)
         return QueryExplanation(
             query=query,
@@ -94,9 +108,9 @@ class ExplanationGenerator:
             utterance=utterance_result.utterance,
             derivation=utterance_result.derivation,
             highlighted=highlighted,
-            sample=sample,
             result=result,
             sexpr=to_sexpr(query),
+            sampling_seed=self.sampling_seed,
         )
 
     def explain_many(self, queries: Sequence[Query]) -> List[QueryExplanation]:

@@ -8,21 +8,21 @@ reproduction, built on three pieces that already exist:
 * the :class:`~repro.tables.catalog.TableCatalog` routes each question
   to its shard through the content-addressed caches;
 * a **micro-batching dispatcher** drains every request that arrived
-  while the previous batch was executing and ships the whole batch to a
-  worker thread via ``loop.run_in_executor`` — concurrent sessions are
-  multiplexed over one :meth:`~repro.tables.catalog.TableCatalog.ask_many`
-  call, which in turn fans out over the thread pool or the GIL-free
-  process-pool backend (``backend="process"``).  Batches are composed
-  with **shard affinity**: routed requests are stably grouped by their
-  resolved shard before the pool call, so same-table questions run
-  adjacent (process-pool locality) without changing any output;
+  while the previous batch was executing and hands the whole batch to
+  :meth:`~repro.api.engine.ReproEngine.answer` on a dispatcher thread
+  via ``loop.run_in_executor`` — the same routine ``ReproEngine.query``
+  answers through.  It pins each routed request's snapshot, groups the
+  routed requests by shard (**shard affinity**) into one
+  :meth:`~repro.tables.catalog.TableCatalog.ask_many` call per
+  ``(k, backend)`` on the engine's worker pool, and runs corpus-wide
+  requests on the server's jobs executor;
 * answers stay **order-stable and bit-identical** to the sequential
   path: per-question results are deterministic and index-aligned through
   every layer, so interleaving sessions can reorder *scheduling* but
   never *answers* (locked in by ``tests/test_serving.py``).
 
-The event loop never blocks on parsing: it only awaits futures resolved
-by the dispatcher.
+The event loop never blocks on parsing or on the catalog lock: it only
+awaits futures resolved by the dispatcher.
 
 Every question enters through :meth:`AsyncServer.aquery`, in process
 and from the TCP front end (:meth:`AsyncServer.serve`) alike.  The front
@@ -40,11 +40,12 @@ instead of killing the connection.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from .. import faults
 from ..api import wire
@@ -56,55 +57,11 @@ from ..api.errors import (
     ServerClosed,
     classify_exception,
     overloaded_error,
-    timeout_error,
 )
-from ..interface.nl_interface import InterfaceResponse
-from ..perf.pool import DeadlineExceeded
-from ..tables.catalog import CatalogError, TableCatalog, TableLike
+from ..tables.catalog import TableCatalog
 
 #: Chunk size for the manual line framing of the TCP front end.
 _READ_CHUNK = 65536
-
-
-@dataclass(frozen=True)
-class _AskRequest:
-    """One enqueued question (``ref=None`` means corpus-wide routing).
-
-    ``prune`` only applies corpus-wide: ``None`` defers to the catalog's
-    routing policy, ``False`` forces the broadcast for this request.
-    ``backend`` overrides the server's pool backend for this request.
-    A routed request is answered with a :class:`_ResolvedAnswer` that
-    carries the *resolved* catalog ref — how :meth:`AsyncServer.aquery`
-    learns the shard identity without ever resolving on the event loop.
-    ``deadline`` is an absolute ``time.monotonic()`` instant computed at
-    enqueue from the request's ``deadline_ms``, so queue wait and worker
-    time draw from one budget.
-    """
-
-    question: str
-    ref: Optional[TableLike]
-    k: Optional[int]
-    prune: Optional[bool] = None
-    backend: Optional[str] = None
-    deadline: Optional[float] = None
-    #: Corpus-wide only: top-N routing cap (the router's heap path);
-    #: ``None`` keeps every retrieval hit.
-    max_candidates: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class _ResolvedAnswer:
-    """A routed answer paired with its resolved shard ref."""
-
-    ref: object
-    answer: "InterfaceResponse"
-
-
-@dataclass(frozen=True)
-class _Failure:
-    """A per-request error crossing the executor boundary."""
-
-    error: Exception
 
 
 @dataclass
@@ -162,17 +119,16 @@ class AsyncServer:
     Parameters
     ----------
     catalog:
-        The :class:`TableCatalog` — or a :class:`~repro.api.ReproEngine`
-        wrapping one — to serve.  All routing, eviction and cache policy
-        lives there; the server adds concurrency only.
-    max_workers:
-        Fan-out of one batch inside
-        :meth:`~repro.tables.catalog.TableCatalog.ask_many`.
-    backend:
-        ``"thread"`` (shared caches, default) or ``"process"`` (the
-        GIL-free :class:`~repro.perf.pool.ProcessWorkerPool`) — the
-        engine's long-lived :class:`~repro.perf.pool.WorkerPool` that
-        every batch of multiplexed questions runs on.
+        The :class:`~repro.api.ReproEngine` — or a bare
+        :class:`TableCatalog`, which the server wraps in
+        ``ReproEngine(catalog, workers=max_workers, backend=backend)``
+        — to serve.  All routing, eviction, cache and pool policy lives
+        there; the server adds concurrency only, and every batch is
+        answered on the engine's ``workers`` and ``backend``.
+    max_workers / backend:
+        The pool settings of the engine built around a bare catalog
+        (default 8 workers, ``"thread"``).  An engine passed in keeps
+        its own: naming different ones here is a ``ValueError``.
     max_batch:
         Upper bound on questions merged into one dispatcher batch.
     max_line_bytes:
@@ -192,13 +148,13 @@ class AsyncServer:
     def __init__(
         self,
         catalog: Union[TableCatalog, ReproEngine],
-        max_workers: int = 8,
-        backend: str = "thread",
+        max_workers: Optional[int] = None,
+        backend: Optional[str] = None,
         max_batch: int = 64,
         max_line_bytes: int = 64 * 1024,
         max_pending: int = 1024,
     ) -> None:
-        if max_workers < 1:
+        if max_workers is not None and max_workers < 1:
             raise ValueError(f"AsyncServer needs max_workers >= 1, got {max_workers}")
         if max_batch < 1:
             raise ValueError(f"AsyncServer needs max_batch >= 1, got {max_batch}")
@@ -211,26 +167,30 @@ class AsyncServer:
                 f"AsyncServer needs max_pending >= 0, got {max_pending}"
             )
         if isinstance(catalog, ReproEngine):
+            if max_workers not in (None, catalog.workers) or backend not in (
+                None, catalog.backend
+            ):
+                raise ValueError(
+                    "AsyncServer serves on its engine's pool: pass workers "
+                    "and backend to the ReproEngine"
+                )
             self.engine = catalog
-            self.catalog = catalog.catalog
             self._owns_engine = False
         else:
-            self.catalog = catalog
             self.engine = ReproEngine(
-                catalog, workers=max_workers, backend=backend
+                catalog, workers=max_workers or 8, backend=backend or "thread"
             )
             self._owns_engine = True
-        self.max_workers = max_workers
-        self.backend = backend
+        self.catalog = self.engine.catalog
         self.max_batch = max_batch
         self.max_line_bytes = max_line_bytes
         self.max_pending = max_pending
         self.stats = ServerStats()
         # One dispatcher thread: batches run serially (parallelism lives
-        # *inside* a batch, via ask_many's worker pool), so arrivals
+        # *inside* a batch, on the engine's worker pool), so arrivals
         # during a batch accumulate into the next one.  The jobs executor
-        # carries corpus-wide broadcasts so they overlap the routed
-        # groups (and each other) instead of running serially inline.
+        # carries corpus-wide requests so they overlap the routed groups
+        # (and each other) instead of running serially inline.
         self._executor: Optional[ThreadPoolExecutor] = None
         self._jobs: Optional[ThreadPoolExecutor] = None
         self._queue: Optional[asyncio.Queue] = None
@@ -252,7 +212,7 @@ class AsyncServer:
                 max_workers=1, thread_name_prefix="repro-serve"
             )
             self._jobs = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-serve-job"
+                max_workers=self.engine.workers, thread_name_prefix="repro-serve-job"
             )
             self._dispatcher = asyncio.get_running_loop().create_task(
                 self._dispatch_loop()
@@ -302,14 +262,14 @@ class AsyncServer:
         if self._queue is not None:
             while True:
                 try:
-                    _, future = self._queue.get_nowait()
+                    *_, future = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
                 if not future.done():
                     future.set_exception(ServerClosed("server stopped"))
             self._queue = None
         # The dispatcher executor first (waits out any in-flight
-        # _answer_batch, which may still submit to the jobs executor),
+        # engine.answer, which may still submit to the jobs executor),
         # then the jobs executor.
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -330,7 +290,9 @@ class AsyncServer:
         await self.stop()
 
     # -- the asyncio API -------------------------------------------------------
-    async def _enqueue(self, request: _AskRequest) -> object:
+    async def _enqueue(
+        self, request: QueryRequest, deadline: Optional[float]
+    ) -> object:
         """Queue one request and await its answer (race-safe vs ``stop``).
 
         The queue reference is captured once after :meth:`start`;
@@ -352,7 +314,7 @@ class AsyncServer:
             # Backpressure: never wait for queue room — a full queue
             # sheds the request immediately with a coded, retryable
             # OVERLOADED instead of hiding the overload in queue delay.
-            queue.put_nowait((request, future))
+            queue.put_nowait((request, deadline, future))
         except asyncio.QueueFull:
             self.stats.shed += 1
             raise overloaded_error(
@@ -373,17 +335,13 @@ class AsyncServer:
         The server's one entry point.  Safe to call from any number of
         concurrent tasks: the request is validated, queued,
         micro-batched with whatever else arrived and answered off the
-        event loop.  The answer comes back as a
-        :class:`~repro.api.envelope.QueryResult` built by the shared
+        event loop by :meth:`ReproEngine.answer`.  The answer comes back
+        as a :class:`~repro.api.envelope.QueryResult` built by the shared
         :mod:`repro.api.engine` builders — bit-identical (modulo timing)
         to :meth:`ReproEngine.query` on the same catalog.  Failures come
         back as coded error envelopes, never as exceptions: a full queue
         is ``OVERLOADED``, a stopping server ``SERVER_CLOSED``, an
         expired ``deadline_ms`` ``TIMEOUT``.
-
-        Resolution happens on the *dispatcher thread*, never here: the
-        catalog's resolve path takes the catalog lock (held across disk
-        writes during eviction), which must not stall the event loop.
         """
         from ..api.engine import error_result
         from ..api.envelope import ShardInfo
@@ -401,25 +359,15 @@ class AsyncServer:
                 if request.deadline_ms is not None
                 else None
             )
-            routed = request.resolved_mode == "table"
-            outcome = await self._enqueue(
-                _AskRequest(
-                    request.question,
-                    request.target if routed else None,
-                    request.k,
-                    request.prune,
-                    request.backend,
-                    deadline=deadline,
-                    max_candidates=request.max_candidates,
-                )
-            )
+            outcome = await self._enqueue(request, deadline)
         except Exception as error:
             return error_result(request, classify_exception(error))
-        # The resolved ref carries the *registered* identity (which may
-        # alias the table's own name) — exactly what ReproEngine.query
-        # reports, keeping the wire envelope bit-identical to it.
-        if routed:
-            shard, answer = ShardInfo.from_ref(outcome.ref), outcome.answer
+        # A routed outcome carries the resolved ref, whose *registered*
+        # identity (which may alias the table's own name) is exactly
+        # what ReproEngine.query reports.
+        if isinstance(outcome, tuple):
+            ref, answer = outcome
+            shard = ShardInfo.from_ref(ref)
         else:
             shard, answer = None, outcome
         return result_from_served(
@@ -441,169 +389,43 @@ class AsyncServer:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            requests = [request for request, _ in batch]
             self.stats.requests += len(batch)
             self.stats.batches += 1
             self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
+            answer = functools.partial(
+                self.engine.answer,
+                [request for request, _, _ in batch],
+                [deadline for _, deadline, _ in batch],
+                executor=self._jobs,
+                stats=self.stats,
+            )
             try:
-                outcomes = await loop.run_in_executor(
-                    self._executor, self._answer_batch, requests
-                )
+                outcomes = await loop.run_in_executor(self._executor, answer)
             except asyncio.CancelledError:
                 # stop() cancelled us mid-batch: fail the in-flight
                 # futures so their sessions unblock, then shut down.
-                for _, future in batch:
+                for *_, future in batch:
                     if not future.done():
                         future.set_exception(ServerClosed("server stopped"))
                 raise
             except Exception as error:  # pragma: no cover - defensive
                 self.stats.errors += len(batch)
-                for _, future in batch:
+                for *_, future in batch:
                     if not future.done():
                         future.set_exception(
                             ServerClosed(f"batch execution failed: {error!r}")
                         )
                 continue
-            for (_, future), outcome in zip(batch, outcomes):
+            for (*_, future), outcome in zip(batch, outcomes):
                 if future.done():  # the session was cancelled while parsing
                     continue
-                if isinstance(outcome, _Failure):
+                if isinstance(outcome, Exception):
                     self.stats.errors += 1
-                    if isinstance(outcome.error, DeadlineExceeded) or (
-                        isinstance(outcome.error, ApiError)
-                        and outcome.error.code is ErrorCode.TIMEOUT
-                    ):
+                    if classify_exception(outcome).code is ErrorCode.TIMEOUT:
                         self.stats.timeouts += 1
-                    future.set_exception(outcome.error)
+                    future.set_exception(outcome)
                 else:
                     future.set_result(outcome)
-
-    def _pool(self, backend: Optional[str]):
-        """The engine's long-lived pool for ``backend``."""
-        return self.engine.pool(backend or self.backend)
-
-    def _answer_batch(self, requests: Sequence[_AskRequest]) -> List[object]:
-        """Answer one batch on the dispatcher thread (never the event loop).
-
-        Routed questions are grouped by ``(k, backend)``, then composed
-        with **shard affinity**: within a group, requests are stably
-        sorted by their resolved shard's digest before the single
-        :meth:`TableCatalog.ask_many` call, so questions targeting the
-        same shard land adjacent in the batch — the persistent pool pins
-        each shard's run to its worker, the process-pool backend ships
-        each table once per contiguous run, and the thread backend hits
-        warm per-table caches back to back.  The sort is stable
-        (same-shard requests keep arrival order) and responses are
-        re-aligned by queue position, so outputs remain order-stable and
-        bit-identical to the unsorted path.
-
-        Corpus-wide questions run through :meth:`TableCatalog.ask_any`
-        (the retrieve-then-parse pipeline) **interleaved** with the
-        routed groups: each broadcast is submitted to the jobs executor
-        up front and collected after the routed groups finish, so a slow
-        corpus sweep never serialises in front of cheap routed traffic
-        (it used to run inline, and strictly before the groups).
-        Per-request errors (unknown refs) fail only their own future.
-
-        Each routed request is **pinned** to its resolved shard for the
-        life of the batch: a concurrent :meth:`TableCatalog.update`
-        supersedes the snapshot but cannot retire it until the unpin in
-        the ``finally`` below, so every accepted request completes
-        against the exact version it resolved — never a mid-flight
-        mixture of old and new content.
-        """
-        outcomes: List[object] = [None] * len(requests)
-        routed: Dict[
-            Tuple[Optional[int], Optional[str]],
-            List[Tuple[int, _AskRequest, object]],
-        ] = {}
-        broadcasts: List[Tuple[int, object]] = []
-        pinned: List[object] = []
-        try:
-            for position, request in enumerate(requests):
-                if (
-                    request.deadline is not None
-                    and time.monotonic() >= request.deadline
-                ):
-                    # Expired while queued: never dispatched at all.
-                    outcomes[position] = _Failure(
-                        timeout_error(
-                            f"deadline expired before dispatch of "
-                            f"{request.question!r}"
-                        )
-                    )
-                    continue
-                if request.ref is None:
-                    backend = request.backend or self.backend
-                    broadcasts.append(
-                        (
-                            position,
-                            self._jobs.submit(
-                                self.catalog.ask_any,
-                                request.question,
-                                k=request.k,
-                                workers=self.max_workers,
-                                backend=backend,
-                                prune=request.prune,
-                                pool=self._pool(backend),
-                                max_candidates=request.max_candidates,
-                            ),
-                        )
-                    )
-                    continue
-                try:
-                    ref = self.catalog.resolve(request.ref)
-                    # Pin the resolved snapshot: it stays answerable
-                    # even if an update lands before (or while) the
-                    # group executes.
-                    ref = self.catalog.pin(ref)
-                except CatalogError as error:
-                    outcomes[position] = _Failure(error)
-                    continue
-                pinned.append(ref)
-                routed.setdefault((request.k, request.backend), []).append(
-                    (position, request, ref)
-                )
-            self.stats.pinned_requests += len(pinned)
-            for (k, backend), group in routed.items():
-                # Shard-affinity composition: stable sort by resolved digest.
-                group.sort(key=lambda entry: entry[2].digest)
-                self.stats.shard_groups += len(
-                    {ref.digest for _, _, ref in group}
-                )
-                try:
-                    responses = self.catalog.ask_many(
-                        [(request.question, ref) for _, request, ref in group],
-                        k=k,
-                        workers=self.max_workers,
-                        backend=backend or self.backend,
-                        pool=self._pool(backend),
-                        deadlines=[request.deadline for _, request, _ in group],
-                    )
-                except Exception as error:
-                    for position, _, _ in group:
-                        outcomes[position] = _Failure(error)
-                    continue
-                for (position, request, ref), response in zip(group, responses):
-                    if response.error is not None:
-                        # A per-item pool failure (deadline expiry, a worker
-                        # dead past every retry) fails only its own future.
-                        outcomes[position] = _Failure(response.error)
-                        continue
-                    outcomes[position] = _ResolvedAnswer(ref, response)
-            for position, future in broadcasts:
-                try:
-                    outcomes[position] = future.result()
-                except Exception as error:
-                    outcomes[position] = _Failure(error)
-        finally:
-            # Unpin in all cases — a pinned-but-failed request must not
-            # keep its superseded snapshot alive forever.  Retirement of
-            # any shard superseded mid-batch fires here, on the
-            # dispatcher thread.
-            for ref in pinned:
-                self.catalog.unpin(ref)
-        return outcomes
 
     # -- TCP front end ---------------------------------------------------------
     async def serve(self, host: str = "127.0.0.1", port: int = 8765):
@@ -718,16 +540,11 @@ class AsyncServer:
             query = wire.query_request_from_wire(request)
             query.validate()
         except Exception as error:
-            return wire.v2_error_response(self._wire_error(error), request_id)
+            return wire.v2_error_response(classify_exception(error), request_id)
         result = await self.aquery(query)
         return wire.v2_result_response(result, request_id)
 
     # -- shared wire helpers ---------------------------------------------------
-    def _wire_error(self, error: Exception) -> ApiError:
-        if isinstance(error, ApiError):
-            return error
-        return classify_exception(error)
-
     def _table_listing(self) -> List[Dict[str, object]]:
         return wire.table_listing(self.catalog)
 

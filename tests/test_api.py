@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from repro.api import (
     ReproEngine,
     ShardInfo,
     classify_exception,
+    result_from_response,
     result_from_served,
 )
 from repro.interface import InterfaceSession, NLInterface
@@ -60,6 +62,13 @@ def _signature(response):
          item.candidate.score)
         for item in response.explained
     ]
+
+
+def _full_parse_result(catalog, request):
+    """The slow reference's envelope: a full parse through TableCatalog.ask."""
+    ref = catalog.resolve(request.target)
+    response = catalog.ask(request.question, ref, k=request.k)
+    return result_from_response(request, response, shard=ShardInfo.from_ref(ref))
 
 
 class TestQueryRequest:
@@ -167,6 +176,47 @@ class TestReproEngine:
             for c in result.candidates
         ] == _signature(reference)
 
+    def test_query_parses_its_top_k_on_the_engine_pool(self, corpus, engine):
+        """``query`` is ``query_many`` of one request: a routed question
+        is parsed to its top k on the engine's pool, so it stores no
+        unranked candidate list, a repeat is a ranked-memo hit, and the
+        answer equals the full parse of ``TableCatalog.ask``."""
+        _, questions = corpus
+        request = QueryRequest(question=questions["olympics"], target="olympics", k=3)
+        result = engine.query(request)
+        pool = engine.pool()
+        assert pool.stats()["units"] == 1
+        assert engine.cache_stats()["candidates"]["size"] == 0
+        hits = pool._ranked.stats()["hits"]
+        again = engine.query(request)
+        assert pool._ranked.stats()["hits"] == hits + 1
+        assert again.canonical_dict() == result.canonical_dict()
+        reference = _full_parse_result(engine.catalog, request)
+        assert result.canonical_dict() == reference.canonical_dict()
+        assert _signature(result.raw) == _signature(reference.raw)
+
+    def test_query_honours_deadline_ms(self, corpus, engine):
+        """A routed request's ``deadline_ms`` budget reaches the pool:
+        spent before its parse, the answer is a coded TIMEOUT."""
+        _, questions = corpus
+        real_pin = engine.catalog.pin
+
+        def slow_pin(ref):
+            time.sleep(0.01)
+            return real_pin(ref)
+
+        engine.catalog.pin = slow_pin
+        result = engine.query(questions["olympics"], target="olympics", deadline_ms=1)
+        assert result.error_code is ErrorCode.TIMEOUT
+
+    def test_answer_fails_an_expired_request_before_dispatch(self, corpus, engine):
+        _, questions = corpus
+        request = QueryRequest(question=questions["olympics"], target="olympics")
+        [outcome] = engine.answer([request], [time.monotonic() - 1.0])
+        assert classify_exception(outcome).code is ErrorCode.TIMEOUT
+        assert engine.pool_stats() == {}
+        assert engine.catalog.stats()["pins"] == 0
+
     def test_corpus_wide_query_carries_routing(self, corpus, engine):
         _, questions = corpus
         result = engine.query(questions["olympics"])
@@ -193,8 +243,6 @@ class TestReproEngine:
         """An empty candidate list envelopes as PARSE_FAILURE but keeps
         the shard/routing context (the request *was* routed and parsed)."""
         from types import SimpleNamespace
-
-        from repro.api import result_from_response
 
         response = SimpleNamespace(
             question="q", table=None, explained=[],
@@ -225,7 +273,7 @@ class TestReproEngine:
             elif request.target is None:
                 assert result.routing.mode == "any"
             else:
-                single = engine.query(request)
+                single = _full_parse_result(engine.catalog, request)
                 assert result.canonical_dict() == single.canonical_dict()
 
     def test_aquery_matches_query(self, corpus, engine):

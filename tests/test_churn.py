@@ -512,14 +512,14 @@ class TestServingChurn:
         catalog = engine.catalog
         old = catalog.resolve("games")
         accepted_version = catalog.version
-        real_ask = catalog.ask
+        real_ask_many = catalog.ask_many
 
-        def updating_ask(question, ref, **kwargs):
+        def updating_ask_many(items, **kwargs):
             if catalog.resolve("games").digest == old.digest:
                 catalog.update("games", games_v2)
-            return real_ask(question, ref, **kwargs)
+            return real_ask_many(items, **kwargs)
 
-        catalog.ask = updating_ask
+        catalog.ask_many = updating_ask_many
         result = engine.query("which city is in the USA", target="games")
         assert result.ok
         assert result.shard.digest == old.digest

@@ -162,6 +162,11 @@ class TestBadInput:
                 id="explain-unbalanced-sexpr",
             ),
             pytest.param(
+                ["explain", "--table", "flat/olympics.csv", "--query",
+                 '(column-records "Nope" (value "x"))'],
+                id="explain-missing-column",
+            ),
+            pytest.param(
                 ["ask", "--table", "missing.csv", "--question", "x"],
                 id="ask-missing-csv",
             ),
@@ -489,6 +494,17 @@ class TestServeCommand:
         assert lines
         schema = wire_schema.load_schema("query_result.v2.json")
         assert wire_schema.validate_lines(lines, schema) == len(lines)
+
+    def test_pool_flags_reach_the_engine(self):
+        """--workers and --backend build the engine's pool, the one the
+        server parses on (they used to size only the server's threads)."""
+        from repro.cli import _build_engine
+
+        args = build_argument_parser().parse_args(
+            ["serve", "--corpus", "unused", "--workers", "1", "--backend", "process"]
+        )
+        engine = _build_engine(args)
+        assert (engine.workers, engine.backend) == (1, "process")
 
     def test_self_test_without_questions_fails(self, tmp_path, olympics_table):
         flat = tmp_path / "flat"

@@ -7,8 +7,11 @@ from repro.core import (
     ExplanationGenerator,
     explain,
     explain_candidates,
+    sample_highlights,
 )
 from repro.dcs import builder as q, to_sexpr
+from repro.interface import NLInterface
+from repro.perf import create_pool
 
 
 class TestSingleExplanation:
@@ -34,6 +37,28 @@ class TestSingleExplanation:
         explanation = explain(query, large_table)
         assert explanation.uses_sampling
         assert 0 < len(explanation.display_rows()) <= 3
+
+    def test_sample_is_drawn_on_first_read(self, medals_table):
+        """A small table displays every row, so rendering its explanation
+        draws no sample; a later read draws the sampler's own rows."""
+        query = q.value_difference("Total", "Nation", "Fiji", "Tonga")
+        explanation = explain(query, medals_table)
+        explanation.as_text()
+        assert "sample" not in vars(explanation)
+        expected = sample_highlights(query, medals_table)
+        assert explanation.sample.row_indices == expected.row_indices
+        assert explanation.sample.output_rows == expected.output_rows
+
+    def test_memoized_small_table_explanations_hold_no_sample(self, olympics_table):
+        interface = NLInterface(k=3)
+        with create_pool("thread", interface.parser, 1) as pool:
+            [response] = interface.ask_many(
+                [("which country hosted in 2004", olympics_table)], pool=pool
+            )
+            response.as_text()
+            memoized = pool.explanations.items_for(olympics_table.fingerprint.digest)
+        assert len(memoized) == len(response.explained) > 0
+        assert all("sample" not in vars(item) for item in memoized.values())
 
     def test_text_rendering_contains_utterance(self, olympics_table):
         query = q.column_values("Year", q.column_records("Country", "Greece"))

@@ -274,29 +274,34 @@ class TestIdReuseRegression:
         parser = SemanticParser(
             config=ParserConfig(table_cache_size=2, candidate_cache_size=2)
         )
-        stale = Table(columns=["Name", "Score"], rows=[["old", 1]], name="stale")
-        parser.parse("what is the score of old", stale)
-        # Evict the stale table's lexicon/grammar while it is still alive,
-        # so that dropping it below actually frees it (and its id).
-        for index in range(3):
-            churn = Table(columns=["Name", "Score"], rows=[[f"churn-{index}", index]])
-            parser.generator._lexicon_and_grammar(churn)
-        del churn
-        stale_id = id(stale)
-        del stale
-
-        fresh = None
         keep = []  # hold probes alive so the allocator digs through the free pool
-        for _ in range(5000):
-            candidate = Table(
-                columns=["Name", "Score"], rows=[["new", 9]], name="fresh"
-            )
-            if id(candidate) == stale_id:
-                fresh = candidate
+        fresh = None
+        # One round frees a parsed table and probes for its id with bare
+        # instances (a probe's __init__ would allocate lists that could
+        # take the freed slot for good).  A probe's attribute storage can
+        # still take it, so a round that misses is repeated.
+        for _ in range(20):
+            stale = Table(columns=["Name", "Score"], rows=[["old", 1]], name="stale")
+            parser.parse("what is the score of old", stale)
+            # Evict the stale table's lexicon/grammar while it is still
+            # alive, so that dropping it below actually frees it (and its id).
+            for index in range(3):
+                churn = Table(columns=["Name", "Score"], rows=[[f"churn-{index}", index]])
+                parser.generator._lexicon_and_grammar(churn)
+            del churn
+            stale_id = id(stale)
+            del stale
+            for _ in range(2000):
+                candidate = Table.__new__(Table)
+                if id(candidate) == stale_id:
+                    fresh = candidate
+                    break
+                keep.append(candidate)
+            if fresh is not None:
                 break
-            keep.append(candidate)
         if fresh is None:
             pytest.skip("interpreter did not recycle the object id")
+        fresh.__init__(columns=["Name", "Score"], rows=[["new", 9]], name="fresh")
 
         # The lexicon served for `fresh` must index "new", not "old".
         lexicon, _ = parser.generator._lexicon_and_grammar(fresh)

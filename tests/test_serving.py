@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.api import ErrorCode, QueryRequest, ReproEngine
+from repro.api import ErrorCode, QueryRequest, ReproEngine, ShardInfo, result_from_response
 from repro.interface import NLInterface
 from repro.tables import TableCatalog
 from repro.serving import AsyncServer
@@ -87,12 +87,17 @@ class TestAsyncServer:
     def test_hot_set_eviction_keeps_answers_identical(self, corpus, tmp_path):
         """Serving under memory pressure: with at most 2 of 3 shards hot,
         concurrent sessions evict and rehydrate shards, and every answer
-        still equals the unbounded in-process engine's."""
+        still equals the full parse of an unbounded catalog."""
         tables, questions = corpus
         workload = [(questions[table.name], table.name) for table in tables] * 2
-        reference = ReproEngine(tables=tables)
+        reference = TableCatalog()
+        reference.register_all(tables)
         expected = [
-            reference.query(question, target=name).canonical_dict()
+            result_from_response(
+                QueryRequest(question=question, target=name),
+                reference.ask(question, name),
+                shard=ShardInfo.from_ref(reference.resolve(name)),
+            ).canonical_dict()
             for question, name in workload
         ]
         catalog = TableCatalog(cache_dir=str(tmp_path), max_hot_shards=2)
@@ -218,6 +223,30 @@ class TestAsyncServer:
         assert good.answer == ("Greece",)
         assert bad.error_code is ErrorCode.UNKNOWN_TABLE
         assert also_good.top is not None
+
+    def test_server_serves_on_its_engines_pool(self, corpus, catalog):
+        """A server over an engine parses on the engine's own pool: over
+        ``ReproEngine(workers=1, backend="process")`` that is one worker
+        process, with no pool setting named again — and naming a
+        different one is an error, not a setting silently ignored."""
+        _, questions = corpus
+        engine = ReproEngine(catalog, workers=1, backend="process")
+        with pytest.raises(ValueError):
+            engine.server(backend="thread")
+
+        async def drive():
+            async with engine.server() as server:
+                return await _ask(server, questions["olympics"], "olympics")
+
+        try:
+            result = asyncio.run(drive())
+            pools = engine.pool_stats()
+        finally:
+            engine.close()
+        assert result.answer == ("Greece",)
+        assert list(pools) == ["process"]
+        assert pools["process"]["workers"] == 1
+        assert pools["process"]["units"] == 1
 
     def test_hard_stop_fails_queued_requests(self, corpus, catalog):
         _, questions = corpus
@@ -433,19 +462,19 @@ class TestServingRaceRegressions:
     ):
         """Regression: aquery used to call catalog.resolve on the event
         loop; the catalog lock (held across disk writes during eviction)
-        could stall every session.  Resolution must happen on the
-        dispatcher thread."""
+        could stall every session.  Resolution (``catalog.pin``, which
+        resolves the target) must happen on the dispatcher thread."""
         import threading
 
         _, questions = corpus
         seen_threads = []
-        real_resolve = catalog.resolve
+        real_pin = catalog.pin
 
-        def recording_resolve(ref):
+        def recording_pin(ref):
             seen_threads.append(threading.current_thread().name)
-            return real_resolve(ref)
+            return real_pin(ref)
 
-        catalog.resolve = recording_resolve
+        catalog.pin = recording_pin
 
         async def drive():
             async with AsyncServer(catalog, max_workers=2) as server:
@@ -454,7 +483,7 @@ class TestServingRaceRegressions:
         try:
             result = asyncio.run(drive())
         finally:
-            catalog.resolve = real_resolve
+            catalog.pin = real_pin
         assert result.ok
         assert seen_threads
         for name in seen_threads:
@@ -519,13 +548,13 @@ class TestBackpressure:
             server = AsyncServer(catalog, max_workers=2, max_pending=1)
             await server.start()
             gate = threading.Event()
-            real_answer_batch = server._answer_batch
+            real_answer = server.engine.answer
 
-            def gated_answer_batch(requests):
+            def gated_answer(*args, **kwargs):
                 gate.wait(timeout=30)
-                return real_answer_batch(requests)
+                return real_answer(*args, **kwargs)
 
-            server._answer_batch = gated_answer_batch
+            server.engine.answer = gated_answer
             loop = asyncio.get_running_loop()
             # First request: picked up by the dispatcher, stuck at the gate.
             busy = loop.create_task(_ask(server, questions["olympics"], "olympics"))
