@@ -367,14 +367,6 @@ class ReproEngine:
     def register_all(self, tables, names=None):
         return self.catalog.register_all(tables, names=names)
 
-    def register_many(self, tables, names=None):
-        """Bulk registration: batch posting extraction, one index merge.
-
-        Passthrough to :meth:`TableCatalog.register_many` — semantically
-        :meth:`register_all`, built for corpus-scale table counts.
-        """
-        return self.catalog.register_many(tables, names=names)
-
     def update(self, ref, new_table):
         """Publish ``new_table`` as the next version of a registered shard.
 

@@ -186,7 +186,10 @@ def run_join_bench(
     if corpus is None:
         corpus = build_join_corpus(config or JoinCorpusConfig())
     catalog = TableCatalog()
-    catalog.register_many(corpus.tables, names=corpus.names)
+    catalog.register_all(corpus.tables, names=corpus.names)
+    # Build the index before the timed routing reads, so the first one's
+    # latency is routing alone, not the catch-up.
+    catalog.corpus_index()
     by_digest = {table.fingerprint.digest: table for table in corpus.tables}
 
     report = JoinReport(

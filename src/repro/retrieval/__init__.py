@@ -23,8 +23,9 @@ Two pieces:
   are never lost to pruning.
 
 :class:`~repro.tables.catalog.TableCatalog` owns one index+router pair
-and maintains it on register/evict/rehydrate; ``repro route`` inspects
-routing decisions from the command line.
+and catches the index up on the first corpus-wide read after a
+registration; ``repro route`` inspects routing decisions from the
+command line.
 """
 
 from .corpus_index import (

@@ -40,7 +40,7 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..parser.lexicon import (
@@ -89,7 +89,7 @@ class ShardPosting:
             + len(self.numbers)
         )
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
         """Approximate retained size of this posting's term payload.
 
@@ -99,7 +99,8 @@ class ShardPosting:
         and dict overhead of the inverted maps is excluded), but a
         *consistent* one: maintained incrementally on add/update/discard,
         it answers "how much index memory does this corpus cost" without
-        an O(shards) walk.
+        an O(shards) walk.  Computed once per posting (postings are
+        immutable); equality and hashing still see the fields only.
         """
         total = sys.getsizeof(self.digest)
         for terms in (self.entity_keys, self.entity_tokens, self.header_tokens):
@@ -260,6 +261,16 @@ def question_terms(question: str, max_span_length: int = 5) -> QuestionTerms:
     return extract_question_terms(question, max_span_length=max_span_length)
 
 
+def _link(mapping: Dict, keys: Iterable, digest: str) -> None:
+    """Add ``digest`` under every key, allocating a set only for a new key."""
+    for key in keys:
+        digests = mapping.get(key)
+        if digests is None:
+            mapping[key] = {digest}
+        else:
+            digests.add(digest)
+
+
 class CorpusIndex:
     """Inverted maps from normalized terms to shard fingerprint digests.
 
@@ -293,44 +304,38 @@ class CorpusIndex:
             if existing is not None:
                 return existing
         # Extraction is pure and lock-free; only publication locks.
-        return self.add_posting(extract_shard_posting(table))
-
-    def add_posting(self, posting: ShardPosting) -> ShardPosting:
-        """Publish a pre-extracted posting (idempotent per digest)."""
-        with self._lock:
-            return self._add_posting_locked(posting)
+        return self.add_postings([extract_shard_posting(table)])[0]
 
     def add_postings(
         self, postings: Iterable[ShardPosting]
     ) -> List[ShardPosting]:
         """Publish many pre-extracted postings under one lock acquisition.
 
-        The merge half of the bulk build: extraction
-        (:func:`extract_shard_postings`) runs outside this lock, then the
-        whole batch lands here — one acquisition instead of one per
-        table, which is what keeps a thousand-shard registration from
-        serializing on the index lock.  Idempotent per digest exactly
-        like :meth:`add_posting`; returns the published postings,
-        index-aligned.
+        The merge half of a catalog's catch-up: the postings of every
+        table registered since the last corpus-wide read are extracted
+        in one batch (:func:`extract_shard_postings`, outside this lock)
+        and land here — one acquisition instead of one per table.
+        Idempotent per digest exactly like :meth:`add`; returns the
+        published postings, index-aligned.
         """
         with self._lock:
             return [self._add_posting_locked(posting) for posting in postings]
 
     def _add_posting_locked(self, posting: ShardPosting) -> ShardPosting:
-        existing = self._postings.get(posting.digest)
+        digest = posting.digest
+        existing = self._postings.get(digest)
         if existing is not None:
             return existing
-        self._postings[posting.digest] = posting
+        self._postings[digest] = posting
         self._postings_terms += posting.num_terms
         self._postings_bytes += posting.nbytes
-        for key in posting.entity_keys:
-            self._entities.setdefault(key, set()).add(posting.digest)
-        for token in posting.entity_tokens:
-            self._entity_tokens.setdefault(token, set()).add(posting.digest)
-        for token in posting.header_tokens:
-            self._headers.setdefault(token, set()).add(posting.digest)
-        for number in posting.numbers:
-            self._numbers.setdefault(number, set()).add(posting.digest)
+        for mapping, keys in (
+            (self._entities, posting.entity_keys),
+            (self._entity_tokens, posting.entity_tokens),
+            (self._headers, posting.header_tokens),
+            (self._numbers, posting.numbers),
+        ):
+            _link(mapping, keys, digest)
         return posting
 
     def update(self, old_digest: str, new_table: Table) -> ShardPosting:
@@ -380,8 +385,7 @@ class CorpusIndex:
                         digests.discard(old_digest)
                         if not digests:
                             del mapping[key]
-                for key in new_keys - old_keys:
-                    mapping.setdefault(key, set()).add(new_posting.digest)
+                _link(mapping, new_keys - old_keys, new_posting.digest)
                 for key in old_keys & new_keys:
                     digests = mapping[key]
                     digests.discard(old_digest)

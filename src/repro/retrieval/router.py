@@ -90,7 +90,7 @@ class ShardRouter:
     ----------
     index:
         The corpus index to score against (owned by the catalog, which
-        maintains it on register).
+        catches it up before every routing read).
     max_candidates:
         Optional cap on how many (highest-scoring) hit shards survive
         pruning.  ``None`` — the default, and what the fallback contract

@@ -555,7 +555,9 @@ class AsyncServer:
         the ones the pools (``respawns``/``downgrades``), the catalog
         (``updates``/``retired``) and the corpus index (its O(1) scale
         counters) own — read from them here, so every value is current
-        whenever the payload is built.
+        whenever the payload is built.  Reading the catalog's counters
+        catches the corpus index up first, so the ``retrieval_*`` fields
+        always count every live shard.
         """
         payload = wire.stats_payload(self.catalog, self.stats.as_dict())
         pools = self.engine.pool_stats().values()

@@ -47,6 +47,7 @@ from .table import Table, TableError
 if TYPE_CHECKING:  # pragma: no cover - typing only (runtime imports are lazy)
     from ..compose.answer import ComposedAnswer
     from ..interface.nl_interface import InterfaceResponse, NLInterface
+    from ..retrieval.corpus_index import CorpusIndex
     from ..retrieval.router import RoutingDecision, SetRoutingDecision
 
 #: How a caller may name a table: a :class:`TableRef`, a registered name,
@@ -227,6 +228,21 @@ class TableCatalog:
         ``False`` never composes.  Strictly additive either way — the
         single-shard ranking is identical.  Per-call ``compose=``
         overrides this default.
+
+    Registration does not index.  Only corpus-wide reads consult the
+    corpus retrieval index — :meth:`routing`, :meth:`routing_sets`,
+    :meth:`ask_any`, :meth:`stats` and :meth:`corpus_index` — so a
+    registration only marks its digest pending, and the first such read
+    catches the index up in one batch
+    (:func:`~repro.retrieval.corpus_index.extract_shard_postings`, then
+    one :meth:`~repro.retrieval.CorpusIndex.add_postings`).
+    :meth:`evict` publishes its shard's posting before the table leaves
+    memory, so routing never rehydrates a shard.  A catalog that only
+    answers questions over a named table never extracts a posting.  The
+    price: the first corpus-wide read, ``stats`` call or eviction after
+    a registration pays the extraction registration used to pay, and
+    holds the catalog lock while it does — about 5 ms for 24 small
+    tables, 0.1–0.2 s for 500 discovery shards.
     """
 
     def __init__(
@@ -269,6 +285,9 @@ class TableCatalog:
         self.prune = prune
         self.compose = compose
         self._index = CorpusIndex()
+        #: Live digests whose postings are not yet in ``_index``; the
+        #: next corpus-wide read publishes them (:meth:`corpus_index`).
+        self._unindexed: set = set()
         self._router = ShardRouter(self._index)
         self._set_router = ShardSetRouter(self._index, self._router)
         self._shards: Dict[str, _Shard] = {}
@@ -306,88 +325,30 @@ class TableCatalog:
         Content-addressed and idempotent: re-registering equal content
         returns the existing shard (adding the new name as an alias);
         registering a *different* table under a taken name raises.
-        Registration also indexes the shard's content into the corpus
-        retrieval index (terms, entities, numbers, header tokens), so
-        corpus-wide questions can route to it; the posting is keyed by
-        content and survives eviction — routing never needs the table
-        back in memory.
+        New content is marked pending for the corpus retrieval index,
+        not indexed: the next corpus-wide read extracts its posting (see
+        the class docstring).
         """
-        digest = table.fingerprint.digest
-        name = name if name is not None else table.name
-        with self._lock:
-            taken = self._names.get(name)
-            if taken is not None and taken != digest:
-                raise NameConflictError(
-                    f"name {name!r} is already registered for table "
-                    f"{taken[:12]}; use update({name!r}, new_table) to "
-                    f"publish new content under an existing name"
-                )
-            # Index only once registration is certain: a rejected table
-            # must not leave a posting behind.
-            self._index.add(table)
-            shard = self._shards.get(digest)
-            if shard is None:
-                ref = TableRef(
-                    digest=digest,
-                    name=name,
-                    num_rows=table.num_rows,
-                    num_columns=table.num_columns,
-                )
-                shard = _Shard(ref=ref, table=table, order=next(self._order))
-                self._shards[digest] = shard
-                self.version += 1
-            elif shard.table is None:
-                # Re-registering an evicted shard rehydrates it for free.
-                shard.table = table
-                shard.hot = True
-            self._names[name] = digest
-            self._touch(shard)
-            self._enforce_hot_limit(protect=digest)
-            return shard.ref
+        return self.register_all(
+            [table], names=[name if name is not None else table.name]
+        )[0]
 
     def register_all(
         self, tables: Sequence[Table], names: Optional[Sequence[str]] = None
     ) -> List[TableRef]:
-        """Register a sequence of tables; returns their refs, index-aligned."""
-        if names is not None and len(names) != len(tables):
-            raise CatalogError(
-                f"got {len(names)} names for {len(tables)} tables"
-            )
-        return [
-            self.register(table, name=names[i] if names is not None else None)
-            for i, table in enumerate(tables)
-        ]
+        """Register a sequence of tables; returns their refs, index-aligned.
 
-    def register_many(
-        self,
-        tables: Sequence[Table],
-        names: Optional[Sequence[str]] = None,
-    ) -> List[TableRef]:
-        """Bulk-register a corpus: batch posting extraction, one merge.
-
-        Semantically equivalent to :meth:`register_all` (same refs, same
-        final catalog state, same eviction count under a hot limit), but
-        built for hundreds-to-thousands of tables: posting extraction —
-        the pure, per-table expensive half of registration — runs once
-        for the batch through
-        :func:`~repro.retrieval.corpus_index.extract_shard_postings`
-        (memoized across the batch's shared cell strings), and the whole
-        batch then merges into the corpus index under **one** lock
-        acquisition (:meth:`CorpusIndex.add_postings`) instead of one per
-        table.
-
-        One deliberate strengthening over :meth:`register_all`: names are
-        validated for the *entire batch* (against the catalog and within
-        the batch itself) before any shard or posting is published, so a
-        name conflict rejects the whole batch atomically instead of
-        stopping halfway.
+        Every name in the batch is validated — against the catalog and
+        within the batch itself — before anything is mutated, so a name
+        conflict rejects the whole batch.  Registration extracts no
+        posting (see the class docstring), and a hot limit is enforced
+        once, after the batch: recency order is that of registering the
+        tables one by one, so the same shards end up evicted.
         """
         if names is not None and len(names) != len(tables):
             raise CatalogError(
                 f"got {len(names)} names for {len(tables)} tables"
             )
-        from ..retrieval import extract_shard_postings
-
         tables = list(tables)
         resolved_names = [
             names[i] if names is not None else table.name
@@ -395,8 +356,6 @@ class TableCatalog:
         ]
         digests = [table.fingerprint.digest for table in tables]
         with self._lock:
-            # Atomic batch validation: every name checked before any
-            # mutation, including intra-batch conflicts.
             claimed = dict(self._names)
             for name, digest in zip(resolved_names, digests):
                 taken = claimed.get(name)
@@ -407,18 +366,6 @@ class TableCatalog:
                         f"publish new content under an existing name"
                     )
                 claimed[name] = digest
-            # Extract only content the index does not know yet; the
-            # extraction itself is pure, but holding the catalog lock
-            # keeps the validated-name snapshot consistent (registration
-            # is serialized per catalog either way).
-            seen: set = set()
-            pending = []
-            for table, digest in zip(tables, digests):
-                if digest not in seen and digest not in self._index:
-                    seen.add(digest)
-                    pending.append(table)
-            if pending:
-                self._index.add_postings(extract_shard_postings(pending))
             refs: List[TableRef] = []
             for table, name, digest in zip(tables, resolved_names, digests):
                 shard = self._shards.get(digest)
@@ -433,16 +380,15 @@ class TableCatalog:
                         ref=ref, table=table, order=next(self._order)
                     )
                     self._shards[digest] = shard
+                    self._unindexed.add(digest)
                     self.version += 1
                 elif shard.table is None:
+                    # Re-registering an evicted shard rehydrates it for free.
                     shard.table = table
                     shard.hot = True
                 self._names[name] = digest
                 self._touch(shard)
                 refs.append(shard.ref)
-            # One enforcement pass for the whole batch: recency order is
-            # identical to the sequential path's final state, so the
-            # same shards end up evicted (just all at once, at the end).
             if digests:
                 self._enforce_hot_limit(protect=digests[-1])
             return refs
@@ -492,9 +438,14 @@ class TableCatalog:
                 )
             old_table = self._materialize(old_shard)
             diff = diff_tables(old_table, new_table)
-            # Delta maintenance: postings by changed key, per-column
-            # indexes by changed column.
-            self._index.update(old_ref.digest, new_table)
+            # Delta maintenance: postings by changed key (or, when the old
+            # posting was never published, just the pending digest),
+            # per-column indexes by changed column.
+            if old_ref.digest in self._unindexed:
+                self._unindexed.discard(old_ref.digest)
+                self._unindexed.add(new_digest)
+            else:
+                self._index.update(old_ref.digest, new_table)
             update_index(old_table.fingerprint, new_table, diff)
             new_ref = TableRef(
                 digest=new_digest,
@@ -694,8 +645,13 @@ class TableCatalog:
             return False
 
     def stats(self) -> Dict[str, object]:
-        """Counters for serving dashboards and the bench harness."""
+        """Counters for serving dashboards and the bench harness.
+
+        Reads the corpus index, so it catches the index up first: the
+        ``retrieval`` counters always describe every live shard.
+        """
         with self._lock:
+            index = self.corpus_index()
             live = [
                 shard
                 for shard in self._shards.values()
@@ -714,9 +670,33 @@ class TableCatalog:
                 "retired": self.retired,
                 "superseded": len(self._shards) - len(live),
                 "pins": sum(shard.pins for shard in self._shards.values()),
-                "retrieval": self._index.stats(),
+                "retrieval": index.stats(),
                 "parser": self.interface.parser.cache_stats(),
             }
+
+    # -- the corpus retrieval index ---------------------------------------------
+    def corpus_index(self) -> "CorpusIndex":
+        """The corpus retrieval index, caught up with every live shard.
+
+        Publishes every pending posting in one batch first (see the
+        class docstring).
+        """
+        with self._lock:
+            if self._unindexed:
+                from ..retrieval.corpus_index import extract_shard_postings
+
+                tables = [
+                    self._shards[digest].table for digest in self._unindexed
+                ]
+                self._index.add_postings(extract_shard_postings(tables))
+                self._unindexed.clear()
+            return self._index
+
+    def _routable_refs(self) -> List[TableRef]:
+        """Catch the index up and snapshot the live refs in one lock hold."""
+        with self._lock:
+            self.corpus_index()
+            return self.refs()
 
     # -- question routing ------------------------------------------------------
     def ask(
@@ -784,7 +764,7 @@ class TableCatalog:
         change.  ``repro route`` is the CLI face of this method.
         """
         return self._router.route(
-            question, self.refs(), max_candidates=max_candidates
+            question, self._routable_refs(), max_candidates=max_candidates
         )
 
     def routing_sets(
@@ -816,7 +796,7 @@ class TableCatalog:
                 pool_size=router.pool_size,
             )
         return router.route_sets(
-            question, self.refs(), max_candidates=max_candidates
+            question, self._routable_refs(), max_candidates=max_candidates
         )
 
     def _compose_from_proposals(
@@ -900,7 +880,7 @@ class TableCatalog:
         ``CatalogAnswer.composed``.  Strictly additive: the single-shard
         ranking is computed exactly as before.
         """
-        refs = self.refs()
+        refs = self._routable_refs()
         set_decision = self._set_router.route_sets(
             question, refs, max_candidates=max_candidates
         )
@@ -955,15 +935,19 @@ class TableCatalog:
         table stays resident), since dropping the sole copy would lose
         data.
 
-        The shard's corpus-index posting is deliberately *kept*: routing
-        a question must work without the table in memory — that is what
-        lets :meth:`ask_any` leave pruned-out cold shards on disk instead
-        of rehydrating them just to rank them last.
+        The shard's corpus-index posting is published first (when it is
+        still pending) and deliberately *kept*: routing a question must
+        work without the table in memory — that is what lets
+        :meth:`ask_any` leave pruned-out cold shards on disk instead of
+        rehydrating them just to rank them last.
         """
         shard = self._shard_for(ref)
         with self._lock:
             table = shard.table
             if table is not None:
+                if shard.ref.digest in self._unindexed:
+                    self._index.add(table)
+                    self._unindexed.discard(shard.ref.digest)
                 if (
                     self._disk is not None
                     and shard.ref.digest not in self._persisted_tables

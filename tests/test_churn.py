@@ -332,7 +332,7 @@ class TestCorpusIndexInterleavings:
 
 class TestDeltaEqualsRebuild:
     def test_n_random_edits_stay_bit_identical(
-        self, olympics_table, medals_table, roster_table
+        self, olympics_table, medals_table, roster_table, monkeypatch
     ):
         """The acceptance property: after N random edits, the
         delta-maintained catalog answers every bench question
@@ -346,8 +346,20 @@ class TestDeltaEqualsRebuild:
         script = churn_edit_script(tables, edits=10, seed=42)
         delta = TableCatalog()
         delta.register_all(tables)
+        # Publish every posting before the edits, so each one runs
+        # CorpusIndex.update's delta rather than a pending-digest swap.
+        delta.corpus_index()
+        deltas = []
+        real_update = CorpusIndex.update
+
+        def counted_update(index, old_digest, new_table):
+            deltas.append(old_digest)
+            return real_update(index, old_digest, new_table)
+
+        monkeypatch.setattr(CorpusIndex, "update", counted_update)
         for name, new_table in script:
             delta.update(name, new_table)
+        assert len(deltas) == len(script)
         final = {table.name: table for table in tables}
         for name, new_table in script:
             final[name] = new_table
@@ -361,7 +373,7 @@ class TestDeltaEqualsRebuild:
         rebuilt = CorpusIndex()
         for table in tables:
             rebuilt.add(final[table.name])
-        assert delta._index.snapshot() == rebuilt.snapshot()
+        assert delta.corpus_index().snapshot() == rebuilt.snapshot()
 
     @pytest.mark.bench_smoke
     def test_churn_bench_reports_identity_and_delta_win(self):

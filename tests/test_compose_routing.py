@@ -64,18 +64,18 @@ JOIN_QUESTION = "what is the total for nations in Oceania"
 
 class TestTermCoverage:
     def test_terms_map_to_covering_shards(self, catalog, medals, regions):
-        coverage = catalog._index.term_coverage(JOIN_QUESTION)
+        coverage = catalog.corpus_index().term_coverage(JOIN_QUESTION)
         assert coverage["entity:oceania"] == frozenset(
             {regions.fingerprint.digest}
         )
         assert medals.fingerprint.digest in coverage["header:total"]
 
     def test_uncovered_terms_are_absent(self, catalog):
-        coverage = catalog._index.term_coverage("what about zanzibar")
+        coverage = catalog.corpus_index().term_coverage("what about zanzibar")
         assert "entity:zanzibar" not in coverage
 
     def test_empty_question_has_no_coverage(self, catalog):
-        assert catalog._index.term_coverage("") == {}
+        assert catalog.corpus_index().term_coverage("") == {}
 
 
 class TestShardSetRouter:
@@ -112,9 +112,9 @@ class TestShardSetRouter:
 
     def test_constructor_validates_knobs(self, catalog):
         with pytest.raises(ValueError):
-            ShardSetRouter(catalog._index, catalog._router, max_set_size=1)
+            ShardSetRouter(catalog.corpus_index(), catalog._router, max_set_size=1)
         with pytest.raises(ValueError):
-            ShardSetRouter(catalog._index, catalog._router, max_proposals=0)
+            ShardSetRouter(catalog.corpus_index(), catalog._router, max_proposals=0)
 
 
 class TestCatalogComposition:

@@ -39,7 +39,7 @@ class TestDistinctness:
         """The downstream guarantee: every table becomes its own shard —
         no NAME_CONFLICT, no content-addressed merge."""
         catalog = TableCatalog()
-        refs = catalog.register_many(corpus.tables, names=corpus.names)
+        refs = catalog.register_all(corpus.tables, names=corpus.names)
         assert len(catalog) == len(corpus.tables)
         assert len({ref.digest for ref in refs}) == len(corpus.tables)
 

@@ -17,6 +17,9 @@ Three layers of guarantees, each locked in here:
 from __future__ import annotations
 
 import string
+import sys
+import tempfile
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,11 +29,13 @@ from repro.parser.lexicon import Lexicon
 from repro.retrieval import (
     CorpusIndex,
     ShardRouter,
+    ShardSetRouter,
     extract_question_terms,
     extract_shard_posting,
     extract_shard_postings,
 )
 from repro.tables import Table, TableCatalog
+from repro.tables.catalog import CatalogError, NameConflictError
 
 
 @pytest.fixture
@@ -190,7 +195,7 @@ class TestShardRouter:
         tables, _ = corpus
         catalog = TableCatalog()
         refs = catalog.register_all(tables)
-        router = ShardRouter(catalog._index, max_candidates=1)
+        router = ShardRouter(catalog.corpus_index(), max_candidates=1)
         decision = router.route("Greece Fiji United 10", refs)
         assert decision.num_candidates == 1
 
@@ -238,25 +243,24 @@ class TestBulkExtraction:
         singles = [extract_shard_posting(table) for table in tables]
         assert batch == singles
 
-    def test_register_many_builds_the_same_index_as_register_all(self, corpus):
+    def test_caught_up_index_equals_per_table_adds(self, corpus):
         tables, _ = corpus
-        sequential = TableCatalog()
-        sequential.register_all(tables)
-        bulk = TableCatalog()
-        refs = bulk.register_many(tables)
-        assert bulk._index.snapshot() == sequential._index.snapshot()
+        reference = CorpusIndex()
+        for table in tables:
+            reference.add(table)
+        catalog = TableCatalog()
+        refs = catalog.register_all(tables)
+        assert catalog.corpus_index().snapshot() == reference.snapshot()
         assert [ref.digest for ref in refs] == [
-            ref.digest for ref in sequential.refs()
+            table.fingerprint.digest for table in tables
         ]
 
-    def test_register_many_rejects_conflicts_before_mutating(self, corpus):
-        from repro.tables.catalog import NameConflictError
-
+    def test_register_all_rejects_conflicts_before_mutating(self, corpus):
         tables, _ = corpus
         catalog = TableCatalog()
         catalog.register(tables[0], name="taken")
         with pytest.raises(NameConflictError):
-            catalog.register_many(tables[1:], names=["fresh", "taken"])
+            catalog.register_all(tables[1:], names=["fresh", "taken"])
         # Atomic: the non-conflicting table was NOT registered.
         assert len(catalog) == 1
         assert [ref.name for ref in catalog.refs()] == ["taken"]
@@ -280,9 +284,9 @@ class TestBulkExtraction:
     def test_catalog_stats_mirror_postings_counters(self, corpus):
         tables, _ = corpus
         catalog = TableCatalog()
-        catalog.register_many(tables)
+        catalog.register_all(tables)
         retrieval = catalog.stats()["retrieval"]
-        index_stats = catalog._index.stats()
+        index_stats = catalog.corpus_index().stats()
         assert retrieval["postings_terms"] == index_stats["postings_terms"]
         assert retrieval["postings_bytes"] == index_stats["postings_bytes"]
         assert retrieval["postings_bytes"] > 0
@@ -485,3 +489,186 @@ class TestPrunedMatchesBroadcastProperty:
         if top_ref is not None and capped.routing.is_candidate(top_ref.digest):
             assert capped.best_ref == top_ref
             assert capped.answer == broadcast.answer
+
+
+# ---------------------------------------------------------------------------
+# the catch-up: registration extracts nothing, the first read indexes
+# ---------------------------------------------------------------------------
+
+#: Distinct contents for the interleaving property; drawing from a small
+#: pool makes repeated content, aliases and update collisions common.
+POOL = [
+    Table(
+        columns=list(HEADERS[i % len(HEADERS)]),
+        rows=[[WORDS[i], i + 1], [WORDS[(i + 3) % len(WORDS)], 10 + i]],
+        name=f"pool-{i}",
+    )
+    for i in range(len(WORDS))
+]
+ALIASES = ["a", "b", "c", "d"]
+PROBES = ["what is lyra", "which city has 12 people", "vega altair points", "zzz"]
+
+catalog_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), st.sampled_from(POOL), st.sampled_from(ALIASES)),
+        st.tuples(
+            st.just("register_all"),
+            st.lists(
+                st.tuples(st.sampled_from(POOL), st.sampled_from(ALIASES)),
+                min_size=1,
+                max_size=3,
+            ),
+        ),
+        st.tuples(st.just("update"), st.integers(0, 7), st.sampled_from(POOL)),
+        st.tuples(st.just("evict"), st.integers(0, 7)),
+        st.tuples(
+            st.just("read"),
+            st.sampled_from(["routing", "routing_sets", "stats", "corpus_index"]),
+            st.sampled_from(PROBES),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _reference_index(refs):
+    """The slow reference: per-table adds over the live shards' content."""
+    by_digest = {table.fingerprint.digest: table for table in POOL}
+    reference = CorpusIndex()
+    for ref in refs:
+        reference.add(by_digest[ref.digest])
+    return reference
+
+
+class TestCatchUp:
+    def test_routed_work_extracts_no_posting(self, corpus, monkeypatch):
+        from repro.retrieval import corpus_index as module
+
+        calls = []
+        for name in ("extract_shard_posting", "extract_shard_postings"):
+            real = getattr(module, name)
+
+            def counted(tables, _real=real, _name=name):
+                calls.append(_name)
+                return _real(tables)
+
+            monkeypatch.setattr(module, name, counted)
+        tables, questions = corpus
+        edited = Table(
+            columns=["Year", "Country", "City"],
+            rows=[[1896, "Greece", "Athens"], [2020, "Japan", "Tokyo"]],
+            name="olympics",
+        )
+        catalog = TableCatalog()
+        catalog.register_all(tables)
+        ref = catalog.pin("olympics")
+        catalog.ask_many([(questions["olympics"], ref)], k=2, workers=1)
+        catalog.unpin(ref)
+        catalog.update("olympics", edited)
+        assert calls == []
+        catalog.corpus_index()
+        assert calls == ["extract_shard_postings"]
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(catalog_ops)
+    def test_every_read_sees_the_live_shards_index(self, ops):
+        with tempfile.TemporaryDirectory() as cache_dir:
+            catalog = TableCatalog(cache_dir=cache_dir, max_hot_shards=1)
+            for op in ops:
+                refs = catalog.refs()
+                if op[0] == "register":
+                    try:
+                        catalog.register(op[1], name=op[2])
+                    except NameConflictError:
+                        assert catalog.refs() == refs
+                elif op[0] == "register_all":
+                    tables = [table for table, _ in op[1]]
+                    names = [name for _, name in op[1]]
+                    try:
+                        catalog.register_all(tables, names=names)
+                    except NameConflictError:
+                        assert catalog.refs() == refs
+                elif op[0] == "update":
+                    if refs:
+                        try:
+                            catalog.update(refs[op[1] % len(refs)], op[2])
+                        except CatalogError:
+                            pass  # the new content is already registered
+                elif op[0] == "evict":
+                    if refs:
+                        catalog.evict(refs[op[1] % len(refs)])
+                else:
+                    self._check_read(catalog, op[1], op[2])
+            self._check_read(catalog, "corpus_index", PROBES[0])
+
+    @staticmethod
+    def _check_read(catalog, read, question):
+        refs = catalog.refs()
+        reference = _reference_index(refs)
+        router = ShardRouter(reference)
+        if read == "routing":
+            assert catalog.routing(question) == router.route(question, refs)
+        elif read == "routing_sets":
+            assert catalog.routing_sets(question) == ShardSetRouter(
+                reference, router
+            ).route_sets(question, refs)
+        elif read == "stats":
+            assert catalog.stats()["retrieval"] == reference.stats()
+        assert catalog.corpus_index().snapshot() == reference.snapshot()
+        assert catalog.routing(question) == router.route(question, refs)
+
+    def test_concurrent_registration_and_reads_lose_no_posting(self):
+        """Registering threads race reading threads on one catalog; every
+        table must end up indexed exactly once, whichever read caught it up."""
+        tables = [
+            Table(
+                columns=["Star", "Magnitude"],
+                rows=[[f"{WORDS[i % len(WORDS)]} {worker} {i}", i]],
+                name=f"w{worker}-{i}",
+            )
+            for worker in range(4)
+            for i in range(30)
+        ]
+        catalog = TableCatalog()
+        errors = []
+
+        def register(chunk):
+            try:
+                for table in chunk:
+                    catalog.register(table)
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        def read():
+            try:
+                for _ in range(60):
+                    catalog.routing("what is lyra")
+                    catalog.stats()
+            except Exception as error:
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=register, args=(tables[w::4],))
+            for w in range(4)
+        ] + [threading.Thread(target=read) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        reference = CorpusIndex()
+        for table in tables:
+            reference.add(table)
+        assert catalog.corpus_index().snapshot() == reference.snapshot()
+        assert catalog.stats()["retrieval"] == reference.stats()
