@@ -72,6 +72,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -400,14 +401,14 @@ def run_explain(args: argparse.Namespace, out) -> int:
         query = from_sexpr(args.query)
     try:
         explanation = explain_query(query, table)
+        # Rendering builds the highlight, so it can fail on the query too.
+        rendered = explanation.as_html() if args.html else explanation.as_text()
     except DCSError as error:
         # A well-formed --query this table cannot run (a missing column,
         # an empty operand) is the caller's request failing.
         raise bad_request(f"bad query: {type(error).__name__}: {error}") from error
-    if args.html:
-        print(explanation.as_html(), file=out)
-    else:
-        print(explanation.as_text(), file=out)
+    print(rendered, file=out)
+    if not args.html:
         print(file=out)
         print("answer:", ", ".join(explanation.answer), file=out)
     return 0
@@ -970,7 +971,16 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "bench-join": run_bench_join,
     }
     try:
-        return handlers[args.command](args, out)
+        status = handlers[args.command](args, out)
+        out.flush()  # a closed stdout raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro route ... | head -n 1``),
+        # so nothing more can reach it: end quietly.  Pointing stdout at
+        # devnull keeps the exit-time flush from raising again (the Python
+        # docs' SIGPIPE recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ApiError, CatalogError, OSError, ValueError) as error:
         # One coded line, no traceback: every catalog/API failure — and
         # the mundane ones the input sites do not code themselves (an

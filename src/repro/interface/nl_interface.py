@@ -203,7 +203,10 @@ def _respond(
 
     A failed parse (an exception in its place) makes an error response.
     With a pool's explanation ``memo``, each explanation is read from it
-    under ``(fingerprint, sexpr)`` and put there on a miss.
+    under ``(fingerprint, sexpr)`` and put there on a miss.  A new
+    explanation takes its candidate's execution result, so the query does
+    not run a second time and a memoized explanation shares the ranked
+    memo's result; it builds no highlight until something reads one.
     """
     if isinstance(parse, Exception):
         return InterfaceResponse(
@@ -220,7 +223,7 @@ def _respond(
             explanation = memo.get(key)
         if explanation is None:
             generator = generator or ExplanationGenerator(table)
-            explanation = generator.explain(candidate.query)
+            explanation = generator.explain(candidate.query, candidate.result)
             if memo is not None:
                 memo.put(key, explanation)
         explained.append(

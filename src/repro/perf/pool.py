@@ -238,6 +238,9 @@ class WorkerPool:
         # (table content, query), so entries are keyed ``(fingerprint,
         # query sexpr)`` and survive shard eviction — a warm batch
         # re-derives no identical output, only retirement drops them.
+        # An entry holds the query, its utterance and the served
+        # candidate's execution result (the ranked memo's object); its
+        # highlight and sample are built on first read and then kept.
         self.explanations = LRUCache(
             maxsize=parser.config.candidate_cache_size * 8
         )

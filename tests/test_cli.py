@@ -3,6 +3,9 @@
 import ast
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -422,6 +425,26 @@ class TestRouteCommand:
         }
         assert len(payload["scored"]) == 3
         assert len(payload["candidates"]) + len(payload["pruned"]) == 3
+
+    def test_closed_stdout_ends_quietly(self, corpus_dir):
+        """``repro route ... | head -n 1``: the reader is gone before the
+        command writes, so it exits 1 with nothing on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parent.parent / "src"
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "route", "--corpus", str(corpus_dir),
+                 "--question", "which country hosted in 2004", "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.stderr == b""
+        assert completed.returncode == 1
 
     def test_route_empty_corpus_fails(self, tmp_path):
         empty = tmp_path / "empty"

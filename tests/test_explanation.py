@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import QueryRequest, result_from_response
 from repro.core import (
     LARGE_TABLE_THRESHOLD,
     ExplanationGenerator,
@@ -9,6 +10,8 @@ from repro.core import (
     explain_candidates,
     sample_highlights,
 )
+from repro.core.highlights import Highlighter
+from repro.core.utterance import derive
 from repro.dcs import builder as q, to_sexpr
 from repro.interface import NLInterface
 from repro.perf import create_pool
@@ -59,6 +62,34 @@ class TestSingleExplanation:
             memoized = pool.explanations.items_for(olympics_table.fingerprint.digest)
         assert len(memoized) == len(response.explained) > 0
         assert all("sample" not in vars(item) for item in memoized.values())
+
+    def test_highlight_derivation_and_sexpr_are_built_on_first_read(self, medals_table):
+        query = q.value_difference("Total", "Nation", "Fiji", "Tonga")
+        explanation = explain(query, medals_table)
+        assert not {"highlighted", "derivation", "sexpr"} & set(vars(explanation))
+        expected = Highlighter(medals_table).highlight(query)
+        assert explanation.highlighted.levels == expected.levels
+        assert explanation.highlighted.header_markers == expected.header_markers
+        assert explanation.derivation == derive(query).derivation
+        assert explanation.sexpr == to_sexpr(query)
+
+    def test_served_explanations_share_the_candidate_result(self, olympics_table):
+        """Serving reads only the utterance: a memoized explanation holds
+        no highlight or derivation, and keeps the ranked candidate's own
+        execution result instead of running the query again."""
+        interface = NLInterface(k=3)
+        question = "which country hosted in 2004"
+        with create_pool("thread", interface.parser, 1) as pool:
+            [response] = interface.ask_many([(question, olympics_table)], pool=pool)
+            result = result_from_response(QueryRequest(question=question), response)
+            memoized = pool.explanations.items_for(olympics_table.fingerprint.digest)
+        assert result.ok and len(result.candidates) == len(response.explained) > 0
+        assert len(memoized) == len(response.explained)
+        for item in response.explained:
+            explanation = memoized[(olympics_table.fingerprint, item.candidate.sexpr)]
+            assert explanation is item.explanation
+            assert not {"highlighted", "derivation"} & set(vars(explanation))
+            assert explanation.result is item.candidate.result
 
     def test_text_rendering_contains_utterance(self, olympics_table):
         query = q.column_values("Year", q.column_records("Country", "Greece"))

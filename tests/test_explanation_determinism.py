@@ -10,6 +10,7 @@ sees of the highlight (Section 5.3).
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
 
 from repro.core import ExplanationGenerator, explain, explain_candidates
 from repro.core.highlights import Highlighter
@@ -94,6 +95,10 @@ def test_explain_highlights_once_per_query(monkeypatch, large_table, medals_tabl
     for query, table in cases:
         calls.clear()
         explanation = explain(query, table)
+        assert calls == []
+        explanation.highlighted
+        explanation.sample
+        explanation.as_text()
         assert calls == [query]
         assert explanation.sample.highlighted.provenance is explanation.highlighted.provenance
 
@@ -112,3 +117,36 @@ def test_threads_sharing_a_generator_match_sequential(large_table):
     finally:
         sys.setswitchinterval(interval)
     assert got == expected * 4
+
+
+def first_reads(explanation, barrier):
+    barrier.wait(timeout=60)
+    highlighted = explanation.highlighted
+    return highlighted.levels, highlighted.header_markers, explanation.sample.row_indices
+
+
+def test_threads_first_reading_a_memoized_explanation_match_explain(large_table):
+    """Eight threads race on the first reads of one memoized explanation's
+    highlight and sample; every thread sees what a fresh ``explain`` gives."""
+    interface = NLInterface(k=3)
+    with create_pool("thread", interface.parser, 1) as pool:
+        interface.ask_many([(LARGE_QUESTIONS[0], large_table)], pool=pool)
+        memoized = list(pool.explanations.items_for(large_table.fingerprint.digest).values())
+    assert memoized
+    threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for explanation in memoized:
+            assert "highlighted" not in vars(explanation)
+            barrier = Barrier(threads)
+            with ThreadPoolExecutor(max_workers=threads) as executor:
+                futures = [
+                    executor.submit(first_reads, explanation, barrier) for _ in range(threads)
+                ]
+                got = [future.result(timeout=120) for future in futures]
+            fresh = explain(explanation.query, large_table)
+            expected = first_reads(fresh, Barrier(1))
+            assert got == [expected] * threads
+    finally:
+        sys.setswitchinterval(interval)
