@@ -31,20 +31,11 @@ The package is organised as:
   JSON-lines wire protocol of :mod:`repro.api.wire`.
 """
 
-from . import (
-    api,
-    core,
-    dataset,
-    dcs,
-    interface,
-    parser,
-    perf,
-    retrieval,
-    serving,
-    sql,
-    tables,
-    users,
-)
+from . import _lazy
+
+# No exports of their own: each subpackage loads on first access
+# (``repro.api``, ``repro.tables``, ...), see :mod:`repro._lazy`.
+__getattr__, __dir__ = _lazy.attach(__name__, {})
 
 __version__ = "1.1.0"
 

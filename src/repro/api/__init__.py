@@ -35,29 +35,24 @@ Quick start::
     result.to_dict()         # the versioned wire envelope
 """
 
-from .client import ReproClient
-from .engine import (
-    ReproEngine,
-    error_result,
-    result_from_catalog_answer,
-    result_from_response,
-    result_from_served,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".client": ["ReproClient"],
+        ".engine": [
+            "ReproEngine", "error_result", "result_from_catalog_answer",
+            "result_from_response", "result_from_served",
+        ],
+        ".envelope": [
+            "ENVELOPE_VERSION", "CandidateInfo", "ComposedInfo", "ErrorInfo",
+            "QueryRequest", "QueryResult", "RankedShard", "RoutingInfo", "ShardInfo",
+            "ShardScoreInfo", "TimingInfo",
+        ],
+        ".errors": ["ApiError", "ErrorCode", "ServerClosed", "classify_exception"],
+    },
 )
-from .envelope import (
-    ENVELOPE_VERSION,
-    CandidateInfo,
-    ComposedInfo,
-    ErrorInfo,
-    QueryRequest,
-    QueryResult,
-    RankedShard,
-    RoutingInfo,
-    ShardInfo,
-    ShardScoreInfo,
-    TimingInfo,
-)
-from .errors import ApiError, ErrorCode, ServerClosed, classify_exception
-from . import schema, wire
 
 __all__ = [
     "ENVELOPE_VERSION",

@@ -83,10 +83,8 @@ from .api.errors import bad_request
 from .tables import CatalogError, Table, TableError, save_tables, table_from_csv
 from .dcs import DCSError, SexprError, from_sexpr, to_sexpr
 from .core import explain as explain_query
-from .parser import LogLinearModel, SemanticParser, train_parser
+from .parser import LogLinearModel, SemanticParser
 from .interface import NLInterface
-from .dataset import DatasetConfig, build_dataset, dataset_statistics, split_by_tables
-from .users import StudyConfig, UserStudy, worker_pool
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -437,6 +435,8 @@ def run_ask(args: argparse.Namespace, out) -> int:
 
 
 def run_dataset(args: argparse.Namespace, out) -> int:
+    from .dataset import DatasetConfig, build_dataset, dataset_statistics
+
     config = DatasetConfig(
         num_tables=args.tables, questions_per_table=args.questions, seed=args.seed
     )
@@ -469,6 +469,10 @@ def run_dataset(args: argparse.Namespace, out) -> int:
 
 
 def run_study(args: argparse.Namespace, out) -> int:
+    from .dataset import DatasetConfig, build_dataset, split_by_tables
+    from .parser import train_parser
+    from .users import StudyConfig, UserStudy, worker_pool
+
     config = DatasetConfig(
         num_tables=args.tables, questions_per_table=args.questions, seed=args.seed
     )

@@ -10,10 +10,17 @@ verified against the two-table SQL translation
 ``ask_any`` → the engine → the v2 wire envelope.
 """
 
-from .answer import ComposedAnswer, JoinProvenance
-from .compose import compose_answer, compose_pair
-from .executor import ComposedExecutor, execute_composed
-from .planner import JoinPlan, JoinPlanner, joinable_columns
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".answer": ["ComposedAnswer", "JoinProvenance"],
+        ".compose": ["compose_answer", "compose_pair"],
+        ".executor": ["ComposedExecutor", "execute_composed"],
+        ".planner": ["JoinPlan", "JoinPlanner", "joinable_columns"],
+    },
+)
 
 __all__ = [
     "ComposedAnswer",

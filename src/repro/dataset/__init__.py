@@ -1,31 +1,30 @@
 """Synthetic WikiTableQuestions-like benchmark (substitution for the real data)."""
 
-from .domains import DOMAINS, DOMAINS_BY_NAME, ColumnSpec, Domain, get_domain
-from .generator import TableGenerator, generate_table
-from .questions import GeneratedQuestion, QuestionGenerator
-from .dataset import (
-    Dataset,
-    DatasetConfig,
-    DatasetExample,
-    build_dataset,
-    dataset_statistics,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".domains": [
+            "DOMAINS", "DOMAINS_BY_NAME", "ColumnSpec", "Domain", "get_domain",
+        ],
+        ".generator": ["TableGenerator", "generate_table"],
+        ".questions": ["GeneratedQuestion", "QuestionGenerator"],
+        ".dataset": [
+            "Dataset", "DatasetConfig", "DatasetExample", "build_dataset",
+            "dataset_statistics",
+        ],
+        ".splits": ["Split", "repeated_splits", "split_by_tables", "split_examples"],
+        ".corpus": [
+            "CorpusConfig", "DiscoveryCorpus", "DiscoveryQuestion",
+            "build_discovery_corpus",
+        ],
+        ".join_corpus": [
+            "FAMILIES", "JoinCorpus", "JoinCorpusConfig", "JoinFamily", "JoinQuestion",
+            "build_join_corpus",
+        ],
+    },
 )
-from .splits import Split, repeated_splits, split_by_tables, split_examples
-from .corpus import (
-    CorpusConfig,
-    DiscoveryCorpus,
-    DiscoveryQuestion,
-    build_discovery_corpus,
-)
-from .join_corpus import (
-    FAMILIES,
-    JoinCorpus,
-    JoinCorpusConfig,
-    JoinFamily,
-    JoinQuestion,
-    build_join_corpus,
-)
-from . import vocab
 
 __all__ = [
     "Domain",

@@ -34,7 +34,8 @@ from . import vocab
 
 def _scaled(full: int, floor: int, scale: Optional[float]) -> int:
     """``full`` × the bench scale factor, floored at ``floor``."""
-    # Imported lazily: repro.perf imports repro.dcs at package init.
+    # Imported lazily: generating a corpus loads the bench harness only
+    # to read its scale.
     from ..perf.bench import bench_scale
 
     factor = scale if scale is not None else bench_scale()

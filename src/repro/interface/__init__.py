@@ -1,15 +1,22 @@
 """The deployed NL interface: explanations, interactive deployment, retraining."""
 
-from .nl_interface import ExplainedCandidate, InterfaceResponse, NLInterface
-from .deployment import (
-    ChoiceFunction,
-    DeploymentOutcome,
-    DeploymentReport,
-    InteractiveDeployment,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".nl_interface": ["ExplainedCandidate", "InterfaceResponse", "NLInterface"],
+        ".deployment": [
+            "ChoiceFunction", "DeploymentOutcome", "DeploymentReport",
+            "InteractiveDeployment",
+        ],
+        ".retraining": [
+            "RetrainingComparison", "RetrainingConfig", "RetrainingPipeline",
+        ],
+        ".session": ["InterfaceSession", "SessionTurn"],
+        ".online": ["OnlineInteraction", "OnlineLearner", "OnlineReport"],
+    },
 )
-from .retraining import RetrainingComparison, RetrainingConfig, RetrainingPipeline
-from .session import InterfaceSession, SessionTurn
-from .online import OnlineInteraction, OnlineLearner, OnlineReport
 
 __all__ = [
     "OnlineLearner",

@@ -1,36 +1,33 @@
 """The semantic-parser substrate: question → ranked lambda DCS candidates."""
 
-from .lexicon import (
-    STOP_WORDS,
-    ColumnMatch,
-    EntityMatch,
-    LexicalAnalysis,
-    Lexicon,
-    NumberMatch,
-    content_tokens,
-    tokenize,
-)
-from .grammar import CandidateGrammar, GenerationConfig
-from .features import FeatureVector, extract_features
-from .model import AdaGradSettings, LogLinearModel, dot, log_softmax, softmax
-from .candidates import Candidate, CandidateGenerator, ParseOutput, ParserConfig, SemanticParser
-from .evaluation import (
-    EvaluationExample,
-    EvaluationReport,
-    ExampleOutcome,
-    evaluate_parser,
-    find_correct_indices,
-    perturbed_tables,
-    queries_equivalent,
-)
-from .training import (
-    EpochStats,
-    PreparedExample,
-    Trainer,
-    TrainerConfig,
-    TrainingExample,
-    TrainingStats,
-    train_parser,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".lexicon": [
+            "STOP_WORDS", "ColumnMatch", "EntityMatch", "LexicalAnalysis", "Lexicon",
+            "NumberMatch", "content_tokens", "tokenize",
+        ],
+        ".grammar": ["CandidateGrammar", "GenerationConfig"],
+        ".features": ["FeatureVector", "extract_features"],
+        ".model": [
+            "AdaGradSettings", "LogLinearModel", "dot", "log_softmax", "softmax",
+        ],
+        ".candidates": [
+            "Candidate", "CandidateGenerator", "ParseOutput", "ParserConfig",
+            "SemanticParser",
+        ],
+        ".evaluation": [
+            "EvaluationExample", "EvaluationReport", "ExampleOutcome",
+            "evaluate_parser", "find_correct_indices", "perturbed_tables",
+            "queries_equivalent",
+        ],
+        ".training": [
+            "EpochStats", "PreparedExample", "Trainer", "TrainerConfig",
+            "TrainingExample", "TrainingStats", "train_parser",
+        ],
+    },
 )
 
 __all__ = [

@@ -199,8 +199,8 @@ class CandidateGenerator:
         self._execution_hits = 0
         self._execution_misses = 0
         if self.config.disk_cache_dir:
-            # Imported lazily: repro.perf imports this module at package
-            # init, so a module-level import would be circular.
+            # Imported lazily: only a parser with a disk store loads it
+            # (and pickle).
             from ..perf.diskcache import DiskCache
 
             self._disk_cache: Optional["DiskCache"] = DiskCache(self.config.disk_cache_dir)

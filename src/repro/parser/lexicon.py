@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..tables.knowledge_base import KnowledgeBase
 from ..tables.table import Table
 from ..tables.values import (
     DateValue,
@@ -156,7 +155,6 @@ class Lexicon:
 
     def __init__(self, table: Table, max_span_length: int = 5) -> None:
         self.table = table
-        self.kb = KnowledgeBase(table)
         self.max_span_length = max_span_length
         self._value_index = self._build_value_index()
         self._column_tokens = {
@@ -165,15 +163,19 @@ class Lexicon:
 
     # -- index construction -----------------------------------------------------
     def _build_value_index(self) -> Dict[str, List[Tuple[str, Value]]]:
+        """Phrase key -> ``(column, value)`` pairs, in table order.
+
+        Each column's distinct values are walked in row order, so two
+        values sharing one key (``St. Louis`` and ``St.Louis``) keep the
+        table's order in every process, whatever its hash seed. Headers
+        are unique and values distinct per column, so no pair repeats.
+        """
         index: Dict[str, List[Tuple[str, Value]]] = {}
         for column in self.table.columns:
-            for value in self.kb.column_entities(column):
+            for value in dict.fromkeys(self.table.column_values(column)):
                 key = normalize_value_key(value)
-                if not key:
-                    continue
-                index.setdefault(key, [])
-                if (column, value) not in index[key]:
-                    index[key].append((column, value))
+                if key:
+                    index.setdefault(key, []).append((column, value))
         return index
 
     # -- analysis ------------------------------------------------------------------

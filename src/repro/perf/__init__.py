@@ -24,34 +24,30 @@ per-question sub-query memo of :mod:`repro.dcs.memo`:
   performance-related through ``repro.perf``.
 """
 
-from ..dcs.memo import MemoizedExecutor, execute_memoized
-from ..tables.fingerprint import LRUCache, TableFingerprint, fingerprint_table
-from ..tables.index import TableIndex, clear_index_cache, index_cache_stats, table_index
-from .bench import (
-    BENCH_MODES,
-    ModeTiming,
-    ParseBenchReport,
-    bench_pairs_from_dataset,
-    bench_scale,
-    memoized_parser_config,
-    quantize_seconds,
-    run_parse_bench,
-    sequential_parser_config,
-    timing_summary,
-)
-from .churn import ChurnReport, churn_edit_script, run_churn_bench
-from .discovery import RECALL_KS, DiscoveryReport, run_discovery_bench
-from .join import JOIN_RECALL_KS, JoinReport, run_join_bench
-from .diskcache import DiskCache
-from .pool import (
-    BatchItem,
-    DeadlineExceeded,
-    PoolError,
-    ProcessWorkerPool,
-    ThreadWorkerPool,
-    WorkerFailed,
-    WorkerPool,
-    create_pool,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "..dcs.memo": ["MemoizedExecutor", "execute_memoized"],
+        "..tables.fingerprint": ["LRUCache", "TableFingerprint", "fingerprint_table"],
+        "..tables.index": [
+            "TableIndex", "clear_index_cache", "index_cache_stats", "table_index",
+        ],
+        ".bench": [
+            "BENCH_MODES", "ModeTiming", "ParseBenchReport", "bench_pairs_from_dataset",
+            "bench_scale", "memoized_parser_config", "quantize_seconds",
+            "run_parse_bench", "sequential_parser_config", "timing_summary",
+        ],
+        ".churn": ["ChurnReport", "churn_edit_script", "run_churn_bench"],
+        ".discovery": ["RECALL_KS", "DiscoveryReport", "run_discovery_bench"],
+        ".join": ["JOIN_RECALL_KS", "JoinReport", "run_join_bench"],
+        ".diskcache": ["DiskCache"],
+        ".pool": [
+            "BatchItem", "DeadlineExceeded", "PoolError", "ProcessWorkerPool",
+            "ThreadWorkerPool", "WorkerFailed", "WorkerPool", "create_pool",
+        ],
+    },
 )
 
 __all__ = [

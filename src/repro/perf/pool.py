@@ -91,6 +91,20 @@ normally.  Worker *faults* are injected driver-side: the driver asks
 :mod:`repro.faults` at dispatch time and stamps the fault onto the work
 message, so hit counts stay global across respawns and a respawned
 fork never re-inherits a one-shot crash.
+
+Where the process flavour's modules load
+----------------------------------------
+``multiprocessing`` (with ``multiprocessing.connection``) and ``pickle``
+are imported in :meth:`ProcessWorkerPool.__init__`, not at module level,
+so a process that serves on threads never loads them. They load there,
+in the driver and before the first fork, because a forked child must
+never import a module for the first time: the child inherits each
+module's import lock as it stood at fork time, and a lock another driver
+thread held then (mid-import of that module) is never released in the
+child, so the child's import would deadlock. The worker loop only looks
+up modules its driver already loaded. A process pool's constructor pays
+the import; ``run_parse_bench`` builds its pools before its timer
+starts.
 """
 
 from __future__ import annotations
@@ -98,14 +112,11 @@ from __future__ import annotations
 import dataclasses
 import gc
 import logging
-import multiprocessing
 import os
-import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import faults
@@ -440,6 +451,8 @@ def _pool_worker_main(
     injected fault (``None``, ``("crash",)`` or ``("hang", seconds)``)
     executed before the units — see :mod:`repro.faults`.
     """
+    import pickle  # loaded by the driver's ProcessWorkerPool before the fork
+
     gc.freeze()
     gc.disable()
     if parser is not None:
@@ -517,11 +530,18 @@ def _pool_worker_main(
         conn.send(("done",))
 
 
+def _pickle_tables(tables: List[Table]) -> bytes:
+    """One ``("ship", …)``/``("parse", …)`` table blob for a worker."""
+    import pickle
+
+    return pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 @dataclass
 class _Worker:
     """Driver-side handle of one persistent worker process."""
 
-    process: multiprocessing.Process
+    process: object  # multiprocessing.Process
     conn: object  # multiprocessing.connection.Connection
     shipped: set = field(default_factory=set)
     weights: Dict[str, float] = field(default_factory=dict)
@@ -575,6 +595,12 @@ class ProcessWorkerPool(WorkerPool):
         spill: bool = True,
         call_timeout: Optional[float] = None,
     ) -> None:
+        # The process flavour's stdlib modules load here, in the driver
+        # and before the first fork, so no child ever imports a module
+        # for the first time (see the module docstring).
+        import multiprocessing.connection
+        import pickle
+
         super().__init__(parser, max_workers=max_workers)
         self.spill = spill
         self.call_timeout = call_timeout
@@ -629,6 +655,8 @@ class ProcessWorkerPool(WorkerPool):
         process object — concurrent spawns from other pools or threads
         cannot see or swap it.
         """
+        import multiprocessing
+
         weights = self.parser.model.weights
         fork_start = multiprocessing.get_start_method() == "fork"
         parent_conn, child_conn = multiprocessing.Pipe()
@@ -793,9 +821,7 @@ class ProcessWorkerPool(WorkerPool):
                 if digest in self._tables
             ]
             if reship:
-                worker.conn.send(
-                    ("ship", pickle.dumps(reship, protocol=pickle.HIGHEST_PROTOCOL))
-                )
+                worker.conn.send(("ship", _pickle_tables(reship)))
                 worker.shipped.update(table.fingerprint.digest for table in reship)
             self._workers[index] = worker
             return True
@@ -887,10 +913,7 @@ class ProcessWorkerPool(WorkerPool):
                 if digest not in worker.shipped
             ]
             blob = (
-                pickle.dumps(
-                    [self._tables[digest] for digest in new_digests],
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
+                _pickle_tables([self._tables[digest] for digest in new_digests])
                 if new_digests
                 else None
             )
@@ -931,6 +954,8 @@ class ProcessWorkerPool(WorkerPool):
         hung before answering).  Expired units resolve to
         :class:`DeadlineExceeded` directly in ``parsed``.
         """
+        from multiprocessing.connection import wait
+
         retry: Set[WorkUnit] = set()
 
         def worker_down(index: int) -> None:
@@ -975,9 +1000,7 @@ class ProcessWorkerPool(WorkerPool):
                 if self.call_timeout is not None:
                     wake = min(wake, flight.dispatched_at + self.call_timeout)
             conns = {self._workers[index].conn: index for index in inflight}
-            ready = mp_connection.wait(
-                list(conns), timeout=max(0.0, wake - now)
-            )
+            ready = wait(list(conns), timeout=max(0.0, wake - now))
             for conn in ready:
                 index = conns[conn]
                 if index not in inflight:  # cleared by a downgrade

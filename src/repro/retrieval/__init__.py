@@ -28,22 +28,20 @@ registration; ``repro route`` inspects routing decisions from the
 command line.
 """
 
-from .corpus_index import (
-    CorpusIndex,
-    QuestionTerms,
-    ShardPosting,
-    extract_question_terms,
-    extract_shard_posting,
-    extract_shard_postings,
-    question_terms,
-)
-from .router import (
-    RoutingDecision,
-    SetRoutingDecision,
-    ShardRouter,
-    ShardScore,
-    ShardSetProposal,
-    ShardSetRouter,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".corpus_index": [
+            "CorpusIndex", "QuestionTerms", "ShardPosting", "extract_question_terms",
+            "extract_shard_posting", "extract_shard_postings", "question_terms",
+        ],
+        ".router": [
+            "RoutingDecision", "SetRoutingDecision", "ShardRouter", "ShardScore",
+            "ShardSetProposal", "ShardSetRouter",
+        ],
+    },
 )
 
 __all__ = [

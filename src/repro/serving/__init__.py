@@ -14,10 +14,13 @@ The routing/eviction substrate lives in :mod:`repro.tables.catalog` and
 package adds concurrency only.
 """
 
-from .server import (
-    AsyncServer,
-    ServerClosed,
-    ServerStats,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".server": ["AsyncServer", "ServerClosed", "ServerStats"],
+    },
 )
 
 __all__ = [

@@ -1,21 +1,20 @@
 """Lambda DCS → SQL translation (paper Table 10) and a sqlite oracle."""
 
-from .translate import (
-    INDEX_COLUMN,
-    SECONDARY_TABLE_NAME,
-    TABLE_NAME,
-    SQLQuery,
-    SQLTranslationError,
-    literal,
-    quote_identifier,
-    to_sql,
-)
-from .sqlite_backend import JoinSQLiteBackend, SQLResult, SQLiteBackend
-from .equivalence import (
-    EquivalenceReport,
-    check_composed_equivalence,
-    check_equivalence,
-    check_many,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".translate": [
+            "INDEX_COLUMN", "SECONDARY_TABLE_NAME", "TABLE_NAME", "SQLQuery",
+            "SQLTranslationError", "literal", "quote_identifier", "to_sql",
+        ],
+        ".sqlite_backend": ["JoinSQLiteBackend", "SQLResult", "SQLiteBackend"],
+        ".equivalence": [
+            "EquivalenceReport", "check_composed_equivalence", "check_equivalence",
+            "check_many",
+        ],
+    },
 )
 
 __all__ = [

@@ -258,9 +258,8 @@ class TableCatalog:
             raise CatalogError(
                 f"max_hot_shards must be >= 1 (or None), got {max_hot_shards}"
             )
-        # Imported lazily: repro.interface (and repro.perf) import
-        # repro.tables at package init, so module-level imports here would
-        # be circular.
+        # Imported lazily: the tables layer loads the parser and the
+        # interface only when a catalog is built.
         from ..interface.nl_interface import NLInterface
         from ..parser.candidates import ParserConfig, SemanticParser
 
@@ -277,9 +276,7 @@ class TableCatalog:
             self._disk: Optional["DiskCache"] = DiskCache(cache_dir)
         else:
             self._disk = None
-        # Imported lazily for the same reason as the interface above
-        # (repro.retrieval pulls in repro.parser, which imports
-        # repro.tables at package init).
+        # Imported lazily for the same reason as the interface above.
         from ..retrieval import CorpusIndex, ShardRouter, ShardSetRouter
 
         self.prune = prune

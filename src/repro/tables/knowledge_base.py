@@ -6,9 +6,14 @@ all table records, and the property set ``P`` contains the column headers,
 each acting as a binary relation from a cell value to the records in which
 that value appears.
 
-This module materialises that view.  The semantic parser's lexicon uses it
-to link question tokens to table entities, and the lambda DCS executor uses
-it to resolve joins such as ``Country.Greece``.
+This module materialises that view.  Nothing on the
+answer path reads it: the lambda DCS executor resolves joins such as
+``Country.Greece`` through the column index of :mod:`repro.tables.index`,
+and the parser lexicon indexes cell values straight from the table.  It
+is the reference those fast paths are checked against: the property
+tests compare :meth:`KnowledgeBase.records_with_value` with
+:class:`~repro.tables.index.TableIndex`, and the lexicon tests compare
+the lexicon's value index with :meth:`KnowledgeBase.column_entities`.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ class KnowledgeBase:
         column_cells = self.table.column_cells(column)
         return [column_cells[i].value for i in sorted(indices)]
 
-    # -- string search (used by the parser lexicon) ---------------------------
+    # -- string search ---------------------------------------------------------
     def find_entity(self, text: str) -> List[Tuple[str, Value]]:
         """Find table values whose textual form matches ``text``.
 

@@ -1,19 +1,22 @@
 """Simulated crowd workers and the user-study / feedback harnesses."""
 
-from .timing import ExplanationMode, TimingParameters, WorkTimeModel
-from .worker import JudgmentParameters, SimulatedWorker, WorkerDecision, worker_pool
-from .study import (
-    QuestionTrial,
-    StudyConfig,
-    StudyResult,
-    UserStudy,
-    run_worktime_comparison,
-)
-from .feedback import (
-    AnnotationRecord,
-    FeedbackCollector,
-    FeedbackConfig,
-    FeedbackResult,
+from .. import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".timing": ["ExplanationMode", "TimingParameters", "WorkTimeModel"],
+        ".worker": [
+            "JudgmentParameters", "SimulatedWorker", "WorkerDecision", "worker_pool",
+        ],
+        ".study": [
+            "QuestionTrial", "StudyConfig", "StudyResult", "UserStudy",
+            "run_worktime_comparison",
+        ],
+        ".feedback": [
+            "AnnotationRecord", "FeedbackCollector", "FeedbackConfig", "FeedbackResult",
+        ],
+    },
 )
 
 __all__ = [

@@ -1,8 +1,15 @@
 """Unit tests for the question lexicon (entity/column/number linking)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.parser import Lexicon, content_tokens, tokenize
+from repro.tables import KnowledgeBase
 from repro.tables.values import NumberValue, StringValue
 
 
@@ -86,9 +93,11 @@ class TestSharedNormalization:
     def test_normalize_value_key_is_the_value_index_key(self, olympics_table):
         from repro.parser.lexicon import normalize_value_key
 
+        # The knowledge base (Section 3.1) is the reference for the
+        # values the lexicon indexes straight from the table.
         lexicon = Lexicon(olympics_table)
         for column in olympics_table.columns:
-            for value in lexicon.kb.column_entities(column):
+            for value in KnowledgeBase(olympics_table).column_entities(column):
                 key = normalize_value_key(value)
                 if key:
                     assert (column, value) in lexicon._value_index[key]
@@ -117,3 +126,66 @@ class TestSharedNormalization:
         assert analysis.entities  # the premise: something anchors
         for match in analysis.entities:
             assert match.text in phrases
+
+
+#: Parses the two-spellings table in a fresh interpreter and prints the
+#: lexicon's entries for the shared phrase key and the candidates' s-expressions.
+_PARSE_TWO_SPELLINGS = """
+import json
+from repro.parser import Lexicon, SemanticParser
+from repro.tables import Table
+
+table = Table(
+    columns=["City", "Year"],
+    rows=[["St. Louis", 1904], ["St.Louis", 1905], ["Paris", 1900]],
+    name="games",
+)
+entries = Lexicon(table)._value_index["st . louis"]
+parse = SemanticParser().parse("which year was st. louis", table)
+print(json.dumps({
+    "entries": [value.display() for _, value in entries],
+    "sexprs": [candidate.sexpr for candidate in parse.candidates],
+}))
+"""
+
+
+class TestValueIndex:
+    """The value index holds the knowledge base's values, in table order
+    whatever the process's hash seed."""
+
+    def test_value_index_holds_exactly_the_knowledge_base_values(self, olympics_table):
+        from repro.parser.lexicon import normalize_value_key
+
+        kb = KnowledgeBase(olympics_table)
+        indexed = {
+            (column, value)
+            for pairs in Lexicon(olympics_table)._value_index.values()
+            for column, value in pairs
+        }
+        expected = {
+            (column, value)
+            for column in olympics_table.columns
+            for value in kb.column_entities(column)
+            if normalize_value_key(value)
+        }
+        assert indexed == expected
+
+    def test_candidates_do_not_depend_on_the_hash_seed(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for seed in range(8):
+            completed = subprocess.run(
+                [sys.executable, "-c", _PARSE_TWO_SPELLINGS],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)},
+                timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(json.loads(completed.stdout))
+        first = outputs[0]
+        assert first["entries"] == ["St. Louis", "St.Louis"]
+        mentions = [sexpr for sexpr in first["sexprs"] if "St" in sexpr]
+        assert mentions and '(value "St. Louis")' in mentions[0]
+        for seed, output in enumerate(outputs):
+            assert output == first, f"PYTHONHASHSEED={seed} parsed differently"
