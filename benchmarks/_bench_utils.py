@@ -3,20 +3,15 @@ timing-artifact emission)."""
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
-#: Scale factor for the bench corpus; 1.0 keeps the suite at a few minutes.
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
+# ``scaled`` sizes an experiment by ``REPRO_BENCH_SCALE`` (1.0 keeps the
+# suite at a few minutes).
+from repro.perf.bench import scaled, write_payload
 
 #: The top-k shown to users throughout the paper.
 K = 7
-
-
-def scaled(value: int, minimum: int = 1) -> int:
-    """Scale an experiment size by ``REPRO_BENCH_SCALE``."""
-    return max(minimum, int(round(value * SCALE)))
 
 
 def artifact_dir() -> Path:
@@ -45,12 +40,7 @@ def emit_bench_artifact(name: str, payload: dict) -> Path:
     timings here so successive PRs have concrete numbers to beat.  The
     payload must be JSON-able (e.g. ``ParseBenchReport.to_payload()``).
     """
-    path = artifact_dir() / f"BENCH_{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    return write_payload(artifact_dir() / f"BENCH_{name}.json", payload)
 
 
 def print_table(title: str, headers, rows) -> None:

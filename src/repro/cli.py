@@ -1,19 +1,19 @@
 """Command-line interface for the reproduction.
 
-Twelve sub-commands cover the workflows a downstream user needs::
+Nine sub-commands cover the workflows a downstream user needs::
 
     python -m repro explain --table table.csv --query '(aggregate max (column-values "Year" (column-records "Country" (value "Greece"))))'
     python -m repro ask     --table table.csv --question "When did Greece last host?" --k 5
     python -m repro dataset --output corpus/ --tables 20 --questions 6
     python -m repro study   --tables 20 --questions 6 --k 7
-    python -m repro bench-parse --tables 4 --questions 4 --repeats 2 --workers 4 --output BENCH_parse.json
     python -m repro catalog --corpus corpus/ --question "which country hosted in 2004" --any
     python -m repro route   --corpus corpus/ --question "which country hosted in 2004"
     python -m repro serve   --corpus corpus/ --port 8765
     python -m repro update  --corpus corpus/ --name olympics --table new_olympics.csv
-    python -m repro bench-churn --tables 4 --questions 4 --edits 12 --output BENCH_churn.json
-    python -m repro bench-discovery --output BENCH_discovery.json
-    python -m repro bench-join --output BENCH_join.json
+    python -m repro bench parse --tables 4 --questions 4 --repeats 2 --workers 4 --output BENCH_parse.json
+    python -m repro bench churn --tables 4 --questions 4 --edits 12 --output BENCH_churn.json
+    python -m repro bench discovery --output BENCH_discovery.json
+    python -m repro bench join --output BENCH_join.json
 
 * ``explain`` — parse a lambda DCS s-expression, execute it on a CSV table
   and print the utterance + provenance highlights (Section 5).
@@ -25,11 +25,6 @@ Twelve sub-commands cover the workflows a downstream user needs::
 * ``study`` — run the end-to-end deployment experiment on a freshly
   generated corpus with simulated workers and print the Table 6 scenario
   summary.
-* ``bench-parse`` — run the parse-latency harness (sequential vs memoized
-  vs indexed vs batched vs process parsing; ``--backend`` selects the
-  pool backends, ``--disk-cache`` enables the persistent store) on a
-  synthetic corpus and optionally write the ``BENCH_parse.json`` timing
-  artifact.
 * ``catalog`` — load a table corpus into a fingerprint-addressed
   :class:`~repro.tables.catalog.TableCatalog`, list the shards, and
   optionally route one question (``--table REF`` or corpus-wide
@@ -48,17 +43,10 @@ Twelve sub-commands cover the workflows a downstream user needs::
   (versioned lineage: the catalog diffs the snapshots, patches the
   retrieval index and per-column structures in place, and retires the
   superseded version once no query holds it).
-* ``bench-churn`` — run the live-corpus churn harness (delta
-  maintenance vs from-scratch rebuild under a random edit script,
-  plus the bit-identity verdicts) and optionally write
-  ``BENCH_churn.json``.
-* ``bench-discovery`` — run the table-discovery harness (router
-  recall@k over a synthetic many-shard corpus, bulk vs sequential
-  registration, pruned-vs-broadcast identity) and optionally write
-  ``BENCH_discovery.json``.
-* ``bench-join`` — run the cross-table composition harness (shard-set
-  routing recall plus the composed-answer SQL oracle) and optionally
-  write ``BENCH_join.json``.
+* ``bench`` — run one bench suite (``parse``, ``churn``, ``discovery``
+  or ``join``, see :mod:`repro.perf`), print its payload as
+  ``dotted.key: value`` lines, optionally write it (``--output``), and
+  exit 1 when the suite's integrity gate fails.
 
 The question-answering commands (``ask``, ``catalog``, ``serve``,
 ``route``) are thin faces over :class:`repro.api.ReproEngine` — the same
@@ -122,29 +110,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
     study_cmd.add_argument("--k", type=int, default=7)
     study_cmd.add_argument("--epochs", type=int, default=2)
     study_cmd.add_argument("--seed", type=int, default=7)
-
-    bench_cmd = subparsers.add_parser(
-        "bench-parse",
-        help="benchmark sequential vs memoized vs indexed vs batched vs process parsing",
-    )
-    bench_cmd.add_argument("--tables", type=int, default=4)
-    bench_cmd.add_argument("--questions", type=int, default=4, help="questions per table")
-    bench_cmd.add_argument("--seed", type=int, default=2019)
-    bench_cmd.add_argument("--repeats", type=int, default=2, help="workload replays (warm-cache traffic)")
-    bench_cmd.add_argument("--workers", type=int, default=4, help="batch parser pool size")
-    bench_cmd.add_argument(
-        "--backend",
-        choices=["thread", "process", "both"],
-        default="both",
-        help="which pool backends to bench (thread -> 'batched' mode, process -> 'process' mode)",
-    )
-    bench_cmd.add_argument(
-        "--disk-cache",
-        help="enable the content-addressed on-disk cache under this directory "
-        "(one sub-directory per mode; rerun with the same path for a warm start)",
-    )
-    bench_cmd.add_argument("--model", help="path to a saved LogLinearModel JSON file")
-    bench_cmd.add_argument("--output", help="write the timing payload to this JSON file")
 
     catalog_cmd = subparsers.add_parser(
         "catalog", help="inspect and query a multi-table catalog"
@@ -274,94 +239,115 @@ def build_argument_parser() -> argparse.ArgumentParser:
     update_cmd.add_argument("--k", type=int, default=7)
     update_cmd.add_argument("--model", help="path to a saved LogLinearModel JSON file")
 
-    bench_churn_cmd = subparsers.add_parser(
-        "bench-churn",
-        help="benchmark delta index maintenance vs full rebuild under table churn",
+    bench_cmd = subparsers.add_parser(
+        "bench", help="run one bench suite, print its payload and gate on it"
     )
-    bench_churn_cmd.add_argument("--tables", type=int, default=4)
-    bench_churn_cmd.add_argument(
-        "--questions", type=int, default=4, help="questions per table"
+    suites = bench_cmd.add_subparsers(dest="suite", required=True)
+    # Options every suite takes, declared once; each suite's run_suite
+    # turns its arguments into its report.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=2019)
+    common.add_argument("--output", help="write the suite's JSON payload to this file")
+
+    parse_cmd = suites.add_parser(
+        "parse",
+        parents=[common],
+        help="sequential vs memoized vs indexed vs batched vs process parsing",
     )
-    bench_churn_cmd.add_argument("--seed", type=int, default=2019)
-    bench_churn_cmd.add_argument(
+    parse_cmd.set_defaults(run_suite=_bench_parse)
+    parse_cmd.add_argument("--tables", type=int, default=4)
+    parse_cmd.add_argument("--questions", type=int, default=4, help="questions per table")
+    parse_cmd.add_argument("--repeats", type=int, default=2, help="workload replays (warm-cache traffic)")
+    parse_cmd.add_argument("--workers", type=int, default=4, help="batch parser pool size")
+    parse_cmd.add_argument(
+        "--backend",
+        choices=["thread", "process", "both"],
+        default="both",
+        help="which pool backends to bench (thread -> 'batched' mode, process -> 'process' mode)",
+    )
+    parse_cmd.add_argument(
+        "--disk-cache",
+        help="enable the content-addressed on-disk cache under this directory "
+        "(one sub-directory per mode; rerun with the same path for a warm start)",
+    )
+    parse_cmd.add_argument("--model", help="path to a saved LogLinearModel JSON file")
+
+    churn_cmd = suites.add_parser(
+        "churn",
+        parents=[common],
+        help="delta index maintenance vs full rebuild under table churn "
+        "(exit 1 unless both are identical)",
+    )
+    churn_cmd.set_defaults(run_suite=_bench_churn)
+    churn_cmd.add_argument("--tables", type=int, default=4)
+    churn_cmd.add_argument("--questions", type=int, default=4, help="questions per table")
+    churn_cmd.add_argument(
         "--edits",
         type=int,
         default=None,
         help="length of the random edit script (default: 12, scaled by "
         "REPRO_BENCH_SCALE)",
     )
-    bench_churn_cmd.add_argument(
-        "--output", help="write the timing payload to this JSON file"
-    )
 
-    bench_discovery_cmd = subparsers.add_parser(
-        "bench-discovery",
-        help="benchmark table-discovery recall and corpus-scale routing "
-        "over a synthetic many-shard corpus",
+    discovery_cmd = suites.add_parser(
+        "discovery",
+        parents=[common],
+        help="table-discovery recall and corpus-scale routing over a synthetic "
+        "many-shard corpus (exit 1 when pruning changes an answer)",
     )
-    bench_discovery_cmd.add_argument(
-        "--tables",
-        type=int,
-        default=500,
-        help="corpus size before REPRO_BENCH_SCALE scaling",
+    discovery_cmd.set_defaults(run_suite=_bench_discovery)
+    discovery_cmd.add_argument(
+        "--tables", type=int, default=500, help="corpus size before REPRO_BENCH_SCALE scaling"
     )
-    bench_discovery_cmd.add_argument(
+    discovery_cmd.add_argument(
         "--questions",
         type=int,
         default=300,
         help="gold-labeled questions before REPRO_BENCH_SCALE scaling",
     )
-    bench_discovery_cmd.add_argument("--seed", type=int, default=2019)
-    bench_discovery_cmd.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="max_candidates cap of the routed hot path under test",
+    discovery_cmd.add_argument(
+        "--top", type=int, default=10, help="max_candidates cap of the routed hot path under test"
     )
-    bench_discovery_cmd.add_argument(
+    discovery_cmd.add_argument(
         "--identity-sample",
         type=int,
         default=8,
         help="questions to check pruned-vs-broadcast answer identity on "
         "(each check broadcasts over the whole corpus)",
     )
-    bench_discovery_cmd.add_argument(
+    discovery_cmd.add_argument(
         "--repeats",
         type=int,
-        default=3,
-        help="best-of repeat count for the build-timing arms (default: 3)",
-    )
-    bench_discovery_cmd.add_argument(
-        "--output", help="write the payload to this JSON file"
+        default=9,
+        help="alternating pairs the two build-timing arms run in; each arm "
+        "reports its median (default: 9)",
     )
 
-    bench_join_cmd = subparsers.add_parser(
-        "bench-join",
-        help="benchmark cross-table shard-set routing and the composed-"
-        "answer SQL oracle over the multi-table question tier",
+    join_cmd = suites.add_parser(
+        "join",
+        parents=[common],
+        help="cross-table shard-set routing and the composed-answer SQL "
+        "oracle (exit 1 on any divergence)",
     )
-    bench_join_cmd.add_argument(
+    join_cmd.set_defaults(run_suite=_bench_join)
+    join_cmd.add_argument(
         "--pairs",
         type=int,
         default=12,
         help="fact/dimension shard pairs before REPRO_BENCH_SCALE scaling",
     )
-    bench_join_cmd.add_argument(
+    join_cmd.add_argument(
         "--questions",
         type=int,
         default=36,
         help="gold-labeled questions before REPRO_BENCH_SCALE scaling",
     )
-    bench_join_cmd.add_argument("--seed", type=int, default=2019)
-    bench_join_cmd.add_argument(
+    join_cmd.add_argument(
         "--proposals",
         type=int,
         default=8,
         help="max shard-set proposals the router may return (recall@5 "
         "needs more than the serving default of 4)",
-    )
-    bench_join_cmd.add_argument(
-        "--output", help="write the payload to this JSON file"
     )
     return parser
 
@@ -498,41 +484,6 @@ def run_study(args: argparse.Namespace, out) -> int:
     print(f"user correctness   : {result.user_correctness:.1%}", file=out)
     print(f"hybrid correctness : {result.hybrid_correctness:.1%}", file=out)
     print(f"correctness bound  : {result.correctness_bound:.1%}", file=out)
-    return 0
-
-
-def run_bench_parse(args: argparse.Namespace, out) -> int:
-    from .perf import bench_pairs_from_dataset, run_parse_bench
-
-    pairs = bench_pairs_from_dataset(
-        num_tables=args.tables, questions_per_table=args.questions, seed=args.seed
-    )
-    backends = ("thread", "process") if args.backend == "both" else (args.backend,)
-    model = _load_model(args.model) if args.model else None
-    report = run_parse_bench(
-        pairs,
-        model=model,
-        repeats=args.repeats,
-        workers=args.workers,
-        backends=backends,
-        disk_cache_dir=args.disk_cache,
-    )
-    print(
-        f"workload: {report.questions} parses "
-        f"({len(pairs)} questions x {report.repeats} repeats)",
-        file=out,
-    )
-    print(f"{'mode':<12} {'total':>10} {'mean':>10} {'speedup':>8}", file=out)
-    for mode, total, mean, speedup in report.rows():
-        print(f"{mode:<12} {total:>10} {mean:>10} {speedup:>8}", file=out)
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote timings to {path}", file=out)
     return 0
 
 
@@ -854,107 +805,75 @@ def run_update(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def run_bench_churn(args: argparse.Namespace, out) -> int:
-    from .perf import bench_pairs_from_dataset, run_churn_bench
+def _bench_parse(args: argparse.Namespace):
+    from .perf.bench import bench_pairs_from_dataset, run_parse_bench
+
+    model = _load_model(args.model) if args.model else None
+    pairs = bench_pairs_from_dataset(
+        num_tables=args.tables, questions_per_table=args.questions, seed=args.seed
+    )
+    return run_parse_bench(
+        pairs,
+        model=model,
+        repeats=args.repeats,
+        workers=args.workers,
+        backends=("thread", "process") if args.backend == "both" else (args.backend,),
+        disk_cache_dir=args.disk_cache,
+    )
+
+
+def _bench_churn(args: argparse.Namespace):
+    from .perf.bench import bench_pairs_from_dataset
+    from .perf.churn import run_churn_bench
 
     pairs = bench_pairs_from_dataset(
         num_tables=args.tables, questions_per_table=args.questions, seed=args.seed
     )
-    report = run_churn_bench(pairs, edits=args.edits, seed=args.seed)
-    print(
-        f"workload: {report.tables} tables, {report.questions} questions, "
-        f"{report.edits} edits",
-        file=out,
-    )
-    print(f"{'mode':<14} {'total':>10} {'mean edit':>10} {'speedup':>8}", file=out)
-    for mode, total, mean, speedup in report.rows():
-        print(f"{mode:<14} {total:>10} {mean:>10} {speedup:>8}", file=out)
-    print(
-        f"identical to from-scratch rebuild: answers="
-        f"{report.identical_answers} index={report.identical_index}",
-        file=out,
-    )
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote timings to {path}", file=out)
-    return 0 if (report.identical_answers and report.identical_index) else 1
+    return run_churn_bench(pairs, edits=args.edits, seed=args.seed)
 
 
-def run_bench_discovery(args: argparse.Namespace, out) -> int:
+def _bench_discovery(args: argparse.Namespace):
     from .dataset.corpus import CorpusConfig
     from .perf.discovery import run_discovery_bench
 
-    report = run_discovery_bench(
+    return run_discovery_bench(
         config=CorpusConfig(
-            num_tables=args.tables,
-            num_questions=args.questions,
-            seed=args.seed,
+            num_tables=args.tables, num_questions=args.questions, seed=args.seed
         ),
         max_candidates=args.top,
         identity_sample=args.identity_sample,
         build_repeats=args.repeats,
     )
-    print(
-        f"workload: {report.shards} shards, {report.questions} questions, "
-        f"top-{report.max_candidates} routing",
-        file=out,
-    )
-    for label, value in report.rows():
-        print(f"{label:>18}: {value}", file=out)
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote payload to {path}", file=out)
-    # Exit 1 when the pruned pipeline diverges from broadcast on a
-    # question whose gold shard survived the cap, or when bulk
-    # registration stops being structurally identical to sequential —
-    # the discovery integrity gate.
-    return 0 if (report.identical and report.identical_index) else 1
 
 
-def run_bench_join(args: argparse.Namespace, out) -> int:
+def _bench_join(args: argparse.Namespace):
     from .dataset.join_corpus import JoinCorpusConfig
     from .perf.join import run_join_bench
 
-    report = run_join_bench(
+    return run_join_bench(
         config=JoinCorpusConfig(
-            num_pairs=args.pairs,
-            num_questions=args.questions,
-            seed=args.seed,
+            num_pairs=args.pairs, num_questions=args.questions, seed=args.seed
         ),
         max_proposals=args.proposals,
     )
-    print(
-        f"workload: {report.pairs} shard pairs ({report.shards} shards), "
-        f"{report.questions} questions, top-{report.max_proposals} proposals",
-        file=out,
-    )
-    for label, value in report.rows():
-        print(f"{label:>20}: {value}", file=out)
-    for line in report.failures:
+
+
+def run_bench(args: argparse.Namespace, out) -> int:
+    from .perf.bench import BENCH_SCALE_ENV, bench_scale, summary_lines, write_payload
+
+    with _caller_input(BENCH_SCALE_ENV):
+        bench_scale()
+    report = args.run_suite(args)
+    payload = report.to_payload()
+    for line in summary_lines(payload):
+        print(line, file=out)
+    # Join names each gold pair that failed to compose or to match SQL.
+    for line in getattr(report, "failures", ()):
         print(f"  ! {line}", file=out)
     if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote payload to {path}", file=out)
-    # The oracle gate: exit 1 when any composed answer diverges from the
-    # translated two-table SQL, or when a gold pair fails to compose at
-    # all (an uncomposed pair can't be oracle-checked, and passing it
-    # silently would hollow out the gate).
-    return 0 if report.gate_ok else 1
+        print(f"wrote payload to {write_payload(args.output, payload)}", file=out)
+    # Exit 1 exactly when the suite's integrity gate (``report.ok``) fails.
+    return 0 if report.ok else 1
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
@@ -965,14 +884,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "ask": run_ask,
         "dataset": run_dataset,
         "study": run_study,
-        "bench-parse": run_bench_parse,
         "catalog": run_catalog,
         "route": run_route,
         "serve": run_serve,
         "update": run_update,
-        "bench-churn": run_bench_churn,
-        "bench-discovery": run_bench_discovery,
-        "bench-join": run_bench_join,
+        "bench": run_bench,
     }
     try:
         status = handlers[args.command](args, out)

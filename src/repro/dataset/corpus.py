@@ -10,7 +10,7 @@ same columns, some renamed to a human paraphrase), **shared vocabulary**
 a long tail attracts almost none).  :func:`build_discovery_corpus`
 produces exactly that, deterministically from a seed, with every
 question gold-labeled by the fingerprint digest of the table it was
-generated from — the label ``repro bench-discovery`` measures router
+generated from — the label ``repro bench discovery`` measures router
 recall@k against.
 
 Distinctness is guaranteed, not probable: table *names* are unique by
@@ -165,13 +165,10 @@ def build_discovery_corpus(config: CorpusConfig = CorpusConfig()) -> DiscoveryCo
     tables (digests included) and the same questions, which is what lets
     ``BENCH_discovery.json`` regenerations diff meaningfully.
     """
-    from ..perf.bench import bench_scale
+    from ..perf.bench import scaled
 
-    scale = config.scale if config.scale is not None else bench_scale()
-    num_tables = max(config.min_tables, int(round(config.num_tables * scale)))
-    num_questions = max(
-        config.min_questions, int(round(config.num_questions * scale))
-    )
+    num_tables = scaled(config.num_tables, config.min_tables, config.scale)
+    num_questions = scaled(config.num_questions, config.min_questions, config.scale)
 
     rng = random.Random(config.seed)
     table_gen = TableGenerator(seed=config.seed)

@@ -6,7 +6,7 @@ generates the complement: **fact/dimension table pairs** sharing a
 string-typed join key, plus questions whose answer lives in the fact table
 but whose anchor entity lives only in the dimension table — no single
 shard can answer them.  Each question is gold-labeled with *both* shard
-digests, so ``repro bench-join`` can score the
+digests, so ``repro bench join`` can score the
 :class:`~repro.retrieval.router.ShardSetRouter`'s proposals as join
 recall@k and gate every composed answer against the two-table SQL oracle.
 
@@ -31,15 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..tables.table import Table
 from . import vocab
 
-
-def _scaled(full: int, floor: int, scale: Optional[float]) -> int:
-    """``full`` × the bench scale factor, floored at ``floor``."""
-    # Imported lazily: generating a corpus loads the bench harness only
-    # to read its scale.
-    from ..perf.bench import bench_scale
-
-    factor = scale if scale is not None else bench_scale()
-    return max(floor, int(round(full * factor)))
 
 #: Group-value pools, disjoint from every key pool so an anchor entity
 #: never collides with a join-key cell of an unrelated family.
@@ -252,11 +243,11 @@ def _perturb(table: Table, rng: random.Random) -> Table:
 
 def build_join_corpus(config: Optional[JoinCorpusConfig] = None) -> JoinCorpus:
     """Generate the multi-table tier; deterministic in ``config.seed``."""
+    from ..perf.bench import scaled
+
     config = config or JoinCorpusConfig()
-    num_pairs = _scaled(config.num_pairs, config.min_pairs, config.scale)
-    num_questions = _scaled(
-        config.num_questions, config.min_questions, config.scale
-    )
+    num_pairs = scaled(config.num_pairs, config.min_pairs, config.scale)
+    num_questions = scaled(config.num_questions, config.min_questions, config.scale)
     rng = random.Random(config.seed)
 
     corpus = JoinCorpus()

@@ -232,8 +232,6 @@ class CandidateGenerator:
         ``disk`` reports this generator's on-disk store, all-zero when
         none is configured.
         """
-        from ..perf.diskcache import DiskCache  # lazy: avoids an import cycle
-
         with self._execution_lock:
             execution = {
                 "size": 0,
@@ -247,8 +245,12 @@ class CandidateGenerator:
             "execution": execution,
             "candidates": self._candidate_cache.stats(),
             "indexes": index_cache_stats(),
+            # Built here, not read from DiskCache.empty_stats(): a stats
+            # read must not load the disk-store module serving never uses.
             "disk": (
-                self._disk_cache.stats() if self._disk_cache else DiskCache.empty_stats()
+                self._disk_cache.stats()
+                if self._disk_cache
+                else {"hits": 0, "misses": 0, "writes": 0, "errors": 0}
             ),
         }
 

@@ -14,12 +14,13 @@ per-question sub-query memo of :mod:`repro.dcs.memo`:
 * :class:`~repro.perf.diskcache.DiskCache` — the content-addressed
   on-disk store persisting candidate lists (and evicted catalog tables)
   across processes and sessions;
-* :func:`~repro.perf.bench.run_parse_bench` — the five-mode perf harness
-  (sequential / memoized / indexed / batched / process) whose payload
-  becomes the ``BENCH_parse.json`` trajectory artifact;
-* :func:`~repro.perf.churn.run_churn_bench` — the live-corpus churn
-  harness (delta maintenance vs full rebuild under a random edit
-  script) whose payload becomes ``BENCH_churn.json``;
+* the four bench suites of ``repro bench``, each a run function whose
+  report's ``to_payload()`` is a committed ``BENCH_*.json`` and whose
+  ``ok`` is its gate: :func:`~repro.perf.bench.run_parse_bench` (five
+  parse modes), :func:`~repro.perf.churn.run_churn_bench` (delta vs
+  rebuild), :func:`~repro.perf.discovery.run_discovery_bench` (router
+  recall at corpus scale) and :func:`~repro.perf.join.run_join_bench`
+  (shard-set routing and the composed-answer SQL oracle);
 * re-exports of the cache primitives so callers can reach everything
   performance-related through ``repro.perf``.
 """

@@ -21,8 +21,12 @@ configurations:
 and reports wall-clock totals, per-question timings and cache statistics
 in a JSON-able payload.  ``benchmarks/test_perf_batch_parsing.py`` runs
 the harness on the bench corpus and writes the payload to
-``BENCH_parse.json`` so future PRs have a trajectory to beat; the
-``repro bench-parse`` CLI sub-command does the same on demand.
+``BENCH_parse.json`` so future PRs have a trajectory to beat; ``repro
+bench parse`` does the same on demand.
+
+It also holds what all four bench suites share: the
+``REPRO_BENCH_SCALE`` reader, the percentile, the console summary and
+the payload writer.
 
 Every mode starts cold: the process-wide index registry is cleared
 before each mode, and the optional disk store is partitioned per mode
@@ -33,10 +37,12 @@ warm-start regime.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..parser.candidates import ParserConfig, SemanticParser
 from ..parser.features import clear_token_caches
@@ -48,17 +54,32 @@ from .pool import BatchItem, create_pool
 #: The modes of the harness, in reporting order.
 BENCH_MODES = ("sequential", "memoized", "indexed", "batched", "process")
 
+#: The pooled modes and the pool backend each one runs on.
+POOLED_MODES = {"batched": "thread", "process": "process"}
+
 #: Environment variable scaling bench workloads (1.0 = full size; CI smoke
 #: runs use 0.1 to exercise every code path at a fraction of the cost).
 BENCH_SCALE_ENV = "REPRO_BENCH_SCALE"
 
 
-def bench_scale(default: float = 1.0) -> float:
-    """The workload scale factor from ``REPRO_BENCH_SCALE`` (>= 0)."""
+def bench_scale() -> float:
+    """The workload scale factor from ``REPRO_BENCH_SCALE`` (>= 0, 1.0
+    when unset).
+
+    Raises ``ValueError`` on a value that is not a number: falling back
+    to full scale would turn a typo in a smoke job into a full-size run.
+    """
+    raw = os.environ.get(BENCH_SCALE_ENV, "1.0")
     try:
-        return max(0.0, float(os.environ.get(BENCH_SCALE_ENV, default)))
+        return max(0.0, float(raw))
     except ValueError:
-        return default
+        raise ValueError(f"{BENCH_SCALE_ENV} must be a number, got {raw!r}") from None
+
+
+def scaled(value: int, minimum: int = 1, scale: Optional[float] = None) -> int:
+    """``value`` times ``scale`` (default: :func:`bench_scale`), rounded
+    and floored at ``minimum``: how every bench sizes its workload."""
+    return max(minimum, int(round(value * (bench_scale() if scale is None else scale))))
 
 
 def quantize_seconds(value: float) -> float:
@@ -73,6 +94,20 @@ def quantize_seconds(value: float) -> float:
     return round(value, 3)
 
 
+def percentile(ordered: Sequence[float], q: int) -> float:
+    """Nearest-rank ``q``-th percentile of a sorted sample (0.0 when
+    empty): rank ``ceil(q / 100 * n)``, at least 1, as perfbench's
+    ``stats.rank_index``; ``q=0`` is the minimum, ``q=100`` the maximum."""
+    if not ordered:
+        return 0.0
+    return ordered[max(1, -(-q * len(ordered) // 100)) - 1]
+
+
+def _summary_ms(seconds: Sequence[float], ranks: Mapping[str, int]) -> Dict[str, float]:
+    ordered = sorted(seconds)
+    return {key: round(percentile(ordered, q) * 1000, 1) for key, q in ranks.items()}
+
+
 def timing_summary(per_question_seconds: Sequence[float]) -> Dict[str, float]:
     """Min/median/max of a per-question latency series, in rounded ms.
 
@@ -81,37 +116,40 @@ def timing_summary(per_question_seconds: Sequence[float]) -> Dict[str, float]:
     the 500-line artifact diffs), while min/p50/max is what the
     trajectory comparisons actually read.
     """
-    if not per_question_seconds:
-        return {"min_ms": 0.0, "p50_ms": 0.0, "max_ms": 0.0}
-    ordered = sorted(per_question_seconds)
-    return {
-        "min_ms": round(ordered[0] * 1000, 1),
-        "p50_ms": round(ordered[len(ordered) // 2] * 1000, 1),
-        "max_ms": round(ordered[-1] * 1000, 1),
-    }
-
-
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample (0 < q <= 1)."""
-    if not ordered:
-        return 0.0
-    rank = max(1, -(-int(q * 1000) * len(ordered) // 1000))  # ceil without float drift
-    return ordered[min(len(ordered), rank) - 1]
+    return _summary_ms(per_question_seconds, {"min_ms": 0, "p50_ms": 50, "max_ms": 100})
 
 
 def latency_summary(per_question_seconds: Sequence[float]) -> Dict[str, float]:
-    """p50/p95/p99 of a per-question latency series, in rounded ms.
+    """p50/p95 of a per-question latency series, in rounded ms.
 
-    The tail percentiles are the serving story (a throughput win that
-    costs a 10x p99 is not a win); like :func:`timing_summary` the
+    The tail percentile is the serving story (a throughput win that
+    costs a 10x p95 is not a win); like :func:`timing_summary` the
     artifacts store this summary, never the raw series.
     """
-    ordered = sorted(per_question_seconds)
-    return {
-        "p50_ms": round(_percentile(ordered, 0.50) * 1000, 1),
-        "p95_ms": round(_percentile(ordered, 0.95) * 1000, 1),
-        "p99_ms": round(_percentile(ordered, 0.99) * 1000, 1),
-    }
+    return _summary_ms(per_question_seconds, {"p50_ms": 50, "p95_ms": 95})
+
+
+def summary_lines(payload: Mapping[str, object], prefix: str = "") -> List[str]:
+    """The console summary of a bench payload: one ``dotted.key: value``
+    line per leaf, in payload order, so no suite needs a renderer of its
+    own."""
+    lines: List[str] = []
+    for key, value in payload.items():
+        if isinstance(value, Mapping):
+            lines.extend(summary_lines(value, f"{prefix}{key}."))
+        else:
+            lines.append(f"{prefix}{key}: {value}")
+    return lines
+
+
+def write_payload(path: Union[str, Path], payload: Mapping[str, object]) -> Path:
+    """Write a bench payload as sorted, indented JSON (the committed
+    ``BENCH_*.json`` format), creating parent directories; returns the
+    path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 @dataclass
@@ -189,23 +227,10 @@ class ParseBenchReport:
             },
         }
 
-    def rows(self) -> List[List[str]]:
-        """Console rows (mode, total, mean, speedup) for the CLI / benches."""
-        rows = []
-        for name in BENCH_MODES:
-            timing = self.modes.get(name)
-            if timing is None:
-                continue
-            speedup = self.speedup(name) if "sequential" in self.modes else 1.0
-            rows.append(
-                [
-                    name,
-                    f"{timing.total_seconds:.3f}s",
-                    f"{timing.mean_seconds * 1000:.1f}ms",
-                    f"{speedup:.2f}x",
-                ]
-            )
-        return rows
+    @property
+    def ok(self) -> bool:
+        """Always true: the orderings are asserted by the bench suite."""
+        return True
 
 
 def sequential_parser_config() -> ParserConfig:
@@ -274,60 +299,57 @@ def run_parse_bench(
         questions=len(workload), repeats=repeats, workers=workers
     )
 
-    for mode in ("sequential", "memoized", "indexed"):
-        _reset_shared_caches()
-        parser = SemanticParser(model=model, config=_mode_config(mode, disk_cache_dir))
-        report.modes[mode] = _run_sequential(mode, parser, workload, k)
-
     # The process mode forks; running it before the thread mode keeps the
     # parent heap it must copy-on-write as small as possible.
-    pooled = [("process", "process"), ("batched", "thread")]
-    for mode, backend in pooled:
-        if backend not in backends:
-            continue
-        _reset_shared_caches()
-        parser = SemanticParser(model=model, config=_mode_config(mode, disk_cache_dir))
+    for mode in ("sequential", "memoized", "indexed", "process", "batched"):
+        if mode not in POOLED_MODES or POOLED_MODES[mode] in backends:
+            report.modes[mode] = run_mode(
+                mode, workload, model, workers, k, disk_cache_dir
+            )
+    return report
+
+
+def run_mode(
+    mode: str,
+    workload: Sequence[Tuple[str, Table]],
+    model: Optional[LogLinearModel] = None,
+    workers: int = 4,
+    k: Optional[int] = None,
+    disk_cache_dir: Optional[str] = None,
+) -> ModeTiming:
+    """Parse ``workload`` in one harness mode, from cold.
+
+    The harness's measurement of one mode, callable alone so a caller
+    can repeat it (``benchmarks/test_perf_batch_parsing.py`` orders the
+    two pooled modes on alternating pairs).
+    """
+    _reset_shared_caches()
+    parser = SemanticParser(model=model, config=_mode_config(mode, disk_cache_dir))
+    if mode in POOLED_MODES:
         items = [BatchItem(question, table, k=k) for question, table in workload]
-        with create_pool(backend, parser, workers) as pool:
+        with create_pool(POOLED_MODES[mode], parser, workers) as pool:
             # The pool is built cold for the mode, so its worker start-up
             # (forks, table shipping) is part of the measured batch.
             started = time.perf_counter()
             results = pool.parse_all(items)
             total = time.perf_counter() - started
-        # Note: for the process backend these are the *driver's* cache
-        # stats — worker caches are process-private by design and die
-        # with the pool, so their hit rates are not observable here.
-        # The thread mode's stats cover all parsing.
-        report.modes[mode] = ModeTiming(
-            mode=mode,
-            total_seconds=total,
-            per_question_seconds=[seconds for _, seconds in results],
-            candidates=sum(len(parse.candidates) for parse, _ in results),
-            cache_stats=parser.cache_stats(),
-        )
-    return report
-
-
-def _run_sequential(
-    mode: str,
-    parser: SemanticParser,
-    workload: Sequence[Tuple[str, Table]],
-    k: Optional[int],
-) -> ModeTiming:
-    per_question: List[float] = []
-    candidates = 0
-    started = time.perf_counter()
-    for question, table in workload:
-        t0 = time.perf_counter()
-        parse = parser.parse(question, table, k=k)
-        per_question.append(time.perf_counter() - t0)
-        candidates += len(parse.candidates)
-    total = time.perf_counter() - started
+        timed = [(len(parse.candidates), seconds) for parse, seconds in results]
+    else:
+        timed = []
+        started = time.perf_counter()
+        for question, table in workload:
+            t0 = time.perf_counter()
+            parse = parser.parse(question, table, k=k)
+            timed.append((len(parse.candidates), time.perf_counter() - t0))
+        total = time.perf_counter() - started
+    # For the process backend these are the cache stats of this process,
+    # not the workers': worker caches are process-private and die with
+    # the pool.
     return ModeTiming(
         mode=mode,
         total_seconds=total,
-        per_question_seconds=per_question,
-        candidates=candidates,
+        per_question_seconds=[seconds for _, seconds in timed],
+        candidates=sum(count for count, _ in timed),
         cache_stats=parser.cache_stats(),
     )
 
@@ -337,20 +359,18 @@ def bench_pairs_from_dataset(
     questions_per_table: int = 4,
     seed: int = 2019,
     paraphrase_rate: float = 0.5,
-    scale: Optional[float] = None,
 ) -> List[Tuple[str, Table]]:
     """A small synthetic ``(question, table)`` workload for the harness.
 
-    ``scale`` multiplies both corpus dimensions (floored at 2), defaulting
-    to :func:`bench_scale` — so ``REPRO_BENCH_SCALE=0.1`` shrinks the CI
-    smoke workload without touching callers.
+    Both corpus dimensions are :func:`scaled` (floored at 2), so
+    ``REPRO_BENCH_SCALE=0.1`` shrinks the CI smoke workload without
+    touching callers.
     """
     from ..dataset.dataset import DatasetConfig, build_dataset
 
-    factor = bench_scale() if scale is None else scale
     config = DatasetConfig(
-        num_tables=max(2, int(round(num_tables * factor))),
-        questions_per_table=max(2, int(round(questions_per_table * factor))),
+        num_tables=scaled(num_tables, 2),
+        questions_per_table=scaled(questions_per_table, 2),
         seed=seed,
         paraphrase_rate=paraphrase_rate,
     )

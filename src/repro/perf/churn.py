@@ -20,9 +20,8 @@ question **bit-identically** to a from-scratch catalog over the final
 table set, and its retrieval index snapshot is structurally equal to a
 fresh build.  The payload becomes the committed ``BENCH_churn.json``
 trajectory artifact (schema ``repro-bench-churn-v1``, validated by
-``scripts/validate_wire.py``); the ``repro bench-churn`` CLI sub-command
-and the ``churn`` entry of the CI ``suite-smoke`` job run the same
-harness on demand.
+``scripts/validate_wire.py``); ``repro bench churn`` and the ``churn``
+entry of the CI ``suite-smoke`` job run the same harness on demand.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..retrieval.corpus_index import CorpusIndex
 from ..tables.catalog import TableCatalog
 from ..tables.table import Table
-from .bench import bench_scale, quantize_seconds, timing_summary
+from .bench import quantize_seconds, scaled, timing_summary
 
 #: Default number of edits in the script (scaled by ``REPRO_BENCH_SCALE``).
 DEFAULT_EDITS = 12
@@ -105,19 +104,10 @@ class ChurnReport:
             return 0.0
         return self.rebuild_total_seconds / self.delta_total_seconds
 
-    def rows(self) -> List[Tuple[str, str, str, str]]:
-        """CLI table rows: mode, total, mean edit latency, speedup."""
-        out = []
-        for mode, total, series in (
-            ("full_rebuild", self.rebuild_total_seconds, self.rebuild_edit_seconds),
-            ("delta", self.delta_total_seconds, self.delta_edit_seconds),
-        ):
-            mean = total / len(series) * 1000 if series else 0.0
-            speedup = (
-                f"{self.speedup:.1f}x" if mode == "delta" else "1.0x"
-            )
-            out.append((mode, f"{total:.3f}s", f"{mean:.1f}ms", speedup))
-        return out
+    @property
+    def ok(self) -> bool:
+        """The gate: delta-maintained answers and index equal a rebuild's."""
+        return self.identical_answers and self.identical_index
 
     def to_payload(self) -> Dict[str, object]:
         """The ``BENCH_churn.json`` shape (schema ``repro-bench-churn-v1``).
@@ -178,7 +168,7 @@ def run_churn_bench(
     exercises compounding edits to the same table).
     """
     if edits is None:
-        edits = max(4, int(round(DEFAULT_EDITS * bench_scale())))
+        edits = scaled(DEFAULT_EDITS, 4)
     tables: List[Table] = []
     seen = set()
     for _, table in pairs:

@@ -13,9 +13,11 @@ popularity) it reports:
   :meth:`TableCatalog.corpus_index` read, which extracts every posting
   in one memoized batch and merges it under one index lock
   acquisition), plus the speedup and a structural-equality check of the
-  two resulting indexes.  Both arms are timed best-of-``build_repeats``
-  alternating runs — the ``timeit`` convention: the minimum is the
-  measurement, everything above it is interpreter/allocator noise;
+  two resulting indexes.  The arms are timed in ``build_repeats``
+  pairs, alternating which arm runs first; each arm's time is its
+  median over the pairs and the speedup is the ratio of the medians
+  (on a shared host a minimum over a few runs is one draw from a spread
+  wider than the speedup itself);
 * **recall@k** — for each gold-labeled question, whether the router's
   uncapped ranking places the gold shard in the top 1/5/10 (a fallback
   decision counts as a miss: the router learned nothing);
@@ -30,7 +32,7 @@ popularity) it reports:
 
 The payload becomes the committed ``BENCH_discovery.json`` (schema
 ``repro-bench-discovery-v1``, validated by ``scripts/validate_wire.py``);
-``repro bench-discovery`` and the ``discovery`` entry of the CI
+``repro bench discovery`` and the ``discovery`` entry of the CI
 ``suite-smoke`` job run the same harness.
 """
 
@@ -43,7 +45,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..dataset.corpus import CorpusConfig, DiscoveryCorpus, build_discovery_corpus
 from ..retrieval.corpus_index import CorpusIndex
 from ..tables.catalog import TableCatalog
-from .bench import latency_summary, quantize_seconds
+from ..tables.table import Table
+from .bench import latency_summary, percentile, quantize_seconds
 
 #: The recall cutoffs every run reports.
 RECALL_KS = (1, 5, 10)
@@ -84,45 +87,10 @@ class DiscoveryReport:
             return 0.0
         return self.routed_parses / self.questions
 
-    def rows(self) -> List[Tuple[str, str]]:
-        """CLI summary rows: metric name, value."""
-        out: List[Tuple[str, str]] = [
-            ("shards", str(self.shards)),
-            ("questions", str(self.questions)),
-        ]
-        for k in RECALL_KS:
-            out.append((f"recall@{k}", f"{self.recall.get(k, 0.0):.3f}"))
-        out.extend(
-            [
-                ("fallbacks", str(self.fallbacks)),
-                (
-                    "parses/question",
-                    f"{self.mean_routed:.1f} routed vs {self.shards} broadcast",
-                ),
-                (
-                    "build",
-                    f"sequential {self.build_sequential_seconds:.3f}s, "
-                    f"bulk {self.build_bulk_seconds:.3f}s "
-                    f"({self.build_speedup:.2f}x)",
-                ),
-            ]
-        )
-        latencies = latency_summary(self.routing_seconds)
-        out.append(
-            (
-                "routing latency",
-                f"p50 {latencies['p50_ms']}ms, p95 {latencies['p95_ms']}ms",
-            )
-        )
-        out.append(
-            (
-                "identity",
-                f"{'ok' if self.identical else 'DIVERGED'} "
-                f"({self.identity_checked} checked, "
-                f"{self.identity_skipped} gold-unreachable skipped)",
-            )
-        )
-        return out
+    @property
+    def ok(self) -> bool:
+        """The gate: pruned answers match broadcast, bulk index matches per-table."""
+        return self.identical and self.identical_index
 
     def to_payload(self) -> Dict[str, object]:
         """The ``BENCH_discovery.json`` shape (``repro-bench-discovery-v1``).
@@ -133,7 +101,6 @@ class DiscoveryReport:
         usual quantized resolution, the same artifact-diff contract as
         the other committed bench payloads.
         """
-        latencies = latency_summary(self.routing_seconds)
         return {
             "schema": "repro-bench-discovery-v1",
             "shards": self.shards,
@@ -173,10 +140,7 @@ class DiscoveryReport:
                     "repeats": self.build_repeats,
                     "identical_index": self.identical_index,
                 },
-                "routing": {
-                    "p50_ms": latencies["p50_ms"],
-                    "p95_ms": latencies["p95_ms"],
-                },
+                "routing": latency_summary(self.routing_seconds),
             },
         }
 
@@ -197,12 +161,43 @@ def _answer_signature(answer) -> List[Tuple]:
     return out
 
 
+def _timed_builds(
+    tables: Sequence[Table], names: Sequence[str], pairs: int
+) -> Tuple[List[float], List[float], CorpusIndex, TableCatalog]:
+    """Both build arms' seconds over ``pairs`` pairs, and the last index
+    and catalog built.
+
+    Even pairs run the per-table reference first, odd pairs the bulk
+    build, so neither arm always runs on the other's freed heap.  Only
+    the build is timed: creating the empty index or catalog, and freeing
+    the previous pair's, is not.
+    """
+    sequential: List[float] = []
+    bulk: List[float] = []
+    for pair in range(pairs):
+        order = ("sequential", "bulk") if pair % 2 == 0 else ("bulk", "sequential")
+        for arm in order:
+            if arm == "sequential":
+                reference = CorpusIndex()
+                started = time.perf_counter()
+                for table in tables:
+                    reference.add(table)
+                sequential.append(time.perf_counter() - started)
+            else:
+                catalog = TableCatalog()
+                started = time.perf_counter()
+                catalog.register_all(tables, names=names)
+                catalog.corpus_index()
+                bulk.append(time.perf_counter() - started)
+    return sequential, bulk, reference, catalog
+
+
 def run_discovery_bench(
     config: Optional[CorpusConfig] = None,
     max_candidates: int = 10,
     identity_sample: int = 8,
     corpus: Optional[DiscoveryCorpus] = None,
-    build_repeats: int = 3,
+    build_repeats: int = 9,
 ) -> DiscoveryReport:
     """Run the discovery harness; see the module docstring for the plan.
 
@@ -211,9 +206,8 @@ def run_discovery_bench(
     genuinely expensive step); the first N questions whose gold shard is
     retrievable are checked.  ``corpus`` injects a pre-built corpus
     (the CI smoke path reuses one across assertions).  ``build_repeats``
-    is the best-of repeat count for the build-timing arms: each arm runs
-    that many times, alternating so neither is always the cold first
-    run, and the minimum is the measurement.
+    is the number of alternating pairs the two build arms are timed in
+    (see :func:`_timed_builds`); each arm reports its median.
     """
     if corpus is None:
         corpus = build_discovery_corpus(config or CorpusConfig())
@@ -226,25 +220,10 @@ def run_discovery_bench(
     for table in tables:
         table.fingerprint
 
-    sequential_seconds = float("inf")
-    bulk_seconds = float("inf")
-    for _ in range(max(1, build_repeats)):
-        # Each arm times the build alone: constructing the empty index or
-        # catalog, and freeing the previous repeat's, happen untimed.
-        reference = CorpusIndex()
-        started = time.perf_counter()
-        for table in tables:
-            reference.add(table)
-        sequential_seconds = min(
-            sequential_seconds, time.perf_counter() - started
-        )
-
-        catalog = TableCatalog()
-        started = time.perf_counter()
-        catalog.register_all(tables, names=names)
-        catalog.corpus_index()
-        bulk_seconds = min(bulk_seconds, time.perf_counter() - started)
-
+    pairs = max(1, build_repeats)
+    sequential_times, bulk_times, reference, catalog = _timed_builds(
+        tables, names, pairs
+    )
     identical_index = (
         catalog.corpus_index().snapshot() == reference.snapshot()
     )
@@ -325,9 +304,9 @@ def run_discovery_bench(
         index_stats={
             key: int(value) for key, value in catalog.stats()["retrieval"].items()
         },
-        build_sequential_seconds=sequential_seconds,
-        build_bulk_seconds=bulk_seconds,
-        build_repeats=max(1, build_repeats),
+        build_sequential_seconds=percentile(sorted(sequential_times), 50),
+        build_bulk_seconds=percentile(sorted(bulk_times), 50),
+        build_repeats=pairs,
         identical_index=identical_index,
         routing_seconds=routing_seconds,
     )

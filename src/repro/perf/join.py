@@ -16,13 +16,13 @@ and target column live in *different* shards) this harness reports:
 * **oracle** — the answer-identity gate: every composed query is
   re-executed through the translated two-table JOIN SQL
   (:func:`~repro.sql.equivalence.check_composed_equivalence`) and any
-  divergence fails the bench — ``repro bench-join`` exits 1;
+  divergence fails the bench — ``repro bench join`` exits 1;
 * **timings** — p50/p95 of set-routing and of plan+validate+execute
   composition.
 
 The payload becomes the committed ``BENCH_join.json`` (schema
 ``repro-bench-join-v1``, validated by ``scripts/validate_wire.py``);
-``repro bench-join`` and the ``join`` entry of the CI ``suite-smoke`` job
+``repro bench join`` and the ``join`` entry of the CI ``suite-smoke`` job
 run the same harness.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..compose import compose_pair
 from ..dataset.join_corpus import JoinCorpus, JoinCorpusConfig, build_join_corpus
@@ -67,7 +67,7 @@ class JoinReport:
     compose_seconds: List[float] = field(default_factory=list)
 
     @property
-    def gate_ok(self) -> bool:
+    def ok(self) -> bool:
         """The bench gate: every gold pair composes and the oracle agrees.
 
         A pair that fails to compose cannot be oracle-checked, so
@@ -80,47 +80,6 @@ class JoinReport:
             and self.oracle_divergent == 0
         )
 
-    def rows(self) -> List[Tuple[str, str]]:
-        """CLI summary rows: metric name, value."""
-        out: List[Tuple[str, str]] = [
-            ("pairs", str(self.pairs)),
-            ("shards", str(self.shards)),
-            ("questions", str(self.questions)),
-        ]
-        for k in JOIN_RECALL_KS:
-            out.append((f"join recall@{k}", f"{self.recall.get(k, 0.0):.3f}"))
-        out.extend(
-            [
-                ("no proposals", str(self.no_proposals)),
-                (
-                    "composed",
-                    f"{self.composed}/{self.compose_attempted} "
-                    f"({self.answer_matches} match gold)",
-                ),
-                (
-                    "oracle",
-                    f"{'ok' if self.oracle_divergent == 0 else 'DIVERGED'} "
-                    f"({self.oracle_checked} checked, "
-                    f"{self.oracle_divergent} divergent)",
-                ),
-            ]
-        )
-        routing = latency_summary(self.routing_seconds)
-        compose = latency_summary(self.compose_seconds)
-        out.append(
-            (
-                "set-routing latency",
-                f"p50 {routing['p50_ms']}ms, p95 {routing['p95_ms']}ms",
-            )
-        )
-        out.append(
-            (
-                "compose latency",
-                f"p50 {compose['p50_ms']}ms, p95 {compose['p95_ms']}ms",
-            )
-        )
-        return out
-
     def to_payload(self) -> Dict[str, object]:
         """The ``BENCH_join.json`` shape (``repro-bench-join-v1``).
 
@@ -129,8 +88,6 @@ class JoinReport:
         everything wall-clock-derived lives under ``timings``, the same
         artifact-diff contract as the other committed bench payloads.
         """
-        routing = latency_summary(self.routing_seconds)
-        compose = latency_summary(self.compose_seconds)
         return {
             "schema": "repro-bench-join-v1",
             "pairs": self.pairs,
@@ -153,20 +110,14 @@ class JoinReport:
             "oracle": {
                 "checked": self.oracle_checked,
                 "divergent": self.oracle_divergent,
-                "ok": self.gate_ok,
+                "ok": self.ok,
             },
             "corpus": {
                 "digest_collisions_repaired": self.digest_collisions_repaired,
             },
             "timings": {
-                "set_routing": {
-                    "p50_ms": routing["p50_ms"],
-                    "p95_ms": routing["p95_ms"],
-                },
-                "compose": {
-                    "p50_ms": compose["p50_ms"],
-                    "p95_ms": compose["p95_ms"],
-                },
+                "set_routing": latency_summary(self.routing_seconds),
+                "compose": latency_summary(self.compose_seconds),
             },
         }
 

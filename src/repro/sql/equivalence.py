@@ -105,7 +105,7 @@ def check_composed_equivalence(
     :class:`~repro.compose.ComposedExecutor` and through the translated
     SQL over a :class:`JoinSQLiteBackend` materialising both tables,
     then compares with the same normalisation rules as the single-table
-    check.  This is the gate ``repro bench-join`` enforces on every
+    check.  This is the gate ``repro bench join`` enforces on every
     composed answer.
     """
     from ..compose.executor import ComposedExecutor

@@ -35,6 +35,18 @@ class TestArgumentParser:
         assert args.command == "explain"
         assert args.table == "t.csv"
 
+    @pytest.mark.parametrize(
+        "command", ["bench-parse", "bench-churn", "bench-discovery", "bench-join"]
+    )
+    def test_bench_commands_are_suites_of_one_command(self, command):
+        with pytest.raises(SystemExit):
+            build_argument_parser().parse_args([command])
+        suite = command.split("-", 1)[1]
+        args = build_argument_parser().parse_args(["bench", suite])
+        assert (args.command, args.suite, args.seed, args.output) == (
+            "bench", suite, 2019, None
+        )
+
 
 class TestExplainCommand:
     def test_explains_a_query(self, table_csv):
@@ -189,7 +201,7 @@ class TestBadInput:
                 id="ask-non-object-model",
             ),
             pytest.param(
-                ["bench-parse", "--tables", "1", "--questions", "1",
+                ["bench", "parse", "--tables", "1", "--questions", "1",
                  "--model", "missing.json"],
                 id="bench-parse-missing-model",
             ),
@@ -211,6 +223,18 @@ class TestBadInput:
         assert code == 1
         assert len(lines) == 1
         assert lines[0].startswith("error[BAD_REQUEST]: ")
+
+    def test_malformed_bench_scale_is_one_coded_line(self, monkeypatch):
+        # Read as 1.0 it would run the suite at full scale.
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0,1")
+        out = io.StringIO()
+        code = main(["bench", "discovery"], out=out)
+        lines = out.getvalue().strip().splitlines()
+        assert code == 1
+        assert lines == [
+            "error[BAD_REQUEST]: bad REPRO_BENCH_SCALE: ValueError: "
+            "REPRO_BENCH_SCALE must be a number, got '0,1'"
+        ]
 
 
 class TestDatasetCommand:
@@ -247,7 +271,7 @@ class TestBenchParseCommand:
         out = io.StringIO()
         artifact = tmp_path / "BENCH_parse.json"
         code = main(
-            ["bench-parse", "--tables", "2", "--questions", "2", "--repeats", "2",
+            ["bench", "parse", "--tables", "2", "--questions", "2", "--repeats", "2",
              "--workers", "2", "--output", str(artifact)],
             out=out,
         )
@@ -275,7 +299,7 @@ class TestBenchParseCommand:
         out = io.StringIO()
         artifact = tmp_path / "BENCH_parse.json"
         code = main(
-            ["bench-parse", "--tables", "2", "--questions", "1", "--repeats", "1",
+            ["bench", "parse", "--tables", "2", "--questions", "1", "--repeats", "1",
              "--workers", "2", "--backend", "thread", "--output", str(artifact)],
             out=out,
         )
@@ -287,7 +311,7 @@ class TestBenchParseCommand:
         out = io.StringIO()
         store = tmp_path / "cache"
         code = main(
-            ["bench-parse", "--tables", "2", "--questions", "1", "--repeats", "1",
+            ["bench", "parse", "--tables", "2", "--questions", "1", "--repeats", "1",
              "--workers", "1", "--backend", "thread", "--disk-cache", str(store)],
             out=out,
         )
@@ -298,12 +322,72 @@ class TestBenchParseCommand:
     def test_bench_parse_without_output_file(self):
         out = io.StringIO()
         code = main(
-            ["bench-parse", "--tables", "2", "--questions", "1", "--repeats", "1",
+            ["bench", "parse", "--tables", "2", "--questions", "1", "--repeats", "1",
              "--workers", "1", "--backend", "thread"],
             out=out,
         )
         assert code == 0
         assert "speedup" in out.getvalue()
+
+
+#: Each gated suite at a small scale, its committed schema, and the
+#: module and name its run function is looked up under.
+GATED_SUITES = {
+    "churn": (
+        ["--tables", "2", "--questions", "2", "--edits", "4"],
+        "bench_churn.v1.json",
+        "repro.perf.churn.run_churn_bench",
+    ),
+    "discovery": (
+        ["--tables", "8", "--questions", "8", "--identity-sample", "1", "--repeats", "1"],
+        "bench_discovery.v1.json",
+        "repro.perf.discovery.run_discovery_bench",
+    ),
+    "join": (
+        ["--pairs", "4", "--questions", "8"],
+        "bench_join.v1.json",
+        "repro.perf.join.run_join_bench",
+    ),
+}
+
+
+def _failing_report(suite):
+    from repro.perf import ChurnReport, DiscoveryReport, JoinReport
+
+    if suite == "churn":
+        return ChurnReport(
+            tables=1, questions=1, edits=1, identical_answers=True, identical_index=False
+        )
+    if suite == "discovery":
+        return DiscoveryReport(shards=1, questions=1, max_candidates=1, identical=False)
+    return JoinReport(
+        pairs=1, shards=2, questions=1, max_proposals=1, compose_attempted=1,
+        failures=["no composition: 'q' (fact + dim)"],
+    )
+
+
+@pytest.mark.parametrize("suite", sorted(GATED_SUITES))
+class TestBenchGates:
+    def test_suite_passes_and_writes_a_schema_valid_payload(self, suite, tmp_path):
+        from repro.api import schema as wire_schema
+
+        argv, schema, _ = GATED_SUITES[suite]
+        artifact = tmp_path / f"BENCH_{suite}.json"
+        out = io.StringIO()
+        code = main(["bench", suite, *argv, "--output", str(artifact)], out=out)
+        assert code == 0, out.getvalue()
+        payload = json.loads(artifact.read_text())
+        wire_schema.validate_payload(payload, wire_schema.load_schema(schema))
+        assert f"schema: {payload['schema']}" in out.getvalue().splitlines()
+
+    def test_a_failed_gate_exits_one(self, suite, monkeypatch):
+        argv, _, run_function = GATED_SUITES[suite]
+        report = _failing_report(suite)
+        monkeypatch.setattr(run_function, lambda *args, **kwargs: report)
+        out = io.StringIO()
+        assert main(["bench", suite, *argv], out=out) == 1
+        if suite == "join":
+            assert "  ! no composition: 'q' (fact + dim)" in out.getvalue().splitlines()
 
 
 @pytest.fixture

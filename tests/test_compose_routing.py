@@ -5,7 +5,7 @@ Covers :meth:`CorpusIndex.term_coverage`, the
 catalog's additive composition (`ask_any` single-shard ranking is
 byte-identical with composition on or off), the v2 wire envelope's
 ``composed`` field, the multi-table question tier, and the
-``repro bench-join`` harness with its oracle gate.
+``repro bench join`` harness with its oracle gate.
 """
 
 import json
@@ -208,7 +208,7 @@ class TestJoinBench:
         return run_join_bench(config=JoinCorpusConfig(scale=0.25))
 
     def test_gate_passes(self, report):
-        assert report.gate_ok
+        assert report.ok
         assert report.composed == report.compose_attempted
         assert report.oracle_divergent == 0
         assert report.failures == []

@@ -1,4 +1,4 @@
-"""Bench smoke mode: the full ``bench-parse`` surface at a fraction of the
+"""Bench smoke mode: the full ``bench parse`` surface at a fraction of the
 cost (ISSUE 2 satellite).
 
 The real benches (``benchmarks/``) run a corpus sized for meaningful
@@ -23,7 +23,9 @@ from repro.perf import (
     bench_pairs_from_dataset,
     bench_scale,
     run_parse_bench,
+    timing_summary,
 )
+from repro.perf.bench import latency_summary, summary_lines
 
 pytestmark = pytest.mark.bench_smoke
 
@@ -81,7 +83,7 @@ class TestBenchSmoke:
         artifact = tmp_path / "BENCH_parse.json"
         code = main(
             [
-                "bench-parse", "--tables", "4", "--questions", "4",
+                "bench", "parse", "--tables", "4", "--questions", "4",
                 "--repeats", "2", "--workers", "2", "--backend", "both",
                 "--disk-cache", str(tmp_path / "store"),
                 "--output", str(artifact),
@@ -93,3 +95,17 @@ class TestBenchSmoke:
         assert set(payload["modes"]) == set(BENCH_MODES)
         # The scaled corpus: 2 tables x 2 questions x 2 repeats.
         assert payload["questions"] == 8
+
+
+class TestSummaries:
+    def test_both_summaries_take_the_nearest_rank(self):
+        series = [0.001, 0.002, 0.003, 0.004]
+        assert timing_summary(series) == {"min_ms": 1.0, "p50_ms": 2.0, "max_ms": 4.0}
+        assert latency_summary(series) == {"p50_ms": 2.0, "p95_ms": 4.0}
+        assert timing_summary([]) == {"min_ms": 0.0, "p50_ms": 0.0, "max_ms": 0.0}
+
+    def test_summary_lines_flatten_every_leaf_in_payload_order(self):
+        payload = {"schema": "s", "identical": {"answers": True}, "timings": {"a": {"p50_ms": 1.5}}}
+        assert summary_lines(payload) == [
+            "schema: s", "identical.answers: True", "timings.a.p50_ms: 1.5"
+        ]

@@ -141,7 +141,8 @@ def test_every_export_is_the_object_its_module_defines():
 
 
 #: A minimal serving session: a thread-backend engine over one in-memory
-#: table, one routed and one corpus-wide read through ``aquery``.
+#: table, one routed and one corpus-wide read through ``aquery``, then
+#: the stats reads an operator makes.
 _SERVING_SESSION = """
 import asyncio, json, sys
 from repro.api import QueryRequest, ReproEngine
@@ -170,6 +171,8 @@ async def serve():
     return routed, anywhere
 
 routed, anywhere = asyncio.run(serve())
+engine.cache_stats()
+engine.stats()
 engine.close()
 print(json.dumps({
     "ok": [routed.ok, anywhere.ok],
