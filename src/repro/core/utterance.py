@@ -14,7 +14,8 @@ parse/utterance trees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from operator import attrgetter
+from typing import List, Optional, Sequence, Tuple
 
 from ..dcs import ast
 from ..dcs.ast import (
@@ -49,6 +50,8 @@ class UtteranceResult:
     utterance: str
     derivation: DerivationNode
 
+
+_TEXT = attrgetter("text")
 
 _CATEGORY = {
     ResultKind.RECORDS: "Records",
@@ -89,16 +92,28 @@ def derive(query: Query) -> UtteranceResult:
 
 
 def _derive(query: Query) -> DerivationNode:
-    handler = _HANDLERS.get(type(query))
-    if handler is None:
+    template = _template(query)
+    children = tuple(map(_derive, query.children()))
+    text = template(query, *map(_TEXT, children))
+    category = "Entity" if isinstance(query, ast.ValueLiteral) else _CATEGORY[query.result_kind]
+    return DerivationNode(category=category, text=text, query=query, children=children)
+
+
+def compose_utterance(query: Query, children: Sequence[str]) -> str:
+    """``query``'s utterance from its children's, in ``children()`` order.
+
+    :func:`utterance` is this applied bottom-up; a caller that already
+    holds each child's utterance (the parser's per-call node facts)
+    builds a node's without re-deriving its sub-trees.
+    """
+    return _template(query)(query, *children)
+
+
+def _template(query: Query):
+    template = _TEMPLATES.get(type(query))
+    if template is None:
         raise ValueError(f"no utterance template for {type(query).__name__}")
-    return handler(query)
-
-
-def _node(query: Query, text: str, children: Tuple[DerivationNode, ...] = ()) -> DerivationNode:
-    return DerivationNode(
-        category=_CATEGORY[query.result_kind], text=text, query=query, children=children
-    )
+    return template
 
 
 def _strip_rows_prefix(text: str) -> str:
@@ -108,140 +123,65 @@ def _strip_rows_prefix(text: str) -> str:
     return text
 
 
-def _u_value_literal(query: ast.ValueLiteral) -> DerivationNode:
-    return DerivationNode(
-        category="Entity", text=query.value.display(), query=query, children=()
-    )
-
-
-def _u_all_records(query: ast.AllRecords) -> DerivationNode:
-    return _node(query, "rows")
-
-
-def _u_column_records(query: ast.ColumnRecords) -> DerivationNode:
-    value = _derive(query.value)
-    text = f"rows where value of column {query.column} is {value.text}"
-    return _node(query, text, (value,))
-
-
-def _u_comparison_records(query: ast.ComparisonRecords) -> DerivationNode:
-    value = _derive(query.value)
-    phrase = _COMPARISON_PHRASES[query.op]
-    text = f"rows where values of column {query.column} {phrase} {value.text}"
-    return _node(query, text, (value,))
-
-
-def _u_prev_records(query: ast.PrevRecords) -> DerivationNode:
-    records = _derive(query.records)
-    return _node(query, f"rows right above {records.text}", (records,))
-
-
-def _u_next_records(query: ast.NextRecords) -> DerivationNode:
-    records = _derive(query.records)
-    return _node(query, f"rows right below {records.text}", (records,))
-
-
-def _u_intersection(query: ast.Intersection) -> DerivationNode:
-    left = _derive(query.left)
-    right = _derive(query.right)
-    text = f"{left.text} and also {_strip_rows_prefix(right.text)}"
-    return _node(query, text, (left, right))
-
-
-def _u_union(query: ast.Union) -> DerivationNode:
-    left = _derive(query.left)
-    right = _derive(query.right)
-    return _node(query, f"{left.text} or {right.text}", (left, right))
-
-
-def _u_superlative_records(query: ast.SuperlativeRecords) -> DerivationNode:
-    records = _derive(query.records)
-    extreme = "highest" if query.kind == SuperlativeKind.ARGMAX else "lowest"
-    text = f"{records.text} that have the {extreme} value in column {query.column}"
-    return _node(query, text, (records,))
-
-
-def _u_first_last_records(query: ast.FirstLastRecords) -> DerivationNode:
-    records = _derive(query.records)
+def _u_first_last_records(query: ast.FirstLastRecords, records: str) -> str:
     position = "last" if query.kind == SuperlativeKind.ARGMAX else "first"
     if isinstance(query.records, ast.AllRecords):
-        text = f"where it is the {position} row"
-    else:
-        text = f"where it is the {position} row in {records.text}"
-    return _node(query, text, (records,))
+        return f"where it is the {position} row"
+    return f"where it is the {position} row in {records}"
 
 
-def _u_column_values(query: ast.ColumnValues) -> DerivationNode:
-    records = _derive(query.records)
+def _u_column_values(query: ast.ColumnValues, records: str) -> str:
     if isinstance(query.records, ast.AllRecords):
-        text = f"values in column {query.column}"
-    else:
-        text = f"values in column {query.column} in {records.text}"
-    return _node(query, text, (records,))
+        return f"values in column {query.column}"
+    return f"values in column {query.column} in {records}"
 
 
-def _u_index_superlative(query: ast.IndexSuperlative) -> DerivationNode:
-    records = _derive(query.records)
+def _u_index_superlative(query: ast.IndexSuperlative, records: str) -> str:
     position = "last" if query.kind == SuperlativeKind.ARGMAX else "first"
     if isinstance(query.records, ast.AllRecords):
-        text = f"values in column {query.column} in the {position} row"
-    else:
-        text = f"values in column {query.column} where it is the {position} row in {records.text}"
-    return _node(query, text, (records,))
+        return f"values in column {query.column} in the {position} row"
+    return f"values in column {query.column} where it is the {position} row in {records}"
 
 
-def _u_most_common(query: ast.MostCommonValue) -> DerivationNode:
-    values = _derive(query.values)
+def _u_most_common(query: ast.MostCommonValue, values: str) -> str:
     most_least = "most" if query.kind == SuperlativeKind.ARGMAX else "least"
     operand = query.values
     if isinstance(operand, ast.ColumnValues) and isinstance(operand.records, ast.AllRecords) \
             and operand.column == query.column:
-        text = f"the value that appears the {most_least} in column {query.column}"
-    else:
-        text = (
-            f"the value of {values.text} that appears the {most_least} "
-            f"in column {query.column}"
-        )
-    return _node(query, text, (values,))
+        return f"the value that appears the {most_least} in column {query.column}"
+    return (
+        f"the value of {values} that appears the {most_least} "
+        f"in column {query.column}"
+    )
 
 
-def _u_compare_values(query: ast.CompareValues) -> DerivationNode:
-    values = _derive(query.values)
+def _u_compare_values(query: ast.CompareValues, values: str) -> str:
     extreme = "highest" if query.kind == SuperlativeKind.ARGMAX else "lowest"
     operand = query.values
     if isinstance(operand, ast.ColumnValues) and isinstance(operand.records, ast.AllRecords) \
             and operand.column == query.value_column:
-        text = (
+        return (
             f"between values in column {query.value_column} in rows, who has the "
             f"{extreme} value of column {query.key_column} out of the values in "
             f"{query.value_column}"
         )
-    else:
-        text = (
-            f"between {values.text} who has the {extreme} value of column "
-            f"{query.key_column} out of the values in {query.value_column}"
-        )
-    return _node(query, text, (values,))
+    return (
+        f"between {values} who has the {extreme} value of column "
+        f"{query.key_column} out of the values in {query.value_column}"
+    )
 
 
-def _u_aggregate(query: ast.Aggregate) -> DerivationNode:
-    operand = _derive(query.operand)
+def _u_aggregate(query: ast.Aggregate, operand: str) -> str:
     if query.function == AggregateFunction.COUNT:
-        text = f"the number of {operand.text}"
-    else:
-        text = f"{_AGGREGATE_PHRASES[query.function]} {operand.text}"
-    return _node(query, text, (operand,))
+        return f"the number of {operand}"
+    return f"{_AGGREGATE_PHRASES[query.function]} {operand}"
 
 
-def _u_difference(query: ast.Difference) -> DerivationNode:
-    left = _derive(query.left)
-    right = _derive(query.right)
+def _u_difference(query: ast.Difference, left: str, right: str) -> str:
     special = _difference_special_case(query)
     if special is not None:
-        text = special
-    else:
-        text = f"the difference between {left.text} and {right.text}"
-    return _node(query, text, (left, right))
+        return special
+    return f"the difference between {left} and {right}"
 
 
 def _difference_special_case(query: ast.Difference) -> Optional[str]:
@@ -284,16 +224,28 @@ def _difference_special_case(query: ast.Difference) -> Optional[str]:
     return None
 
 
-_HANDLERS = {
-    ast.ValueLiteral: _u_value_literal,
-    ast.AllRecords: _u_all_records,
-    ast.ColumnRecords: _u_column_records,
-    ast.ComparisonRecords: _u_comparison_records,
-    ast.PrevRecords: _u_prev_records,
-    ast.NextRecords: _u_next_records,
-    ast.Intersection: _u_intersection,
-    ast.Union: _u_union,
-    ast.SuperlativeRecords: _u_superlative_records,
+#: Each node class's utterance, given its children's.
+_TEMPLATES = {
+    ast.ValueLiteral: lambda query: query.value.display(),
+    ast.AllRecords: lambda query: "rows",
+    ast.ColumnRecords: lambda query, value: (
+        f"rows where value of column {query.column} is {value}"
+    ),
+    ast.ComparisonRecords: lambda query, value: (
+        f"rows where values of column {query.column} "
+        f"{_COMPARISON_PHRASES[query.op]} {value}"
+    ),
+    ast.PrevRecords: lambda query, records: f"rows right above {records}",
+    ast.NextRecords: lambda query, records: f"rows right below {records}",
+    ast.Intersection: lambda query, left, right: (
+        f"{left} and also {_strip_rows_prefix(right)}"
+    ),
+    ast.Union: lambda query, left, right: f"{left} or {right}",
+    ast.SuperlativeRecords: lambda query, records: (
+        f"{records} that have the "
+        f"{'highest' if query.kind == SuperlativeKind.ARGMAX else 'lowest'} "
+        f"value in column {query.column}"
+    ),
     ast.FirstLastRecords: _u_first_last_records,
     ast.ColumnValues: _u_column_values,
     ast.IndexSuperlative: _u_index_superlative,

@@ -20,7 +20,7 @@ the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..tables.table import Table
 from .ast import Query
@@ -69,17 +69,28 @@ class MemoizedExecutor(Executor):
         Forwarded to :class:`~repro.dcs.executor.Executor`: answer memo
         misses from the content-addressed column index (default) or from
         plain row scans.
+    sexpr:
+        How a (sub-)query's memo key is read: :func:`to_sexpr` by
+        default, which re-serializes every sub-tree at every level of
+        the recursion; the parser passes its per-call node facts, which
+        compose each distinct node's string once.
     """
 
-    def __init__(self, table: Table, use_index: bool = True) -> None:
+    def __init__(
+        self,
+        table: Table,
+        use_index: bool = True,
+        sexpr: Callable[[Query], str] = to_sexpr,
+    ) -> None:
         super().__init__(table, use_index=use_index)
         self.memo: Dict[str, object] = {}
         self.hits = 0
         self.misses = 0
+        self._sexpr = sexpr
 
     def execute(self, query: Query) -> ExecutionResult:
         """Execute with memoization; recursion memoizes every sub-query."""
-        sexpr = to_sexpr(query)
+        sexpr = self._sexpr(query)
         entry = self.memo.get(sexpr, _MISS)
         if entry is not _MISS:
             self.hits += 1

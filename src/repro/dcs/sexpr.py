@@ -43,7 +43,21 @@ _TOKEN_RE = re.compile(r'\(|\)|"(?:[^"\\]|\\.)*"|[^\s()"]+')
 
 def to_sexpr(query: Query) -> str:
     """Serialise a query to its canonical s-expression string."""
-    return _serialize(query)
+    return compose_sexpr(query, [to_sexpr(child) for child in query.children()])
+
+
+def compose_sexpr(query: Query, children: Sequence[str]) -> str:
+    """``query``'s s-expression from its children's, in ``children()`` order.
+
+    :func:`to_sexpr` is this applied bottom-up; a caller that already
+    holds each child's string (the parser's per-call node facts) builds
+    a node's string without re-walking its sub-trees.
+    """
+    for node_class in type(query).__mro__:
+        template = _TEMPLATES.get(node_class)
+        if template is not None:
+            return template(query, *children)
+    raise SexprError(f"cannot serialise {type(query).__name__}")
 
 
 def _quote(text: str) -> str:
@@ -59,60 +73,48 @@ def _value_atom(value: Value) -> str:
     return _quote(value.display())
 
 
-def _serialize(query: Query) -> str:
-    if isinstance(query, ast.ValueLiteral):
-        return f"(value {_value_atom(query.value)})"
-    if isinstance(query, ast.AllRecords):
-        return "(all-records)"
-    if isinstance(query, ast.ColumnRecords):
-        return f"(column-records {_quote(query.column)} {_serialize(query.value)})"
-    if isinstance(query, ast.ComparisonRecords):
-        return (
-            f"(comparison-records {_quote(query.column)} {query.op.value} "
-            f"{_serialize(query.value)})"
-        )
-    if isinstance(query, ast.PrevRecords):
-        return f"(prev-records {_serialize(query.records)})"
-    if isinstance(query, ast.NextRecords):
-        return f"(next-records {_serialize(query.records)})"
-    if isinstance(query, ast.Intersection):
-        return f"(intersection {_serialize(query.left)} {_serialize(query.right)})"
-    if isinstance(query, ast.JoinRecords):
-        return (
-            f"(join-records {_quote(query.left_column)} "
-            f"{_quote(query.right_column)} {_serialize(query.records)})"
-        )
-    if isinstance(query, ast.Union):
-        return f"(union {_serialize(query.left)} {_serialize(query.right)})"
-    if isinstance(query, ast.SuperlativeRecords):
-        return (
-            f"(superlative-records {query.kind.value} {_quote(query.column)} "
-            f"{_serialize(query.records)})"
-        )
-    if isinstance(query, ast.FirstLastRecords):
-        return f"(first-last-records {query.kind.value} {_serialize(query.records)})"
-    if isinstance(query, ast.ColumnValues):
-        return f"(column-values {_quote(query.column)} {_serialize(query.records)})"
-    if isinstance(query, ast.IndexSuperlative):
-        return (
-            f"(index-superlative {query.kind.value} {_quote(query.column)} "
-            f"{_serialize(query.records)})"
-        )
-    if isinstance(query, ast.MostCommonValue):
-        return (
-            f"(most-common {query.kind.value} {_quote(query.column)} "
-            f"{_serialize(query.values)})"
-        )
-    if isinstance(query, ast.CompareValues):
-        return (
-            f"(compare-values {query.kind.value} {_quote(query.key_column)} "
-            f"{_quote(query.value_column)} {_serialize(query.values)})"
-        )
-    if isinstance(query, ast.Aggregate):
-        return f"(aggregate {query.function.value} {_serialize(query.operand)})"
-    if isinstance(query, ast.Difference):
-        return f"(difference {_serialize(query.left)} {_serialize(query.right)})"
-    raise SexprError(f"cannot serialise {type(query).__name__}")
+#: Each node class's s-expression, given its children's.
+_TEMPLATES = {
+    ast.ValueLiteral: lambda query: f"(value {_value_atom(query.value)})",
+    ast.AllRecords: lambda query: "(all-records)",
+    ast.ColumnRecords: lambda query, value: (
+        f"(column-records {_quote(query.column)} {value})"
+    ),
+    ast.ComparisonRecords: lambda query, value: (
+        f"(comparison-records {_quote(query.column)} {query.op.value} {value})"
+    ),
+    ast.PrevRecords: lambda query, records: f"(prev-records {records})",
+    ast.NextRecords: lambda query, records: f"(next-records {records})",
+    ast.Intersection: lambda query, left, right: f"(intersection {left} {right})",
+    ast.JoinRecords: lambda query, records: (
+        f"(join-records {_quote(query.left_column)} "
+        f"{_quote(query.right_column)} {records})"
+    ),
+    ast.Union: lambda query, left, right: f"(union {left} {right})",
+    ast.SuperlativeRecords: lambda query, records: (
+        f"(superlative-records {query.kind.value} {_quote(query.column)} {records})"
+    ),
+    ast.FirstLastRecords: lambda query, records: (
+        f"(first-last-records {query.kind.value} {records})"
+    ),
+    ast.ColumnValues: lambda query, records: (
+        f"(column-values {_quote(query.column)} {records})"
+    ),
+    ast.IndexSuperlative: lambda query, records: (
+        f"(index-superlative {query.kind.value} {_quote(query.column)} {records})"
+    ),
+    ast.MostCommonValue: lambda query, values: (
+        f"(most-common {query.kind.value} {_quote(query.column)} {values})"
+    ),
+    ast.CompareValues: lambda query, values: (
+        f"(compare-values {query.kind.value} {_quote(query.key_column)} "
+        f"{_quote(query.value_column)} {values})"
+    ),
+    ast.Aggregate: lambda query, operand: (
+        f"(aggregate {query.function.value} {operand})"
+    ),
+    ast.Difference: lambda query, left, right: f"(difference {left} {right})",
+}
 
 
 # ---------------------------------------------------------------------------

@@ -61,11 +61,24 @@ def validate(query: Query, table: Table, schema: TableSchema = None) -> Validati
         issues.append(ValidationIssue(query, "table has no rows"))
 
     for node in query.walk():
-        for column in node._own_columns():
-            if not table.has_column(column):
-                issues.append(ValidationIssue(node, f"unknown column {column!r}"))
-        issues.extend(_node_issues(node, table, schema))
+        issues.extend(node_issues(node, table, schema))
     return ValidationReport(issues=tuple(issues))
+
+
+def node_issues(node: Query, table: Table, schema: TableSchema) -> List[ValidationIssue]:
+    """The issues :func:`validate` finds at ``node`` itself, children aside.
+
+    A query validates exactly when its table has rows and no node of it
+    has an issue, so a caller that keeps each node's verdict (the
+    parser's per-call node facts) checks every distinct node once.
+    """
+    issues = [
+        ValidationIssue(node, f"unknown column {column!r}")
+        for column in node._own_columns()
+        if not table.has_column(column)
+    ]
+    issues.extend(_node_issues(node, table, schema))
+    return issues
 
 
 def validate_composed(
@@ -118,10 +131,7 @@ def validate_composed(
     for node in query.walk():
         if id(node) in secondary_nodes:
             continue
-        for column in node._own_columns():
-            if not primary.has_column(column):
-                issues.append(ValidationIssue(node, f"unknown column {column!r}"))
-        issues.extend(_node_issues(node, primary, primary_schema))
+        issues.extend(node_issues(node, primary, primary_schema))
     return ValidationReport(issues=tuple(issues))
 
 

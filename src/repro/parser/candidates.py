@@ -30,7 +30,7 @@ from ..dcs.executor import ExecutionResult, Executor
 from ..dcs.memo import MemoizedExecutor
 from ..dcs.sexpr import to_sexpr
 from ..dcs.typing import validate
-from .features import FeatureVector, extract_features
+from .features import FeatureVector, NodeFacts, extract_features
 from .grammar import CandidateGrammar, GenerationConfig
 from .lexicon import LexicalAnalysis, Lexicon
 from .model import LogLinearModel, softmax
@@ -38,10 +38,15 @@ from .model import LogLinearModel, softmax
 
 @dataclass(frozen=True)
 class Candidate:
-    """One candidate query with everything the ranker and the UI need."""
+    """One candidate query with everything the ranker and the UI need.
+
+    ``features`` is ``None`` on a candidate a top-``k`` parse served: the
+    ranker is the vector's only reader, so the cut drops it (see
+    :meth:`SemanticParser.parse`).
+    """
 
     query: Query
-    features: FeatureVector
+    features: Optional[FeatureVector]
     result: ExecutionResult
     score: float = 0.0
     probability: float = 0.0
@@ -73,12 +78,16 @@ class Candidate:
 
 @dataclass
 class ParseOutput:
-    """The ranked candidate list ``Z_x`` for one question."""
+    """The ranked candidate list ``Z_x`` for one question.
+
+    A top-``k`` parse carries neither feature vectors nor the lexical
+    analysis (``analysis is None``); a full parse carries both.
+    """
 
     question: str
     table: Table
     candidates: List[Candidate]
-    analysis: LexicalAnalysis
+    analysis: Optional[LexicalAnalysis]
     generation_seconds: float = 0.0
 
     @property
@@ -123,11 +132,12 @@ class ParserConfig:
       candidate list per ``(table, question)``; re-parsing the same
       question only re-*ranks* with the current model weights.  Full
       parses (``parse(k=None)``) and direct
-      :meth:`SemanticParser.generate_candidates` calls store the list —
-      training and the online learner re-rank from it after every weight
-      change.  Top-``k`` parses only read it: the serving pools memoize
-      the ``k`` candidates they serve instead, so a served question is
-      not resident twice.  The flag also switches those pool memos on.
+      :meth:`SemanticParser.generate_candidates` calls store the list,
+      feature vectors included — training and the online learner re-rank
+      from it after every weight change.  Top-``k`` parses only read it:
+      the serving pools memoize the ``k`` candidates they serve instead,
+      without feature vectors or lexical analysis, so a served question
+      is not resident twice.  The flag also switches those pool memos on.
     * ``index_tables`` — answer executor cache misses from the
       content-addressed :class:`~repro.tables.index.TableIndex` (hash and
       bisect lookups) instead of row scans; ``False`` keeps the seed's
@@ -147,7 +157,9 @@ class ParserConfig:
 
     Each cache indexes its entries by table, so
     :meth:`CandidateGenerator.evict_table` drops one table from all of
-    them at O(that table's entries).
+    them at O(that table's entries).  No knob switches off the per-call
+    node facts (:class:`~repro.parser.features.NodeFacts`) generation
+    builds: they change no output and outlive no call.
     """
 
     generation: GenerationConfig = field(default_factory=GenerationConfig)
@@ -281,6 +293,16 @@ class CandidateGenerator:
         when configured, persists the list either way — it costs no
         resident memory.
 
+        A cold call builds each distinct node's facts once, in one
+        :class:`~repro.parser.features.NodeFacts` table: its s-expression
+        composed from its children's (the key the grammar deduplicates by
+        and the execution memo looks up), its validity and the profile
+        its candidates' feature vectors combine with the question's
+        facts and the denotation.  Candidates share sub-trees, so a
+        shared node is serialized, validated and profiled once instead
+        of once per candidate that embeds it.  The table dies with the
+        call.
+
         With ``config.memoize_execution`` a cold call executes its
         candidates through one :class:`~repro.dcs.memo.MemoizedExecutor`
         whose memo (a dict keyed by s-expression) is private to the call
@@ -308,19 +330,24 @@ class CandidateGenerator:
                 return list(candidates), analysis
         lexicon, grammar = self._lexicon_and_grammar(table)
         analysis = lexicon.analyze(question)
-        raw_queries = grammar.generate(analysis)
-        # With indexing on, validation reads the schema the grammar
-        # profiled once per table; off, it re-profiles per candidate (the
-        # seed path).
-        schema = grammar.schema if self.config.index_tables else None
+        facts = NodeFacts(question, analysis, table, grammar.schema)
+        raw_queries = grammar.keyed(facts.sexpr).generate(analysis)
+        facts.retain(raw_queries)
+        # With indexing on, validation reads each node's verdict from the
+        # call's facts, over the schema the grammar profiled once per
+        # table; off, it re-profiles and re-walks per candidate (the seed
+        # path).
+        index_tables = self.config.index_tables
         executor: Executor
         if self.config.memoize_execution:
-            executor = MemoizedExecutor(table, use_index=self.config.index_tables)
+            executor = MemoizedExecutor(
+                table, use_index=self.config.index_tables, sexpr=facts.sexpr
+            )
         else:
             executor = Executor(table, use_index=self.config.index_tables)
         candidates: List[Candidate] = []
         for query in raw_queries:
-            if not validate(query, table, schema=schema):
+            if not (facts.valid(query) if index_tables else validate(query, table)):
                 if self.config.drop_failing_candidates:
                     continue
             try:
@@ -332,7 +359,7 @@ class CandidateGenerator:
             if self.config.drop_empty_answers and result.is_empty:
                 continue
             features = extract_features(
-                question, table, query, analysis=analysis, result=result
+                question, table, query, analysis=analysis, result=result, facts=facts
             )
             candidates.append(Candidate(query=query, features=features, result=result))
         if isinstance(executor, MemoizedExecutor):
@@ -419,13 +446,17 @@ class SemanticParser:
         The list is cut to the top ``config.max_candidates``, and to the
         top ``k`` when that is smaller.  Probabilities are normalised over
         every candidate before the cut, so a top-``k`` parse is a prefix
-        of the full one.
+        of the full one in query, result, score and probability.
 
         A full parse (``k=None``) stores the unranked list in the
         candidate cache, so training and the online learner can re-rank
-        it after a weight change.  A top-``k`` parse reads that cache but
-        stores nothing: its caller (a worker pool's ranked memo) keeps
-        the ``k`` candidates it serves.  Asking the same question again
+        it after a weight change, and keeps every feature vector and the
+        lexical analysis.  A top-``k`` parse reads that cache but stores
+        nothing: its caller (a worker pool's ranked memo) keeps the ``k``
+        candidates it serves.  The ranker is the only reader of a
+        candidate's features, so the cut drops them: a top-``k`` parse
+        returns candidates with ``features=None`` and ``analysis=None``,
+        and :meth:`rank` refuses them.  Asking the same question again
         with another ``k``, or after a weight change, therefore
         regenerates it unless a full parse cached it.
         """
@@ -437,6 +468,9 @@ class SemanticParser:
         if k is not None:
             limit = min(k, limit)
         ranked = self.rank(candidates, k=limit)
+        if k is not None:
+            ranked = [dataclasses.replace(candidate, features=None) for candidate in ranked]
+            analysis = None
         elapsed = time.perf_counter() - started
         return ParseOutput(
             question=question,
@@ -456,12 +490,22 @@ class SemanticParser:
         ``None``) are rebuilt with their score and probability: a
         top-``k`` ranking is exactly the prefix of the full one.  Ties
         keep input order, as in :meth:`LogLinearModel.rank`.
+
+        A candidate without features (one a top-``k`` parse served) is a
+        ``ValueError``: it is never scored 0.
         """
         if not candidates:
             return []
+        vectors = [candidate.features for candidate in candidates]
+        if any(vector is None for vector in vectors):
+            raise ValueError(
+                "cannot rank a candidate without features: a top-k parse drops "
+                "them at the cut; re-rank the full list from parse(k=None) or "
+                "generate_candidates instead"
+            )
         # Score once: the model's probabilities are the softmax of these
         # same scores, so calling both would score every candidate twice.
-        scores = self.model.scores([candidate.features for candidate in candidates])
+        scores = self.model.scores(vectors)
         probabilities = softmax(scores)
         order = sorted(range(len(scores)), key=lambda index: -scores[index])
         return [

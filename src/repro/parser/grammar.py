@@ -19,9 +19,10 @@ from the top-k list); ranking happens in :mod:`repro.parser.candidates`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..tables.schema import TableSchema, infer_schema
 from ..tables.table import Table
@@ -55,12 +56,32 @@ class GenerationConfig:
 
 
 class CandidateGrammar:
-    """Generates the candidate query space for one question over one table."""
+    """Generates the candidate query space for one question over one table.
+
+    A grammar is built once per table and shared by every thread parsing
+    over it, so it holds no per-question state: :meth:`keyed` hands one
+    generation call a view that deduplicates by that call's composed
+    s-expressions.
+    """
+
+    #: How deduplication keys a query (see :meth:`keyed`).
+    _sexpr: Callable[[Query], str] = staticmethod(to_sexpr)
 
     def __init__(self, table: Table, config: Optional[GenerationConfig] = None) -> None:
         self.table = table
         self.schema: TableSchema = infer_schema(table)
         self.config = config or GenerationConfig()
+
+    def keyed(self, sexpr: Callable[[Query], str]) -> "CandidateGrammar":
+        """A view of this grammar whose deduplication reads ``sexpr``.
+
+        The parser passes its per-call node facts, so a sub-tree shared by
+        many candidates is serialized once instead of once per candidate
+        that embeds it.  The view shares the table, schema and config.
+        """
+        view = copy.copy(self)
+        view._sexpr = sexpr
+        return view
 
     # -- public API -----------------------------------------------------------
     def generate(self, analysis: LexicalAnalysis) -> List[Query]:
@@ -79,7 +100,7 @@ class CandidateGrammar:
         )
         scalars = self._scalar_queries(analysis, records, values)
         candidates = values + differences + scalars
-        return _dedupe(candidates)[: self.config.max_candidates]
+        return _dedupe(candidates, self._sexpr)[: self.config.max_candidates]
 
     # -- record sets -------------------------------------------------------------
     def _base_record_sets(self, analysis: LexicalAnalysis) -> List[Query]:
@@ -99,7 +120,7 @@ class CandidateGrammar:
             for column in comparison_columns:
                 for op in self.config.comparison_operators:
                     base.append(q.comparison_records(column, op, number.value))
-        return _dedupe(base)[: self.config.max_base_records]
+        return _dedupe(base, self._sexpr)[: self.config.max_base_records]
 
     def _record_sets(self, analysis: LexicalAnalysis) -> List[Query]:
         base = self._base_record_sets(analysis)
@@ -136,7 +157,7 @@ class CandidateGrammar:
                 records.append(q.prev_records(record_set))
                 records.append(q.next_records(record_set))
 
-        return _dedupe(records)[: self.config.max_record_sets]
+        return _dedupe(records, self._sexpr)[: self.config.max_record_sets]
 
     # -- value queries --------------------------------------------------------------
     def _value_queries(self, analysis: LexicalAnalysis, records: Sequence[Query]) -> List[Query]:
@@ -160,7 +181,7 @@ class CandidateGrammar:
         if self.config.enable_compare_values:
             values.extend(self._compare_value_queries(analysis))
 
-        return _dedupe(values)[: self.config.max_value_queries]
+        return _dedupe(values, self._sexpr)[: self.config.max_value_queries]
 
     def _compare_value_queries(self, analysis: LexicalAnalysis) -> List[Query]:
         queries: List[Query] = []
@@ -286,11 +307,11 @@ class CandidateGrammar:
 # ---------------------------------------------------------------------------
 
 
-def _dedupe(queries: Iterable[Query]) -> List[Query]:
+def _dedupe(queries: Iterable[Query], sexpr: Callable[[Query], str]) -> List[Query]:
     seen: Set[str] = set()
     unique: List[Query] = []
     for query in queries:
-        key = to_sexpr(query)
+        key = sexpr(query)
         if key not in seen:
             seen.add(key)
             unique.append(query)

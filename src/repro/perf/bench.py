@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..parser.candidates import ParserConfig, SemanticParser
-from ..parser.features import clear_token_caches
 from ..parser.model import LogLinearModel
 from ..tables.index import clear_index_cache
 from ..tables.table import Table
@@ -248,13 +247,12 @@ def memoized_parser_config() -> ParserConfig:
 def _reset_shared_caches() -> None:
     """Start a harness mode cold: clear every *process-wide* cache.
 
-    Per-parser caches are fresh anyway (each mode builds its own parser);
-    the index registry and the memoised token sets are module-level and
-    would otherwise leak one mode's warm-up into the next, biasing the
-    asserted speedups by run order.
+    Per-parser caches are fresh anyway (each mode builds its own parser),
+    and feature extraction keeps nothing between generation calls; the
+    index registry is module-level and would otherwise leak one mode's
+    warm-up into the next, biasing the asserted speedups by run order.
     """
     clear_index_cache()
-    clear_token_caches()
 
 
 def _mode_config(mode: str, disk_cache_dir: Optional[str]) -> ParserConfig:

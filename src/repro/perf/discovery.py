@@ -38,6 +38,7 @@ The payload becomes the committed ``BENCH_discovery.json`` (schema
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -227,6 +228,10 @@ def run_discovery_bench(
     identical_index = (
         catalog.corpus_index().snapshot() == reference.snapshot()
     )
+    # Routing is timed with the catalog's index alone alive: nothing
+    # reads the per-table reference, a second full index, after this.
+    del reference
+    gc.collect()
 
     # -- recall@k over the uncapped ranking ------------------------------
     max_k = max(RECALL_KS)

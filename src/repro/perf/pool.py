@@ -30,8 +30,11 @@ Two flavours behind one interface:
 A unit with a ``k`` (every unit :meth:`NLInterface.ask_many` sends) is
 parsed to its top ``k``, which is all the ranked memo keeps: the parser
 stores no unranked candidate list for it, so a served question stays
-resident once.  A unit without one is a full parse and fills the
-parser's candidate cache as well.
+resident once.  The cut also drops what only the ranker reads — each
+candidate's feature vector and the question's lexical analysis — so
+the memo and every process reply carry query, result, score and
+probability alone.  A unit without one is a full parse, keeps both and
+fills the parser's candidate cache as well.
 
 Correctness contract (locked in by ``tests/test_pool.py`` and
 ``tests/test_perf_batch.py``): ``parse_all`` results are index-aligned
@@ -312,8 +315,9 @@ class ThreadWorkerPool(WorkerPool):
 
     Repeat traffic is answered by the pool's **ranked memo**: the
     ``ParseOutput`` each unit produced — the top ``k`` its caller serves
-    (:meth:`NLInterface.ask_many` passes its ``k``), or the whole list
-    for a unit without one — keyed ``(fingerprint, question, k)`` and
+    (:meth:`NLInterface.ask_many` passes its ``k``), without feature
+    vectors or lexical analysis, or the whole list for a unit without
+    one — keyed ``(fingerprint, question, k)`` and
     valid for one weights snapshot.  It lives outside the parser, so it
     survives the catalog's shard eviction (which drops the parser's
     per-table caches) and leaves only when the table's version is
@@ -431,9 +435,10 @@ def _pool_worker_main(
     State that persists across batches: the fingerprint-addressed table
     registry, the worker's parser with all its per-table caches, and a
     one-worker :class:`ThreadWorkerPool` over that parser whose ranked
-    memo keeps each reply — the top ``k`` the caller serves — exactly as
-    the thread flavour does: a repeat unit is answered from it, a weight
-    change flushes it and a ``retire`` drops the digest from it.
+    memo keeps each reply — the top ``k`` the caller serves, with no
+    feature vectors or analysis — exactly as the thread flavour does: a
+    repeat unit is answered from it, a weight change flushes it and a
+    ``retire`` drops the digest from it.
     Under the ``fork`` start method ``parser`` is the driver's own
     parser, inherited copy-on-write with its warm per-table caches (a
     ``Process`` argument is never pickled by ``fork``); under ``spawn``

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataset import DatasetConfig, build_dataset
 from repro.dcs import builder as q, to_sexpr
 from repro.parser import LogLinearModel, ParserConfig, SemanticParser
 from repro.parser.grammar import GenerationConfig
@@ -134,6 +135,44 @@ class TestRanking:
         assert [(c.sexpr, c.score, c.probability) for c in output.candidates] == [
             (c.sexpr, c.score, c.probability) for c in expected
         ]
+
+
+class TestTopKCut:
+    """A top-k parse serves the full parse's prefix and drops what only
+    the ranker reads: the feature vectors and the lexical analysis."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return build_dataset(DatasetConfig(num_tables=4, questions_per_table=3, seed=7))
+
+    @staticmethod
+    def served(candidates):
+        return [(c.sexpr, c.score, c.probability, c.result) for c in candidates]
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_top_k_is_the_full_prefix_without_features(self, corpus, k):
+        full_parser = SemanticParser(model=CountingModel())
+        cut_parser = SemanticParser(model=CountingModel())
+        for example in corpus.examples:
+            full = full_parser.parse(example.question, example.table)
+            cut = cut_parser.parse(example.question, example.table, k=k)
+            assert self.served(cut.candidates) == self.served(full.candidates[:k])
+            assert cut.analysis is None
+            assert all(candidate.features is None for candidate in cut.candidates)
+            assert full.analysis is not None
+            assert all(candidate.features for candidate in full.candidates)
+
+    def test_rank_refuses_candidates_without_features(self, medals_table):
+        parser = SemanticParser(model=CountingModel())
+        served = parser.parse("total of Fiji", medals_table, k=3).candidates
+        assert served
+        with pytest.raises(ValueError, match="re-rank the full list"):
+            parser.rank(served)
+        # One featureless candidate among full ones is refused too.
+        candidates, _ = parser.generate_candidates("total of Fiji", medals_table)
+        with pytest.raises(ValueError):
+            parser.rank(candidates + served[:1])
+        assert parser.rank(candidates)
 
 
 class TestConfiguration:

@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,20 @@ from repro.cli import build_argument_parser, main
 from repro.tables import table_to_csv
 
 WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "weights.json"
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+
+
+def schema_descriptions(node):
+    """Every ``description`` string anywhere in a JSON schema."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "description" and isinstance(value, str):
+                yield value
+            else:
+                yield from schema_descriptions(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from schema_descriptions(value)
 
 
 @pytest.fixture
@@ -46,6 +61,30 @@ class TestArgumentParser:
         assert (args.command, args.suite, args.seed, args.output) == (
             "bench", suite, 2019, None
         )
+
+
+    def test_schema_descriptions_name_commands_the_parser_accepts(self, capsys):
+        """A backticked ``repro ...`` command in a schema description names
+        a sub-command (and, under ``bench``, a suite) the parser accepts."""
+        commands = [
+            (path.name, command)
+            for path in sorted(SCHEMAS.glob("*.json"))
+            for text in schema_descriptions(json.loads(path.read_text()))
+            for command in re.findall(r"`repro ([^`]*)`", text)
+        ]
+        assert commands
+        for schema, command in commands:
+            words = []
+            for token in command.split():
+                if token.startswith("-"):
+                    break
+                words.append(token)
+            if words[:1] == ["bench"]:
+                assert len(words) > 1, f"{schema}: `repro {command}` names no suite"
+            with pytest.raises(SystemExit) as exit:
+                build_argument_parser().parse_args(words + ["--help"])
+            capsys.readouterr()
+            assert exit.value.code == 0, f"{schema}: `repro {command}` is not a command"
 
 
 class TestExplainCommand:

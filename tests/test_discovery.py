@@ -12,11 +12,14 @@ measurements.
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
 from repro.dataset import CorpusConfig, build_discovery_corpus
 from repro.perf import RECALL_KS, run_discovery_bench
+from repro.retrieval.corpus_index import CorpusIndex
+from repro.tables.catalog import TableCatalog
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +104,35 @@ class TestDiscoveryPayload:
         routing = payload["timings"]["routing"]
         assert routing["p50_ms"] >= 0
         assert routing["p95_ms"] >= routing["p50_ms"]
+
+
+class TestRoutingTiming:
+    def test_only_the_catalog_index_is_alive_while_routing_is_timed(self, monkeypatch):
+        """The build pairs' per-table reference index is released before
+        routing is timed, so the timing sees one index's heap, not two."""
+        built = []
+        original_init = CorpusIndex.__init__
+
+        def init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        alive = []
+        original_routing = TableCatalog.routing
+
+        def routing(self, question, max_candidates=None):
+            if max_candidates is not None:
+                alive.append(sum(1 for ref in built if ref() is not None))
+            return original_routing(self, question, max_candidates)
+
+        monkeypatch.setattr(CorpusIndex, "__init__", init)
+        monkeypatch.setattr(TableCatalog, "routing", routing)
+        corpus = build_discovery_corpus(
+            CorpusConfig(num_tables=12, num_questions=6, seed=5, scale=1.0)
+        )
+        report = run_discovery_bench(
+            corpus=corpus, max_candidates=10, identity_sample=1, build_repeats=2
+        )
+        assert report.identical_index
+        assert len(built) >= 4  # two pairs: a reference and a catalog index each
+        assert alive and set(alive) == {1}

@@ -1,16 +1,22 @@
 """Unit tests for feature extraction."""
 
+import weakref
 from collections import Counter
 
 import pytest
 
 from repro.dataset import DatasetConfig, build_dataset
-from repro.dcs import ast, builder as q, execute
+from repro.dcs import MemoizedExecutor, ast, builder as q, execute, to_sexpr, validate
 from repro.dcs.ast import AggregateFunction, SuperlativeKind
+from repro.dcs.errors import DCSError
 from repro.parser import Lexicon, SemanticParser, extract_features
 from repro.parser import features as feature_module
+from repro.parser.features import NodeFacts
+from repro.parser.grammar import CandidateGrammar
 from repro.parser.lexicon import content_tokens, tokenize
 from repro.core.utterance import utterance
+from repro.tables import Table
+from repro.tables.schema import infer_schema
 
 
 def features_for(question, table, query, with_result=True, with_analysis=True):
@@ -293,3 +299,118 @@ class TestSharedVocabulary:
         assert features["op:Unlisted"] == 1.0
         assert feature_module._count(10**6) == 1e6
         assert feature_module._count(-1) == -1.0
+
+
+# ---------------------------------------------------------------------------
+# the per-call node facts against the from-scratch path
+# ---------------------------------------------------------------------------
+
+
+def distinct_nodes(queries):
+    """Every distinct node (by identity) of ``queries``, children first."""
+    seen = {}
+    for query in queries:
+        for node in query.walk():
+            seen.setdefault(id(node), node)
+    return list(seen.values())
+
+
+class TestNodeFacts:
+    """A generation call's facts equal what walking each node afresh gives."""
+
+    def test_generated_vectors_equal_the_from_scratch_path(self, generated):
+        checked = 0
+        for question, table, candidates, analysis in generated:
+            for candidate in candidates:
+                scratch = extract_features(
+                    question, table, candidate.query, analysis=analysis,
+                    result=candidate.result,
+                )
+                assert exact(candidate.features) == exact(scratch), candidate.sexpr
+                checked += 1
+        assert checked > 1000
+
+    def test_every_node_fact_equals_the_reference(self, generated):
+        checked = 0
+        for question, table, _, analysis in generated:
+            schema = infer_schema(table)
+            facts = NodeFacts(question, analysis, table, schema)
+            grammar = CandidateGrammar(table)
+            raw = grammar.keyed(facts.sexpr).generate(analysis)
+            assert [to_sexpr(query) for query in raw] == [
+                to_sexpr(query) for query in grammar.generate(analysis)
+            ]
+            facts.retain(raw)
+            for node in distinct_nodes(raw):
+                assert facts.sexpr(node) == to_sexpr(node)
+                assert facts.valid(node) == bool(validate(node, table, schema))
+                # The profile is the node's own, not only what a vector reads.
+                entry = facts._facts(node)
+                assert entry[feature_module._COLUMNS] == node.columns()
+                assert entry[feature_module._SIZE] == node.size()
+                assert entry[feature_module._DEPTH] == node.depth()
+                result = None
+                if node.result_kind != ast.ResultKind.RECORDS:
+                    try:
+                        result = execute(node, table)
+                    except DCSError:
+                        pass
+                assert exact(facts.features(node, result)) == exact(
+                    extract_features(question, table, node, analysis, result)
+                ), to_sexpr(node)
+                checked += 1
+        assert checked > 1000
+
+    def test_verdicts_cover_invalid_nodes_and_empty_tables(self, medals_table):
+        question = "which nation has the highest gold"
+        query = q.column_values("Nation", q.argmax_records("Nation"))
+        analysis = Lexicon(medals_table).analyze(question)
+        facts = NodeFacts(question, analysis, medals_table, infer_schema(medals_table))
+        assert not validate(query, medals_table)
+        assert facts.valid(query) is False
+        assert facts.valid(query.records.records) is True
+        empty = Table(columns=medals_table.columns, rows=[], name="empty")
+        facts = NodeFacts(question, analysis, empty, infer_schema(medals_table))
+        assert not validate(q.all_records(), empty)
+        assert facts.valid(q.all_records()) is False
+
+    def test_a_dropped_node_keeps_its_id_until_retained_away(self, medals_table):
+        question = "total of Fiji"
+        analysis = Lexicon(medals_table).analyze(question)
+        facts = NodeFacts(question, analysis, medals_table, infer_schema(medals_table))
+        kept = q.column_values("Total", q.column_records("Nation", "Fiji"))
+        dropped = q.count(q.column_records("Nation", "Tonga"))
+        facts.sexpr(kept)
+        facts.sexpr(dropped)
+        alive = weakref.ref(dropped)
+        del dropped
+        # The table holds the dropped node, so no new node can take its id.
+        assert alive() is not None
+        facts.retain([kept])
+        assert alive() is None
+        assert facts.sexpr(kept) == to_sexpr(kept)
+        fresh = [q.count(q.column_records("Nation", "Samoa")) for _ in range(8)]
+        for node in fresh:
+            assert facts.sexpr(node) == to_sexpr(node)
+
+    def test_execution_memo_counts_equal_to_sexpr_keys(self, generated):
+        """The memo keyed by composed strings hits and misses exactly as one
+        keyed by ``to_sexpr`` over the same candidates."""
+        parser = SemanticParser()
+        for question, table, _, _ in generated:
+            before = dict(parser.cache_stats()["execution"])
+            parser.generate_candidates(question, table, store=False)
+            after = parser.cache_stats()["execution"]
+            lexicon = Lexicon(table)
+            analysis = lexicon.analyze(question)
+            grammar = CandidateGrammar(table)
+            reference = MemoizedExecutor(table)
+            for query in grammar.generate(analysis):
+                if not validate(query, table, grammar.schema):
+                    continue
+                try:
+                    reference.execute(query)
+                except DCSError:
+                    pass
+            assert after["hits"] - before["hits"] == reference.hits
+            assert after["misses"] - before["misses"] == reference.misses

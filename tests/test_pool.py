@@ -19,12 +19,15 @@ The serving hot path's contract, flavour by flavour:
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
+import pickle
 import threading
 import time
 
 import pytest
 
+from repro.dataset import DatasetConfig, build_dataset
 from repro.interface import NLInterface
 from repro.parser.grammar import CandidateGrammar
 from repro.perf import (
@@ -261,6 +264,46 @@ class TestServedTopK:
         assert served(responses) == full_parse_top(items, 3)
         for _, table in items:
             assert not parser.generator._candidate_cache.items_for(table.fingerprint.digest)
+
+
+class TestProcessReplyBoundary:
+    """What crosses a worker pipe: the served top k and nothing else."""
+
+    @staticmethod
+    def cut(parse):
+        return [
+            (c.sexpr, c.score, c.probability, c.result) for c in parse.candidates
+        ]
+
+    def test_replies_carry_the_thread_top_k_without_features(self):
+        dataset = build_dataset(DatasetConfig(num_tables=4, questions_per_table=3, seed=0))
+        items = list({
+            (example.table.fingerprint, example.question): BatchItem(
+                example.question, example.table, k=7
+            )
+            for example in dataset.examples
+        }.values())
+        with ThreadWorkerPool(make_parser()) as pool:
+            reference = [parse for parse, _ in pool.parse_all(items)]
+        with ProcessWorkerPool(make_parser(), 2) as pool:
+            replies = pool.parse_all(items)
+            assert pool.inline_parses == 0
+        full = make_parser()
+        for item, (reply, _), expected in zip(items, replies, reference):
+            assert reply.table is item.table
+            assert reply.candidates
+            assert self.cut(reply) == self.cut(expected)
+            assert reply.analysis is None
+            assert all(candidate.features is None for candidate in reply.candidates)
+            # Against the same top k with its vectors and analysis, as the
+            # pipe carried it before the cut dropped them.
+            whole = full.parse(item.question, item.table)
+            kept = dataclasses.replace(
+                whole, table=None, candidates=whole.candidates[: len(reply)]
+            )
+            assert self.cut(kept) == self.cut(reply)
+            sent = len(pickle.dumps(dataclasses.replace(reply, table=None)))
+            assert sent <= 0.6 * len(pickle.dumps(kept)), (item.question, sent)
 
 
 def thread_served(items, weights=None):

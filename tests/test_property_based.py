@@ -34,8 +34,12 @@ from repro.dcs import (
     to_sexpr,
 )
 from repro.dcs.errors import DCSError
+from repro.dcs.typing import validate
+from repro.parser import Lexicon, extract_features
+from repro.parser.features import NodeFacts
 from repro.sql import check_equivalence
 from repro.tables import Table, parse_value, values_equal
+from repro.tables.schema import infer_schema
 from repro.tables.values import NumberValue, StringValue
 
 # ---------------------------------------------------------------------------
@@ -556,3 +560,61 @@ class TestOracleHardeningProperties:
         except DCSError:
             return
         assert report.equivalent, report.detail
+
+
+# ---------------------------------------------------------------------------
+# per-call node facts vs the from-scratch feature path
+# ---------------------------------------------------------------------------
+
+#: Question words: trigger phrases, headers and cell values of ``tables()``.
+QUESTION_WORDS = [
+    "how many", "highest", "lowest", "difference", "total", "average", "after",
+    " or ", "which", "what year", "first", "the", "Score", "Total", "Name",
+    "Category",
+] + NAMES + CATEGORIES
+
+
+@st.composite
+def invalid_queries(draw, table):
+    """Queries ``validate`` rejects over ``tables()``: the facts' verdicts
+    must reject them too."""
+    choice = draw(st.integers(min_value=0, max_value=2))
+    if choice == 0:
+        return q.column_values("Name", q.argmax_records("Category"))
+    if choice == 1:
+        return q.sum_(q.column_values("Name", q.all_records()))
+    return q.count(q.column_records("Missing", "Red"))
+
+
+facts_cases = tables().flatmap(
+    lambda table: st.tuples(
+        st.just(table),
+        st.one_of(queries(table), invalid_queries(table)),
+        st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=6),
+    )
+)
+
+
+def _exact(features):
+    return [(key, type(value), value.hex()) for key, value in features.items()]
+
+
+class TestNodeFactsProperties:
+    @given(facts_cases)
+    @SETTINGS
+    def test_node_facts_equal_the_from_scratch_path(self, case):
+        table, query, words = case
+        question = " ".join(words)
+        analysis = Lexicon(table).analyze(question)
+        schema = infer_schema(table)
+        facts = NodeFacts(question, analysis, table, schema)
+        for node in query.walk():
+            assert facts.sexpr(node) == to_sexpr(node)
+            assert facts.valid(node) == bool(validate(node, table, schema))
+        try:
+            result = execute(query, table)
+        except DCSError:
+            result = None
+        assert _exact(facts.features(query, result)) == _exact(
+            extract_features(question, table, query, analysis=analysis, result=result)
+        )
