@@ -6,10 +6,10 @@ Run with::
 
 The script registers two shards that can only answer a question
 *together* — a medals fact table and a nation→continent dimension table
-— then walks the whole composition pipeline: the ShardSetRouter's
-covering-set proposals, the composed answer with its cross-shard join
-provenance on the v2 envelope, and the two-table SQL translation that
-gates every composed answer.
+— then walks the whole composition pipeline: the router's covering-set
+proposals (``ShardRouter.route_sets``), the composed answer with its
+cross-shard join provenance on the v2 envelope, and the two-table SQL
+translation that gates every composed answer.
 """
 
 from __future__ import annotations

@@ -14,12 +14,22 @@ not report ``"correct": true`` is refused, and the script stops with exit
 status 1.
 
 For each end-to-end metric ``BENCHMARK.json`` gates, it prints both
-sides' median and quartiles (nearest rank, as perfbench reports) and how
-many pairs the change won; a tie counts for neither side.  A metric
-reads ``resolved`` only when the change won at least nine tenths of the
-pairs and the medians differ by more than the parent's interquartile
-spread; otherwise ``unresolved``.  The script changes nothing in either
-tree beyond what ``perfbench/run.py`` itself writes there.
+sides' median and quartiles (nearest rank, as perfbench reports), two
+verdicts and how many pairs the change won; a tie counts for neither
+side.
+
+* **No regression**, against the metric's ``bound`` in
+  ``BENCHMARK.json`` (a share of the parent's median): ``no worse`` when
+  every change run beats every parent run; otherwise ``unresolved`` when
+  the parent's interquartile spread is wider than the bound; otherwise
+  ``no worse`` when the change's median is worse than the parent's by no
+  more than the bound, and ``worse`` when it is worse by more.
+* **Gain**: ``resolved`` only when the change won at least nine tenths
+  of the pairs and the medians differ by more than the parent's
+  interquartile spread; otherwise ``unresolved``.
+
+The script changes nothing in either tree beyond what
+``perfbench/run.py`` itself writes there.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Share of the pairs the change must win for a gain to be claimed.
@@ -45,6 +55,12 @@ def gated_metrics(benchmark: Path) -> List[Tuple[str, str]]:
     """``(name, better)`` of every end-to-end metric ``benchmark`` gates."""
     spec = json.loads(benchmark.read_text(encoding="utf-8"))
     return [(metric["name"], metric["better"]) for metric in spec["end_to_end"]]
+
+
+def gated_bounds(benchmark: Path) -> Dict[str, float]:
+    """Each gated metric's regression bound, a share of the parent's median."""
+    spec = json.loads(benchmark.read_text(encoding="utf-8"))
+    return {metric["name"]: float(metric["bound"]) for metric in spec["end_to_end"]}
 
 
 def parse_run(output: str, label: str) -> Dict[str, float]:
@@ -100,22 +116,43 @@ def verdict(parent: Sequence[float], change: Sequence[float], better: str) -> Di
     }
 
 
+def regression(
+    parent: Sequence[float], change: Sequence[float], better: str, bound: float
+) -> str:
+    """``no worse``, ``unresolved`` or ``worse``: the no-regression verdict.
+
+    ``bound`` is a share of the parent's median; see the module docstring
+    for the rule.
+    """
+    sign = -1.0 if better == "lower" else 1.0
+    if all(sign * (new - old) > 0 for new in change for old in parent):
+        return "no worse"
+    (p25, p50, p75), (_c25, c50, _c75) = quartiles(parent), quartiles(change)
+    allowed = bound * abs(p50)
+    if p75 - p25 > allowed:
+        return "unresolved"
+    return "no worse" if sign * (p50 - c50) <= allowed else "worse"
+
+
 def report_lines(
     metrics: Sequence[Tuple[str, str]],
     parent_runs: Sequence[Dict[str, float]],
     change_runs: Sequence[Dict[str, float]],
+    bounds: Mapping[str, float],
 ) -> List[str]:
     """One line per gated metric, in ``BENCHMARK.json`` order."""
     lines = []
     for name, better in metrics:
-        result = verdict(
-            [run[name] for run in parent_runs], [run[name] for run in change_runs], better
-        )
+        parent = [run[name] for run in parent_runs]
+        change = [run[name] for run in change_runs]
+        result = verdict(parent, change, better)
         (p25, p50, p75), (c25, c50, c75) = result["parent"], result["change"]
         lines.append(
             f"{name} ({better} is better): "
             f"parent {p50:.6g} [{p25:.6g}, {p75:.6g}], "
             f"change {c50:.6g} [{c25:.6g}, {c75:.6g}], "
+            f"against the {bounds[name]:.0%} bound: "
+            f"{regression(parent, change, better, bounds[name])}; "
             f"change won {result['wins']}/{result['pairs']} pairs: "
             + ("resolved" if result["resolved"] else "unresolved")
         )
@@ -157,7 +194,7 @@ def main(argv=None) -> int:
     except RunRefused as refused:
         print(f"refused: {refused}", file=sys.stderr)
         return 1
-    for line in report_lines(metrics, parent_runs, change_runs):
+    for line in report_lines(metrics, parent_runs, change_runs, gated_bounds(benchmark)):
         print(line)
     return 0
 

@@ -311,12 +311,13 @@ class ReproEngine:
     interface / cache_dir / max_hot_shards / k / prune:
         Forwarded to :class:`TableCatalog` when ``catalog`` is omitted.
     workers / backend:
-        The worker pool every answer is parsed on (per-request
-        ``backend`` overrides the default), a server bound to this
-        engine included.  The engine owns one long-lived
+        The worker pool every answer is parsed on, a server bound to
+        this engine included.  The engine owns one long-lived
         :class:`~repro.perf.pool.WorkerPool` per backend, created lazily
         and reused for every query until :meth:`close` — warm workers,
-        incremental table shipping and shard pinning.
+        incremental table shipping and shard pinning.  Requests are
+        answered on ``backend``'s pool; :meth:`pool` hands out another
+        backend's to a caller that asks for it by name.
     call_timeout:
         Per-dispatch watchdog of the persistent process pool: a worker
         sitting on one batch message longer than this (seconds) is
@@ -389,13 +390,13 @@ class ReproEngine:
     def routing(self, question: str, max_candidates: Optional[int] = None):
         """The corpus-retrieval routing decision (no parsing).
 
-        ``max_candidates`` caps candidates at the top N of the ranking
-        (the router's heap path); ``None`` keeps every retrieval hit.
+        ``max_candidates`` keeps the first N of the ranking; ``None``
+        keeps every retrieval hit.
         """
         return self.catalog.routing(question, max_candidates=max_candidates)
 
     def routing_sets(self, question: str, max_candidates: Optional[int] = None):
-        """The set router's decision: single-shard routing + set proposals.
+        """The router's set decision: single-shard routing + set proposals.
 
         Passthrough to :meth:`TableCatalog.routing_sets` — pure
         inspection of which 2–3-shard sets composition would try.
@@ -462,7 +463,7 @@ class ReproEngine:
           snapshot but cannot retire it before the unpin in the
           ``finally`` below — the request completes against the exact
           version it resolved;
-        * routed requests are grouped by ``(k, backend)`` and, within a
+        * routed requests are grouped by ``k`` and, within a
           group, stably sorted by digest (**shard affinity**: same-shard
           questions run adjacent on the worker and caches that are
           already warm, answers unchanged), then answered by one
@@ -478,8 +479,8 @@ class ReproEngine:
         pinned requests and the shard groups.
         """
         outcomes: List[Optional[Outcome]] = [None] * len(requests)
-        # (k, backend) -> [(position, request, pinned ref, deadline)]
-        groups: Dict[Tuple[Optional[int], str], List[Tuple]] = {}
+        # k -> [(position, request, pinned ref, deadline)]
+        groups: Dict[Optional[int], List[Tuple]] = {}
         broadcasts: List[Tuple[int, Any]] = []
         pinned: List[TableRef] = []
         try:
@@ -489,16 +490,13 @@ class ReproEngine:
                         f"deadline expired before dispatch of {request.question!r}"
                     )
                     continue
-                backend = request.backend or self.backend
                 if request.resolved_mode == "any":
                     call = functools.partial(
                         self.catalog.ask_any,
                         request.question,
                         k=request.k,
-                        workers=self.workers,
-                        backend=backend,
                         prune=request.prune,
-                        pool=self.pool(backend),
+                        pool=self.pool(),
                         max_candidates=request.max_candidates,
                     )
                     broadcasts.append(
@@ -511,12 +509,12 @@ class ReproEngine:
                     outcomes[position] = error
                     continue
                 pinned.append(ref)
-                groups.setdefault((request.k, backend), []).append(
+                groups.setdefault(request.k, []).append(
                     (position, request, ref, deadline)
                 )
             if stats is not None:
                 stats.pinned_requests += len(pinned)
-            for (k, backend), group in groups.items():
+            for k, group in groups.items():
                 group.sort(key=lambda member: member[2].digest)
                 if stats is not None:
                     stats.shard_groups += len({member[2].digest for member in group})
@@ -524,9 +522,7 @@ class ReproEngine:
                     responses = self.catalog.ask_many(
                         [(request.question, ref) for _, request, ref, _ in group],
                         k=k,
-                        workers=self.workers,
-                        backend=backend,
-                        pool=self.pool(backend),
+                        pool=self.pool(),
                         deadlines=[deadline for _, _, _, deadline in group],
                     )
                 except Exception as error:
@@ -553,8 +549,8 @@ class ReproEngine:
         """Answer one request; never raises for request-level failures.
 
         ``request`` is a :class:`QueryRequest` or a bare question string
-        (options — ``target``, ``mode``, ``k``, ``prune``, ``backend``,
-        ``deadline_ms``, ``request_id`` — then come as keywords).  It is
+        (options — ``target``, ``mode``, ``k``, ``prune``, ``deadline_ms``,
+        ``max_candidates``, ``request_id`` — then come as keywords).  It is
         :meth:`query_many` of one request: a routed question is parsed to
         its top ``k`` on the engine's pool.  Failures come back as coded
         error envelopes; call ``.raise_for_error()`` to get exception

@@ -6,7 +6,7 @@ protocol.  Both sides are plain dataclasses with lossless JSON codecs:
 
 * :class:`QueryRequest` — question + target spec (explicit table ref,
   corpus-wide, or auto) + the options every layer used to plumb by hand
-  (``k``, ``prune``, ``backend``, ``request_id``);
+  (``k``, ``prune``, ``request_id``, ``deadline_ms``, ``max_candidates``);
 * :class:`QueryResult` — ranked candidates with utterance/answer/score,
   the routing decision, the answering shard, timing and cache counters,
   or a coded :class:`~repro.api.errors.ErrorCode` failure.
@@ -44,8 +44,6 @@ TargetLike = Union[str, "object", None]
 #: given, corpus-wide otherwise).
 TARGET_MODES = ("auto", "table", "any")
 
-_BACKENDS = ("thread", "process")
-
 
 def _target_key(target: TargetLike) -> Optional[str]:
     """Serialize a target spec to its wire string (digest preferred)."""
@@ -69,7 +67,6 @@ class QueryRequest:
     mode: str = "auto"
     k: Optional[int] = None
     prune: Optional[bool] = None
-    backend: Optional[str] = None
     request_id: Optional[str] = None
     #: Optional end-to-end budget in milliseconds.  The serving layer
     #: starts the clock when it accepts the request; a request whose
@@ -77,7 +74,8 @@ class QueryRequest:
     #: returns a coded ``TIMEOUT`` error instead of an answer.
     deadline_ms: Optional[int] = None
     #: Optional top-N routing cap for corpus-wide requests: at most this
-    #: many highest-ranked shards are parsed (the router's heap path).
+    #: many highest-ranked shards are parsed (the first N of the router's
+    #: ranking).
     #: ``None`` keeps every retrieval hit — the default, and the only
     #: setting the no-lost-answers contract is unconditional for.
     max_candidates: Optional[int] = None
@@ -100,10 +98,6 @@ class QueryRequest:
             raise bad_request("mode 'table' requires a target")
         if self.mode == "any" and self.target is not None:
             raise bad_request("mode 'any' does not take a target")
-        if self.backend is not None and self.backend not in _BACKENDS:
-            raise bad_request(
-                f"backend must be one of {', '.join(_BACKENDS)}, got {self.backend!r}"
-            )
         if self.deadline_ms is not None and (
             isinstance(self.deadline_ms, bool)
             or not isinstance(self.deadline_ms, int)
@@ -133,7 +127,6 @@ class QueryRequest:
             "mode": self.mode,
             "k": self.k,
             "prune": self.prune,
-            "backend": self.backend,
             "request_id": self.request_id,
             "deadline_ms": self.deadline_ms,
             "max_candidates": self.max_candidates,
@@ -145,8 +138,8 @@ class QueryRequest:
         if not isinstance(payload, Mapping):
             raise bad_request("expected a JSON object")
         known = {
-            "question", "target", "table", "mode", "k", "prune", "backend",
-            "request_id", "deadline_ms", "max_candidates",
+            "question", "target", "table", "mode", "k", "prune", "request_id",
+            "deadline_ms", "max_candidates",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -162,7 +155,6 @@ class QueryRequest:
             mode=payload.get("mode", "auto"),
             k=payload.get("k"),
             prune=payload.get("prune"),
-            backend=payload.get("backend"),
             request_id=payload.get("request_id"),
             deadline_ms=payload.get("deadline_ms"),
             max_candidates=payload.get("max_candidates"),

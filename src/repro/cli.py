@@ -145,7 +145,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="corpus-wide asks: parse at most the N highest-ranked shards "
-        "(the router's heap-selection path)",
+        "(the first N of the router's ranking)",
     )
 
     route_cmd = subparsers.add_parser(
@@ -164,8 +164,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--top",
         type=int,
         metavar="N",
-        help="cap candidates at the N highest-ranked shards (the router's "
-        "heap-selection path; scored rows then cover only the survivors)",
+        help="cap candidates at the N highest-ranked shards (the first N of "
+        "the router's ranking; scored rows then cover only the survivors)",
     )
     route_cmd.add_argument(
         "--sets",

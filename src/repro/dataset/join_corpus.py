@@ -6,9 +6,9 @@ generates the complement: **fact/dimension table pairs** sharing a
 string-typed join key, plus questions whose answer lives in the fact table
 but whose anchor entity lives only in the dimension table — no single
 shard can answer them.  Each question is gold-labeled with *both* shard
-digests, so ``repro bench join`` can score the
-:class:`~repro.retrieval.router.ShardSetRouter`'s proposals as join
-recall@k and gate every composed answer against the two-table SQL oracle.
+digests, so ``repro bench join`` can score the set proposals of
+:meth:`~repro.retrieval.router.ShardRouter.route_sets` as join recall@k
+and gate every composed answer against the two-table SQL oracle.
 
 Join keys are deliberately same-typed strings on both sides: sqlite's
 static column typing never equates ``TEXT`` with ``REAL`` in a JOIN, so a

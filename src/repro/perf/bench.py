@@ -37,6 +37,7 @@ warm-start regime.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -319,9 +320,12 @@ def run_mode(
 
     The harness's measurement of one mode, callable alone so a caller
     can repeat it (``benchmarks/test_perf_batch_parsing.py`` orders the
-    two pooled modes on alternating pairs).
+    two pooled modes on alternating pairs).  "From cold" includes the
+    heap: a full collection runs before the timer starts, so the garbage
+    an earlier mode left behind is not freed on this mode's clock.
     """
     _reset_shared_caches()
+    gc.collect()
     parser = SemanticParser(model=model, config=_mode_config(mode, disk_cache_dir))
     if mode in POOLED_MODES:
         items = [BatchItem(question, table, k=k) for question, table in workload]

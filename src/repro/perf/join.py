@@ -5,9 +5,9 @@ Over the multi-table question tier
 shard pairs with string-typed join keys, questions whose anchor entity
 and target column live in *different* shards) this harness reports:
 
-* **join recall@k** — for each gold-labeled question, whether the
-  :class:`~repro.retrieval.router.ShardSetRouter` proposes the exact
-  gold ``{fact, dimension}`` pair among its top 1/5 shard sets (an empty
+* **join recall@k** — for each gold-labeled question, whether
+  :meth:`~repro.retrieval.router.ShardRouter.route_sets` proposes the
+  exact gold ``{fact, dimension}`` pair among its top 1/5 shard sets (an empty
   proposal list counts as a miss);
 * **compose** — whether the
   :func:`~repro.compose.compose.compose_pair` baseline produces an

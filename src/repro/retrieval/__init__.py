@@ -16,14 +16,19 @@ Two pieces:
   parser lexicon's own normalization (:mod:`repro.parser.lexicon`), so a
   shard the lexicon could anchor an entity or column match on is
   *guaranteed* to be retrieved (the recall-superset contract, locked in
-  by ``tests/test_retrieval.py``).
-* :class:`~repro.retrieval.router.ShardRouter` — deterministic scoring
-  and pruning with a guaranteed fallback: when retrieval yields no
-  candidate shards the router degrades to the full broadcast, so answers
-  are never lost to pruning.
+  by ``tests/test_retrieval.py``).  Its one
+  :meth:`~repro.retrieval.corpus_index.CorpusIndex.probe` states the
+  routing rule: each question term the index holds, with its label,
+  weight and covering shards.
+* :class:`~repro.retrieval.router.ShardRouter` — every routing decision
+  from one probe: deterministic scoring and pruning with a guaranteed
+  fallback (when retrieval yields no candidate shards the router
+  degrades to the full broadcast, so answers are never lost to
+  pruning), and the 2–3-shard set proposals cross-table composition
+  tries when no single candidate covers every anchored term.
 
-:class:`~repro.tables.catalog.TableCatalog` owns one index+router pair
-and catches the index up on the first corpus-wide read after a
+:class:`~repro.tables.catalog.TableCatalog` owns one index and one
+router and catches the index up on the first corpus-wide read after a
 registration; ``repro route`` inspects routing decisions from the
 command line.
 """
@@ -39,7 +44,7 @@ __getattr__, __dir__ = _lazy.attach(
         ],
         ".router": [
             "RoutingDecision", "SetRoutingDecision", "ShardRouter", "ShardScore",
-            "ShardSetProposal", "ShardSetRouter",
+            "ShardSetProposal",
         ],
     },
 )
@@ -57,5 +62,4 @@ __all__ = [
     "ShardRouter",
     "ShardScore",
     "ShardSetProposal",
-    "ShardSetRouter",
 ]

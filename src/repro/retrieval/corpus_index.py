@@ -3,7 +3,11 @@
 One :class:`ShardPosting` summarises everything retrieval may match a
 shard through; the :class:`CorpusIndex` holds the postings of a whole
 catalog as inverted maps so a question is scored against *terms*, never
-against shards — O(question terms), not O(shards).
+against shards — O(question terms), not O(shards).  One
+:meth:`CorpusIndex.probe` states the routing rule (which question terms
+probe which map, with what weight and label) and returns every term the
+question hits; the scoring and coverage views and every routing decision
+(:mod:`repro.retrieval.router`) are derived from it.
 
 The recall-superset contract
 ----------------------------
@@ -117,6 +121,10 @@ class QuestionTerms:
     tokens: Tuple[str, ...]
     phrases: FrozenSet[str]
     numbers: FrozenSet[NumberValue]
+
+
+#: One question term the index holds: ``(label, weight, covering digests)``.
+TermHit = Tuple[str, float, FrozenSet[str]]
 
 
 @dataclass(frozen=True)
@@ -471,186 +479,77 @@ class CorpusIndex:
                 {key: frozenset(v) for key, v in self._numbers.items()},
             )
 
-    # -- scoring ---------------------------------------------------------------
-    def score_question(self, question: str) -> Dict[str, RetrievalHit]:
-        """Score every indexed shard against ``question``.
+    # -- probing ---------------------------------------------------------------
+    def probe(self, question: str) -> Tuple[TermHit, ...]:
+        """Every indexed term ``question`` hits: its label, weight and shards.
 
-        Returns only shards with at least one hit, each with its score
-        and the sorted list of matched terms (for ``repro route`` and the
-        router's explanations).  Deterministic: terms are probed in
-        sorted order and weights are exact binary floats, so equal
-        (index, question) pairs always produce identical scores.
+        The one statement of the routing rule: which question tokens probe
+        which inverted map, with what weight and under what label.  Entity
+        phrases probe the entity keys, content tokens (stop words and
+        punctuation dropped) the entity tokens, *all* question tokens the
+        header tokens (the lexicon's column matcher keeps stop words on
+        the question side, so stop-word-only headers stay reachable), and
+        numbers the quantized numbers.  Hits come channel by channel in
+        that order, each channel in sorted key order (numbers by value);
+        a term no shard holds is left out.  Each hit's digests are a
+        snapshot taken under the index lock, so a concurrent update
+        cannot change a probe a caller is still reading.
         """
         terms = question_terms(question, self.max_span_length)
+        content = {
+            token
+            for token in terms.tokens
+            if token not in STOP_WORDS and token.isalnum()
+        }
+        channels = (
+            (self._entities, ENTITY_PHRASE_WEIGHT, "entity", sorted(terms.phrases)),
+            (self._entity_tokens, ENTITY_TOKEN_WEIGHT, "token", sorted(content)),
+            (self._headers, HEADER_TOKEN_WEIGHT, "header", sorted(set(terms.tokens))),
+            (
+                self._numbers,
+                NUMBER_WEIGHT,
+                "number",
+                sorted(terms.numbers, key=lambda value: value.number),
+            ),
+        )
+        hits: List[TermHit] = []
+        with self._lock:
+            for mapping, weight, channel, keys in channels:
+                for key in keys:
+                    digests = mapping.get(key)
+                    if digests:
+                        text = key.display() if channel == "number" else key
+                        hits.append((f"{channel}:{text}", weight, frozenset(digests)))
+        return tuple(hits)
+
+    def score_question(self, question: str) -> Dict[str, RetrievalHit]:
+        """Score every indexed shard against ``question``, from one :meth:`probe`.
+
+        Returns only shards with at least one hit, each with its score
+        (the sum of its hit terms' weights) and the sorted tuple of
+        matched term labels.  Deterministic: the weights are exact binary
+        floats, so the order hits are summed in can never perturb a score.
+        """
         scores: Dict[str, float] = {}
         matched: Dict[str, List[str]] = {}
-
-        def accumulate(
-            probe_keys: Iterable[str],
-            mapping: Dict,
-            weight: float,
-            label: str,
-        ) -> None:
-            for key in probe_keys:
-                for digest in mapping.get(key, ()):
-                    scores[digest] = scores.get(digest, 0.0) + weight
-                    matched.setdefault(digest, []).append(f"{label}:{key}")
-
-        with self._lock:
-            accumulate(
-                sorted(terms.phrases), self._entities, ENTITY_PHRASE_WEIGHT, "entity"
-            )
-            content = {
-                token
-                for token in terms.tokens
-                if token not in STOP_WORDS and token.isalnum()
-            }
-            accumulate(
-                sorted(content), self._entity_tokens, ENTITY_TOKEN_WEIGHT, "token"
-            )
-            # Header matching uses ALL question tokens (the lexicon's
-            # column matcher does not drop stop words on the question
-            # side), so stop-word-only headers stay reachable.
-            accumulate(
-                sorted(set(terms.tokens)), self._headers, HEADER_TOKEN_WEIGHT, "header"
-            )
-            number_keys = sorted(terms.numbers, key=lambda value: value.number)
-            for number in number_keys:
-                for digest in self._numbers.get(number, ()):
-                    scores[digest] = scores.get(digest, 0.0) + NUMBER_WEIGHT
-                    matched.setdefault(digest, []).append(
-                        f"number:{number.display()}"
-                    )
+        for label, weight, digests in self.probe(question):
+            for digest in digests:
+                scores[digest] = scores.get(digest, 0.0) + weight
+                matched.setdefault(digest, []).append(label)
         return {
             digest: RetrievalHit(
-                digest=digest,
-                score=score,
-                matched=tuple(sorted(matched.get(digest, ()))),
+                digest=digest, score=score, matched=tuple(sorted(matched[digest]))
             )
             for digest, score in scores.items()
         }
 
-    def score_digests(self, question: str) -> Dict[str, float]:
-        """Score every indexed shard: digest → score, no match labels.
-
-        The lean twin of :meth:`score_question` for the top-N routing hot
-        path: at a thousand shards, building and sorting per-shard
-        matched-term lists dominates routing time, yet a capped route
-        only ever explains the handful of survivors.  Scores here are
-        guaranteed equal to :meth:`score_question`'s — the weights are
-        exact binary floats, so accumulation order cannot perturb a sum
-        and the probes need no sorting (locked in by a property test in
-        ``tests/test_retrieval.py``).  Labels for the survivors come from
-        :meth:`matched_terms` afterwards.
-        """
-        terms = question_terms(question, self.max_span_length)
-        scores: Dict[str, float] = {}
-        with self._lock:
-            for phrase in terms.phrases:
-                for digest in self._entities.get(phrase, ()):
-                    scores[digest] = scores.get(digest, 0.0) + ENTITY_PHRASE_WEIGHT
-            for token in set(terms.tokens):
-                if token not in STOP_WORDS and token.isalnum():
-                    for digest in self._entity_tokens.get(token, ()):
-                        scores[digest] = (
-                            scores.get(digest, 0.0) + ENTITY_TOKEN_WEIGHT
-                        )
-            # Header matching uses ALL question tokens (the lexicon's
-            # column matcher does not drop stop words on the question
-            # side), so stop-word-only headers stay reachable.
-            for token in set(terms.tokens):
-                for digest in self._headers.get(token, ()):
-                    scores[digest] = scores.get(digest, 0.0) + HEADER_TOKEN_WEIGHT
-            for number in terms.numbers:
-                for digest in self._numbers.get(number, ()):
-                    scores[digest] = scores.get(digest, 0.0) + NUMBER_WEIGHT
-        return scores
-
     def term_coverage(self, question: str) -> Dict[str, FrozenSet[str]]:
         """Per anchored question term → the digests of the shards covering it.
 
-        The set-cover view of a question: only terms that at least one
+        The set-cover view of :meth:`probe`: only terms that at least one
         indexed shard covers appear (a term no shard holds cannot
-        constrain routing), each mapped to the frozen set of covering
-        digests.  Labels use the exact ``label:key`` format of
+        constrain routing), keyed by the same ``label:key`` strings as
         :meth:`score_question`'s ``matched`` tuples, so a coverage key is
-        directly comparable with a hit explanation.  This is what the
-        :class:`~repro.retrieval.router.ShardSetRouter` consumes to
-        decide whether a *single* shard can cover the whole question or
-        a 2–3-shard set is needed.
+        directly comparable with a hit explanation.
         """
-        terms = question_terms(question, self.max_span_length)
-        coverage: Dict[str, FrozenSet[str]] = {}
-        with self._lock:
-            for phrase in sorted(terms.phrases):
-                digests = self._entities.get(phrase)
-                if digests:
-                    coverage[f"entity:{phrase}"] = frozenset(digests)
-            content = {
-                token
-                for token in terms.tokens
-                if token not in STOP_WORDS and token.isalnum()
-            }
-            for token in sorted(content):
-                digests = self._entity_tokens.get(token)
-                if digests:
-                    coverage[f"token:{token}"] = frozenset(digests)
-            # Header coverage uses ALL question tokens, mirroring
-            # score_question (the lexicon's column matcher keeps stop
-            # words on the question side).
-            for token in sorted(set(terms.tokens)):
-                digests = self._headers.get(token)
-                if digests:
-                    coverage[f"header:{token}"] = frozenset(digests)
-            for number in sorted(terms.numbers, key=lambda value: value.number):
-                digests = self._numbers.get(number)
-                if digests:
-                    coverage[f"number:{number.display()}"] = frozenset(digests)
-        return coverage
-
-    def matched_terms(
-        self, question: str, digests: Iterable[str]
-    ) -> Dict[str, Tuple[str, ...]]:
-        """Explain ``question``'s hits for the requested shards only.
-
-        The labels are byte-identical to :meth:`score_question`'s
-        ``matched`` tuples (same ``label:key`` format, same final sort);
-        only shards in ``digests`` that match at least one term appear.
-        Pairs with :meth:`score_digests`: score everything cheaply, then
-        explain just the top-N survivors.
-        """
-        wanted = set(digests)
-        if not wanted:
-            return {}
-        terms = question_terms(question, self.max_span_length)
-        matched: Dict[str, List[str]] = {}
-
-        def accumulate(
-            probe_keys: Iterable[str],
-            mapping: Dict,
-            label_of,
-        ) -> None:
-            for key in probe_keys:
-                for digest in mapping.get(key, ()):
-                    if digest in wanted:
-                        matched.setdefault(digest, []).append(label_of(key))
-
-        with self._lock:
-            accumulate(terms.phrases, self._entities, lambda key: f"entity:{key}")
-            content = {
-                token
-                for token in terms.tokens
-                if token not in STOP_WORDS and token.isalnum()
-            }
-            accumulate(content, self._entity_tokens, lambda key: f"token:{key}")
-            accumulate(
-                set(terms.tokens), self._headers, lambda key: f"header:{key}"
-            )
-            accumulate(
-                terms.numbers,
-                self._numbers,
-                lambda number: f"number:{number.display()}",
-            )
-        return {
-            digest: tuple(sorted(labels)) for digest, labels in matched.items()
-        }
+        return {label: digests for label, _weight, digests in self.probe(question)}

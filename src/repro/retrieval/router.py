@@ -1,13 +1,16 @@
-"""The shard router: deterministic scoring, pruning and the fallback contract.
+"""The shard router: deterministic scoring, pruning, set proposals, the fallback.
 
-The router turns the :class:`~repro.retrieval.corpus_index.CorpusIndex`'s
-per-shard hits into a :class:`RoutingDecision`: which shards to parse,
-in what order, and why.  Two guarantees the rest of the system builds
-on:
+:class:`ShardRouter` derives every routing decision from one
+:meth:`~repro.retrieval.corpus_index.CorpusIndex.probe` of the question:
+which shards to parse, in what order, and why (:class:`RoutingDecision`),
+and, for :meth:`ShardRouter.route_sets`, which 2–3-shard sets jointly
+cover the terms no single candidate covers (:class:`SetRoutingDecision`).
+Two guarantees the rest of the system builds on:
 
 * **Determinism** — shards are ranked by ``(retrieval score desc,
   registration order asc)``; the score itself is deterministic (see the
   index), so a fixed (catalog, question) pair always routes the same.
+  A ``max_candidates`` cap keeps the first N of that same ranking.
 * **Guaranteed fallback** — when no shard scores a hit (an empty index,
   a question with no lexical anchor anywhere), the decision degrades to
   the full broadcast: every shard is a candidate, nothing is pruned, and
@@ -28,7 +31,16 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..tables.catalog import TableRef
-from .corpus_index import CorpusIndex, RetrievalHit
+from .corpus_index import CorpusIndex, TermHit
+
+#: Largest proposed shard set.
+MAX_SET_SIZE = 3
+#: How many top-ranked candidates set proposals are drawn from: bounds
+#: enumeration at C(8,2) + C(8,3) = 84 sets.
+SET_POOL_SIZE = 8
+#: How many ranked set proposals :meth:`ShardRouter.route_sets` keeps
+#: unless the caller asks for another number.
+MAX_PROPOSALS = 4
 
 
 @dataclass(frozen=True)
@@ -39,10 +51,6 @@ class ShardScore:
     score: float
     matched: Tuple[str, ...]
 
-    @property
-    def hit(self) -> bool:
-        return self.score > 0.0
-
 
 @dataclass(frozen=True)
 class RoutingDecision:
@@ -50,9 +58,11 @@ class RoutingDecision:
 
     ``scored`` ranks shards by (score desc, registration order asc):
     *every* registered shard on an uncapped or fallback route, or — when
-    a ``max_candidates`` cap selected the top-N through the heap path —
-    just the surviving candidates (a thousand-shard corpus must not pay
-    for a thousand-entry explanation of a ten-shard decision).
+    a ``max_candidates`` cap kept the first N of that ranking — just the
+    surviving candidates (a thousand-shard corpus must not pay for a
+    thousand-entry explanation of a ten-shard decision).  Each entry's
+    ``matched`` labels are the question terms that hit that shard's
+    postings.
     ``candidates`` are the shards that will actually parse — the hits,
     or on ``fallback`` every shard.  ``pruned`` is the complement:
     shards retrieval pruned, which stay untouched (evicted ones stay on
@@ -73,143 +83,8 @@ class RoutingDecision:
     def num_pruned(self) -> int:
         return len(self.pruned)
 
-    def score_of(self, digest: str) -> float:
-        for scored in self.scored:
-            if scored.ref.digest == digest:
-                return scored.score
-        return 0.0
-
     def is_candidate(self, digest: str) -> bool:
         return any(ref.digest == digest for ref in self.candidates)
-
-
-class ShardRouter:
-    """Routes questions to catalog shards through a :class:`CorpusIndex`.
-
-    Parameters
-    ----------
-    index:
-        The corpus index to score against (owned by the catalog, which
-        catches it up before every routing read).
-    max_candidates:
-        Optional cap on how many (highest-scoring) hit shards survive
-        pruning.  ``None`` — the default, and what the fallback contract
-        is stated for — keeps every hit: capping trades recall for work
-        and can drop the broadcast winner, so it is strictly opt-in.
-    """
-
-    def __init__(
-        self, index: CorpusIndex, max_candidates: Optional[int] = None
-    ) -> None:
-        if max_candidates is not None and max_candidates < 1:
-            raise ValueError(
-                f"max_candidates must be >= 1 (or None), got {max_candidates}"
-            )
-        self.index = index
-        self.max_candidates = max_candidates
-
-    def route(
-        self,
-        question: str,
-        refs: Sequence[TableRef],
-        max_candidates: Optional[int] = None,
-    ) -> RoutingDecision:
-        """The :class:`RoutingDecision` for ``question`` over ``refs``.
-
-        ``refs`` must be in registration order (the deterministic
-        tie-break); :meth:`TableCatalog.refs` provides exactly that.
-        A per-call ``max_candidates`` overrides the router default
-        (``None`` defers to it); any cap takes the heap-selection path,
-        whose candidates are exactly the first N of the full ranking
-        (property-tested in ``tests/test_retrieval.py``).
-        """
-        cap = self.max_candidates if max_candidates is None else max_candidates
-        if cap is not None:
-            if cap < 1:
-                raise ValueError(f"max_candidates must be >= 1, got {cap}")
-            return self._route_top(question, refs, cap)
-        hits: Dict[str, RetrievalHit] = self.index.score_question(question)
-        scored = [
-            ShardScore(
-                ref=ref,
-                score=hits[ref.digest].score if ref.digest in hits else 0.0,
-                matched=hits[ref.digest].matched if ref.digest in hits else (),
-            )
-            for ref in refs
-        ]
-        # Stable sort: equal scores keep registration order.
-        ranked = sorted(scored, key=lambda shard: -shard.score)
-        candidates: List[TableRef] = [
-            shard.ref for shard in ranked if shard.hit
-        ]
-        fallback = not candidates
-        if fallback:
-            candidates = [ref for ref in refs]
-        kept = {ref.digest for ref in candidates}
-        pruned = [ref for ref in refs if ref.digest not in kept]
-        return RoutingDecision(
-            question=question,
-            scored=tuple(ranked),
-            candidates=tuple(candidates),
-            pruned=tuple(pruned),
-            fallback=fallback,
-        )
-
-    def _route_top(
-        self, question: str, refs: Sequence[TableRef], cap: int
-    ) -> RoutingDecision:
-        """Capped routing: heap-select the top ``cap`` hits, skip the rest.
-
-        The uncapped path scores, labels and fully sorts every shard —
-        O(shards log shards) with per-shard matched-term lists — only to
-        keep N of them.  Here scoring is label-free
-        (:meth:`CorpusIndex.score_digests`), selection is
-        ``heapq.nlargest`` over ``(score, -registration_position)`` keys
-        — the exact ranking order of the full sort, so the survivors are
-        precisely ``full_ranking[:cap]`` — and matched-term explanations
-        are computed for the survivors alone.  Zero hits degrades to the
-        identical full-broadcast decision the uncapped path produces.
-        """
-        scores = self.index.score_digests(question)
-        entries = [
-            (scores[ref.digest], -position, ref)
-            for position, ref in enumerate(refs)
-            if scores.get(ref.digest, 0.0) > 0.0
-        ]
-        if not entries:
-            # Guaranteed fallback, byte-identical to the uncapped one:
-            # every shard scored zero, ranked in registration order.
-            scored = tuple(
-                ShardScore(ref=ref, score=0.0, matched=()) for ref in refs
-            )
-            return RoutingDecision(
-                question=question,
-                scored=scored,
-                candidates=tuple(refs),
-                pruned=(),
-                fallback=True,
-            )
-        # (score, -position) never ties across shards (positions are
-        # unique), so the ref is never compared and nlargest's order is
-        # exactly (score desc, registration order asc).
-        top = heapq.nlargest(cap, entries, key=lambda entry: entry[:2])
-        matched = self.index.matched_terms(
-            question, [entry[2].digest for entry in top]
-        )
-        ranked = tuple(
-            ShardScore(
-                ref=ref, score=score, matched=matched.get(ref.digest, ())
-            )
-            for score, _neg_position, ref in top
-        )
-        kept = {shard.ref.digest for shard in ranked}
-        return RoutingDecision(
-            question=question,
-            scored=ranked,
-            candidates=tuple(shard.ref for shard in ranked),
-            pruned=tuple(ref for ref in refs if ref.digest not in kept),
-            fallback=False,
-        )
 
 
 @dataclass(frozen=True)
@@ -217,7 +92,7 @@ class ShardSetProposal:
     """One candidate shard *set*: jointly covers more than any member.
 
     ``covered`` / ``missing`` partition the question's coverable terms
-    (the :meth:`CorpusIndex.term_coverage` keys); ``score`` is the sum
+    (the labels of its :meth:`CorpusIndex.probe` hits); ``score`` is the sum
     of the members' individual retrieval scores — a tie-break, never a
     coverage substitute.
     """
@@ -240,9 +115,9 @@ class ShardSetProposal:
 class SetRoutingDecision:
     """A single-shard :class:`RoutingDecision` plus shard-set proposals.
 
-    ``single`` is the unchanged decision of the wrapped
-    :class:`ShardRouter` — the single-shard path and the broadcast
-    fallback are exactly what they were without set routing.
+    ``single`` is exactly :meth:`ShardRouter.route`'s decision — the
+    single-shard path and the broadcast fallback are what they are
+    without set routing.
     ``proposals`` is non-empty only when the question has coverable
     terms, the route is not a fallback, and *no* candidate shard covers
     every coverable term on its own (``single_covered`` records that
@@ -260,65 +135,60 @@ class SetRoutingDecision:
         return bool(self.proposals)
 
 
-class ShardSetRouter:
-    """Proposes 2–3-shard candidate sets when no single shard suffices.
+class ShardRouter:
+    """Routes questions to catalog shards through a :class:`CorpusIndex`.
 
-    A thin layer over a :class:`ShardRouter`: the wrapped router's
-    decision is computed first and returned untouched (determinism and
-    the fallback contract are inherited wholesale).  Only when that
-    decision's candidates each leave some coverable question term
-    uncovered does the set router enumerate small combinations of the
-    top-``pool_size`` candidates, keep the non-redundant ones that cover
-    strictly more terms than any single pool shard, and rank them by
-    ``(fewest missing terms, smallest set, highest summed score,
-    registration-rank order)`` — all deterministic, so a fixed (catalog,
-    question) pair always proposes the same sets.
-
-    Parameters
-    ----------
-    index:
-        The corpus index (shared with the wrapped router).
-    router:
-        The single-shard router to delegate to; a default
-        :class:`ShardRouter` over ``index`` when omitted.
-    max_set_size:
-        Largest proposed set (default 3, minimum 2).
-    max_proposals:
-        How many ranked proposals to keep (default 4).
-    pool_size:
-        How many top-ranked candidates combinations are drawn from
-        (default 8) — bounds enumeration at C(8,2)+C(8,3) = 84 sets.
+    Every decision reads the index once: :meth:`route` and
+    :meth:`route_sets` each take one :meth:`CorpusIndex.probe` and derive
+    scores, ranking, matched labels and term coverage from it.  ``refs``
+    must be in registration order (the deterministic tie-break);
+    :meth:`TableCatalog.refs` provides exactly that.
     """
 
-    def __init__(
-        self,
-        index: CorpusIndex,
-        router: Optional[ShardRouter] = None,
-        max_set_size: int = 3,
-        max_proposals: int = 4,
-        pool_size: int = 8,
-    ) -> None:
-        if max_set_size < 2:
-            raise ValueError(f"max_set_size must be >= 2, got {max_set_size}")
-        if max_proposals < 1:
-            raise ValueError(f"max_proposals must be >= 1, got {max_proposals}")
-        if pool_size < 2:
-            raise ValueError(f"pool_size must be >= 2, got {pool_size}")
+    def __init__(self, index: CorpusIndex) -> None:
         self.index = index
-        self.router = router if router is not None else ShardRouter(index)
-        self.max_set_size = max_set_size
-        self.max_proposals = max_proposals
-        self.pool_size = pool_size
+
+    def route(
+        self,
+        question: str,
+        refs: Sequence[TableRef],
+        max_candidates: Optional[int] = None,
+    ) -> RoutingDecision:
+        """The :class:`RoutingDecision` for ``question`` over ``refs``.
+
+        ``max_candidates`` keeps only the N highest-ranked hits; ``None``
+        keeps every hit, which is what the fallback contract is stated
+        for (a cap trades recall for work and can drop the broadcast
+        winner).
+        """
+        hits = self.index.probe(question)
+        return self._decide(question, refs, max_candidates, hits)
 
     def route_sets(
         self,
         question: str,
         refs: Sequence[TableRef],
         max_candidates: Optional[int] = None,
+        max_proposals: Optional[int] = None,
     ) -> SetRoutingDecision:
-        """The :class:`SetRoutingDecision` for ``question`` over ``refs``."""
-        single = self.router.route(question, refs, max_candidates=max_candidates)
-        coverage = self.index.term_coverage(question)
+        """The :class:`SetRoutingDecision` for ``question`` over ``refs``.
+
+        Its ``single`` is exactly :meth:`route`'s decision, so the
+        single-shard path and the broadcast fallback are what they are
+        without set routing.  Only when every candidate leaves some
+        coverable question term uncovered are small combinations of the
+        top :data:`SET_POOL_SIZE` candidates enumerated: the
+        non-redundant ones that cover strictly more terms than any single
+        pool shard are kept, ranked by ``(fewest missing terms, smallest
+        set, highest summed score, registration-rank order)``, and the
+        first ``max_proposals`` (default :data:`MAX_PROPOSALS`) returned.
+        """
+        limit = MAX_PROPOSALS if max_proposals is None else max_proposals
+        if limit < 1:
+            raise ValueError(f"max_proposals must be >= 1, got {limit}")
+        hits = self.index.probe(question)
+        single = self._decide(question, refs, max_candidates, hits)
+        coverage = {label: digests for label, _weight, digests in hits}
         coverable = tuple(sorted(coverage))
         if single.fallback or not coverable:
             return SetRoutingDecision(
@@ -328,9 +198,7 @@ class ShardSetRouter:
                 single_covered=False,
                 proposals=(),
             )
-        complete_digests = set(coverage[coverable[0]])
-        for term in coverable[1:]:
-            complete_digests &= coverage[term]
+        complete_digests = frozenset.intersection(*coverage.values())
         if any(ref.digest in complete_digests for ref in single.candidates):
             # Some candidate covers the whole question alone: the
             # single-shard path handles it, no sets proposed.
@@ -341,7 +209,7 @@ class ShardSetRouter:
                 single_covered=True,
                 proposals=(),
             )
-        pool = single.candidates[: self.pool_size]
+        pool = single.candidates[:SET_POOL_SIZE]
         covered_by: Dict[str, FrozenSet[str]] = {
             ref.digest: frozenset(
                 term for term in coverable if ref.digest in coverage[term]
@@ -354,7 +222,7 @@ class ShardSetRouter:
         scores = {shard.ref.digest: shard.score for shard in single.scored}
         full = frozenset(coverable)
         ranked: List[Tuple[Tuple[int, int, float, Tuple[int, ...]], ShardSetProposal]] = []
-        for size in range(2, min(self.max_set_size, len(pool)) + 1):
+        for size in range(2, min(MAX_SET_SIZE, len(pool)) + 1):
             for positions in combinations(range(len(pool)), size):
                 members = tuple(pool[position] for position in positions)
                 unions = [covered_by[member.digest] for member in members]
@@ -388,7 +256,79 @@ class ShardSetRouter:
             single=single,
             coverable=coverable,
             single_covered=False,
-            proposals=tuple(
-                proposal for _key, proposal in ranked[: self.max_proposals]
-            ),
+            proposals=tuple(proposal for _key, proposal in ranked[:limit]),
+        )
+
+    @staticmethod
+    def _decide(
+        question: str,
+        refs: Sequence[TableRef],
+        cap: Optional[int],
+        hits: Sequence[TermHit],
+    ) -> RoutingDecision:
+        """One probe's :class:`RoutingDecision`: rank, keep the first ``cap``.
+
+        ``heapq.nlargest`` over ``(score, -registration position)`` keys
+        is the full ranking order (positions are unique, so the ref is
+        never compared), so a capped decision's candidates are exactly
+        the first N of the uncapped ranking (property-tested in
+        ``tests/test_retrieval.py``).  Matched labels are built for the
+        reported hits only: a thousand-shard corpus does not pay for a
+        thousand-entry explanation of a ten-shard decision.  Zero hits
+        degrade to the full broadcast, capped or not.
+        """
+        if cap is not None and cap < 1:
+            raise ValueError(f"max_candidates must be >= 1, got {cap}")
+        scores: Dict[str, float] = {}
+        for _label, weight, digests in hits:
+            for digest in digests:
+                scores[digest] = scores.get(digest, 0.0) + weight
+        entries = [
+            (scores[ref.digest], -position, ref)
+            for position, ref in enumerate(refs)
+            if ref.digest in scores
+        ]
+        if not entries:
+            # Guaranteed fallback: every shard scored zero, ranked in
+            # registration order.
+            return RoutingDecision(
+                question=question,
+                scored=tuple(
+                    ShardScore(ref=ref, score=0.0, matched=()) for ref in refs
+                ),
+                candidates=tuple(refs),
+                pruned=(),
+                fallback=True,
+            )
+        top = heapq.nlargest(
+            len(entries) if cap is None else cap,
+            entries,
+            key=lambda entry: entry[:2],
+        )
+        reported = {ref.digest for _score, _neg_position, ref in top}
+        matched: Dict[str, List[str]] = {}
+        for label, _weight, digests in hits:
+            for digest in reported & digests:
+                matched.setdefault(digest, []).append(label)
+        ranked = [
+            ShardScore(
+                ref=ref, score=score, matched=tuple(sorted(matched[ref.digest]))
+            )
+            for score, _neg_position, ref in top
+        ]
+        candidates = tuple(shard.ref for shard in ranked)
+        if cap is None:
+            # Uncapped: every shard is reported, the zero-score ones last
+            # in registration order.
+            ranked.extend(
+                ShardScore(ref=ref, score=0.0, matched=())
+                for ref in refs
+                if ref.digest not in scores
+            )
+        return RoutingDecision(
+            question=question,
+            scored=tuple(ranked),
+            candidates=candidates,
+            pruned=tuple(ref for ref in refs if ref.digest not in reported),
+            fallback=False,
         )

@@ -13,8 +13,8 @@ reproduction, built on three pieces that already exist:
   via ``loop.run_in_executor`` — the same routine ``ReproEngine.query``
   answers through.  It pins each routed request's snapshot, groups the
   routed requests by shard (**shard affinity**) into one
-  :meth:`~repro.tables.catalog.TableCatalog.ask_many` call per
-  ``(k, backend)`` on the engine's worker pool, and runs corpus-wide
+  :meth:`~repro.tables.catalog.TableCatalog.ask_many` call per ``k``
+  on the engine's worker pool, and runs corpus-wide
   requests on the server's jobs executor;
 * answers stay **order-stable and bit-identical** to the sequential
   path: per-question results are deterministic and index-aligned through

@@ -142,8 +142,8 @@ class CatalogAnswer:
     the pruned set, whether the broadcast fallback fired) and ``pruned``
     says whether the retrieve-then-parse path was active at all.
 
-    ``set_routing`` is the :class:`~repro.retrieval.router.ShardSetRouter`
-    decision when set routing ran (its ``single`` is exactly ``routing``);
+    ``set_routing`` is the router's set decision when set routing ran
+    (its ``single`` is exactly ``routing``);
     ``composed`` carries a cross-table
     :class:`~repro.compose.answer.ComposedAnswer` when one of the
     proposed shard sets planned, validated and executed a join — strictly
@@ -222,9 +222,8 @@ class TableCatalog:
         overrides this default.
     compose:
         Default composition policy of :meth:`ask_any`: ``True`` also
-        attempts a cross-table join answer whenever the
-        :class:`~repro.retrieval.router.ShardSetRouter` proposes shard
-        sets (no single shard covers every anchored question term);
+        attempts a cross-table join answer whenever the router proposes
+        shard sets (no single shard covers every anchored question term);
         ``False`` never composes.  Strictly additive either way — the
         single-shard ranking is identical.  Per-call ``compose=``
         overrides this default.
@@ -277,7 +276,7 @@ class TableCatalog:
         else:
             self._disk = None
         # Imported lazily for the same reason as the interface above.
-        from ..retrieval import CorpusIndex, ShardRouter, ShardSetRouter
+        from ..retrieval import CorpusIndex, ShardRouter
 
         self.prune = prune
         self.compose = compose
@@ -286,7 +285,6 @@ class TableCatalog:
         #: next corpus-wide read publishes them (:meth:`corpus_index`).
         self._unindexed: set = set()
         self._router = ShardRouter(self._index)
-        self._set_router = ShardSetRouter(self._index, self._router)
         self._shards: Dict[str, _Shard] = {}
         self._names: Dict[str, str] = {}
         self._order = itertools.count()
@@ -755,10 +753,9 @@ class TableCatalog:
         Scores every registered shard against the corpus index and
         reports which shards :meth:`ask_any` would parse (``candidates``)
         versus prune, and whether the broadcast fallback would fire.
-        ``max_candidates`` caps the survivors at the top N of the ranking
-        through the router's heap path (``None`` defers to the router
-        default).  Pure inspection: no shard is materialized, no caches
-        change.  ``repro route`` is the CLI face of this method.
+        ``max_candidates`` keeps only the first N of the ranking (``None``
+        keeps every hit).  Pure inspection: no shard is materialized, no
+        caches change.  ``repro route`` is the CLI face of this method.
         """
         return self._router.route(
             question, self._routable_refs(), max_candidates=max_candidates
@@ -773,27 +770,18 @@ class TableCatalog:
         """The set router's decision for ``question`` — pure inspection.
 
         The single-shard half (``decision.single``) is byte-identical to
-        :meth:`routing`; on top of it the
-        :class:`~repro.retrieval.router.ShardSetRouter` reports the
-        question's coverable terms, whether one candidate covers them
-        all, and the ranked 2–3-shard sets proposed when none does.
-        ``max_proposals`` widens (or narrows) the proposal list past the
-        serving default — the join bench scores recall@5 and needs more
-        than the default four.
+        :meth:`routing`; on top of it the router reports, from the same
+        probe of the index, the question's coverable terms, whether one
+        candidate covers them all, and the ranked 2–3-shard sets proposed
+        when none does.  ``max_proposals`` widens (or narrows) the
+        proposal list past the serving default — the join bench scores
+        recall@5 and needs more than the default four.
         """
-        from ..retrieval import ShardSetRouter
-
-        router = self._set_router
-        if max_proposals is not None and max_proposals != router.max_proposals:
-            router = ShardSetRouter(
-                self._index,
-                self._router,
-                max_set_size=router.max_set_size,
-                max_proposals=max_proposals,
-                pool_size=router.pool_size,
-            )
-        return router.route_sets(
-            question, self._routable_refs(), max_candidates=max_candidates
+        return self._router.route_sets(
+            question,
+            self._routable_refs(),
+            max_candidates=max_candidates,
+            max_proposals=max_proposals,
         )
 
     def _compose_from_proposals(
@@ -849,17 +837,17 @@ class TableCatalog:
 
         The retrieve-then-parse pipeline (default): the
         :class:`~repro.retrieval.router.ShardRouter` scores every shard
-        against the corpus index and only the shards with retrieval hits
-        are parsed — evicted shards that are pruned out stay on disk.
+        from one probe of the corpus index and only the shards with
+        retrieval hits are parsed — evicted shards that are pruned out
+        stay on disk.
         When retrieval yields *no* candidate the router falls back to the
         full broadcast, so an answer is never lost to pruning.
         ``prune=False`` (or a catalog built with ``prune=False``) forces
         the broadcast: every registered table is asked and evicted shards
         rehydrate first.  ``max_candidates`` additionally caps the parsed
-        shards at the top N of the retrieval ranking (the router's heap
-        path); answers stay bit-identical to the broadcast whenever the
-        broadcast's top shard survives the cap — the pruning property
-        below, unchanged.
+        shards at the first N of the retrieval ranking; answers stay
+        bit-identical to the broadcast whenever the broadcast's top shard
+        survives the cap — the pruning property below, unchanged.
 
         Parsed shards are ranked by their top candidate's model score,
         ties broken by retrieval score then registration order — all
@@ -870,7 +858,7 @@ class TableCatalog:
         Shards that produce no executable candidate rank last.
 
         When ``compose`` (default: the catalog's ``compose`` policy) is
-        active and the set router proposes shard sets — no single
+        active and the router proposes shard sets — no single
         candidate covers every anchored question term — a cross-table
         join answer is additionally attempted over the proposed pairs
         (:meth:`_compose_from_proposals`) and attached as
@@ -878,7 +866,7 @@ class TableCatalog:
         ranking is computed exactly as before.
         """
         refs = self._routable_refs()
-        set_decision = self._set_router.route_sets(
+        set_decision = self._router.route_sets(
             question, refs, max_candidates=max_candidates
         )
         decision = set_decision.single

@@ -80,7 +80,7 @@ class TestQueryRequest:
     def test_round_trips_through_dict(self):
         request = QueryRequest(
             question="q", target="olympics", mode="table", k=3, prune=False,
-            backend="thread", request_id="r-1",
+            request_id="r-1",
         )
         assert QueryRequest.from_dict(request.to_dict()) == request
 
@@ -92,6 +92,15 @@ class TestQueryRequest:
         with pytest.raises(ApiError) as caught:
             QueryRequest.from_dict({"question": "q", "zap": 1})
         assert caught.value.code is ErrorCode.BAD_REQUEST
+
+    def test_retired_backend_field_is_unknown(self, engine):
+        """``backend`` chose between two executions with bit-identical
+        answers; a request that still sends it is a coded BAD_REQUEST."""
+        with pytest.raises(ApiError) as caught:
+            QueryRequest.from_dict({"question": "q", "backend": "quantum"})
+        assert caught.value.code is ErrorCode.BAD_REQUEST
+        [result] = engine.query_many(["which country hosted in 2004"], backend="thread")
+        assert result.error_code is ErrorCode.BAD_REQUEST
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -106,7 +115,6 @@ class TestQueryRequest:
             {"question": "q", "mode": "sideways"},
             {"question": "q", "mode": "table"},  # table mode needs a target
             {"question": "q", "mode": "any", "target": "t"},
-            {"question": "q", "backend": "quantum"},
         ],
     )
     def test_validate_rejects_malformed_requests(self, kwargs):

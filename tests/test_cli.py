@@ -569,6 +569,64 @@ class TestRouteCommand:
         assert completed.stderr == b""
         assert completed.returncode == 1
 
+    def test_route_sets_matches_the_engine_decision(self, tmp_path):
+        """``--sets`` reports the engine's set decision: on the medals/regions
+        pair no single shard covers the question, and the pair does."""
+        from repro.api import ReproEngine
+        from repro.tables import Table, table_from_csv
+
+        tables = [
+            Table(
+                columns=["Nation", "Total", "Golds"],
+                rows=[["Fiji", "120", "40"], ["Samoa", "80", "20"],
+                      ["Tonga", "95", "30"], ["Greece", "town", "10"],
+                      ["Norway", "300", "90"]],
+                name="medals",
+            ),
+            Table(
+                columns=["Nation", "Continent"],
+                rows=[["Fiji", "Oceania"], ["Samoa", "Oceania"], ["Tonga", "Oceania"],
+                      ["Greece", "Europe"], ["Norway", "Europe"]],
+                name="regions",
+            ),
+        ]
+        for table in tables:
+            table_to_csv(table, tmp_path / f"{table.name}.csv")
+        question = "what is the total for nations in Oceania"
+        argv = ["route", "--corpus", str(tmp_path), "--question", question, "--sets"]
+        out = io.StringIO()
+        assert main([*argv, "--json"], out=out) == 0
+        sets = json.loads(out.getvalue())["sets"]
+
+        engine = ReproEngine(
+            tables=[table_from_csv(path) for path in sorted(tmp_path.glob("*.csv"))]
+        )
+        decision = engine.routing_sets(question)
+        assert sets == {
+            "coverable": list(decision.coverable),
+            "single_covered": decision.single_covered,
+            "proposals": [
+                {
+                    "tables": [ref.name for ref in proposal.refs],
+                    "covered": list(proposal.covered),
+                    "missing": list(proposal.missing),
+                    "score": proposal.score,
+                }
+                for proposal in decision.proposals
+            ],
+        }
+        assert sets["coverable"] == ["entity:oceania", "header:total", "token:oceania"]
+        assert sets["single_covered"] is False
+        assert [(p["tables"], p["missing"], p["score"]) for p in sets["proposals"]] == [
+            (["regions", "medals"], [], 5.5)
+        ]
+
+        out = io.StringIO()
+        assert main(argv, out=out) == 0
+        assert "set 1: regions + medals (covers 3/3, complete, score 5.5)" in (
+            out.getvalue().splitlines()
+        )
+
     def test_route_empty_corpus_fails(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -1,7 +1,7 @@
 """Shard-set routing and the composed answer through the full stack.
 
 Covers :meth:`CorpusIndex.term_coverage`, the
-:class:`~repro.retrieval.router.ShardSetRouter` proposal rules, the
+:meth:`~repro.retrieval.router.ShardRouter.route_sets` proposal rules, the
 catalog's additive composition (`ask_any` single-shard ranking is
 byte-identical with composition on or off), the v2 wire envelope's
 ``composed`` field, the multi-table question tier, and the
@@ -16,7 +16,6 @@ from repro.api import ReproEngine, QueryResult
 from repro.api import schema as wire_schema
 from repro.dataset import JoinCorpusConfig, build_join_corpus
 from repro.perf.join import JOIN_RECALL_KS, run_join_bench
-from repro.retrieval import ShardSetRouter
 from repro.tables import Table
 from repro.tables.catalog import TableCatalog
 
@@ -110,11 +109,9 @@ class TestShardSetRouter:
         widened = catalog.routing_sets(JOIN_QUESTION, max_proposals=8)
         assert widened.proposals[: len(default.proposals)] == default.proposals
 
-    def test_constructor_validates_knobs(self, catalog):
+    def test_max_proposals_validation(self, catalog):
         with pytest.raises(ValueError):
-            ShardSetRouter(catalog.corpus_index(), catalog._router, max_set_size=1)
-        with pytest.raises(ValueError):
-            ShardSetRouter(catalog.corpus_index(), catalog._router, max_proposals=0)
+            catalog.routing_sets(JOIN_QUESTION, max_proposals=0)
 
 
 class TestCatalogComposition:

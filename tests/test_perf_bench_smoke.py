@@ -12,8 +12,10 @@ assert *behaviour*, never timing thresholds.  Select them alone with
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -25,7 +27,8 @@ from repro.perf import (
     run_parse_bench,
     timing_summary,
 )
-from repro.perf.bench import latency_summary, summary_lines
+from repro.parser.candidates import SemanticParser
+from repro.perf.bench import latency_summary, run_mode, summary_lines
 
 pytestmark = pytest.mark.bench_smoke
 
@@ -95,6 +98,32 @@ class TestBenchSmoke:
         assert set(payload["modes"]) == set(BENCH_MODES)
         # The scaled corpus: 2 tables x 2 questions x 2 repeats.
         assert payload["questions"] == 8
+
+
+class _Cycle:
+    pass
+
+
+class TestRunMode:
+    def test_a_mode_starts_after_a_full_collection(self, smoke_pairs, monkeypatch):
+        """Garbage an earlier mode left in the oldest generation is freed
+        before the next mode's first parse, not on its clock."""
+        events = []
+        cycle = _Cycle()
+        cycle.self = cycle
+        gc.collect()  # still referenced: the cycle moves to the oldest generation
+        alive = weakref.ref(cycle, lambda _ref: events.append("freed"))
+        del cycle  # now only a full collection frees it
+        real_parse = SemanticParser.parse
+
+        def parse(self, *args, **kwargs):
+            events.append("parse")
+            return real_parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(SemanticParser, "parse", parse)
+        run_mode("indexed", smoke_pairs[:2])
+        assert alive() is None
+        assert events[0] == "freed"
 
 
 class TestSummaries:

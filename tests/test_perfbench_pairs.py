@@ -98,9 +98,57 @@ class TestVerdict:
             metrics,
             runs(pairs, PARENT_RSS),
             runs(pairs, [value - 1.2 for value in PARENT_RSS]),
+            pairs.gated_bounds(REPO_ROOT / "BENCHMARK.json"),
         )
         assert [line.split(" ")[0] for line in lines] == [name for name, _ in metrics]
         rss = lines[1]
         assert "parent 38.9 [38.85, 38.95]" in rss
         assert "change won 10/10 pairs: resolved" in rss
         assert lines[0].endswith("change won 0/10 pairs: unresolved")
+
+
+#: A set-up time whose interquartile spread (0.29-0.38 ms) is wider than
+#: a 25% bound on its 0.32 ms median (0.08 ms).
+WIDE_SETUP = [
+    0.00026, 0.00041, 0.00032, 0.00030, 0.00045, 0.00024, 0.00033, 0.00038, 0.00029, 0.00035,
+]
+
+
+class TestRegressionVerdict:
+    def test_gated_bounds_are_the_benchmark_bounds(self, pairs):
+        assert pairs.gated_bounds(REPO_ROOT / "BENCHMARK.json") == {
+            "setup_s": 0.25, "rss_peak_mb": 0.25, "answer_accuracy": 0.25,
+        }
+
+    def test_worse_by_less_than_the_bound_is_no_worse(self, pairs):
+        change = [value + 1.0 for value in PARENT_RSS]  # 2.6% worse, every pair lost
+        assert pairs.regression(PARENT_RSS, change, "lower", 0.25) == "no worse"
+
+    def test_worse_by_more_than_the_bound_is_worse(self, pairs):
+        change = [value * 1.3 for value in PARENT_RSS]
+        assert pairs.regression(PARENT_RSS, change, "lower", 0.25) == "worse"
+
+    def test_a_parent_spread_wider_than_the_bound_is_unresolved(self, pairs):
+        change = list(reversed(WIDE_SETUP))  # the same runs: medians equal
+        assert pairs.regression(WIDE_SETUP, change, "lower", 0.25) == "unresolved"
+
+    def test_every_change_run_better_is_no_worse_despite_the_spread(self, pairs):
+        change = [min(WIDE_SETUP) - 0.00001 * (index + 1) for index in range(10)]
+        assert pairs.regression(WIDE_SETUP, change, "lower", 0.25) == "no worse"
+
+    def test_higher_is_better_reads_a_drop_as_worse(self, pairs):
+        parent = [0.592896] * 10
+        assert pairs.regression(parent, parent, "higher", 0.25) == "no worse"
+        assert pairs.regression(parent, [0.60] * 10, "higher", 0.25) == "no worse"
+        assert pairs.regression(parent, [0.40] * 10, "higher", 0.25) == "worse"
+
+    def test_report_line_carries_the_verdict(self, pairs):
+        metrics = pairs.gated_metrics(REPO_ROOT / "BENCHMARK.json")
+        lines = pairs.report_lines(
+            metrics,
+            runs(pairs, PARENT_RSS),
+            runs(pairs, [value * 1.3 for value in PARENT_RSS]),
+            pairs.gated_bounds(REPO_ROOT / "BENCHMARK.json"),
+        )
+        assert "against the 25% bound: worse; change won 0/10 pairs" in lines[1]
+        assert "against the 25% bound: no worse;" in lines[2]

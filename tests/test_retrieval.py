@@ -25,14 +25,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.parser.lexicon import Lexicon
+from repro.parser.lexicon import STOP_WORDS, Lexicon
 from repro.retrieval import (
     CorpusIndex,
     ShardRouter,
-    ShardSetRouter,
     extract_question_terms,
     extract_shard_posting,
     extract_shard_postings,
+    question_terms,
+)
+from repro.retrieval.corpus_index import (
+    ENTITY_PHRASE_WEIGHT,
+    ENTITY_TOKEN_WEIGHT,
+    HEADER_TOKEN_WEIGHT,
+    NUMBER_WEIGHT,
 )
 from repro.tables import Table, TableCatalog
 from repro.tables.catalog import CatalogError, NameConflictError
@@ -195,13 +201,13 @@ class TestShardRouter:
         tables, _ = corpus
         catalog = TableCatalog()
         refs = catalog.register_all(tables)
-        router = ShardRouter(catalog.corpus_index(), max_candidates=1)
-        decision = router.route("Greece Fiji United 10", refs)
+        router = ShardRouter(catalog.corpus_index())
+        decision = router.route("Greece Fiji United 10", refs, max_candidates=1)
         assert decision.num_candidates == 1
 
     def test_max_candidates_validation(self):
         with pytest.raises(ValueError):
-            ShardRouter(CorpusIndex(), max_candidates=0)
+            ShardRouter(CorpusIndex()).route("anything", [], max_candidates=0)
         catalog = TableCatalog()
         with pytest.raises(ValueError):
             catalog.routing("anything", max_candidates=0)
@@ -216,6 +222,32 @@ class TestShardRouter:
         assert capped.num_pruned == 1
         # The capped decision only carries the survivors' scores.
         assert len(capped.scored) == 2
+
+    def test_each_decision_probes_the_index_once(self, corpus, monkeypatch):
+        """One probe per decision: route, route_sets and a corpus-wide ask
+        each read the index once, capped or not."""
+        probes = []
+        real = CorpusIndex.probe
+
+        def counted(index, question):
+            probes.append(question)
+            return real(index, question)
+
+        monkeypatch.setattr(CorpusIndex, "probe", counted)
+        tables, _ = corpus
+        catalog = TableCatalog()
+        catalog.register_all(tables)
+        question = "which country hosted in 2004"
+        for read in (
+            lambda: catalog.routing(question),
+            lambda: catalog.routing(question, max_candidates=1),
+            lambda: catalog.routing_sets(question),
+            lambda: catalog.routing_sets(question, max_candidates=2, max_proposals=8),
+            lambda: catalog.ask_any(question, k=2, workers=1),
+        ):
+            probes.clear()
+            read()
+            assert probes == [question]
 
     def test_capped_zero_hit_question_still_falls_back(self, corpus):
         tables, _ = corpus
@@ -492,6 +524,86 @@ class TestPrunedMatchesBroadcastProperty:
 
 
 # ---------------------------------------------------------------------------
+# the reference: the inverted maps against a scan of each shard's posting
+# ---------------------------------------------------------------------------
+
+
+def _scan(index, question):
+    """Score, label and cover every live shard by scanning its own posting.
+
+    The slow reference for :meth:`CorpusIndex.probe` and its views: no
+    inverted map is read, only ``index.posting(digest)`` per shard,
+    matched against :func:`question_terms` channel by channel.
+    """
+    terms = question_terms(question, index.max_span_length)
+    content = {t for t in terms.tokens if t not in STOP_WORDS and t.isalnum()}
+    scores, labels, coverage = {}, {}, {}
+    for digest in index.digests():
+        posting = index.posting(digest)
+        matched = (
+            [(f"entity:{p}", ENTITY_PHRASE_WEIGHT) for p in terms.phrases
+             if p in posting.entity_keys]
+            + [(f"token:{t}", ENTITY_TOKEN_WEIGHT) for t in content
+               if t in posting.entity_tokens]
+            + [(f"header:{t}", HEADER_TOKEN_WEIGHT) for t in set(terms.tokens)
+               if t in posting.header_tokens]
+            + [(f"number:{n.display()}", NUMBER_WEIGHT) for n in terms.numbers
+               if n in posting.numbers]
+        )
+        if matched:
+            scores[digest] = sum(weight for _, weight in matched)
+            labels[digest] = tuple(sorted(label for label, _ in matched))
+            for label, _ in matched:
+                coverage.setdefault(label, set()).add(digest)
+    return scores, labels, {label: frozenset(d) for label, d in coverage.items()}
+
+
+def assert_index_matches_scan(index, question, refs=None):
+    """``score_question``, ``term_coverage`` and (given ``refs``) the
+    uncapped route equal what a scan of the postings derives."""
+    scores, labels, coverage = _scan(index, question)
+    hits = index.score_question(question)
+    assert {d: (hit.score, hit.matched) for d, hit in hits.items()} == {
+        d: (scores[d], labels[d]) for d in scores
+    }
+    assert index.term_coverage(question) == coverage
+    if refs is not None:
+        position = {ref.digest: i for i, ref in enumerate(refs)}
+        ranked = sorted(refs, key=lambda ref: (-scores.get(ref.digest, 0.0),
+                                               position[ref.digest]))
+        decision = ShardRouter(index).route(question, refs)
+        assert [(s.ref, s.score, s.matched) for s in decision.scored] == [
+            (ref, scores.get(ref.digest, 0.0), labels.get(ref.digest, ()))
+            for ref in ranked
+        ]
+
+
+class TestIndexMatchesScan:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(catalogs_and_questions())
+    def test_probe_views_equal_a_posting_scan(self, case):
+        tables, question = case
+        catalog = TableCatalog()
+        refs = catalog.register_all(tables)
+        assert_index_matches_scan(catalog.corpus_index(), question, refs)
+
+    def test_fixture_questions_and_edge_probes(self, corpus):
+        tables, questions = corpus
+        # Stop-word headers: only the all-tokens header channel reaches them.
+        legs = Table(columns=["From", "To"], rows=[["Paris", "Rome"]], name="legs")
+        catalog = TableCatalog()
+        refs = catalog.register_all([*tables, legs])
+        for question in [
+            *questions.values(), "", "the of a", "Greece 2004 33.0", "from paris to",
+        ]:
+            assert_index_matches_scan(catalog.corpus_index(), question, refs)
+
+
+# ---------------------------------------------------------------------------
 # the catch-up: registration extracts nothing, the first read indexes
 # ---------------------------------------------------------------------------
 
@@ -614,12 +726,11 @@ class TestCatchUp:
         if read == "routing":
             assert catalog.routing(question) == router.route(question, refs)
         elif read == "routing_sets":
-            assert catalog.routing_sets(question) == ShardSetRouter(
-                reference, router
-            ).route_sets(question, refs)
+            assert catalog.routing_sets(question) == router.route_sets(question, refs)
         elif read == "stats":
             assert catalog.stats()["retrieval"] == reference.stats()
         assert catalog.corpus_index().snapshot() == reference.snapshot()
+        assert_index_matches_scan(catalog.corpus_index(), question, refs)
         assert catalog.routing(question) == router.route(question, refs)
 
     def test_concurrent_registration_and_reads_lose_no_posting(self):

@@ -744,6 +744,7 @@ _ERROR_CASES = [
     ("bad-k-type", {"question": "x", "k": "five"}, "BAD_REQUEST"),
     ("bad-k-bool", {"question": "x", "k": True}, "BAD_REQUEST"),
     ("bad-prune-type", {"question": "x", "prune": "yes"}, "BAD_REQUEST"),
+    ("retired-backend", {"question": "x", "backend": "thread"}, "BAD_REQUEST"),
     ("unknown-table", {"question": "x", "table": "atlantis"}, "UNKNOWN_TABLE"),
 ]
 
