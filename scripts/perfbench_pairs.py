@@ -28,6 +28,10 @@ side.
   of the pairs and the medians differ by more than the parent's
   interquartile spread; otherwise ``unresolved``.
 
+Then, for the timings perfbench prints in its ``end-to-end:`` block but
+``BENCHMARK.json`` does not gate (:data:`UNGATED_TIMINGS`), it prints
+both sides' median and quartiles, marked ``not gated``, with no verdict.
+
 The script changes nothing in either tree beyond what
 ``perfbench/run.py`` itself writes there.
 """
@@ -45,6 +49,14 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Share of the pairs the change must win for a gain to be claimed.
 WIN_SHARE = 0.9
+#: ``(name, better)`` of the end-to-end timings reported without a verdict.
+UNGATED_TIMINGS = (
+    ("throughput_ops", "higher"),
+    ("cold_p50_ms", "lower"),
+    ("warm_p50_ms", "lower"),
+    ("warm_p99_ms", "lower"),
+    ("latency_p99_ms", "lower"),
+)
 
 
 class RunRefused(RuntimeError):
@@ -63,8 +75,34 @@ def gated_bounds(benchmark: Path) -> Dict[str, float]:
     return {metric["name"]: float(metric["bound"]) for metric in spec["end_to_end"]}
 
 
+def parse_end_to_end(output: str) -> Dict[str, float]:
+    """Each value of the run's ``end-to-end:`` block, by metric name.
+
+    perfbench prints one indented ``name value unit`` line per metric
+    under that heading; a value shown as ``n/a`` is left out.
+    """
+    values: Dict[str, float] = {}
+    lines = iter(output.splitlines())
+    for line in lines:
+        if line.startswith("end-to-end"):
+            break
+    for line in lines:
+        if not line.startswith("  "):
+            break
+        name, shown = line.split()[:2]
+        try:
+            values[name] = float(shown)
+        except ValueError:  # "n/a"
+            continue
+    return values
+
+
 def parse_run(output: str, label: str) -> Dict[str, float]:
-    """The metric values of one run's output; refuses an incorrect run."""
+    """The metric values of one run's output; refuses an incorrect run.
+
+    The gated metrics come from the last line, at full precision; the
+    ``end-to-end:`` block adds the ungated ones, as printed.
+    """
     lines = [line for line in output.splitlines() if line.strip()]
     try:
         last = json.loads(lines[-1])
@@ -72,7 +110,8 @@ def parse_run(output: str, label: str) -> Dict[str, float]:
         raise RunRefused(f"{label}: the last line is not the result object") from None
     if not isinstance(last, dict) or last.get("correct") is not True:
         raise RunRefused(f"{label}: the run is not correct: {lines[-1][:200]}")
-    return {name: float(entry["value"]) for name, entry in last["metrics"].items()}
+    gated = {name: float(entry["value"]) for name, entry in last["metrics"].items()}
+    return {**parse_end_to_end(output), **gated}
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: int, label: str) -> Dict[str, float]:
@@ -159,6 +198,26 @@ def report_lines(
     return lines
 
 
+def timing_lines(
+    parent_runs: Sequence[Dict[str, float]], change_runs: Sequence[Dict[str, float]]
+) -> List[str]:
+    """One line per :data:`UNGATED_TIMINGS` entry: quartiles, no verdict."""
+    lines = []
+    runs = [*parent_runs, *change_runs]
+    for name, better in UNGATED_TIMINGS:
+        if not all(name in run for run in runs):
+            lines.append(f"{name} (not gated): not reported by every run")
+            continue
+        p25, p50, p75 = quartiles([run[name] for run in parent_runs])
+        c25, c50, c75 = quartiles([run[name] for run in change_runs])
+        lines.append(
+            f"{name} ({better} is better, not gated): "
+            f"parent {p50:.6g} [{p25:.6g}, {p75:.6g}], "
+            f"change {c50:.6g} [{c25:.6g}, {c75:.6g}]"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent commit's source tree")
@@ -195,6 +254,8 @@ def main(argv=None) -> int:
         print(f"refused: {refused}", file=sys.stderr)
         return 1
     for line in report_lines(metrics, parent_runs, change_runs, gated_bounds(benchmark)):
+        print(line)
+    for line in timing_lines(parent_runs, change_runs):
         print(line)
     return 0
 

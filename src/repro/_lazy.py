@@ -1,14 +1,14 @@
 """Package exports that load on first use (PEP 562 module ``__getattr__``).
 
-Every :mod:`repro` package ``__init__`` except :mod:`repro.core` binds
-the ``__getattr__`` and ``__dir__`` that :func:`attach` builds over a
-table mapping each exported name to the module that defines it. So
-``import repro.api`` loads nothing below it, and
-``from repro.api import ReproEngine`` loads only the modules
-``ReproEngine`` needs. A served process never loads the SQL checker,
-the user-study simulator, the bench harnesses or the training, online
-and deployment loops, and it never loads ``sqlite3``. Scientific
-Python's SPEC 1 describes the same idea.
+Every :mod:`repro` package ``__init__`` binds the ``__getattr__`` and
+``__dir__`` that :func:`attach` builds over a table mapping each
+exported name to the module that defines it. So ``import repro.api``
+loads nothing below it, and ``from repro.api import ReproEngine`` loads
+only the modules ``ReproEngine`` needs. A served process never loads
+the SQL checker, the user-study simulator, the bench harnesses, the
+training, online and deployment loops, or the provenance, highlight,
+sampling and rendering code before a highlight is read, and it never
+loads ``sqlite3``. Scientific Python's SPEC 1 describes the same idea.
 
 The price: the first access to a lazily exported name pays its module's
 import at that point (the first ``engine.server()``, the first process
@@ -20,10 +20,11 @@ same name to that module. A package that exports a non-module name equal
 to one of its submodule names would see its export shadowed whenever the
 submodule is imported before the name is first read. :mod:`repro.core`
 exports the function ``utterance`` and has the submodule
-``repro.core.utterance``, so it keeps its eager imports; every process
-that parses loads all of it anyway. ``tests/test_public_api.py`` checks
-in a fresh interpreter that every exported name is the object its
-defining module binds.
+``repro.core.utterance``, so it imports that module's exports eagerly,
+before anything else can import the submodule (every process that
+parses loads it anyway), and leaves the rest lazy.
+``tests/test_public_api.py`` checks in a fresh interpreter that every
+exported name is the object its defining module binds.
 """
 
 from __future__ import annotations

@@ -317,7 +317,10 @@ class ReproEngine:
         and reused for every query until :meth:`close` — warm workers,
         incremental table shipping and shard pinning.  Requests are
         answered on ``backend``'s pool; :meth:`pool` hands out another
-        backend's to a caller that asks for it by name.
+        backend's to a caller that asks for it by name.  ``workers``
+        sizes the process backend and a bound server's corpus-wide jobs
+        executor (at most one thread per core on the thread backend,
+        which parses on the calling thread: see :meth:`pool`).
     call_timeout:
         Per-dispatch watchdog of the persistent process pool: a worker
         sitting on one batch message longer than this (seconds) is
@@ -405,14 +408,19 @@ class ReproEngine:
 
     # -- worker pools ----------------------------------------------------------
     def pool(self, backend: Optional[str] = None):
-        """The engine's long-lived worker pool for ``backend`` (lazy)."""
+        """The engine's long-lived worker pool for ``backend`` (lazy).
+
+        A :func:`~repro.perf.pool.serving_pool`: ``workers`` processes
+        on the process backend; on the thread backend one worker, which
+        parses each unit on the thread that asked.
+        """
         backend = backend or self.backend
         with self._pools_lock:
             pool = self._pools.get(backend)
             if pool is None:
-                from ..perf.pool import create_pool
+                from ..perf.pool import serving_pool
 
-                pool = create_pool(
+                pool = serving_pool(
                     backend,
                     self.catalog.interface.parser,
                     self.workers,

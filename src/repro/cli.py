@@ -186,7 +186,12 @@ def build_argument_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--max-hot", type=int, help="keep at most N shards hot")
     serve_cmd.add_argument("--host", default="127.0.0.1")
     serve_cmd.add_argument("--port", type=int, default=8765)
-    serve_cmd.add_argument("--workers", type=int, default=8, help="worker pool size")
+    serve_cmd.add_argument(
+        "--workers", type=int, default=8,
+        help="worker processes (--backend process) and concurrent corpus-wide "
+        "jobs (at most one per core on the thread backend, which parses "
+        "routed reads on the dispatcher thread)",
+    )
     serve_cmd.add_argument(
         "--backend", choices=["thread", "process"], default="thread",
         help="worker pool backend",

@@ -1,23 +1,32 @@
-"""The paper's core contribution: provenance, utterances and highlights."""
+"""The paper's core contribution: provenance, utterances and highlights.
 
-from .provenance import (
-    AggregateMarker,
-    MultilevelProvenance,
-    ProvenanceEngine,
-    ProvenanceLevel,
-    compute_provenance,
-)
-from .highlights import HighlightedTable, HighlightLevel, Highlighter, highlight
+Exports load on first use (:mod:`repro._lazy`), except the utterance
+module's: ``utterance`` is both an exported function and the submodule
+``repro.core.utterance``, so it is imported eagerly, before anything can
+bind the submodule over the name, and every process that parses loads
+it anyway. A served process therefore loads no provenance, highlight,
+sampling or rendering code until an explanation's highlight is read.
+"""
+
+from .. import _lazy
 from .utterance import DerivationNode, UtteranceResult, derive, utterance
-from .grammar_templates import TABLE3_RULES, GrammarRule, format_table3, rules_for_node
-from .sampling import HighlightSample, HighlightSampler, sample_highlights
-from .rendering import TEXT_LEGEND, render_html, render_table_text, render_text
-from .explanation import (
-    LARGE_TABLE_THRESHOLD,
-    ExplanationGenerator,
-    QueryExplanation,
-    explain,
-    explain_candidates,
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        ".provenance": [
+            "AggregateMarker", "MultilevelProvenance", "ProvenanceEngine",
+            "ProvenanceLevel", "compute_provenance",
+        ],
+        ".highlights": ["HighlightedTable", "HighlightLevel", "Highlighter", "highlight"],
+        ".grammar_templates": ["TABLE3_RULES", "GrammarRule", "format_table3", "rules_for_node"],
+        ".sampling": ["HighlightSample", "HighlightSampler", "sample_highlights"],
+        ".rendering": ["TEXT_LEGEND", "render_html", "render_table_text", "render_text"],
+        ".explanation": [
+            "LARGE_TABLE_THRESHOLD", "ExplanationGenerator", "QueryExplanation",
+            "explain", "explain_candidates",
+        ],
+    },
 )
 
 __all__ = [

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..tables.table import Table
 from ..dcs.ast import Query
 from ..dcs.executor import ExecutionResult, Executor
 from ..dcs.sexpr import to_sexpr
-from .highlights import HighlightedTable, Highlighter
-from .rendering import render_html, render_text
-from .sampling import HighlightSample, HighlightSampler
 from .utterance import DerivationNode, derive
+
+if TYPE_CHECKING:
+    from .highlights import HighlightedTable
+    from .sampling import HighlightSample
 
 #: Above this many rows, explanations display the sampled highlight only.
 LARGE_TABLE_THRESHOLD = 50
@@ -41,6 +42,10 @@ class QueryExplanation:
     first ``highlighted`` read pays for the provenance (about 0.15 ms per
     query on a 2-CPU host), ``repro ask``'s text output reads all k, and on
     Python 3.10 and 3.11 ``cached_property`` serializes first reads per class.
+    The highlight, sampling and rendering modules are imported by the
+    properties and renderers that use them, so the first such read in a
+    process also pays their import; a process that only serves answers
+    never loads them.
     """
 
     query: Query
@@ -52,6 +57,8 @@ class QueryExplanation:
 
     @cached_property
     def highlighted(self) -> HighlightedTable:
+        from .highlights import Highlighter
+
         return Highlighter(self.table).highlight(self.query, output=True)
 
     @cached_property
@@ -65,6 +72,9 @@ class QueryExplanation:
     @cached_property
     def sample(self) -> HighlightSample:
         """The Figure 7 row sample, displayed over :data:`LARGE_TABLE_THRESHOLD` rows."""
+        from .highlights import Highlighter
+        from .sampling import HighlightSampler
+
         sampler = HighlightSampler(Highlighter(self.table), seed=self.sampling_seed)
         return sampler.sample(self.highlighted)
 
@@ -85,11 +95,15 @@ class QueryExplanation:
 
     def as_text(self, ansi: bool = False) -> str:
         """Terminal-friendly rendering: utterance plus highlighted rows."""
+        from .rendering import render_text
+
         body = render_text(self.highlighted, rows=self.display_rows(), ansi=ansi)
         return f"utterance: {self.utterance}\n{body}"
 
     def as_html(self) -> str:
         """HTML rendering close to the user-study interface."""
+        from .rendering import render_html
+
         return render_html(self.highlighted, rows=self.display_rows(), caption=self.utterance)
 
 

@@ -6,9 +6,9 @@ requests, ``NLInterface.ask_many`` and the parse bench's pooled modes —
 runs on a :class:`WorkerPool`.  The serving layer
 (:class:`~repro.api.engine.ReproEngine` /
 :class:`~repro.serving.server.AsyncServer`) creates one pool per backend
-and reuses it across every batch until :meth:`~WorkerPool.close`; a
-caller with no long-lived pool builds one with :func:`create_pool` for
-the length of its call.
+and reuses it across every batch until :meth:`~WorkerPool.close`
+(:func:`serving_pool` builds it); a caller with no long-lived pool
+builds one with :func:`create_pool` for the length of its call.
 
 Two flavours behind one interface:
 
@@ -16,7 +16,9 @@ Two flavours behind one interface:
   shared :class:`~repro.parser.candidates.SemanticParser`, built lazily
   on the first multi-item batch (a one-worker pool, or a one-item
   batch, parses inline).  Every cache stays shared, and a ranked memo
-  answers repeat units.
+  answers repeat units.  A long-lived thread pool has one worker and
+  parses on the calling thread (:func:`serving_pool`); only call-scoped
+  pools and the parse bench's ``batched`` mode build the executor.
 * :class:`ProcessWorkerPool` — worker *processes*, each holding a
   fingerprint-addressed table registry that survives between batches
   and parsing through its own one-worker :class:`ThreadWorkerPool`, so
@@ -80,7 +82,7 @@ supervises its workers instead of trusting them:
   round is parsed **inline** in the driver;
 * after :attr:`~ProcessWorkerPool.max_respawn_failures` *consecutive*
   respawn failures the pool **downgrades** to a
-  :class:`ThreadWorkerPool` fallback — logged, visible in
+  :func:`serving_pool` thread fallback — logged, visible in
   :meth:`~WorkerPool.stats` (``downgraded``/``downgrades``) and
   bit-identical, because parsing is deterministic for a fixed
   parser configuration regardless of backend.
@@ -161,6 +163,18 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def parse_threads(workers: int) -> int:
+    """How many of ``workers`` threads may parse at once.
+
+    Parsing is pure Python and holds the GIL, so threads beyond the
+    cores this process may use overlap no parsing: they only add switch
+    churn, and each keeps its own allocator heap.  Caps a thread pool's
+    executor and the jobs executor on which a thread-backend server
+    parses corpus-wide requests.
+    """
+    return min(workers, _available_cpus()) or 1
+
+
 def _refresh_inherited_locks(parser: SemanticParser) -> None:
     """Replace every lock a forked worker inherited from the driver.
 
@@ -221,6 +235,32 @@ def create_pool(
     if backend == "thread":
         return ThreadWorkerPool(parser, max_workers=max_workers)
     raise ValueError(f"unknown pool backend {backend!r}")
+
+
+def serving_pool(
+    backend: str,
+    parser: SemanticParser,
+    workers: int = 1,
+    call_timeout: Optional[float] = None,
+) -> "WorkerPool":
+    """A long-lived pool: an engine's, or a downgraded process pool's fallback.
+
+    On the process backend it has ``workers`` processes.  On the thread
+    backend it has one worker whatever ``workers`` says, so
+    ``parse_all`` parses every unit on the thread that calls it (a
+    server's dispatcher, a ``query`` caller, a server's jobs thread for
+    a corpus-wide request) and no pool thread starts: parsing holds the
+    GIL, so more threads would overlap no parsing, and each would keep
+    its own allocator heap.  The price is that a batch's units parse one
+    after another, and each checks its deadline only when its turn
+    comes: a unit whose deadline passes while an earlier unit parses is
+    not parsed and comes back as :class:`DeadlineExceeded`.  Only a
+    call-scoped :func:`create_pool` (``ask_many`` without a pool, the
+    parse bench's ``batched`` mode) builds a thread executor.
+    """
+    if backend == "thread":
+        return ThreadWorkerPool(parser, max_workers=1)
+    return create_pool(backend, parser, workers, call_timeout=call_timeout)
 
 
 class WorkerPool:
@@ -344,10 +384,9 @@ class ThreadWorkerPool(WorkerPool):
 
     @property
     def workers(self) -> int:
-        # Parsing is pure Python (GIL-bound): threads beyond the cores
-        # this process may use cannot overlap compute, they only add
-        # switch churn — cap like the process flavour does.
-        return min(self.max_workers, _available_cpus()) or 1
+        # Only a call-scoped pool asks for more than one thread (a
+        # long-lived one is a serving_pool); cap them at the cores.
+        return parse_threads(self.max_workers)
 
     def _parse_one(self, item: BatchItem) -> PoolResult:
         if _deadline_expired(item.deadline):
@@ -845,9 +884,7 @@ class ProcessWorkerPool(WorkerPool):
         for worker in self._workers:
             self._kill_worker(worker)
         self._workers = []
-        self._fallback = ThreadWorkerPool(
-            self.parser, max_workers=self.max_workers
-        )
+        self._fallback = serving_pool("thread", self.parser)
 
     # -- scheduling ------------------------------------------------------------
     def _assign(

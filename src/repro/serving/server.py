@@ -124,11 +124,16 @@ class AsyncServer:
         ``ReproEngine(catalog, workers=max_workers, backend=backend)``
         — to serve.  All routing, eviction, cache and pool policy lives
         there; the server adds concurrency only, and every batch is
-        answered on the engine's ``workers`` and ``backend``.
+        answered on the engine's pool: on the thread backend in the
+        dispatcher thread itself, on the process backend across the
+        engine's ``workers``.
     max_workers / backend:
         The pool settings of the engine built around a bare catalog
-        (default 8 workers, ``"thread"``).  An engine passed in keeps
-        its own: naming different ones here is a ``ValueError``.
+        (default 8 workers, ``"thread"``).  The engine's ``workers``
+        also sizes the executor that runs corpus-wide requests, capped
+        at the cores on the thread backend, where those requests parse
+        on its threads.  An engine passed in keeps its own: naming
+        different ones here is a ``ValueError``.
     max_batch:
         Upper bound on questions merged into one dispatcher batch.
     max_line_bytes:
@@ -186,11 +191,13 @@ class AsyncServer:
         self.max_line_bytes = max_line_bytes
         self.max_pending = max_pending
         self.stats = ServerStats()
-        # One dispatcher thread: batches run serially (parallelism lives
-        # *inside* a batch, on the engine's worker pool), so arrivals
-        # during a batch accumulate into the next one.  The jobs executor
-        # carries corpus-wide requests so they overlap the routed groups
-        # (and each other) instead of running serially inline.
+        # One dispatcher thread: batches run serially (on the process
+        # backend, parallelism lives *inside* a batch; the thread backend
+        # parses on this thread), so arrivals during a batch accumulate
+        # into the next one.  The jobs executor carries corpus-wide
+        # requests so they overlap the routed groups (and each other)
+        # instead of running serially inline; on the thread backend,
+        # where they parse on its threads, it has one per core at most.
         self._executor: Optional[ThreadPoolExecutor] = None
         self._jobs: Optional[ThreadPoolExecutor] = None
         self._queue: Optional[asyncio.Queue] = None
@@ -211,8 +218,14 @@ class AsyncServer:
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serve"
             )
+            jobs = self.engine.workers
+            if self.engine.backend == "thread":
+                # Corpus-wide requests parse on these threads themselves.
+                from ..perf.pool import parse_threads
+
+                jobs = parse_threads(jobs)
             self._jobs = ThreadPoolExecutor(
-                max_workers=self.engine.workers, thread_name_prefix="repro-serve-job"
+                max_workers=jobs, thread_name_prefix="repro-serve-job"
             )
             self._dispatcher = asyncio.get_running_loop().create_task(
                 self._dispatch_loop()

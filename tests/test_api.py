@@ -217,6 +217,33 @@ class TestReproEngine:
         result = engine.query(questions["olympics"], target="olympics", deadline_ms=1)
         assert result.error_code is ErrorCode.TIMEOUT
 
+    def test_a_batch_checks_each_deadline_when_its_unit_starts(self, corpus, engine):
+        """The thread backend parses a batch's units one after another on
+        the calling thread, so a unit whose deadline passes while an
+        earlier unit parses is a coded TIMEOUT and is never parsed."""
+        _, questions = corpus
+        parser = engine.catalog.interface.parser
+        real_parse = parser.parse
+        parsed = []
+
+        def slow_parse(question, table, **kwargs):
+            parsed.append((question, threading.current_thread()))
+            if question == questions["olympics"]:
+                time.sleep(0.3)
+            return real_parse(question, table, **kwargs)
+
+        parser.parse = slow_parse
+        first, second = engine.query_many([
+            QueryRequest(question=questions["olympics"], target="olympics"),
+            QueryRequest(
+                question="which city hosted in 2008", target="olympics", deadline_ms=150
+            ),
+        ])
+        assert first.ok
+        assert second.error_code is ErrorCode.TIMEOUT
+        assert "before parsing" in second.error.message
+        assert parsed == [(questions["olympics"], threading.current_thread())]
+
     def test_answer_fails_an_expired_request_before_dispatch(self, corpus, engine):
         _, questions = corpus
         request = QueryRequest(question=questions["olympics"], target="olympics")

@@ -19,6 +19,7 @@ The fault-tolerance acceptance bar of ISSUE 7:
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -26,7 +27,7 @@ import pytest
 from repro import faults
 from repro.api import QueryRequest, ReproClient
 from repro.api.errors import ApiError, ErrorCode
-from repro.perf import create_pool
+from repro.perf import BatchItem, create_pool
 from repro.perf.diskcache import DiskCache
 from repro.serving import AsyncServer
 from repro.tables import TableCatalog
@@ -178,6 +179,19 @@ class TestRespawnFailureDowngrade:
             again = pool.parse_all(normalize(items))
             assert result_signatures(again) == reference
             assert stats["downgrades"] == 1
+            # The fallback has one worker, so it parses on the calling
+            # thread, as an engine's thread pool does.
+            assert stats["fallback"]["workers"] == 1
+            parsed_on = set()
+            real_parse = pool.parser.parse
+
+            def recording_parse(*args, **kwargs):
+                parsed_on.add(threading.current_thread())
+                return real_parse(*args, **kwargs)
+
+            pool.parser.parse = recording_parse
+            pool.parse_all([BatchItem(question, table, k=2) for question, table in items])
+            assert parsed_on == {threading.current_thread()}
 
     def test_transient_respawn_failure_recovers_without_downgrade(self):
         """A respawn that fails once then succeeds keeps the process

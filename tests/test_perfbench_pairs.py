@@ -152,3 +152,77 @@ class TestRegressionVerdict:
         )
         assert "against the 25% bound: worse; change won 0/10 pairs" in lines[1]
         assert "against the 25% bound: no worse;" in lines[2]
+
+
+def run_output(throughput, warm_p99, cold_p50="26.1936", rss=36.96875):
+    """A whole untraced run's output, laid out as ``perfbench/run.py`` prints it."""
+    return f"""perfbench interactive seed=0 seconds=30 trace=0
+conditions: {{"nproc": 2, "seed": 0}}
+operations: attempted=6000 failed=0 failures={{}} elapsed_s=10.514 accuracy_scored=366 accuracy_unscored=0
+end-to-end:
+  setup_s                             0.000347644 s  (n=50, p50)
+  throughput_ops                      {throughput:>12} ops/s  (n=6000)
+  latency_p99_ms                          49.3257 ms  (n=6000, p99)
+  cold_p50_ms                         {cold_p50:>12} ms  (n=366, p50)
+  cold_p90_ms                             54.3117 ms  (n=366, p90)
+  warm_p50_ms                              0.5153 ms  (n=5634, p50)
+  warm_p99_ms                         {warm_p99:>12} ms  (n=5634, p99)
+  rss_peak_mb                         {rss:>12.6g} MB  (n=1)
+  answer_accuracy                        0.592896 share  (n=366)
+  latency_p50_ms                         0.523388 ms  (n=6000, p50)
+  update_p50_ms                               n/a ms  (n=0, p50, fewer than 10 samples beyond)
+counters: {{"server": {{"requests": 6000}}}}
+{result_line(rss)}
+"""
+
+
+class TestUngatedTimings:
+    def test_the_end_to_end_block_is_parsed_and_n_a_left_out(self, pairs):
+        values = pairs.parse_end_to_end(run_output("570.679", "36.7881"))
+        assert values["throughput_ops"] == 570.679
+        assert values["warm_p99_ms"] == 36.7881
+        assert values["cold_p90_ms"] == 54.3117
+        assert values["latency_p50_ms"] == 0.523388
+        assert "update_p50_ms" not in values
+        assert values["rss_peak_mb"] == 36.9688
+        assert len(values) == 10
+
+    def test_no_block_parses_to_nothing(self, pairs):
+        assert pairs.parse_end_to_end(result_line(37.5)) == {}
+        assert pairs.parse_end_to_end("end-to-end:\ncounters: {}\n") == {}
+
+    def test_a_run_carries_both_and_the_last_line_wins(self, pairs):
+        values = pairs.parse_run(run_output("570.679", "36.7881"), "run")
+        assert values["rss_peak_mb"] == 36.96875  # the last line's, unrounded
+        assert values["throughput_ops"] == 570.679
+        assert values["setup_s"] == 0.0003
+
+    def test_timing_lines_give_quartiles_and_no_verdict(self, pairs):
+        parent = [
+            pairs.parse_run(run_output(str(500 + i), str(90 + i)), f"parent {i}")
+            for i in range(10)
+        ]
+        change = [
+            pairs.parse_run(run_output(str(600 + i), str(40 + i)), f"change {i}")
+            for i in range(10)
+        ]
+        lines = pairs.timing_lines(parent, change)
+        assert [line.split(" ")[0] for line in lines] == [
+            name for name, _ in pairs.UNGATED_TIMINGS
+        ]
+        assert lines[0] == (
+            "throughput_ops (higher is better, not gated): "
+            "parent 504 [502, 507], change 604 [602, 607]"
+        )
+        assert lines[3] == (
+            "warm_p99_ms (lower is better, not gated): "
+            "parent 94 [92, 97], change 44 [42, 47]"
+        )
+        assert not any(word in line for line in lines for word in ("resolved", "worse", "won"))
+
+    def test_a_timing_missing_from_a_run_is_named(self, pairs):
+        parent = [pairs.parse_run(run_output("500", "90"), "parent")]
+        change = [pairs.parse_run(run_output("600", "40", cold_p50="n/a"), "change")]
+        lines = pairs.timing_lines(parent, change)
+        assert lines[1] == "cold_p50_ms (not gated): not reported by every run"
+        assert lines[0].startswith("throughput_ops (higher is better, not gated): parent 500")

@@ -140,11 +140,14 @@ def test_every_export_is_the_object_its_module_defines():
     assert report["problems"] == []
 
 
-#: A minimal serving session: a thread-backend engine over one in-memory
-#: table, one routed and one corpus-wide read through ``aquery``, then
-#: the stats reads an operator makes.
+#: A minimal serving session: a thread-backend engine sized for two
+#: workers over one in-memory table, two concurrent routed reads (one
+#: dispatcher batch of two units) and one corpus-wide read through
+#: ``aquery``, the threads alive while the server runs, the stats reads
+#: an operator makes, the modules loaded by then, and last one
+#: explanation's text, which reads its highlight.
 _SERVING_SESSION = """
-import asyncio, json, sys
+import asyncio, json, sys, threading
 from repro.api import QueryRequest, ReproEngine
 from repro.interface import NLInterface
 from repro.parser import LogLinearModel, SemanticParser
@@ -158,25 +161,36 @@ table = Table(
 parser = SemanticParser(model=LogLinearModel())
 engine = ReproEngine(interface=NLInterface(parser=parser, k=3), k=3, backend="thread", workers=2)
 engine.register(table)
+threads = set()
 
 async def serve():
     server = engine.server()
     await server.start()
     try:
         question = "which country hosted in 2004"
-        routed = await server.aquery(QueryRequest(question=question, target="olympics"))
+        routed, other = await asyncio.gather(
+            server.aquery(QueryRequest(question=question, target="olympics")),
+            server.aquery(QueryRequest(question="which city hosted in 2008", target="olympics")),
+        )
         anywhere = await server.aquery(QueryRequest(question=question, target=None))
+        threads.update(thread.name for thread in threading.enumerate())
     finally:
         await server.stop()
-    return routed, anywhere
+    return routed, other, anywhere
 
-routed, anywhere = asyncio.run(serve())
+routed, other, anywhere = asyncio.run(serve())
 engine.cache_stats()
 engine.stats()
 engine.close()
+modules = sorted(name for name in sys.modules
+                 if name.startswith(("repro", "sqlite3", "multiprocessing", "pickle", "html")))
+text = routed.raw.as_text()
 print(json.dumps({
-    "ok": [routed.ok, anywhere.ok],
-    "modules": sorted(name for name in sys.modules if name.startswith(("repro", "sqlite3", "multiprocessing", "pickle"))),
+    "ok": [routed.ok, other.ok, anywhere.ok],
+    "threads": sorted(threads),
+    "modules": modules,
+    "text": text,
+    "highlights_after_text": "repro.core.highlights" in sys.modules,
 }))
 """
 
@@ -185,10 +199,16 @@ NOT_LOADED_BY_SERVING = [
     "sqlite3",
     "multiprocessing",
     "pickle",
+    "html",
     "repro.sql",
     "repro.users",
     "repro.dataset",
     "repro.compose",
+    "repro.core.highlights",
+    "repro.core.provenance",
+    "repro.core.sampling",
+    "repro.core.rendering",
+    "repro.core.grammar_templates",
     "repro.perf.bench",
     "repro.perf.churn",
     "repro.perf.discovery",
@@ -205,9 +225,29 @@ NOT_LOADED_BY_SERVING = [
 ]
 
 
-def test_serving_on_threads_loads_only_what_it_runs():
-    report = run_fresh(_SERVING_SESSION)
-    assert report["ok"] == [True, True]
+@pytest.fixture(scope="module")
+def serving_session():
+    return run_fresh(_SERVING_SESSION)
+
+
+def test_serving_on_threads_loads_only_what_it_runs(serving_session):
+    report = serving_session
+    assert report["ok"] == [True, True, True]
     assert "repro.serving.server" in report["modules"]
     loaded = set(report["modules"])
     assert [name for name in NOT_LOADED_BY_SERVING if name in loaded] == []
+
+
+def test_serving_on_threads_parses_on_the_threads_it_has(serving_session):
+    """The thread backend parses on the thread that asked, even with
+    ``workers=2`` and a two-unit batch: no pool thread ever starts."""
+    threads = serving_session["threads"]
+    assert any(name.startswith("repro-serve") for name in threads)
+    assert [name for name in threads if name.startswith("repro-pool")] == []
+
+
+def test_the_first_highlight_read_loads_the_highlight_modules(serving_session):
+    text = serving_session["text"]
+    assert text.startswith("question: which country hosted in 2004")
+    assert "utterance: " in text and "Greece" in text
+    assert serving_session["highlights_after_text"] is True

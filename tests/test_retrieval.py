@@ -259,6 +259,25 @@ class TestShardRouter:
         assert capped.candidates == tuple(refs) == full.candidates
         assert capped.scored == full.scored
 
+    def test_a_shard_score_reads_and_prints_by_field(self, corpus):
+        """Every reported shard, hit or zero-score, reads and prints as
+        ``ShardScore(ref=..., score=..., matched=(...))``."""
+        tables, _ = corpus
+        catalog = TableCatalog()
+        refs = catalog.register_all(tables)
+        for question in ("which country hosted in 2004", "zyxgarblefrobnicate quux"):
+            decision = catalog.routing(question)
+            assert sorted(shard.ref.digest for shard in decision.scored) == sorted(
+                ref.digest for ref in refs
+            )
+            for shard in decision.scored:
+                assert repr(shard) == (
+                    f"ShardScore(ref={shard.ref!r}, score={shard.score!r}, "
+                    f"matched={shard.matched!r})"
+                )
+        zeros = [shard for shard in decision.scored if shard.score == 0.0]
+        assert len(zeros) == len(refs) and all(shard.matched == () for shard in zeros)
+
 
 # ---------------------------------------------------------------------------
 # bulk extraction and the heap-routing hot path

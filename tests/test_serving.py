@@ -248,6 +248,48 @@ class TestAsyncServer:
         assert pools["process"]["workers"] == 1
         assert pools["process"]["units"] == 1
 
+    def test_thread_backend_parses_on_at_most_one_jobs_thread_per_core(
+        self, corpus, catalog
+    ):
+        """On the thread backend routed groups parse on the dispatcher
+        and corpus-wide requests on the jobs executor, which has no more
+        threads than cores whatever ``workers`` says; no pool thread
+        starts."""
+        import threading
+        import time
+
+        from repro.perf.pool import parse_threads
+
+        _, questions = corpus
+        parser = catalog.interface.parser
+        real_parse = parser.parse
+        parsed_on = set()
+
+        def slow_parse(*args, **kwargs):
+            parsed_on.add(threading.current_thread().name)
+            time.sleep(0.02)
+            return real_parse(*args, **kwargs)
+
+        parser.parse = slow_parse
+        corpus_wide = [
+            "which country hosted in 2004", "which city hosted in 2008",
+            "how many gold did Fiji win", "which club has the most players",
+            "what is the highest year", "which nation won the most silver",
+        ]
+
+        async def drive():
+            async with AsyncServer(catalog, max_workers=8, max_batch=8) as server:
+                return await asyncio.gather(
+                    _ask(server, questions["olympics"], "olympics"),
+                    *(_ask(server, question) for question in corpus_wide),
+                )
+
+        results = asyncio.run(drive())
+        assert all(result.ok for result in results)
+        jobs = {name for name in parsed_on if name.startswith("repro-serve-job")}
+        assert jobs and len(jobs) <= parse_threads(8)
+        assert all(name.startswith("repro-serve") for name in parsed_on)
+
     def test_hard_stop_fails_queued_requests(self, corpus, catalog):
         _, questions = corpus
 
