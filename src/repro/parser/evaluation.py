@@ -55,10 +55,7 @@ def perturbed_tables(table: Table, count: int = 3, seed: int = 13) -> List[Table
     for _ in range(count):
         order = list(range(table.num_rows))
         rng.shuffle(order)
-        rows = [
-            [table.record(index).value(column) for column in table.columns]
-            for index in order
-        ]
+        rows = [[cell.value for cell in table.records[index].cells] for index in order]
         for column_position, column in enumerate(table.columns):
             if schema.column(column).is_numeric:
                 column_values = [row[column_position] for row in rows]

@@ -11,7 +11,7 @@ entry written by any other process that saw the same table content.
 
 Layout (all paths under the cache root)::
 
-    v1/<namespace>/<digest[:2]>/<digest>.pkl
+    v2/<namespace>/<digest[:2]>/<digest>.pkl
 
 where ``namespace`` is ``candidates`` (one entry per
 ``(table fingerprint, question, generation signature)``) or ``tables``
@@ -27,7 +27,11 @@ without locks: both racers write byte-equal payloads (everything cached
 here is deterministic), and the loser's replace is a no-op in effect.
 Unreadable or version-mismatched entries are treated as misses and
 removed, so schema bumps and torn files degrade to a cold start, never
-an error.
+an error.  The ``v2`` root and schema came with the slotted table model:
+a ``v1`` entry pickled cells, values and fingerprints with attribute
+dicts, which the slotted classes refuse to load (see
+:func:`~repro.tables.values.pickles_as_fields`), so a ``v2`` store never
+reads the old root.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from typing import Any, Dict, Optional
 
 from .. import faults
 
-#: Bump to invalidate every existing on-disk entry.
-DISK_CACHE_SCHEMA = "repro-diskcache-v1"
+#: Bump to invalidate every existing on-disk entry (with the root
+#: directory :class:`DiskCache` puts its entries under).
+DISK_CACHE_SCHEMA = "repro-diskcache-v2"
 
 #: Namespace of per-question candidate-list entries.
 CANDIDATES_NAMESPACE = "candidates"
@@ -68,7 +73,7 @@ class DiskCache:
     """
 
     def __init__(self, root: os.PathLike) -> None:
-        self.root = Path(root) / "v1"
+        self.root = Path(root) / "v2"
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0

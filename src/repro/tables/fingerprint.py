@@ -31,7 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from .values import DateValue, NumberValue, StringValue, Value
+from .values import DateValue, NumberValue, StringValue, Value, pickles_as_fields
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (table.py imports us)
     from .table import Table
@@ -42,7 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (table.py imports us)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class TableFingerprint:
     """A content-addressed identity for a :class:`~repro.tables.table.Table`.
 

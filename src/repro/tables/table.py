@@ -16,20 +16,24 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fingerprint import TableFingerprint, fingerprint_table
-from .values import RawValue, Value, parse_value
+from .values import RawValue, Value, parse_value, pickles_as_fields
 
 
 class TableError(Exception):
     """Raised on malformed tables or invalid column/record access."""
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class Cell:
     """A single table cell.
 
     A cell knows its position (record index, column name) and its typed
     value.  Cells are the atoms of the provenance model: the provenance
-    functions ``PO``, ``PE`` and ``PC`` all return sets of cells.
+    functions ``PO``, ``PE`` and ``PC`` all return sets of cells.  Like
+    :class:`Record` it is slotted (no attribute dict, so no ad-hoc
+    attribute, ``cached_property`` or weak reference) and pickles as its
+    field tuple (:func:`~repro.tables.values.pickles_as_fields`).
     """
 
     row_index: int
@@ -47,12 +51,15 @@ class Cell:
         return f"Cell({self.row_index}, {self.column!r}, {self.value.display()!r})"
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class Record:
     """A table record (row) with its unique index.
 
     ``prev_index`` implements the paper's ``Prev`` pointer; it is ``None``
-    for the first record.
+    for the first record.  ``cells`` are in the table's column order, so
+    :class:`Table` reads a cell by column position; :meth:`cell` scans the
+    row by name.
     """
 
     index: int
@@ -127,8 +134,8 @@ class Table:
             records.append(Record(index=row_index, cells=cells))
         self.records: Tuple[Record, ...] = tuple(records)
         self._column_cells: Dict[str, Tuple[Cell, ...]] = {
-            column: tuple(record.cell(column) for record in self.records)
-            for column in self.columns
+            column: tuple(record.cells[position] for record in self.records)
+            for position, column in enumerate(self.columns)
         }
         self._fingerprint: Optional[TableFingerprint] = None
 
@@ -180,7 +187,11 @@ class Table:
         return [cell.value for cell in self.column_cells(column)]
 
     def cell(self, row_index: int, column: str) -> Cell:
-        return self.record(row_index).cell(column)
+        self.record(row_index)  # range check
+        try:
+            return self._column_cells[column][row_index]
+        except KeyError:
+            raise TableError(f"record {row_index} has no column {column!r}") from None
 
     def all_cells(self) -> List[Cell]:
         return [cell for record in self.records for cell in record.cells]
@@ -211,10 +222,7 @@ class Table:
 
     def subtable(self, row_indices: Sequence[int], name: Optional[str] = None) -> "Table":
         """A new table containing only the given records (re-indexed)."""
-        rows = []
-        for index in row_indices:
-            record = self.record(index)
-            rows.append([record.value(column) for column in self.columns])
+        rows = [[cell.value for cell in self.record(index).cells] for index in row_indices]
         return Table(columns=self.columns, rows=rows, name=name or f"{self.name}[sample]")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience

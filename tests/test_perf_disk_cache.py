@@ -8,14 +8,17 @@ generation entirely.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 from repro.parser import ParserConfig, SemanticParser
 from repro.parser.grammar import CandidateGrammar
 from repro.perf import DiskCache
-from repro.perf.diskcache import CANDIDATES_NAMESPACE, DISK_CACHE_SCHEMA
+from repro.perf.diskcache import CANDIDATES_NAMESPACE, DISK_CACHE_SCHEMA, TABLES_NAMESPACE
 from repro.tables import Table
 from repro.tables import index as index_module
+from repro.tables import table as table_module
+from repro.tables.values import StringValue
 
 
 def small_table(name: str = "t") -> Table:
@@ -43,7 +46,7 @@ class TestDiskCacheStore:
     def test_layout_is_fanned_out_under_version_root(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put_candidates("ab" * 32, "question", "sig", ())
-        entries = list((tmp_path / "v1" / CANDIDATES_NAMESPACE).rglob("*.pkl"))
+        entries = list((tmp_path / "v2" / CANDIDATES_NAMESPACE).rglob("*.pkl"))
         assert len(entries) == 1
         # Two-hex fan-out directory between namespace and entry.
         assert len(entries[0].parent.name) == 2
@@ -63,7 +66,47 @@ class TestDiskCacheStore:
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps(("some-other-schema", ("k",), "value")))
         assert cache.get("candidates", ("k",)) is None
-        assert DISK_CACHE_SCHEMA == "repro-diskcache-v1"
+        assert DISK_CACHE_SCHEMA == "repro-diskcache-v2"
+
+    def test_an_entry_in_the_old_layout_is_a_miss_counted_as_an_error(
+        self, tmp_path, monkeypatch
+    ):
+        """A pickle of the dict-backed cells must never load as a hit.
+
+        The slotted ``Cell`` refuses the dict state an older process
+        pickled; the dataclass default would have zipped the dict's keys
+        into the fields and served ``Cell(3, 'Nation', 'value')``.
+        """
+
+        @dataclasses.dataclass(frozen=True)
+        class Cell:  # the layout the v1 store pickled
+            row_index: int
+            column: str
+            value: object
+
+        Cell.__module__, Cell.__qualname__ = table_module.Cell.__module__, "Cell"
+        with monkeypatch.context() as patch:
+            patch.setattr(table_module, "Cell", Cell)
+            old = Cell(3, "Nation", StringValue("Greece"))
+            key = ("ab" * 32,)
+            blob = pickle.dumps((DISK_CACHE_SCHEMA, key, old), protocol=pickle.HIGHEST_PROTOCOL)
+        cache = DiskCache(tmp_path)
+        path = cache._path(TABLES_NAMESPACE, key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        assert cache.get(TABLES_NAMESPACE, key) is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "writes": 0, "errors": 1}
+        assert not path.exists()
+
+    def test_the_v1_root_is_never_read(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        # Where a v1 store kept this key, with a payload that would hit.
+        old = tmp_path / "v1" / cache._path(CANDIDATES_NAMESPACE, ("k",)).relative_to(cache.root)
+        old.parent.mkdir(parents=True)
+        old.write_bytes(pickle.dumps((DISK_CACHE_SCHEMA, ("k",), "value")))
+        assert cache.get(CANDIDATES_NAMESPACE, ("k",)) is None
+        assert len(cache) == 0
+        assert old.exists()
 
     def test_shared_root_between_instances(self, tmp_path):
         DiskCache(tmp_path).put("candidates", ("k",), 42)

@@ -18,6 +18,8 @@ them; the properties checked are the ones the paper's machinery relies on:
 
 from __future__ import annotations
 
+import copy
+import pickle
 import string
 
 import pytest
@@ -39,6 +41,7 @@ from repro.parser import Lexicon, extract_features
 from repro.parser.features import NodeFacts
 from repro.sql import check_equivalence
 from repro.tables import Table, parse_value, values_equal
+from repro.tables.fingerprint import fingerprint_table
 from repro.tables.schema import infer_schema
 from repro.tables.values import NumberValue, StringValue
 
@@ -160,6 +163,54 @@ class TestValueProperties:
     def test_string_normalisation_idempotent(self, text):
         value = StringValue(text)
         assert StringValue(value.normalized).normalized == value.normalized
+
+
+# ---------------------------------------------------------------------------
+# serialization properties
+# ---------------------------------------------------------------------------
+
+#: Raw cells of every kind the value parser types: bare years (dates in a
+#: date column, numbers elsewhere), currency with thousands separators,
+#: floats, textual and partial dates, malformed groupings and free text.
+RAW_CELLS = st.one_of(
+    st.integers(min_value=1000, max_value=2999),
+    st.integers(min_value=0, max_value=10**7).map(lambda n: f"${n:,}"),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["June 8, 2013", "8 June 2013", "2013-06", "2013-06-08", "1,2,3", "42%"]),
+    st.text(alphabet=string.ascii_letters + string.digits + " ,.$%-", max_size=12),
+)
+
+
+@st.composite
+def mixed_tables(draw):
+    """Tables whose columns mix value types, some with bare-year dates."""
+    columns = [f"C{position}" for position in range(draw(st.integers(1, 6)))]
+    rows = draw(
+        st.lists(st.lists(RAW_CELLS, min_size=len(columns), max_size=len(columns)), max_size=8)
+    )
+    date_columns = draw(st.lists(st.sampled_from(columns), unique=True))
+    return Table(columns=columns, rows=rows, name="mixed", date_columns=date_columns)
+
+
+class TestSerializationProperties:
+    """Every serialization boundary of a table keeps its content identity."""
+
+    @given(mixed_tables())
+    @SETTINGS
+    def test_a_pickled_or_copied_table_keeps_its_fingerprint(self, table):
+        expected = fingerprint_table(table)
+        restored = [
+            pickle.loads(pickle.dumps(table, protocol=2)),
+            pickle.loads(pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)),
+            copy.deepcopy(table),
+        ]
+        for other in restored:
+            # Recompute: a pickled table also carries its cached fingerprint.
+            assert fingerprint_table(other) == expected
+            assert other.records == table.records
+            assert [
+                [type(cell.value) for cell in record] for record in other.records
+            ] == [[type(cell.value) for cell in record] for record in table.records]
 
 
 # ---------------------------------------------------------------------------
