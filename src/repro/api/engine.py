@@ -308,19 +308,18 @@ class ReproEngine:
         (which mirror the catalog's own constructor).
     tables:
         Tables to register immediately.
-    interface / cache_dir / max_hot_shards / k / prune:
+    interface / cache_dir / max_hot_shards / k:
         Forwarded to :class:`TableCatalog` when ``catalog`` is omitted.
     workers / backend:
         The worker pool every answer is parsed on, a server bound to
-        this engine included.  The engine owns one long-lived
-        :class:`~repro.perf.pool.WorkerPool` per backend, created lazily
-        and reused for every query until :meth:`close` — warm workers,
-        incremental table shipping and shard pinning.  Requests are
-        answered on ``backend``'s pool; :meth:`pool` hands out another
-        backend's to a caller that asks for it by name.  ``workers``
-        sizes the process backend and a bound server's corpus-wide jobs
-        executor (at most one thread per core on the thread backend,
-        which parses on the calling thread: see :meth:`pool`).
+        this engine included.  The engine owns the one long-lived
+        :class:`~repro.perf.pool.WorkerPool`, built lazily on
+        ``backend`` and reused for every query until :meth:`close` —
+        warm workers, incremental table shipping and shard pinning.
+        ``workers`` sizes the process backend and a bound server's
+        corpus-wide jobs executor (at most one thread per core on the
+        thread backend, which parses on the calling thread: see
+        :meth:`pool`).
     call_timeout:
         Per-dispatch watchdog of the persistent process pool: a worker
         sitting on one batch message longer than this (seconds) is
@@ -338,7 +337,6 @@ class ReproEngine:
         cache_dir: Optional[str] = None,
         max_hot_shards: Optional[int] = None,
         k: int = 7,
-        prune: bool = True,
         workers: int = 4,
         backend: str = "thread",
         call_timeout: Optional[float] = None,
@@ -349,14 +347,13 @@ class ReproEngine:
                 cache_dir=cache_dir,
                 max_hot_shards=max_hot_shards,
                 k=k,
-                prune=prune,
             )
         self.catalog = catalog
         self.workers = workers
         self.backend = backend
         self.call_timeout = call_timeout
-        self._pools: Dict[str, Any] = {}
-        self._pools_lock = threading.Lock()
+        self._pool = None
+        self._pool_lock = threading.Lock()
         # Retired snapshots must leave the per-worker registries too —
         # without this, every update leaks the superseded table into
         # each pool worker forever.
@@ -382,9 +379,9 @@ class ReproEngine:
         return self.catalog.update(ref, new_table)
 
     def _forward_retirement(self, ref) -> None:
-        with self._pools_lock:
-            pools = list(self._pools.values())
-        for pool in pools:
+        with self._pool_lock:
+            pool = self._pool
+        if pool is not None:
             pool.retire([ref.digest])
 
     def refs(self):
@@ -406,41 +403,43 @@ class ReproEngine:
         """
         return self.catalog.routing_sets(question, max_candidates=max_candidates)
 
-    # -- worker pools ----------------------------------------------------------
+    # -- the worker pool -------------------------------------------------------
     def pool(self, backend: Optional[str] = None):
-        """The engine's long-lived worker pool for ``backend`` (lazy).
+        """The engine's one worker pool, built on first use.
 
-        A :func:`~repro.perf.pool.serving_pool`: ``workers`` processes
-        on the process backend; on the thread backend one worker, which
-        parses each unit on the thread that asked.
+        A :func:`~repro.perf.pool.serving_pool` on the engine's
+        ``backend``: ``workers`` processes on the process backend; on the
+        thread backend one worker, which parses each unit on the thread
+        that asked.  Naming another ``backend`` is a ``ValueError``.
         """
-        backend = backend or self.backend
-        with self._pools_lock:
-            pool = self._pools.get(backend)
-            if pool is None:
+        if backend not in (None, self.backend):
+            raise ValueError(
+                f"this engine serves on the {self.backend!r} backend, "
+                f"not {backend!r}"
+            )
+        with self._pool_lock:
+            if self._pool is None:
                 from ..perf.pool import serving_pool
 
-                pool = serving_pool(
-                    backend,
+                self._pool = serving_pool(
+                    self.backend,
                     self.catalog.interface.parser,
                     self.workers,
                     call_timeout=self.call_timeout,
                 )
-                self._pools[backend] = pool
-            return pool
+            return self._pool
 
     def pool_stats(self) -> Dict[str, Any]:
-        """Per-backend counters of the live worker pools (JSON-safe)."""
-        with self._pools_lock:
-            return {backend: pool.stats() for backend, pool in self._pools.items()}
+        """``{backend: counters}`` of the live pool, ``{}`` before one is built."""
+        with self._pool_lock:
+            return {} if self._pool is None else {self.backend: self._pool.stats()}
 
     def close(self) -> None:
-        """Tear down every worker pool (idempotent; engine stays usable —
-        the next batched query lazily builds fresh pools)."""
-        with self._pools_lock:
-            pools = list(self._pools.values())
-            self._pools = {}
-        for pool in pools:
+        """Tear down the worker pool (idempotent; the engine stays usable —
+        the next query lazily builds a fresh one)."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
             pool.close()
 
     def __enter__(self) -> "ReproEngine":

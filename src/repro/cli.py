@@ -408,10 +408,10 @@ def run_ask(args: argparse.Namespace, out) -> int:
     parser = SemanticParser()
     if args.model:
         parser.model = _load_model(args.model)
-    engine = ReproEngine(
+    with ReproEngine(
         interface=NLInterface(parser=parser, k=args.k), tables=[table], k=args.k
-    )
-    result = engine.query(args.question, target=table.name, k=args.k)
+    ) as engine:
+        result = engine.query(args.question, target=table.name, k=args.k)
     if args.json:
         # JSON mode always emits the envelope — a PARSE_FAILURE is
         # structured output (coded error + routing), not a text apology.
@@ -559,23 +559,24 @@ def run_catalog(args: argparse.Namespace, out) -> int:
     engine = _corpus_engine(args, out, k=args.k)
     if engine is None:
         return 1
-    catalog = engine.catalog
-    print(f"{'digest':<14} {'shape':>9}  {'hot':<4} name", file=out)
-    for ref in engine.refs():
-        shape = f"{ref.num_rows}x{ref.num_columns}"
-        hot = "hot" if catalog.is_hot(ref) else "cold"
-        print(f"{ref.short:<14} {shape:>9}  {hot:<4} {ref.name}", file=out)
-    if not args.question:
-        return 0
-    result = engine.query(
-        args.question,
-        target=args.table if not args.any else None,
-        k=args.k,
-        prune=args.prune if (args.any or not args.table) else None,
-        max_candidates=args.top if (args.any or not args.table) else None,
-    )
-    print(json.dumps(result.to_dict(), ensure_ascii=False, indent=2), file=out)
-    return 0 if result.ok else 1
+    with engine:
+        catalog = engine.catalog
+        print(f"{'digest':<14} {'shape':>9}  {'hot':<4} name", file=out)
+        for ref in engine.refs():
+            shape = f"{ref.num_rows}x{ref.num_columns}"
+            hot = "hot" if catalog.is_hot(ref) else "cold"
+            print(f"{ref.short:<14} {shape:>9}  {hot:<4} {ref.name}", file=out)
+        if not args.question:
+            return 0
+        result = engine.query(
+            args.question,
+            target=args.table if not args.any else None,
+            k=args.k,
+            prune=args.prune if (args.any or not args.table) else None,
+            max_candidates=args.top if (args.any or not args.table) else None,
+        )
+        print(json.dumps(result.to_dict(), ensure_ascii=False, indent=2), file=out)
+        return 0 if result.ok else 1
 
 
 def run_route(args: argparse.Namespace, out) -> int:
@@ -583,11 +584,12 @@ def run_route(args: argparse.Namespace, out) -> int:
     if engine is None:
         return 1
     sets = None
-    if args.sets:
-        sets = engine.routing_sets(args.question, max_candidates=args.top)
-        decision = sets.single
-    else:
-        decision = engine.routing(args.question, max_candidates=args.top)
+    with engine:
+        if args.sets:
+            sets = engine.routing_sets(args.question, max_candidates=args.top)
+            decision = sets.single
+        else:
+            decision = engine.routing(args.question, max_candidates=args.top)
     if args.json:
         payload = {
             "question": decision.question,
@@ -665,79 +667,81 @@ def run_route(args: argparse.Namespace, out) -> int:
 
 
 def run_serve(args: argparse.Namespace, out) -> int:
-    import asyncio
-
-    from .api import QueryRequest
-
     tables, questions = _load_corpus(args.corpus)
     if not tables:
         print(f"no tables found under {args.corpus}", file=out)
         return 1
-    engine = _build_engine(args)
-    engine.register_all(tables)
-
-    if args.self_test is not None:
-        if not questions:
-            print(
-                f"--self-test needs {Path(args.corpus) / 'questions.jsonl'} "
-                "(generate one with `repro dataset`)",
-                file=out,
-            )
-            return 1
-        # Round-robin the questions into per-session streams.
-        sessions = max(1, args.self_test)
-        streams = [questions[start::sessions] for start in range(sessions)]
-        streams = [stream for stream in streams if stream]
-
-        async def _session(server, stream):
-            # One user session: each question awaits the previous answer.
-            return [
-                await server.aquery(QueryRequest(question=question, target=table))
-                for question, table in stream
-            ]
-
-        async def _self_test():
-            import time
-
-            async with engine.server(max_pending=args.max_pending) as server:
-                started = time.perf_counter()
-                answered = await asyncio.gather(
-                    *(_session(server, stream) for stream in streams)
-                )
-                elapsed = time.perf_counter() - started
-                return answered, elapsed, server.stats_payload()["server"]
-
-        answered, elapsed, stats = asyncio.run(_self_test())
-        results = [result for session in answered for result in session]
-        if args.emit_results:
-            # The envelopes the server returned, one JSON line per
-            # question, validated against schemas/query_result.v2.json by
-            # scripts/validate_wire.py (CI runs exactly that pipeline).
-            emit_path = Path(args.emit_results)
-            emit_path.parent.mkdir(parents=True, exist_ok=True)
-            with emit_path.open("w", encoding="utf-8") as handle:
-                for result in results:
-                    handle.write(
-                        json.dumps(result.to_dict(), ensure_ascii=False) + "\n"
-                    )
-            print(f"wrote {len(results)} v2 result envelopes to {emit_path}", file=out)
-        rate = f" ({len(results) / elapsed:.1f} q/s)" if elapsed > 0 else ""
+    if args.self_test is not None and not questions:
         print(
-            f"{len(streams)} concurrent sessions answered {len(results)} questions "
-            f"in {elapsed:.2f}s{rate}",
+            f"--self-test needs {Path(args.corpus) / 'questions.jsonl'} "
+            "(generate one with `repro dataset`)",
             file=out,
         )
-        print(f"dispatcher: {stats}", file=out)
-        # An untrained parser may find no executable candidate; any other
-        # coded error means the serving path itself failed.
-        for result in results:
-            if result.error_code not in (None, ErrorCode.PARSE_FAILURE):
-                print(
-                    f"error[{result.error_code.value}]: {result.error.message}",
-                    file=out,
-                )
-                return 1
-        return 0
+        return 1
+    with _build_engine(args) as engine:
+        engine.register_all(tables)
+        if args.self_test is not None:
+            return _serve_self_test(args, engine, questions, out)
+        return _serve_socket(args, engine, out)
+
+
+def _serve_self_test(args: argparse.Namespace, engine, questions, out) -> int:
+    import asyncio
+    import time
+
+    from .api import QueryRequest
+
+    # Round-robin the questions into per-session streams.
+    sessions = max(1, args.self_test)
+    streams = [questions[start::sessions] for start in range(sessions)]
+    streams = [stream for stream in streams if stream]
+
+    async def _session(server, stream):
+        # One user session: each question awaits the previous answer.
+        return [
+            await server.aquery(QueryRequest(question=question, target=table))
+            for question, table in stream
+        ]
+
+    async def _self_test():
+        async with engine.server(max_pending=args.max_pending) as server:
+            started = time.perf_counter()
+            answered = await asyncio.gather(
+                *(_session(server, stream) for stream in streams)
+            )
+            elapsed = time.perf_counter() - started
+            return answered, elapsed, server.stats_payload()["server"]
+
+    answered, elapsed, stats = asyncio.run(_self_test())
+    results = [result for session in answered for result in session]
+    if args.emit_results:
+        # The envelopes the server returned, one JSON line per
+        # question, validated against schemas/query_result.v2.json by
+        # scripts/validate_wire.py (CI runs exactly that pipeline).
+        emit_path = Path(args.emit_results)
+        emit_path.parent.mkdir(parents=True, exist_ok=True)
+        with emit_path.open("w", encoding="utf-8") as handle:
+            for result in results:
+                handle.write(json.dumps(result.to_dict(), ensure_ascii=False) + "\n")
+        print(f"wrote {len(results)} v2 result envelopes to {emit_path}", file=out)
+    rate = f" ({len(results) / elapsed:.1f} q/s)" if elapsed > 0 else ""
+    print(
+        f"{len(streams)} concurrent sessions answered {len(results)} questions "
+        f"in {elapsed:.2f}s{rate}",
+        file=out,
+    )
+    print(f"dispatcher: {stats}", file=out)
+    # An untrained parser may find no executable candidate; any other
+    # coded error means the serving path itself failed.
+    for result in results:
+        if result.error_code not in (None, ErrorCode.PARSE_FAILURE):
+            print(f"error[{result.error_code.value}]: {result.error.message}", file=out)
+            return 1
+    return 0
+
+
+def _serve_socket(args: argparse.Namespace, engine, out) -> int:
+    import asyncio
 
     async def _serve_forever():
         async with engine.server(max_pending=args.max_pending) as server:
@@ -766,48 +770,49 @@ def run_update(args: argparse.Namespace, out) -> int:
     engine = _corpus_engine(args, out, k=args.k)
     if engine is None:
         return 1
-    catalog = engine.catalog
-    old_ref = catalog.resolve(args.name)
-    path = Path(args.table)
-    with _caller_input(f"table {path}"):
-        if path.suffix.lower() == ".json":
-            new_table = table_from_json(path.read_text(encoding="utf-8"))
-        else:
-            new_table = table_from_csv(path)
-    diff = diff_tables(catalog.table(old_ref), new_table)
-    new_ref = engine.update(old_ref, new_table)
-    if new_ref.digest == old_ref.digest:
+    with engine:
+        catalog = engine.catalog
+        old_ref = catalog.resolve(args.name)
+        path = Path(args.table)
+        with _caller_input(f"table {path}"):
+            if path.suffix.lower() == ".json":
+                new_table = table_from_json(path.read_text(encoding="utf-8"))
+            else:
+                new_table = table_from_csv(path)
+        diff = diff_tables(catalog.table(old_ref), new_table)
+        new_ref = engine.update(old_ref, new_table)
+        if new_ref.digest == old_ref.digest:
+            print(
+                f"{old_ref.name}: content unchanged ({old_ref.short}); nothing to do",
+                file=out,
+            )
+            return 0
         print(
-            f"{old_ref.name}: content unchanged ({old_ref.short}); nothing to do",
+            f"{old_ref.name}: v{old_ref.version} {old_ref.short} -> "
+            f"v{new_ref.version} {new_ref.short}",
             file=out,
         )
+        print(
+            f"  columns: {len(diff.changed_columns)} changed, "
+            f"{len(diff.added_columns)} added, {len(diff.removed_columns)} removed",
+            file=out,
+        )
+        print(
+            f"  rows   : {len(diff.changed_rows)} changed"
+            + (" (row count changed)" if diff.row_count_changed else ""),
+            file=out,
+        )
+        stats = catalog.stats()
+        print(
+            f"  catalog: version {stats['version']}, {stats['updates']} updates, "
+            f"{stats['retired']} retired",
+            file=out,
+        )
+        if args.question:
+            result = engine.query(args.question, target=args.name, k=args.k)
+            print(json.dumps(result.to_dict(), ensure_ascii=False, indent=2), file=out)
+            return 0 if result.ok else 1
         return 0
-    print(
-        f"{old_ref.name}: v{old_ref.version} {old_ref.short} -> "
-        f"v{new_ref.version} {new_ref.short}",
-        file=out,
-    )
-    print(
-        f"  columns: {len(diff.changed_columns)} changed, "
-        f"{len(diff.added_columns)} added, {len(diff.removed_columns)} removed",
-        file=out,
-    )
-    print(
-        f"  rows   : {len(diff.changed_rows)} changed"
-        + (" (row count changed)" if diff.row_count_changed else ""),
-        file=out,
-    )
-    stats = catalog.stats()
-    print(
-        f"  catalog: version {stats['version']}, {stats['updates']} updates, "
-        f"{stats['retired']} retired",
-        file=out,
-    )
-    if args.question:
-        result = engine.query(args.question, target=args.name, k=args.k)
-        print(json.dumps(result.to_dict(), ensure_ascii=False, indent=2), file=out)
-        return 0 if result.ok else 1
-    return 0
 
 
 def _bench_parse(args: argparse.Namespace):

@@ -17,7 +17,7 @@ from ..tables.fingerprint import LRUCache
 from ..tables.table import Table
 from ..core.explanation import ExplanationGenerator, QueryExplanation
 from ..parser.candidates import Candidate, ParseOutput, SemanticParser
-from ..perf.pool import BatchItem, create_pool
+from ..perf.pool import BatchItem, serving_pool
 
 
 @dataclass(frozen=True)
@@ -141,17 +141,16 @@ class NLInterface:
         self,
         items: Sequence[Tuple[str, Table]],
         k: Optional[int] = None,
-        workers: int = 4,
-        backend: str = "thread",
         pool=None,
         deadlines: Optional[Sequence[Optional[float]]] = None,
     ) -> List[InterfaceResponse]:
-        """Answer a batch of (question, table) pairs concurrently.
+        """Answer a batch of (question, table) pairs.
 
         Parsing runs on a :class:`~repro.perf.pool.WorkerPool`
         (order-stable, identical to asking sequentially): the long-lived
-        ``pool`` when one is passed, else a ``create_pool(backend,
-        parser, workers)`` pool built for this call and closed after it.
+        ``pool`` when one is passed (an engine's), else the calling
+        thread, through a one-worker ``serving_pool("thread", parser)``
+        built for this call and closed after it.
         The pool parses each question to its top ``k`` only: that is all
         its ranked memo (the thread pool's, or each process worker's)
         keeps, and the parser stores no unranked candidate list for it,
@@ -162,15 +161,18 @@ class NLInterface:
         the question afresh instead of re-ranking it (unless a full
         parse, such as :meth:`ask`, cached its list).
         Explanation stays sequential per response since it is cheap
-        relative to parsing; it goes through a long-lived ``pool``'s
-        explanation memo.  Returns one :class:`InterfaceResponse` per
-        input pair, index-aligned.
+        relative to parsing; it goes through the pool's explanation
+        memo.  Returns one :class:`InterfaceResponse` per input pair,
+        index-aligned.
 
         ``deadlines`` (index-aligned absolute ``time.monotonic()``
         instants, ``None`` entries wait forever) bounds each item; an
         expired item comes back as an error response while the rest of
         the batch completes — see :class:`InterfaceResponse`.
         """
+        if pool is None:
+            with serving_pool("thread", self.parser) as call_pool:
+                return self.ask_many(items, k=k, pool=call_pool, deadlines=deadlines)
         limit = k if k is not None else self.k
         if deadlines is None:
             deadlines = [None] * len(items)
@@ -178,15 +180,11 @@ class NLInterface:
             BatchItem(question=question, table=table, k=limit, deadline=deadline)
             for (question, table), deadline in zip(items, deadlines)
         ]
-        if pool is None:
-            with create_pool(backend, self.parser, workers) as call_pool:
-                results = call_pool.parse_all(batch)
-            memo = None
-        else:
-            results = pool.parse_all(batch)
-            memo = pool.explanations
+        results = pool.parse_all(batch)
         return [
-            _respond(item.question, item.table, parse, seconds, limit, memo)
+            _respond(
+                item.question, item.table, parse, seconds, limit, pool.explanations
+            )
             for item, (parse, seconds) in zip(batch, results)
         ]
 

@@ -7,10 +7,11 @@ the content-addressed caches of :mod:`repro.tables.fingerprint` and the
 per-question sub-query memo of :mod:`repro.dcs.memo`:
 
 * :class:`~repro.perf.pool.WorkerPool` — the one way a batch of
-  (question, table) pairs is parsed: :func:`~repro.perf.pool.create_pool`
-  builds a thread or process pool, order-stable and bit-identical to the
-  sequential loop, that stays warm across batches (fingerprint-addressed
-  table shipping, shard pinning, supervised worker processes);
+  (question, table) pairs is parsed: a thread or process pool,
+  order-stable and bit-identical to the sequential loop, that stays warm
+  across batches (fingerprint-addressed table shipping, shard pinning,
+  supervised worker processes); :func:`~repro.perf.pool.serving_pool`
+  builds the one an engine serves on;
 * :class:`~repro.perf.diskcache.DiskCache` — the content-addressed
   on-disk store persisting candidate lists (and evicted catalog tables)
   across processes and sessions;
@@ -46,7 +47,7 @@ __getattr__, __dir__ = _lazy.attach(
         ".diskcache": ["DiskCache"],
         ".pool": [
             "BatchItem", "DeadlineExceeded", "PoolError", "ProcessWorkerPool",
-            "ThreadWorkerPool", "WorkerFailed", "WorkerPool", "create_pool",
+            "ThreadWorkerPool", "WorkerFailed", "WorkerPool", "serving_pool",
         ],
     },
 )
@@ -72,7 +73,7 @@ __all__ = [
     "ProcessWorkerPool",
     "ThreadWorkerPool",
     "WorkerPool",
-    "create_pool",
+    "serving_pool",
     "TableIndex",
     "table_index",
     "index_cache_stats",

@@ -49,7 +49,7 @@ from ..parser.candidates import ParserConfig, SemanticParser
 from ..parser.model import LogLinearModel
 from ..tables.index import clear_index_cache
 from ..tables.table import Table
-from .pool import BatchItem, create_pool
+from .pool import BatchItem, ProcessWorkerPool, ThreadWorkerPool
 
 #: The modes of the harness, in reporting order.
 BENCH_MODES = ("sequential", "memoized", "indexed", "batched", "process")
@@ -329,7 +329,12 @@ def run_mode(
     parser = SemanticParser(model=model, config=_mode_config(mode, disk_cache_dir))
     if mode in POOLED_MODES:
         items = [BatchItem(question, table, k=k) for question, table in workload]
-        with create_pool(POOLED_MODES[mode], parser, workers) as pool:
+        pool = (
+            ThreadWorkerPool(parser, workers)
+            if mode == "batched"
+            else ProcessWorkerPool(parser, workers)
+        )
+        with pool:
             # The pool is built cold for the mode, so its worker start-up
             # (forks, table shipping) is part of the measured batch.
             started = time.perf_counter()

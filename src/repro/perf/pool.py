@@ -3,12 +3,11 @@
 The paper's interactive deployment (Table 7) answers a stream of
 questions; every batch of ``(question, table)`` pairs — served
 requests, ``NLInterface.ask_many`` and the parse bench's pooled modes —
-runs on a :class:`WorkerPool`.  The serving layer
-(:class:`~repro.api.engine.ReproEngine` /
-:class:`~repro.serving.server.AsyncServer`) creates one pool per backend
-and reuses it across every batch until :meth:`~WorkerPool.close`
-(:func:`serving_pool` builds it); a caller with no long-lived pool
-builds one with :func:`create_pool` for the length of its call.
+runs on a :class:`WorkerPool`.  A :class:`~repro.api.engine.ReproEngine`
+owns the one serving pool (:func:`serving_pool` builds it) and reuses it
+across every batch until :meth:`~WorkerPool.close`; a server serves on
+its engine's pool, and an ``ask_many`` call given no pool parses on the
+calling thread through a one-worker :func:`serving_pool`.
 
 Two flavours behind one interface:
 
@@ -16,9 +15,9 @@ Two flavours behind one interface:
   shared :class:`~repro.parser.candidates.SemanticParser`, built lazily
   on the first multi-item batch (a one-worker pool, or a one-item
   batch, parses inline).  Every cache stays shared, and a ranked memo
-  answers repeat units.  A long-lived thread pool has one worker and
-  parses on the calling thread (:func:`serving_pool`); only call-scoped
-  pools and the parse bench's ``batched`` mode build the executor.
+  answers repeat units.  A :func:`serving_pool` thread pool has one
+  worker and parses on the calling thread; only the parse bench's
+  ``batched`` mode builds the executor.
 * :class:`ProcessWorkerPool` — worker *processes*, each holding a
   fingerprint-addressed table registry that survives between batches
   and parsing through its own one-worker :class:`ThreadWorkerPool`, so
@@ -54,12 +53,15 @@ batches, processes and runs: shard S always lands on worker
 ``pin(S)``, so repeat traffic for S finds warm worker-local caches.
 A pure pin would serialise a batch over few shards (one hot worker,
 the rest idle), so assignment *spills* deterministically: while a
-worker is idle and another holds more than one unit, half of the
-busiest worker's largest shard group moves to the idle worker (shipping
-that table there, once ever).  The spill pattern is a pure function of
-the batch composition, so repeated workloads spill to the same workers
-and stay warm there too.  ``ProcessWorkerPool(spill=False)`` disables
-the valve for strict-pinning tests.
+worker is idle and another holds more than one unit, the busiest
+worker hands the idle one a whole shard group when that balances the
+two as well as halving its largest group would, and that half
+otherwise (shipping the table there, once ever).  A whole group keeps
+the shard's cold lexicon/grammar/index build on one worker; a split
+pays it on both.  The spill pattern is a pure function of the batch
+composition, so repeated workloads spill to the same workers and stay
+warm there too.  ``ProcessWorkerPool(spill=False)`` disables the valve
+for strict-pinning tests.
 
 Fault tolerance (supervision, deadlines, the degradation ladder)
 ----------------------------------------------------------------
@@ -221,46 +223,35 @@ class WorkerFailed(PoolError):
 PoolResult = Tuple[Union[ParseOutput, PoolError], float]
 
 
-def create_pool(
-    backend: str,
-    parser: SemanticParser,
-    max_workers: int = 4,
-    call_timeout: Optional[float] = None,
-) -> "WorkerPool":
-    """The one construction site: a persistent pool for ``backend``."""
-    if backend == "process":
-        return ProcessWorkerPool(
-            parser, max_workers=max_workers, call_timeout=call_timeout
-        )
-    if backend == "thread":
-        return ThreadWorkerPool(parser, max_workers=max_workers)
-    raise ValueError(f"unknown pool backend {backend!r}")
-
-
 def serving_pool(
     backend: str,
     parser: SemanticParser,
     workers: int = 1,
     call_timeout: Optional[float] = None,
 ) -> "WorkerPool":
-    """A long-lived pool: an engine's, or a downgraded process pool's fallback.
+    """The pool an engine serves on (and a downgraded process pool's fallback).
 
-    On the process backend it has ``workers`` processes.  On the thread
-    backend it has one worker whatever ``workers`` says, so
+    On the process backend it has ``workers`` processes; any other
+    backend than ``"thread"`` or ``"process"`` is a ``ValueError``.  On
+    the thread backend it has one worker whatever ``workers`` says, so
     ``parse_all`` parses every unit on the thread that calls it (a
     server's dispatcher, a ``query`` caller, a server's jobs thread for
-    a corpus-wide request) and no pool thread starts: parsing holds the
-    GIL, so more threads would overlap no parsing, and each would keep
-    its own allocator heap.  The price is that a batch's units parse one
-    after another, and each checks its deadline only when its turn
-    comes: a unit whose deadline passes while an earlier unit parses is
-    not parsed and comes back as :class:`DeadlineExceeded`.  Only a
-    call-scoped :func:`create_pool` (``ask_many`` without a pool, the
-    parse bench's ``batched`` mode) builds a thread executor.
+    a corpus-wide request, an ``ask_many`` given no pool) and no pool
+    thread starts: parsing holds the GIL, so more threads would overlap
+    no parsing, and each would keep its own allocator heap.  The price
+    is that a batch's units parse one after another, and each checks its
+    deadline only when its turn comes: a unit whose deadline passes
+    while an earlier unit parses is not parsed and comes back as
+    :class:`DeadlineExceeded`.  Only the parse bench's ``batched`` mode
+    builds a thread executor.
     """
     if backend == "thread":
         return ThreadWorkerPool(parser, max_workers=1)
-    return create_pool(backend, parser, workers, call_timeout=call_timeout)
+    if backend == "process":
+        return ProcessWorkerPool(
+            parser, max_workers=workers, call_timeout=call_timeout
+        )
+    raise ValueError(f"unknown pool backend {backend!r}")
 
 
 class WorkerPool:
@@ -384,8 +375,8 @@ class ThreadWorkerPool(WorkerPool):
 
     @property
     def workers(self) -> int:
-        # Only a call-scoped pool asks for more than one thread (a
-        # long-lived one is a serving_pool); cap them at the cores.
+        # Only the parse bench's batched mode asks for more than one
+        # thread (a serving pool has one); cap them at the cores.
         return parse_threads(self.max_workers)
 
     def _parse_one(self, item: BatchItem) -> PoolResult:
@@ -893,8 +884,9 @@ class ProcessWorkerPool(WorkerPool):
         """Pin each shard's units, then spill to idle workers.
 
         Deterministic: pinning is a pure hash, donors are picked by
-        (load, lowest index), targets lowest-index-first, and a split
-        moves the tail half of the donor's largest group.  ``offset``
+        (load, lowest index), targets lowest-index-first, a whole group
+        is picked by (the heavier side after the move, digest), and a
+        split moves the tail half of the donor's largest group.  ``offset``
         rotates the pin for retry rounds, so a unit orphaned by a dead
         worker lands on a survivor when the pool has more than one.
         """
@@ -914,17 +906,21 @@ class ProcessWorkerPool(WorkerPool):
             if not donors:
                 break
             donor = max(donors, key=lambda index: (load(index), -index))
-            donor_groups = assignment[donor]
+            donor_groups, donor_load = assignment[donor], load(donor)
             digest, units = max(
                 donor_groups.items(), key=lambda pair: (len(pair[1]), pair[0])
             )
+            half = len(units) // 2
+            # |load - 2 * moved| orders the moves by their heavier side.
+            whole = min(
+                donor_groups,
+                key=lambda key: (abs(donor_load - 2 * len(donor_groups[key])), key),
+            )
             target = idle.pop(0)
-            if len(units) == 1:
-                # All of the donor's groups are singletons: move one whole
-                # group instead of splitting.
-                moved = donor_groups.pop(digest)
+            if abs(donor_load - 2 * len(donor_groups[whole])) <= donor_load - 2 * half:
+                digest = whole
+                moved = donor_groups.pop(whole)
             else:
-                half = len(units) // 2
                 moved = units[len(units) - half:]
                 del units[len(units) - half:]
             assignment.setdefault(target, {}).setdefault(digest, []).extend(moved)

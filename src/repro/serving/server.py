@@ -1,4 +1,4 @@
-"""The asyncio serving layer over a multi-table catalog.
+"""The asyncio serving layer over a :class:`~repro.api.engine.ReproEngine`.
 
 The paper's deployment is an interactive web service: many users hold
 concurrent sessions, each a stream of questions over (possibly
@@ -45,7 +45,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from .. import faults
 from ..api import wire
@@ -58,7 +58,6 @@ from ..api.errors import (
     classify_exception,
     overloaded_error,
 )
-from ..tables.catalog import TableCatalog
 
 #: Chunk size for the manual line framing of the TCP front end.
 _READ_CHUNK = 65536
@@ -83,7 +82,7 @@ class ServerStats:
     it under them.
 
     Only counters the dispatcher itself owns live here; the ``stats``
-    op's ``server`` section adds the pools', the catalog's and the
+    op's ``server`` section adds the pool's, the catalog's and the
     corpus index's counters, read from their owners when the payload is
     built (:meth:`AsyncServer.stats_payload`).
     """
@@ -114,26 +113,24 @@ class ServerStats:
 
 
 class AsyncServer:
-    """Serves concurrent sessions over a :class:`TableCatalog`.
+    """Serves concurrent sessions over a :class:`~repro.api.ReproEngine`.
 
     Parameters
     ----------
-    catalog:
-        The :class:`~repro.api.ReproEngine` — or a bare
-        :class:`TableCatalog`, which the server wraps in
-        ``ReproEngine(catalog, workers=max_workers, backend=backend)``
-        — to serve.  All routing, eviction, cache and pool policy lives
-        there; the server adds concurrency only, and every batch is
-        answered on the engine's pool: on the thread backend in the
-        dispatcher thread itself, on the process backend across the
-        engine's ``workers``.
-    max_workers / backend:
-        The pool settings of the engine built around a bare catalog
-        (default 8 workers, ``"thread"``).  The engine's ``workers``
-        also sizes the executor that runs corpus-wide requests, capped
-        at the cores on the thread backend, where those requests parse
-        on its threads.  An engine passed in keeps its own: naming
-        different ones here is a ``ValueError``.
+    engine:
+        The :class:`~repro.api.ReproEngine` to serve (a bare catalog is a
+        ``TypeError``: wrap it in ``ReproEngine(catalog, workers=N)``).
+        All routing, eviction, cache and pool policy lives there; the
+        server adds concurrency only, and every batch is answered on the
+        engine's pool: on the thread backend in the dispatcher thread
+        itself, on the process backend across the engine's ``workers``.
+        The engine's ``workers`` also sizes the executor that runs
+        corpus-wide requests, capped at the cores on the thread backend,
+        where those requests parse on its threads.  The engine's owner
+        closes it; stopping the server leaves its pool open.
+    max_workers:
+        Optional check only: a value other than the engine's
+        ``workers`` is a ``ValueError``.
     max_batch:
         Upper bound on questions merged into one dispatcher batch.
     max_line_bytes:
@@ -152,15 +149,22 @@ class AsyncServer:
 
     def __init__(
         self,
-        catalog: Union[TableCatalog, ReproEngine],
+        engine: ReproEngine,
         max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
         max_batch: int = 64,
         max_line_bytes: int = 64 * 1024,
         max_pending: int = 1024,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"AsyncServer needs max_workers >= 1, got {max_workers}")
+        if not isinstance(engine, ReproEngine):
+            raise TypeError(
+                f"AsyncServer serves a ReproEngine, not {type(engine).__name__}: "
+                "wrap a catalog in ReproEngine(catalog, workers=N)"
+            )
+        if max_workers not in (None, engine.workers):
+            raise ValueError(
+                f"AsyncServer serves on its engine's {engine.workers} workers, "
+                f"not {max_workers}: pass workers to the ReproEngine"
+            )
         if max_batch < 1:
             raise ValueError(f"AsyncServer needs max_batch >= 1, got {max_batch}")
         if max_line_bytes < 1024:
@@ -171,22 +175,8 @@ class AsyncServer:
             raise ValueError(
                 f"AsyncServer needs max_pending >= 0, got {max_pending}"
             )
-        if isinstance(catalog, ReproEngine):
-            if max_workers not in (None, catalog.workers) or backend not in (
-                None, catalog.backend
-            ):
-                raise ValueError(
-                    "AsyncServer serves on its engine's pool: pass workers "
-                    "and backend to the ReproEngine"
-                )
-            self.engine = catalog
-            self._owns_engine = False
-        else:
-            self.engine = ReproEngine(
-                catalog, workers=max_workers or 8, backend=backend or "thread"
-            )
-            self._owns_engine = True
-        self.catalog = self.engine.catalog
+        self.engine = engine
+        self.catalog = engine.catalog
         self.max_batch = max_batch
         self.max_line_bytes = max_line_bytes
         self.max_pending = max_pending
@@ -245,10 +235,8 @@ class AsyncServer:
 
         Concurrent :meth:`aquery` calls racing a stop get a clean
         ``SERVER_CLOSED`` (never an internal ``AttributeError`` — the
-        queue handoff is identity-checked).
-        When the server built its own engine it also tears down the
-        engine's worker pools; a caller-supplied engine keeps its
-        pools (its owner decides their lifetime).
+        queue handoff is identity-checked).  The engine's pool stays
+        open: its owner closes the engine.
         """
         self._draining = True
         if drain and self._inflight:
@@ -290,8 +278,6 @@ class AsyncServer:
         if self._jobs is not None:
             self._jobs.shutdown(wait=True)
             self._jobs = None
-        if self._owns_engine:
-            self.engine.close()
         # Lazy restart stays possible (historic semantics): only an
         # in-progress drain turns new requests away.
         self._draining = False
@@ -565,7 +551,7 @@ class AsyncServer:
         """The ``stats`` op's body: catalog counters + dispatcher counters.
 
         The ``server`` section adds, to the dispatcher's own counters,
-        the ones the pools (``respawns``/``downgrades``), the catalog
+        the ones the engine's pool (``respawns``/``downgrades``), the catalog
         (``updates``/``retired``) and the corpus index (its O(1) scale
         counters) own — read from them here, so every value is current
         whenever the payload is built.  Reading the catalog's counters
@@ -573,12 +559,12 @@ class AsyncServer:
         always count every live shard.
         """
         payload = wire.stats_payload(self.catalog, self.stats.as_dict())
-        pools = self.engine.pool_stats().values()
+        pool = next(iter(self.engine.pool_stats().values()), {})
         catalog = payload["catalog"]
         retrieval = catalog["retrieval"]
         payload["server"].update(
-            worker_respawns=sum(int(pool.get("respawns", 0)) for pool in pools),
-            pool_downgrades=sum(int(pool.get("downgrades", 0)) for pool in pools),
+            worker_respawns=int(pool.get("respawns", 0)),
+            pool_downgrades=int(pool.get("downgrades", 0)),
             corpus_updates=catalog["updates"],
             shards_retired=catalog["retired"],
             retrieval_shards=int(retrieval["shards"]),

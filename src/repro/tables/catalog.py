@@ -213,20 +213,6 @@ class TableCatalog:
         at most this many stay hot.  ``None`` leaves eviction manual.
     k:
         Default top-``k`` for a catalog-built interface.
-    prune:
-        Default routing policy of :meth:`ask_any`: ``True`` (the
-        retrieve-then-parse pipeline) parses only the shards the
-        :class:`~repro.retrieval.router.ShardRouter` retrieves, falling
-        back to the full broadcast when retrieval has no hits; ``False``
-        restores the unconditional broadcast.  Per-call ``prune=``
-        overrides this default.
-    compose:
-        Default composition policy of :meth:`ask_any`: ``True`` also
-        attempts a cross-table join answer whenever the router proposes
-        shard sets (no single shard covers every anchored question term);
-        ``False`` never composes.  Strictly additive either way — the
-        single-shard ranking is identical.  Per-call ``compose=``
-        overrides this default.
 
     Registration does not index.  Only corpus-wide reads consult the
     corpus retrieval index — :meth:`routing`, :meth:`routing_sets`,
@@ -250,8 +236,6 @@ class TableCatalog:
         cache_dir: Optional[str] = None,
         max_hot_shards: Optional[int] = None,
         k: int = 7,
-        prune: bool = True,
-        compose: bool = True,
     ) -> None:
         if max_hot_shards is not None and max_hot_shards < 1:
             raise CatalogError(
@@ -278,8 +262,6 @@ class TableCatalog:
         # Imported lazily for the same reason as the interface above.
         from ..retrieval import CorpusIndex, ShardRouter
 
-        self.prune = prune
-        self.compose = compose
         self._index = CorpusIndex()
         #: Live digests whose postings are not yet in ``_index``; the
         #: next corpus-wide read publishes them (:meth:`corpus_index`).
@@ -715,8 +697,6 @@ class TableCatalog:
         self,
         items: Sequence[Tuple[str, TableLike]],
         k: Optional[int] = None,
-        workers: int = 4,
-        backend: str = "thread",
         pool=None,
         deadlines: Optional[Sequence[Optional[float]]] = None,
     ) -> List["InterfaceResponse"]:
@@ -724,8 +704,8 @@ class TableCatalog:
 
         Routing resolves every ref up front, then the batch rides
         :meth:`NLInterface.ask_many` on the long-lived
-        :class:`~repro.perf.pool.WorkerPool` passed as ``pool``, or on a
-        ``backend``/``workers`` pool built for this call when none is.
+        :class:`~repro.perf.pool.WorkerPool` passed as ``pool`` (an
+        engine's), or on the calling thread when none is.
         ``deadlines`` (index-aligned absolute monotonic instants) bounds
         each item — see :meth:`NLInterface.ask_many`.
         """
@@ -735,8 +715,7 @@ class TableCatalog:
             for (question, _), shard in zip(items, shards)
         ]
         responses = self.interface.ask_many(
-            pairs, k=k, workers=workers, backend=backend, pool=pool,
-            deadlines=deadlines,
+            pairs, k=k, pool=pool, deadlines=deadlines
         )
         with self._lock:
             protect = {shard.ref.digest for shard in shards}
@@ -826,12 +805,10 @@ class TableCatalog:
         self,
         question: str,
         k: Optional[int] = None,
-        workers: int = 4,
-        backend: str = "thread",
         prune: Optional[bool] = None,
         pool=None,
         max_candidates: Optional[int] = None,
-        compose: Optional[bool] = None,
+        compose: bool = True,
     ) -> CatalogAnswer:
         """Answer ``question`` corpus-wide: retrieve, parse survivors, rank.
 
@@ -842,12 +819,13 @@ class TableCatalog:
         stay on disk.
         When retrieval yields *no* candidate the router falls back to the
         full broadcast, so an answer is never lost to pruning.
-        ``prune=False`` (or a catalog built with ``prune=False``) forces
-        the broadcast: every registered table is asked and evicted shards
-        rehydrate first.  ``max_candidates`` additionally caps the parsed
-        shards at the first N of the retrieval ranking; answers stay
-        bit-identical to the broadcast whenever the broadcast's top shard
-        survives the cap — the pruning property below, unchanged.
+        ``prune=False`` forces the broadcast (``None`` prunes, as a v2
+        request that leaves the field out does): every registered table
+        is asked and evicted shards rehydrate first.  ``max_candidates``
+        additionally caps the parsed shards at the first N of the
+        retrieval ranking; answers stay bit-identical to the broadcast
+        whenever the broadcast's top shard survives the cap — the
+        pruning property below, unchanged.
 
         Parsed shards are ranked by their top candidate's model score,
         ties broken by retrieval score then registration order — all
@@ -857,27 +835,22 @@ class TableCatalog:
         retrievable (property-tested in ``tests/test_retrieval.py``).
         Shards that produce no executable candidate rank last.
 
-        When ``compose`` (default: the catalog's ``compose`` policy) is
-        active and the router proposes shard sets — no single
-        candidate covers every anchored question term — a cross-table
-        join answer is additionally attempted over the proposed pairs
-        (:meth:`_compose_from_proposals`) and attached as
-        ``CatalogAnswer.composed``.  Strictly additive: the single-shard
-        ranking is computed exactly as before.
+        When ``compose`` is on (the default) and the router proposes
+        shard sets — no single candidate covers every anchored question
+        term — a cross-table join answer is additionally attempted over
+        the proposed pairs (:meth:`_compose_from_proposals`) and
+        attached as ``CatalogAnswer.composed``.  Strictly additive: the
+        single-shard ranking is computed exactly as before.
         """
         refs = self._routable_refs()
         set_decision = self._router.route_sets(
             question, refs, max_candidates=max_candidates
         )
         decision = set_decision.single
-        apply_prune = self.prune if prune is None else prune
+        apply_prune = prune is not False
         targets = list(decision.candidates) if apply_prune else list(refs)
         responses = self.ask_many(
-            [(question, ref) for ref in targets],
-            k=k,
-            workers=workers,
-            backend=backend,
-            pool=pool,
+            [(question, ref) for ref in targets], k=k, pool=pool
         )
         order = {ref.digest: position for position, ref in enumerate(refs)}
         retrieval = {scored.ref.digest: scored.score for scored in decision.scored}
@@ -893,10 +866,9 @@ class TableCatalog:
                 order[pair[0].digest],
             ),
         )
-        apply_compose = self.compose if compose is None else compose
         composed = (
             self._compose_from_proposals(question, set_decision)
-            if apply_compose and set_decision.proposed
+            if compose and set_decision.proposed
             else None
         )
         return CatalogAnswer(

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from .table import Table, TableError
-from .values import DateValue
+from .values import DateValue, NumberValue, parse_value
 
 PathLike = Union[str, Path]
 
@@ -53,7 +53,13 @@ def table_from_tsv(
 
 
 def table_to_csv(table: Table, destination: Union[PathLike, io.TextIOBase], delimiter: str = ",") -> None:
-    """Write a table's display values to CSV."""
+    """Write a table's display values to CSV.
+
+    CSV keeps display strings only: which columns hold bare-year dates,
+    and which four-digit cells of such a column are numbers, is not
+    written, so reading the file back may type cells differently.  Use
+    :func:`table_to_json` for a round trip that keeps the fingerprint.
+    """
     def _write(handle) -> None:
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(table.columns)
@@ -71,8 +77,11 @@ def table_to_json(table: Table) -> str:
     """Serialise a table (name, columns, display rows) to a JSON string.
 
     Columns whose bare years are typed as dates are listed under
-    ``"date_columns"`` (omitted when there are none), so
-    :func:`table_from_json` rebuilds the same typed cells.
+    ``"date_columns"`` (omitted when there are none).  A number in such
+    a column that displays as four digits (``"$1,200"`` shows ``1200``)
+    would read back as a year, so ``"number_cells"`` maps each of those
+    columns to the rows of its such numbers (omitted when there are
+    none).  :func:`table_from_json` rebuilds the same typed cells.
     """
     payload = {
         "name": table.name,
@@ -91,6 +100,20 @@ def table_to_json(table: Table) -> str:
     ]
     if date_columns:
         payload["date_columns"] = date_columns
+        number_cells = {
+            column: rows
+            for column in date_columns
+            if (rows := [
+                cell.row_index
+                for cell in table.column_cells(column)
+                if isinstance(cell.value, NumberValue)
+                and isinstance(
+                    parse_value(cell.display(), prefer_date_for_years=True), DateValue
+                )
+            ])
+        }
+        if number_cells:
+            payload["number_cells"] = number_cells
     return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
@@ -100,14 +123,27 @@ def table_from_json(
     """Deserialise a table from the JSON produced by :func:`table_to_json`.
 
     An explicit ``date_columns`` argument wins over the payload's own.
+    The cells ``"number_cells"`` names stay numbers whatever the date
+    columns are; JSON written without that key loads as it always did.
     """
     payload = json.loads(text)
     missing = {"name", "columns", "rows"} - set(payload)
     if missing:
         raise TableError(f"JSON table missing keys: {sorted(missing)}")
+    rows = payload["rows"]
+    number_cells = payload.get("number_cells") or {}
+    if number_cells:
+        rows = [list(row) for row in rows]
+    for column, row_indices in number_cells.items():
+        try:
+            position = payload["columns"].index(column)
+            for row_index in row_indices:
+                rows[row_index][position] = parse_value(rows[row_index][position])
+        except (ValueError, IndexError, TypeError) as error:
+            raise TableError(f"bad number_cells entry for {column!r}: {error}")
     return Table(
         columns=payload["columns"],
-        rows=payload["rows"],
+        rows=rows,
         name=payload["name"],
         date_columns=(
             date_columns if date_columns is not None else payload.get("date_columns")

@@ -177,7 +177,8 @@ class NumberValue(Value):
     number: float
 
     def __post_init__(self):
-        object.__setattr__(self, "number", float(self.number))
+        # -0.0 + 0.0 is 0.0: a zero read back from its display "0" is the same float.
+        object.__setattr__(self, "number", float(self.number) + 0.0)
 
     @property
     def is_numeric(self) -> bool:

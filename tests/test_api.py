@@ -31,7 +31,7 @@ from repro.api import (
     result_from_served,
 )
 from repro.interface import InterfaceSession, NLInterface
-from repro.serving import AsyncServer, ServerClosed
+from repro.serving import ServerClosed
 from repro.tables import (
     AmbiguousTableError,
     CatalogError,
@@ -244,6 +244,27 @@ class TestReproEngine:
         assert "before parsing" in second.error.message
         assert parsed == [(questions["olympics"], threading.current_thread())]
 
+    def test_the_engine_owns_one_pool(self, corpus, engine):
+        """The engine builds one pool, on its own backend, when a query
+        first needs it: naming another backend is an error, and
+        ``pool_stats`` never reports more than that one pool."""
+        _, questions = corpus
+        with pytest.raises(ValueError):
+            engine.pool("process")
+        assert engine.pool_stats() == {}
+        engine.query(questions["olympics"], target="olympics")
+        engine.query(questions["medals"])  # corpus-wide: the same pool
+        pool = engine.pool()
+        assert engine.pool("thread") is pool
+        with pytest.raises(ValueError):
+            engine.pool("process")
+        stats = engine.pool_stats()
+        assert list(stats) == ["thread"]
+        assert stats["thread"]["units"] >= 2
+        engine.close()
+        assert engine.pool_stats() == {}
+        assert engine.pool() is not pool
+
     def test_answer_fails_an_expired_request_before_dispatch(self, corpus, engine):
         _, questions = corpus
         request = QueryRequest(question=questions["olympics"], target="olympics")
@@ -416,13 +437,14 @@ class _ServerThread:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        async with AsyncServer(self.catalog, max_workers=2) as server:
-            tcp = await server.serve(host="127.0.0.1", port=0)
-            self.port = tcp.sockets[0].getsockname()[1]
-            self._ready.set()
-            await self._stop.wait()
-            tcp.close()
-            await tcp.wait_closed()
+        with ReproEngine(self.catalog, workers=2) as engine:
+            async with engine.server() as server:
+                tcp = await server.serve(host="127.0.0.1", port=0)
+                self.port = tcp.sockets[0].getsockname()[1]
+                self._ready.set()
+                await self._stop.wait()
+                tcp.close()
+                await tcp.wait_closed()
 
     def __enter__(self) -> "_ServerThread":
         self._thread.start()

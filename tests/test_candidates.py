@@ -228,11 +228,11 @@ class TestCandidateSexpr:
         self, medals_table, to_sexpr_calls
     ):
         from repro.interface import NLInterface
-        from repro.perf import create_pool
+        from repro.perf import serving_pool
 
         interface = NLInterface(k=7)
         items = [("What was the total of Fiji?", medals_table)]
-        with create_pool("thread", interface.parser) as pool:
+        with serving_pool("thread", interface.parser) as pool:
             first = interface.ask_many(items, pool=pool)
             to_sexpr_calls.clear()
             second = interface.ask_many(items, pool=pool)

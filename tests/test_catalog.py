@@ -128,16 +128,16 @@ class TestRouting:
         catalog = TableCatalog()
         catalog.register_all(tables)
         items = [(questions[table.name], table.name) for table in tables] * 2
-        batched = catalog.ask_many(items, workers=4)
+        batched = catalog.ask_many(items)
         assert len(batched) == len(items)
         for (question, name), response in zip(items, batched):
             assert _signature(response) == _signature(catalog.ask(question, name))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_ask_many_honours_deadlines_without_a_pool(self, corpus, backend):
-        """With no pool passed, the pool built for the call still honours
-        each item's deadline: an already-expired item comes back as a
-        ``DeadlineExceeded`` error while its batch-mate answers normally."""
+    def test_ask_many_honours_deadlines_without_a_pool(self, corpus):
+        """With no pool passed, the call parses on the calling thread and
+        still honours each item's deadline: an already-expired item comes
+        back as a ``DeadlineExceeded`` error while its batch-mate answers
+        normally."""
         tables, questions = corpus
         catalog = TableCatalog()
         catalog.register_all(tables)
@@ -146,10 +146,7 @@ class TestRouting:
             (questions["medals"], "medals"),
         ]
         responses = catalog.ask_many(
-            items,
-            workers=2,
-            backend=backend,
-            deadlines=[time.monotonic() - 1.0, None],
+            items, deadlines=[time.monotonic() - 1.0, None]
         )
         outcomes = [
             type(response.error).__name__ if response.error else "ok"

@@ -25,7 +25,6 @@ from repro.interface import NLInterface
 from repro.perf import BatchItem, DiskCache, run_churn_bench
 from repro.perf.churn import churn_edit_script
 from repro.retrieval.corpus_index import CorpusIndex
-from repro.serving import AsyncServer
 from repro.tables import (
     NameConflictError,
     Table,
@@ -395,10 +394,10 @@ class TestDeltaEqualsRebuild:
 class TestPoolRetirement:
     def test_thread_pool_drops_superseded_entries(self, games, games_v2):
         from repro.parser.candidates import SemanticParser
-        from repro.perf import create_pool
+        from repro.perf import ThreadWorkerPool
 
         parser = SemanticParser()
-        pool = create_pool("thread", parser, max_workers=2)
+        pool = ThreadWorkerPool(parser, max_workers=2)
         try:
             NLInterface(parser, k=3).ask_many([("which city", games)], pool=pool)
             digest = games.fingerprint.digest
@@ -420,9 +419,9 @@ class TestPoolRetirement:
 
     def test_process_pool_unships_and_keeps_serving(self, games, games_v2):
         from repro.parser.candidates import SemanticParser
-        from repro.perf import create_pool
+        from repro.perf import ProcessWorkerPool
 
-        pool = create_pool("process", SemanticParser(), max_workers=1)
+        pool = ProcessWorkerPool(SemanticParser(), max_workers=1)
         try:
             pool.parse_all([BatchItem(question="which city", table=games, k=3)])
             digest = games.fingerprint.digest
@@ -497,12 +496,13 @@ class TestServingChurn:
         catalog.ask_many = updating_ask_many
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=2) as server:
+            async with engine.server() as server:
                 return await server.aquery(
                     QueryRequest(question="which city is in the USA", target="games")
                 )
 
-        result = asyncio.run(drive())
+        with ReproEngine(catalog, workers=2) as engine:
+            result = asyncio.run(drive())
         assert result.ok
         # The batch executed against the pinned pre-update snapshot...
         assert seen_digests == [old.digest]
@@ -571,14 +571,15 @@ class TestServingChurn:
         catalog.register(games)
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=2) as server:
+            async with engine.server() as server:
                 request = QueryRequest(question="which city", target="games")
                 await server.aquery(request)
                 catalog.update("games", games_v2)
                 await server.aquery(request)
                 return server.stats_payload()
 
-        payload = asyncio.run(drive())
+        with ReproEngine(catalog, workers=2) as engine:
+            payload = asyncio.run(drive())
         server_stats = payload["server"]
         assert server_stats["corpus_updates"] == 1
         assert server_stats["shards_retired"] == 1

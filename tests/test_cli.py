@@ -699,6 +699,22 @@ class TestServeCommand:
         schema = wire_schema.load_schema("query_result.v2.json")
         assert wire_schema.validate_lines(lines, schema) == len(lines)
 
+    def test_process_self_test_leaves_no_worker_process(self, corpus_dir):
+        """The command closes the engine it built, so the worker processes
+        of its pool are reaped before it returns instead of being left to
+        multiprocessing's exit hook."""
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        out = io.StringIO()
+        code = main(
+            ["serve", "--corpus", str(corpus_dir), "--self-test", "2",
+             "--workers", "2", "--backend", "process"],
+            out=out,
+        )
+        assert code == 0
+        assert set(multiprocessing.active_children()) - before == set()
+
     def test_pool_flags_reach_the_engine(self):
         """--workers and --backend build the engine's pool, the one the
         server parses on (they used to size only the server's threads)."""

@@ -130,14 +130,6 @@ class TestCatalogComposition:
         ]
         assert with_compose.routing.scored == without.routing.scored
 
-    def test_catalog_policy_disables_composition(self, medals, regions):
-        cat = TableCatalog(compose=False)
-        cat.register(medals)
-        cat.register(regions)
-        assert cat.ask_any(JOIN_QUESTION).composed is None
-        # The per-call override still wins over the constructor policy.
-        assert cat.ask_any(JOIN_QUESTION, compose=True).composed is not None
-
     def test_single_table_questions_never_compose(self, catalog):
         assert catalog.ask_any("how many golds does Fiji have").composed is None
 

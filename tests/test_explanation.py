@@ -14,7 +14,7 @@ from repro.core.highlights import Highlighter
 from repro.core.utterance import derive
 from repro.dcs import builder as q, to_sexpr
 from repro.interface import NLInterface
-from repro.perf import create_pool
+from repro.perf import serving_pool
 
 
 class TestSingleExplanation:
@@ -54,7 +54,7 @@ class TestSingleExplanation:
 
     def test_memoized_small_table_explanations_hold_no_sample(self, olympics_table):
         interface = NLInterface(k=3)
-        with create_pool("thread", interface.parser, 1) as pool:
+        with serving_pool("thread", interface.parser) as pool:
             [response] = interface.ask_many(
                 [("which country hosted in 2004", olympics_table)], pool=pool
             )
@@ -79,7 +79,7 @@ class TestSingleExplanation:
         execution result instead of running the query again."""
         interface = NLInterface(k=3)
         question = "which country hosted in 2004"
-        with create_pool("thread", interface.parser, 1) as pool:
+        with serving_pool("thread", interface.parser) as pool:
             [response] = interface.ask_many([(question, olympics_table)], pool=pool)
             result = result_from_response(QueryRequest(question=question), response)
             memoized = pool.explanations.items_for(olympics_table.fingerprint.digest)

@@ -16,7 +16,7 @@ from repro.core import ExplanationGenerator, explain, explain_candidates
 from repro.core.highlights import Highlighter
 from repro.dcs import builder as q
 from repro.interface import NLInterface
-from repro.perf import create_pool
+from repro.perf import ThreadWorkerPool, serving_pool
 
 LARGE_QUESTIONS = [
     "what is the highest growth rate of madagascar",
@@ -46,8 +46,8 @@ def responses_of_every_path(items, k=7):
     for _question, table in items:
         interface.evict_table(table)
     responses.extend(interface.ask(question, table) for question, table in items)
-    responses.extend(interface.ask_many(items, workers=2))
-    with create_pool("thread", interface.parser, 2) as pool:
+    responses.extend(interface.ask_many(items))
+    with ThreadWorkerPool(interface.parser, 2) as pool:
         for _ in range(2):
             responses.extend(interface.ask_many(items, pool=pool))
     return responses
@@ -129,7 +129,7 @@ def test_threads_first_reading_a_memoized_explanation_match_explain(large_table)
     """Eight threads race on the first reads of one memoized explanation's
     highlight and sample; every thread sees what a fresh ``explain`` gives."""
     interface = NLInterface(k=3)
-    with create_pool("thread", interface.parser, 1) as pool:
+    with serving_pool("thread", interface.parser) as pool:
         interface.ask_many([(LARGE_QUESTIONS[0], large_table)], pool=pool)
         memoized = list(pool.explanations.items_for(large_table.fingerprint.digest).values())
     assert memoized

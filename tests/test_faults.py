@@ -25,11 +25,10 @@ import time
 import pytest
 
 from repro import faults
-from repro.api import QueryRequest, ReproClient
+from repro.api import QueryRequest, ReproClient, ReproEngine
 from repro.api.errors import ApiError, ErrorCode
-from repro.perf import BatchItem, create_pool
+from repro.perf import BatchItem, ProcessWorkerPool
 from repro.perf.diskcache import DiskCache
-from repro.serving import AsyncServer
 from repro.tables import TableCatalog
 
 from test_perf_batch import (
@@ -129,7 +128,7 @@ class TestWorkerCrashChaos:
         an unfaulted run and the respawn is visible in stats."""
         items = (build_items() * 6)[:32]
         reference = sequential_signatures(items)
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser()) as pool:
             with faults.armed("worker.crash_before_batch", hits=(1,)):
                 results = pool.parse_all(normalize(items))
             assert result_signatures(results) == reference
@@ -147,7 +146,7 @@ class TestWorkerCrashChaos:
         unanswered remainder is retried."""
         items = build_items()
         reference = sequential_signatures(items)
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser()) as pool:
             pool.parse_all(normalize(items))  # warm: tables shipped
             with faults.armed("worker.crash_before_batch", hits=(1,)):
                 results = pool.parse_all(normalize(items))
@@ -163,7 +162,7 @@ class TestRespawnFailureDowngrade:
         ``downgraded`` visible in stats."""
         items = build_items()
         reference = sequential_signatures(items)
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser()) as pool:
             assert pool.max_respawn_failures == 3
             with faults.armed("worker.crash_before_batch", hits=(1,)):
                 with faults.armed("pool.respawn_fail", hits=(1, 2, 3)):
@@ -198,7 +197,7 @@ class TestRespawnFailureDowngrade:
         backend (the failure streak resets on success)."""
         items = build_items()
         reference = sequential_signatures(items)
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser()) as pool:
             with faults.armed("worker.crash_before_batch", hits=(1,)):
                 with faults.armed("pool.respawn_fail", hits=(1,)):
                     results = pool.parse_all(normalize(items))
@@ -216,10 +215,10 @@ class TestDeadlineWithHangingWorker:
         concurrent request in the same batch still gets its answer."""
         _, questions = corpus
 
+        engine = ReproEngine(catalog, workers=1, backend="process")
+
         async def drive():
-            async with AsyncServer(
-                catalog, max_workers=1, backend="process"
-            ) as server:
+            async with engine.server() as server:
                 # The hang (8s) dwarfs both the deadline (400ms) and the
                 # test budget: passing proves the worker was killed, not
                 # waited out.
@@ -242,7 +241,10 @@ class TestDeadlineWithHangingWorker:
                 elapsed = time.monotonic() - started
                 return timed, mate, elapsed, server.stats_payload()["server"]
 
-        timed, mate, elapsed, stats = asyncio.run(drive())
+        try:
+            timed, mate, elapsed, stats = asyncio.run(drive())
+        finally:
+            engine.close()
         assert timed.ok is False
         assert timed.error_code is ErrorCode.TIMEOUT
         assert mate.top is not None  # the batch-mate was retried and answered

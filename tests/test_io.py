@@ -1,6 +1,7 @@
 """Unit tests for table IO (CSV/TSV/JSON)."""
 
 import io
+import json
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.tables import (
     table_to_csv,
     table_to_json,
 )
+from repro.tables.values import DateValue, NumberValue
 
 
 class TestCSV:
@@ -70,6 +72,36 @@ class TestJSON:
         # An explicit argument still wins over the payload's own list.
         untyped = table_from_json(table_to_json(table), date_columns=[])
         assert untyped.fingerprint != table.fingerprint
+
+    def test_a_number_in_a_date_column_stays_a_number(self):
+        """``$1,200`` displays as ``1200``, which a date column would read
+        back as a year; the JSON names the cell, so it stays a number."""
+        table = Table(["Year"], [["1896"], ["$1,200"]], date_columns=["Year"])
+        loaded = table_from_json(table_to_json(table))
+        assert [type(value) for value in loaded.column_values("Year")] == [
+            DateValue, NumberValue,
+        ]
+        assert loaded.fingerprint == table.fingerprint
+
+    def test_json_written_before_number_cells_loads_as_before(self):
+        """A payload without ``number_cells`` reads every four-digit cell
+        of a date column as a year, as it always did."""
+        old = json.dumps({
+            "name": "hosts", "columns": ["Year"], "rows": [["1896"], ["1200"]],
+            "date_columns": ["Year"],
+        })
+        expected = Table(["Year"], [["1896"], ["1200"]], name="hosts", date_columns=["Year"])
+        loaded = table_from_json(old)
+        assert loaded.fingerprint == expected.fingerprint
+        assert loaded.column_values("Year") == [DateValue(year=1896), DateValue(year=1200)]
+
+    def test_a_malformed_number_cells_entry_is_a_table_error(self):
+        bad = json.dumps({
+            "name": "t", "columns": ["Year"], "rows": [["1896"]],
+            "date_columns": ["Year"], "number_cells": {"Year": [5]},
+        })
+        with pytest.raises(TableError):
+            table_from_json(bad)
 
 
 class TestDirectories:

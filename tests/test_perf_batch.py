@@ -1,5 +1,5 @@
-"""Concurrency tests for batch parsing on :func:`repro.perf.create_pool`
-pools and the interface batch entry points.
+"""Concurrency tests for batch parsing on the thread and process pools
+and the interface batch entry points.
 
 The contract under test: batching is a pure throughput optimisation —
 for any pool size and either backend the results are order-stable
@@ -16,7 +16,12 @@ import pytest
 
 from repro.interface import NLInterface
 from repro.parser import SemanticParser
-from repro.perf import BatchItem, ProcessWorkerPool, create_pool, run_parse_bench
+from repro.perf import (
+    BatchItem,
+    ProcessWorkerPool,
+    ThreadWorkerPool,
+    run_parse_bench,
+)
 from repro.tables import Table
 
 
@@ -101,7 +106,7 @@ class TestBatchParserConcurrency:
         items = build_items()
         reference = sequential_signatures(items)
         for workers in (1, 2, 8):
-            with create_pool("thread", make_parser(), workers) as pool:
+            with ThreadWorkerPool(make_parser(), workers) as pool:
                 results = pool.parse_all(normalize(items))
             assert pool.max_workers == workers
             assert_index_aligned(results, items)
@@ -112,7 +117,7 @@ class TestBatchParserConcurrency:
     def test_repeated_questions_share_caches_across_workers(self):
         items = build_items() * 3
         parser = make_parser()
-        with create_pool("thread", parser, 8) as pool:
+        with ThreadWorkerPool(parser, 8) as pool:
             results = pool.parse_all(normalize(items))
             ranked = pool._ranked.stats()
         # Repeats are answered by the pool's ranked-parse memo, which
@@ -128,13 +133,13 @@ class TestBatchParserConcurrency:
     def test_batch_items_carry_their_own_k(self):
         olympics, _ = build_tables()
         item = BatchItem(question="what is the highest year", table=olympics, k=1)
-        with create_pool("thread", make_parser(), 2) as pool:
+        with ThreadWorkerPool(make_parser(), 2) as pool:
             (parse, _), = pool.parse_all([item])
         assert len(parse.candidates) == 1
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
-            create_pool("thread", make_parser(), 0)
+            ThreadWorkerPool(make_parser(), 0)
 
 
 class TestProcessBackend:
@@ -144,7 +149,7 @@ class TestProcessBackend:
     def test_results_match_sequential_loop(self):
         items = build_items()
         reference = sequential_signatures(items)
-        with create_pool("process", make_parser(), 4) as pool:
+        with ProcessWorkerPool(make_parser(), 4) as pool:
             assert pool.backend == "process"
             results = pool.parse_all(normalize(items))
         assert_index_aligned(results, items)
@@ -154,7 +159,7 @@ class TestProcessBackend:
 
     def test_duplicate_items_share_one_work_unit(self):
         items = build_items()[:2] * 3
-        with create_pool("process", make_parser(), 2) as pool:
+        with ProcessWorkerPool(make_parser(), 2) as pool:
             results = pool.parse_all(normalize(items))
         assert [parse.question for parse, _ in results] == [
             question for question, _ in items
@@ -170,7 +175,7 @@ class TestProcessBackend:
             BatchItem(question="what is the highest year", table=olympics, k=1),
             BatchItem(question="what is the highest year", table=olympics, k=3),
         ]
-        with create_pool("process", make_parser(), 2) as pool:
+        with ProcessWorkerPool(make_parser(), 2) as pool:
             results = pool.parse_all(items)
         assert len(results[0][0].candidates) == 1
         assert len(results[1][0].candidates) == 3
@@ -224,7 +229,7 @@ class TestInterfaceBatch:
         sequential = NLInterface(parser=make_parser(), k=3)
         expected = [sequential.ask(question, table) for question, table in items]
         batched = NLInterface(parser=make_parser(), k=3)
-        responses = batched.ask_many(items, workers=4)
+        responses = batched.ask_many(items)
         assert len(responses) == len(items)
         for response, reference in zip(responses, expected):
             assert response.question == reference.question
@@ -234,9 +239,20 @@ class TestInterfaceBatch:
             ]
 
     def test_ask_many_single_worker(self):
+        """Given no pool, ``ask_many`` parses on the calling thread."""
         items = build_items()[:2]
-        responses = NLInterface(parser=make_parser(), k=2).ask_many(items, workers=1)
+        parsed_on = []
+        parser = make_parser()
+        real_parse = parser.parse
+
+        def recording_parse(*args, **kwargs):
+            parsed_on.append(threading.current_thread())
+            return real_parse(*args, **kwargs)
+
+        parser.parse = recording_parse
+        responses = NLInterface(parser=parser, k=2).ask_many(items)
         assert [r.question for r in responses] == [question for question, _ in items]
+        assert parsed_on == [threading.current_thread()] * len(items)
 
 
 class TestParseBenchHarness:

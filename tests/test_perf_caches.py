@@ -23,7 +23,7 @@ from repro.dcs import Executor, MemoizedExecutor, from_sexpr
 from repro.parser import Lexicon, ParserConfig, SemanticParser
 from repro.parser import candidates as candidates_module
 from repro.parser.grammar import CandidateGrammar
-from repro.perf import BatchItem, create_pool
+from repro.perf import BatchItem, ThreadWorkerPool
 from repro.perf.pool import _refresh_inherited_locks
 from repro.tables import LRUCache, Table, TableFingerprint, fingerprint_table
 
@@ -527,7 +527,7 @@ class TestPerCallExecutionMemo:
             )
             for example in dataset.examples
         }.values())
-        with create_pool("thread", parser, 4) as pool:
+        with ThreadWorkerPool(parser, 4) as pool:
             results = pool.parse_all(items)
         assert all(not isinstance(parse, Exception) for parse, _ in results)
         assert len(executors) == len(items)

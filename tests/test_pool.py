@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from repro.api import ReproEngine
 from repro.dataset import DatasetConfig, build_dataset
 from repro.interface import NLInterface
 from repro.parser.grammar import CandidateGrammar
@@ -35,8 +36,9 @@ from repro.perf import (
     DeadlineExceeded,
     ProcessWorkerPool,
     ThreadWorkerPool,
-    create_pool,
+    serving_pool,
 )
+from repro.tables import TableCatalog
 
 from test_perf_batch import (
     build_items,
@@ -48,17 +50,26 @@ from test_perf_batch import (
 )
 
 
+#: A pool of each flavour, as the parametrized tests below build them.
+POOLS = {"thread": ThreadWorkerPool, "process": ProcessWorkerPool}
+
+
 class TestCreatePool:
+    """Building a pool: :func:`serving_pool`, an engine's one constructor."""
+
     def test_factory_builds_both_flavours(self):
-        assert isinstance(create_pool("thread", make_parser()), ThreadWorkerPool)
-        assert isinstance(create_pool("process", make_parser()), ProcessWorkerPool)
+        thread = serving_pool("thread", make_parser(), 4)
+        assert isinstance(thread, ThreadWorkerPool) and thread.max_workers == 1
+        with serving_pool("process", make_parser(), 2) as process:
+            assert isinstance(process, ProcessWorkerPool)
+            assert process.max_workers == 2
 
     def test_factory_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
-            create_pool("fiber", make_parser())
+            serving_pool("fiber", make_parser())
 
     def test_closed_pool_rejects_batches(self):
-        pool = create_pool("thread", make_parser())
+        pool = ThreadWorkerPool(make_parser())
         pool.close()
         with pytest.raises(RuntimeError):
             pool.parse_all(normalize(build_items()[:1]))
@@ -68,7 +79,7 @@ class TestThreadPoolPersistence:
     def test_bit_identical_across_repeated_batches(self):
         items = build_items()
         reference = sequential_signatures(items)
-        with create_pool("thread", make_parser()) as pool:
+        with ThreadWorkerPool(make_parser()) as pool:
             for _ in range(3):
                 results = pool.parse_all(normalize(items))
                 assert [signature(parse) for parse, _ in results] == reference
@@ -79,7 +90,7 @@ class TestThreadPoolPersistence:
         """Eviction drops the parser's caches; the ranked memo answers."""
         items = build_items()
         reference = sequential_signatures(items)
-        pool = create_pool("thread", make_parser())
+        pool = ThreadWorkerPool(make_parser())
         pool.parse_all(normalize(items))
         assert pool.stats()["ranked"] > 0
         olympics, medals = build_tables()
@@ -94,7 +105,7 @@ class TestThreadPoolPersistence:
 
     def test_ranked_memo_invalidates_on_weight_change(self):
         items = build_items()[:2]
-        pool = create_pool("thread", make_parser())
+        pool = ThreadWorkerPool(make_parser())
         pool.parse_all(normalize(items))
         assert pool.stats()["ranked"] == len(items)
         # New weights: the memo flushes and fresh parses rank with them,
@@ -111,7 +122,7 @@ class TestProcessPoolPersistence:
     def test_bit_identical_and_pids_stable_across_batches(self):
         items = build_items()
         reference = sequential_signatures(items)
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser()) as pool:
             first = pool.parse_all(normalize(items))
             pids = pool.pids()
             assert pids and all(pid is not None for pid in pids)
@@ -122,7 +133,7 @@ class TestProcessPoolPersistence:
 
     def test_tables_ship_incrementally(self):
         items = build_items()
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser()) as pool:
             pool.parse_all(normalize(items))
             first_shipped = pool.tables_shipped
             assert first_shipped >= len({t.fingerprint.digest for _, t in items})
@@ -158,7 +169,7 @@ class TestProcessPoolPersistence:
 
     def test_weights_resync_only_when_changed(self):
         items = build_items()[:2]
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser()) as pool:
             pool.parse_all(normalize(items))
             pool.parser.model.weights["op:Aggregate"] = 5.0
             results = pool.parse_all(normalize(items))
@@ -171,7 +182,7 @@ class TestProcessPoolPersistence:
         items = build_items()
         reference = sequential_signatures(items)
         outcomes: dict = {}
-        with create_pool("process", make_parser()) as pool:
+        with ProcessWorkerPool(make_parser()) as pool:
             def run(tag):
                 outcomes[tag] = pool.parse_all(normalize(items))
             threads = [
@@ -264,6 +275,66 @@ class TestServedTopK:
         assert served(responses) == full_parse_top(items, 3)
         for _, table in items:
             assert not parser.generator._candidate_cache.items_for(table.fingerprint.digest)
+
+
+def pool_threads():
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-pool")
+    }
+
+
+def recording_parser(threads):
+    """A parser that records the thread each parse runs on."""
+    parser = make_parser()
+    real_parse = parser.parse
+
+    def parse(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return real_parse(*args, **kwargs)
+
+    parser.parse = parse
+    return parser
+
+
+class TestPoollessCalls:
+    """A call given no pool parses on the calling thread, through the
+    one-worker pool an engine's thread backend serves on, and answers as
+    that engine does."""
+
+    def test_ask_many_parses_inline_like_an_engine_pool(self):
+        items = build_items()
+        threads: set = set()
+        before = pool_threads()
+        inline = served(NLInterface(recording_parser(threads), k=3).ask_many(items))
+        assert threads == {threading.current_thread()}
+        assert pool_threads() == before
+        interface = NLInterface(make_parser(), k=3)
+        with ReproEngine(interface=interface, workers=4) as engine:
+            assert served(interface.ask_many(items, pool=engine.pool())) == inline
+
+    def test_ask_any_parses_inline_like_an_engine_pool(self):
+        """A broadcast, so the call parses a unit per shard."""
+        tables = build_tables()
+        question = "which country hosted in 2004"
+        threads: set = set()
+        before = pool_threads()
+        catalog = TableCatalog(interface=NLInterface(recording_parser(threads), k=3))
+        catalog.register_all(list(tables))
+        inline = catalog.ask_any(question, prune=False)
+        assert len(inline.ranked) == len(tables)
+        assert threads == {threading.current_thread()}
+        assert pool_threads() == before
+        with ReproEngine(
+            interface=NLInterface(make_parser(), k=3), tables=tables, workers=4
+        ) as engine:
+            pooled = engine.catalog.ask_any(question, prune=False, pool=engine.pool())
+        assert [ref.digest for ref, _ in pooled.ranked] == [
+            ref.digest for ref, _ in inline.ranked
+        ]
+        assert [served([response]) for _, response in pooled.ranked] == [
+            served([response]) for _, response in inline.ranked
+        ]
 
 
 class TestProcessReplyBoundary:
@@ -416,7 +487,7 @@ class TestDeadlines:
         items = build_items()
         reference = sequential_signatures(items)
         expired = time.monotonic() - 1.0
-        with create_pool(backend, make_parser()) as pool:
+        with POOLS[backend](make_parser()) as pool:
             batch = [
                 BatchItem(
                     question=question,
@@ -436,7 +507,7 @@ class TestDeadlines:
 class TestPoolClose:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_close_is_idempotent(self, backend):
-        pool = create_pool(backend, make_parser())
+        pool = POOLS[backend](make_parser())
         pool.parse_all(normalize(build_items()[:1]))
         pool.close()
         pool.close()  # must not raise, hang, or double-release
@@ -445,7 +516,7 @@ class TestPoolClose:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_concurrent_close_is_safe(self, backend):
-        pool = create_pool(backend, make_parser())
+        pool = POOLS[backend](make_parser())
         pool.parse_all(normalize(build_items()[:1]))
         errors: list = []
 
@@ -464,7 +535,7 @@ class TestPoolClose:
         assert pool._closed
 
     def test_close_reaps_worker_processes(self):
-        pool = create_pool("process", make_parser())
+        pool = ProcessWorkerPool(make_parser())
         pool.parse_all(normalize(build_items()[:1]))
         processes = [worker.process for worker in pool._workers]
         assert all(process.is_alive() for process in processes)

@@ -40,7 +40,7 @@ from repro.dcs.typing import validate
 from repro.parser import Lexicon, extract_features
 from repro.parser.features import NodeFacts
 from repro.sql import check_equivalence
-from repro.tables import Table, parse_value, values_equal
+from repro.tables import Table, parse_value, table_from_json, table_to_json, values_equal
 from repro.tables.fingerprint import fingerprint_table
 from repro.tables.schema import infer_schema
 from repro.tables.values import NumberValue, StringValue
@@ -192,8 +192,42 @@ def mixed_tables(draw):
     return Table(columns=columns, rows=rows, name="mixed", date_columns=date_columns)
 
 
+#: Raw cell strings for a date column: bare years, and numbers of every
+#: width, some of which display as four digits ("$1,200" shows 1200).
+YEAR_COLUMN_CELLS = st.one_of(
+    st.integers(min_value=1000, max_value=2999).map(str),
+    st.integers(min_value=0, max_value=10**5).map(lambda n: f"${n:,}"),
+    st.floats(min_value=0, max_value=10**5, allow_nan=False).map(str),
+    RAW_CELLS.map(str),
+)
+
+
+@st.composite
+def year_tables(draw):
+    """Tables of raw cell strings whose date columns mix years and other numbers."""
+    columns = [f"C{position}" for position in range(draw(st.integers(1, 4)))]
+    rows = draw(
+        st.lists(
+            st.lists(YEAR_COLUMN_CELLS, min_size=len(columns), max_size=len(columns)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    date_columns = draw(st.lists(st.sampled_from(columns), min_size=1, unique=True))
+    return Table(columns=columns, rows=rows, name="years", date_columns=date_columns)
+
+
 class TestSerializationProperties:
     """Every serialization boundary of a table keeps its content identity."""
+
+    @given(year_tables())
+    @SETTINGS
+    def test_a_json_round_trip_keeps_the_fingerprint(self, table):
+        restored = table_from_json(table_to_json(table))
+        assert fingerprint_table(restored) == fingerprint_table(table)
+        assert [
+            [type(cell.value) for cell in record] for record in restored.records
+        ] == [[type(cell.value) for cell in record] for record in table.records]
 
     @given(mixed_tables())
     @SETTINGS

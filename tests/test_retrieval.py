@@ -243,7 +243,7 @@ class TestShardRouter:
             lambda: catalog.routing(question, max_candidates=1),
             lambda: catalog.routing_sets(question),
             lambda: catalog.routing_sets(question, max_candidates=2, max_proposals=8),
-            lambda: catalog.ask_any(question, k=2, workers=1),
+            lambda: catalog.ask_any(question, k=2),
         ):
             probes.clear()
             read()
@@ -587,9 +587,14 @@ def assert_index_matches_scan(index, question, refs=None):
     }
     assert index.term_coverage(question) == coverage
     if refs is not None:
-        position = {ref.digest: i for i, ref in enumerate(refs)}
-        ranked = sorted(refs, key=lambda ref: (-scores.get(ref.digest, 0.0),
-                                               position[ref.digest]))
+        # Ties keep list order, as the router's do; ``refs`` repeats a
+        # ref when two registered tables share content.
+        ranked = [
+            ref for _, ref in sorted(
+                enumerate(refs),
+                key=lambda entry: (-scores.get(entry[1].digest, 0.0), entry[0]),
+            )
+        ]
         decision = ShardRouter(index).route(question, refs)
         assert [(s.ref, s.score, s.matched) for s in decision.scored] == [
             (ref, scores.get(ref.digest, 0.0), labels.get(ref.digest, ()))
@@ -694,7 +699,7 @@ class TestCatchUp:
         catalog = TableCatalog()
         catalog.register_all(tables)
         ref = catalog.pin("olympics")
-        catalog.ask_many([(questions["olympics"], ref)], k=2, workers=1)
+        catalog.ask_many([(questions["olympics"], ref)], k=2)
         catalog.unpin(ref)
         catalog.update("olympics", edited)
         assert calls == []

@@ -36,6 +36,25 @@ def catalog(corpus):
     return catalog
 
 
+@pytest.fixture
+def engines():
+    """``engines(catalog, workers)``: a thread engine to serve ``catalog``.
+
+    A server leaves its engine's pool open, so every engine built here
+    is closed when its test ends.
+    """
+    built = []
+
+    def build(catalog, workers):
+        engine = ReproEngine(catalog, workers=workers)
+        built.append(engine)
+        return engine
+
+    yield build
+    for engine in built:
+        engine.close()
+
+
 def _signature(response):
     return [
         (item.rank, item.answer, item.utterance, item.candidate.sexpr, item.candidate.score)
@@ -55,7 +74,7 @@ async def _session(server, items):
 
 class TestAsyncServer:
     def test_concurrent_sessions_are_order_stable_and_bit_identical(
-        self, corpus, catalog
+        self, corpus, catalog, engines
     ):
         """Acceptance: >= 8 concurrent sessions, outputs identical to the
         sequential NLInterface path, per-session order preserved."""
@@ -69,7 +88,7 @@ class TestAsyncServer:
         ]
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 sessions = [_session(server, workload) for _ in range(8)]
                 return await asyncio.gather(*sessions), server.stats.as_dict()
 
@@ -84,7 +103,7 @@ class TestAsyncServer:
         # assertions above, changed no output.
         assert stats["batches"] <= stats["shard_groups"] <= stats["requests"]
 
-    def test_hot_set_eviction_keeps_answers_identical(self, corpus, tmp_path):
+    def test_hot_set_eviction_keeps_answers_identical(self, corpus, tmp_path, engines):
         """Serving under memory pressure: with at most 2 of 3 shards hot,
         concurrent sessions evict and rehydrate shards, and every answer
         still equals the full parse of an unbounded catalog."""
@@ -104,7 +123,7 @@ class TestAsyncServer:
         catalog.register_all(tables)
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 return await asyncio.gather(
                     *(_session(server, workload) for _ in range(4))
                 )
@@ -113,7 +132,7 @@ class TestAsyncServer:
             assert [result.canonical_dict() for result in results] == expected
         assert catalog.stats()["evictions"] >= 1
 
-    def test_batches_are_composed_with_shard_affinity(self, corpus, catalog):
+    def test_batches_are_composed_with_shard_affinity(self, corpus, catalog, engines):
         """Within one dispatcher batch, requests reach ask_many grouped by
         resolved shard (contiguous digest runs), in arrival order within
         each run — and answers still come back request-aligned."""
@@ -134,7 +153,7 @@ class TestAsyncServer:
         ]
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 return await asyncio.gather(
                     *(_ask(server, question, name) for question, name in interleaved)
                 )
@@ -153,11 +172,11 @@ class TestAsyncServer:
                 f"batch not grouped by shard: {batch_digests}"
             )
 
-    def test_micro_batching_merges_concurrent_arrivals(self, corpus, catalog):
+    def test_micro_batching_merges_concurrent_arrivals(self, corpus, catalog, engines):
         _, questions = corpus
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 await asyncio.gather(
                     *(_ask(server, questions["olympics"], "olympics") for _ in range(12))
                 )
@@ -168,12 +187,12 @@ class TestAsyncServer:
         # At least some arrivals were merged (the first batch may be 1).
         assert stats["batches"] < 12
 
-    def test_gathered_queries_are_index_aligned(self, corpus, catalog):
+    def test_gathered_queries_are_index_aligned(self, corpus, catalog, engines):
         tables, questions = corpus
         items = [(questions[table.name], table.name) for table in tables]
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 return await asyncio.gather(
                     *(_ask(server, question, name) for question, name in items)
                 )
@@ -182,11 +201,11 @@ class TestAsyncServer:
         for (question, name), result in zip(items, results):
             assert _signature(result.raw) == _signature(catalog.ask(question, name))
 
-    def test_mixed_k_requests_keep_their_own_k(self, corpus, catalog):
+    def test_mixed_k_requests_keep_their_own_k(self, corpus, catalog, engines):
         _, questions = corpus
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 return await asyncio.gather(
                     _ask(server, questions["olympics"], "olympics", k=2),
                     _ask(server, questions["olympics"], "olympics", k=5),
@@ -196,11 +215,11 @@ class TestAsyncServer:
         assert len(small.candidates) == 2
         assert len(large.candidates) == 5
 
-    def test_corpus_wide_routing(self, corpus, catalog):
+    def test_corpus_wide_routing(self, corpus, catalog, engines):
         tables, questions = corpus
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 return await _ask(server, questions["olympics"])  # no target
 
         result = asyncio.run(drive())
@@ -208,11 +227,11 @@ class TestAsyncServer:
         assert result.shard.digest == tables[0].fingerprint.digest
         assert result.answer == ("Greece",)
 
-    def test_unknown_ref_fails_only_its_own_request(self, corpus, catalog):
+    def test_unknown_ref_fails_only_its_own_request(self, corpus, catalog, engines):
         _, questions = corpus
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 return await asyncio.gather(
                     _ask(server, questions["olympics"], "olympics"),
                     _ask(server, questions["olympics"], "atlantis"),
@@ -232,7 +251,8 @@ class TestAsyncServer:
         _, questions = corpus
         engine = ReproEngine(catalog, workers=1, backend="process")
         with pytest.raises(ValueError):
-            engine.server(backend="thread")
+            engine.server(max_workers=engine.workers + 1)
+        assert engine.server(max_workers=engine.workers).engine is engine
 
         async def drive():
             async with engine.server() as server:
@@ -249,7 +269,7 @@ class TestAsyncServer:
         assert pools["process"]["units"] == 1
 
     def test_thread_backend_parses_on_at_most_one_jobs_thread_per_core(
-        self, corpus, catalog
+        self, corpus, catalog, engines
     ):
         """On the thread backend routed groups parse on the dispatcher
         and corpus-wide requests on the jobs executor, which has no more
@@ -278,7 +298,7 @@ class TestAsyncServer:
         ]
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=8, max_batch=8) as server:
+            async with engines(catalog, 8).server(max_batch=8) as server:
                 return await asyncio.gather(
                     _ask(server, questions["olympics"], "olympics"),
                     *(_ask(server, question) for question in corpus_wide),
@@ -290,11 +310,11 @@ class TestAsyncServer:
         assert jobs and len(jobs) <= parse_threads(8)
         assert all(name.startswith("repro-serve") for name in parsed_on)
 
-    def test_hard_stop_fails_queued_requests(self, corpus, catalog):
+    def test_hard_stop_fails_queued_requests(self, corpus, catalog, engines):
         _, questions = corpus
 
         async def drive():
-            server = AsyncServer(catalog, max_workers=4)
+            server = engines(catalog, 4).server()
             await server.start()
             # Enqueue without giving the dispatcher a chance to finish,
             # then hard-stop: the pending request must fail, not hang.
@@ -308,14 +328,14 @@ class TestAsyncServer:
 
         asyncio.run(drive())
 
-    def test_graceful_stop_drains_accepted_requests(self, corpus, catalog):
+    def test_graceful_stop_drains_accepted_requests(self, corpus, catalog, engines):
         """The default stop() finishes accepted work before closing —
         an enqueued request gets its real answer, while a request
         arriving *during* the drain is turned away with SERVER_CLOSED."""
         _, questions = corpus
 
         async def drive():
-            server = AsyncServer(catalog, max_workers=4)
+            server = engines(catalog, 4).server()
             await server.start()
             task = asyncio.get_running_loop().create_task(
                 _ask(server, questions["olympics"], "olympics")
@@ -337,12 +357,40 @@ class TestAsyncServer:
         asyncio.run(drive())
 
 
+class TestServerTakesAnEngine:
+    """A server serves an engine and leaves its pool to the engine."""
+
+    def test_a_bare_catalog_is_a_type_error(self, catalog):
+        with pytest.raises(TypeError, match="ReproEngine"):
+            AsyncServer(catalog)
+
+    def test_a_stopped_server_leaves_the_engines_pool_warm(
+        self, corpus, catalog, engines
+    ):
+        """A second server over the same engine answers from the pool the
+        first one warmed: stopping a server does not close it."""
+        _, questions = corpus
+        engine = engines(catalog, 2)
+
+        async def drive():
+            async with engine.server() as server:
+                return await _ask(server, questions["olympics"], "olympics")
+
+        first = asyncio.run(drive())
+        pool = engine.pool()
+        hits = pool._ranked.stats()["hits"]
+        second = asyncio.run(drive())
+        assert engine.pool() is pool
+        assert pool._ranked.stats()["hits"] == hits + 1
+        assert second.canonical_dict() == first.canonical_dict()
+
+
 class TestTcpEndpoint:
-    def test_json_lines_roundtrip(self, corpus, catalog):
+    def test_json_lines_roundtrip(self, corpus, catalog, engines):
         tables, questions = corpus
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 try:
                     tcp = await server.serve(host="127.0.0.1", port=0)
                 except OSError as error:  # pragma: no cover - sandboxed CI
@@ -407,7 +455,7 @@ class TestServingRaceRegressions:
     """The stop()/aquery() races and thread-placement contracts."""
 
     def test_ask_racing_stop_is_server_closed_never_attribute_error(
-        self, corpus, catalog
+        self, corpus, catalog, engines
     ):
         """Regression: a stop() landing while requests were in flight
         used to surface as ``AttributeError: 'NoneType' object has no
@@ -416,7 +464,7 @@ class TestServingRaceRegressions:
         _, questions = corpus
 
         async def drive():
-            server = AsyncServer(catalog, max_workers=2)
+            server = engines(catalog, 2).server()
             await server.start()
             tasks = [
                 asyncio.get_running_loop().create_task(
@@ -437,14 +485,14 @@ class TestServingRaceRegressions:
                 outcome.top is not None
             )
 
-    def test_stop_nulling_queue_between_start_and_capture(self, corpus, catalog):
+    def test_stop_nulling_queue_between_start_and_capture(self, corpus, catalog, engines):
         """The exact historical interleaving, pinned deterministically:
         stop() nulls the queue after aquery()'s lazy start() returns but
         before the queue reference is captured."""
         _, questions = corpus
 
         async def drive():
-            server = AsyncServer(catalog)
+            server = engines(catalog, 8).server()
             await server.start()
             real_start = server.start
 
@@ -460,13 +508,13 @@ class TestServingRaceRegressions:
 
         asyncio.run(drive())
 
-    def test_stop_swapping_queue_after_the_put(self, corpus, catalog):
+    def test_stop_swapping_queue_after_the_put(self, corpus, catalog, engines):
         """The narrower window: stop() drains and nulls the queue right
         after the put but before the dispatcher picks the request up."""
         _, questions = corpus
 
         async def drive():
-            server = AsyncServer(catalog)
+            server = engines(catalog, 8).server()
             await server.start()
             # Let the dispatcher park on the original queue, then hand
             # _enqueue a side queue nothing consumes, whose put itself
@@ -500,7 +548,7 @@ class TestServingRaceRegressions:
         asyncio.run(drive())
 
     def test_resolve_runs_on_dispatcher_thread_not_event_loop(
-        self, corpus, catalog
+        self, corpus, catalog, engines
     ):
         """Regression: aquery used to call catalog.resolve on the event
         loop; the catalog lock (held across disk writes during eviction)
@@ -519,7 +567,7 @@ class TestServingRaceRegressions:
         catalog.pin = recording_pin
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=2) as server:
+            async with engines(catalog, 2).server() as server:
                 return await _ask(server, questions["olympics"], "olympics")
 
         try:
@@ -533,7 +581,7 @@ class TestServingRaceRegressions:
             assert name != threading.main_thread().name
 
     def test_broadcasts_run_on_jobs_executor_interleaved_with_routed(
-        self, corpus, catalog
+        self, corpus, catalog, engines
     ):
         """Regression: corpus-wide ask_any used to run inline on the
         dispatcher thread, strictly before the routed groups.  In a mixed
@@ -552,7 +600,7 @@ class TestServingRaceRegressions:
         catalog.ask_any = recording_ask_any
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=2, max_batch=8) as server:
+            async with engines(catalog, 2).server(max_batch=8) as server:
                 routed_task = asyncio.get_running_loop().create_task(
                     _ask(server, questions["olympics"], "olympics")
                 )
@@ -575,7 +623,7 @@ class TestServingRaceRegressions:
 
 
 class TestBackpressure:
-    def test_full_queue_sheds_with_coded_overloaded(self, corpus, catalog):
+    def test_full_queue_sheds_with_coded_overloaded(self, corpus, catalog, engines):
         """With ``max_pending=1`` and the dispatcher pinned mid-batch,
         the first waiting request queues and the next is shed
         immediately with a retryable coded OVERLOADED (never queue
@@ -587,7 +635,7 @@ class TestBackpressure:
         _, questions = corpus
 
         async def drive():
-            server = AsyncServer(catalog, max_workers=2, max_pending=1)
+            server = engines(catalog, 2).server(max_pending=1)
             await server.start()
             gate = threading.Event()
             real_answer = server.engine.answer
@@ -620,13 +668,13 @@ class TestBackpressure:
         assert stats["shed"] == 1
         assert stats["errors"] == 0  # shed happens before acceptance
 
-    def test_double_stop_is_clean(self, corpus, catalog):
+    def test_double_stop_is_clean(self, corpus, catalog, engines):
         """stop() is idempotent: calling it twice (or on a server that
         never started) returns cleanly, no tracebacks, no hangs."""
         _, questions = corpus
 
         async def drive():
-            server = AsyncServer(catalog, max_workers=2)
+            server = engines(catalog, 2).server()
             await server.stop()  # never started: still clean
             result = await _ask(server, questions["olympics"], "olympics")
             await server.stop()
@@ -638,10 +686,10 @@ class TestBackpressure:
 
 
 class TestServerStats:
-    def test_mean_batch_is_always_a_float(self, catalog):
+    def test_mean_batch_is_always_a_float(self, catalog, engines):
         """Regression: mean_batch degraded to the int 0 before the first
         batch but was a rounded float afterwards — the type is stable now."""
-        server = AsyncServer(catalog)
+        server = engines(catalog, 8).server()
         assert isinstance(server.stats.as_dict()["mean_batch"], float)
         assert server.stats.as_dict()["mean_batch"] == 0.0
         server.stats.requests = 7
@@ -671,7 +719,7 @@ async def _open_server(server):
 
 class TestWireProtocolV2:
     def test_hello_negotiates_and_query_matches_in_process_engine(
-        self, corpus, catalog
+        self, corpus, catalog, engines
     ):
         """Acceptance: the v2 TCP path returns answers bit-identical to
         in-process ReproEngine.query — including ask_any routing
@@ -682,7 +730,7 @@ class TestWireProtocolV2:
         engine = ReproEngine(catalog)
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 tcp, reader, writer = await _open_server(server)
                 hello = await _tcp_call(reader, writer, {"v": 2, "op": "hello"})
                 assert hello["ok"] is True and hello["versions"] == [2]
@@ -738,7 +786,7 @@ class TestWireProtocolV2:
         asyncio.run(drive())
 
     def test_oversized_line_gets_bad_request_and_connection_survives(
-        self, corpus, catalog
+        self, corpus, catalog, engines
     ):
         """Regression: a >64 KiB line used to kill the connection with no
         response (StreamReader.readline raised past the handler).  Now it
@@ -747,7 +795,7 @@ class TestWireProtocolV2:
         _, questions = corpus
 
         async def drive():
-            async with AsyncServer(catalog, max_workers=4) as server:
+            async with engines(catalog, 4).server() as server:
                 tcp, reader, writer = await _open_server(server)
 
                 huge = json.dumps(
@@ -798,9 +846,9 @@ class TestWireErrorPaths:
     @pytest.mark.parametrize(
         "name,body,code", _ERROR_CASES, ids=[case[0] for case in _ERROR_CASES]
     )
-    def test_v2_error_codes(self, catalog, name, body, code):
+    def test_v2_error_codes(self, catalog, name, body, code, engines):
         async def drive():
-            async with AsyncServer(catalog, max_workers=2) as server:
+            async with engines(catalog, 2).server() as server:
                 tcp, reader, writer = await _open_server(server)
                 versioned = body if isinstance(body, bytes) else {"v": 2, **body}
                 for request in (body, versioned):
@@ -818,11 +866,11 @@ class TestWireErrorPaths:
 
         asyncio.run(drive())
 
-    def test_unsupported_version_is_coded(self, catalog):
+    def test_unsupported_version_is_coded(self, catalog, engines):
         """v2 is the only version: the retired v1 and an unknown v3 are
         both refused with a coded error."""
         async def drive():
-            async with AsyncServer(catalog, max_workers=2) as server:
+            async with engines(catalog, 2).server() as server:
                 tcp, reader, writer = await _open_server(server)
                 for version in (1, 3):
                     response = await _tcp_call(

@@ -51,6 +51,14 @@ class TestNumberValue:
     def test_ordering(self):
         assert NumberValue(4) < NumberValue(20)
 
+    def test_a_negative_zero_is_stored_as_zero(self):
+        """``-0`` displays as ``0``, so a table read back from its display
+        must hold the same float, or its fingerprint would change."""
+        value = parse_value("-0.0")
+        assert value.display() == "0"
+        assert math.copysign(1.0, value.number) == 1.0
+        assert math.copysign(1.0, NumberValue(-0.0).number) == 1.0
+
 
 class TestDateValue:
     def test_requires_at_least_one_component(self):
