@@ -354,10 +354,6 @@ class ReproEngine:
         self.call_timeout = call_timeout
         self._pool = None
         self._pool_lock = threading.Lock()
-        # Retired snapshots must leave the per-worker registries too —
-        # without this, every update leaks the superseded table into
-        # each pool worker forever.
-        self.catalog.on_retire(self._forward_retirement)
         if tables:
             self.catalog.register_all(list(tables))
 
@@ -379,8 +375,11 @@ class ReproEngine:
         return self.catalog.update(ref, new_table)
 
     def _forward_retirement(self, ref) -> None:
-        with self._pool_lock:
-            pool = self._pool
+        # Retired snapshots must leave the per-worker registries too, or
+        # every update leaks the superseded table into each pool worker.
+        # Read without the pool lock: the catalog calls this holding its
+        # own lock, which pool() takes while holding the pool lock.
+        pool = self._pool
         if pool is not None:
             pool.retire([ref.digest])
 
@@ -411,6 +410,10 @@ class ReproEngine:
         ``backend``: ``workers`` processes on the process backend; on the
         thread backend one worker, which parses each unit on the thread
         that asked.  Naming another ``backend`` is a ``ValueError``.
+
+        Building the pool registers the engine with the catalog's
+        retirements, and :meth:`close` removes it again: a catalog keeps
+        no closed engine alive, and calls none.
         """
         if backend not in (None, self.backend):
             raise ValueError(
@@ -427,6 +430,7 @@ class ReproEngine:
                     self.workers,
                     call_timeout=self.call_timeout,
                 )
+                self.catalog.on_retire(self._forward_retirement)
             return self._pool
 
     def pool_stats(self) -> Dict[str, Any]:
@@ -435,10 +439,13 @@ class ReproEngine:
             return {} if self._pool is None else {self.backend: self._pool.stats()}
 
     def close(self) -> None:
-        """Tear down the worker pool (idempotent; the engine stays usable —
-        the next query lazily builds a fresh one)."""
+        """Tear down the worker pool and leave the catalog's retirements
+        (idempotent; the engine stays usable — the next query lazily
+        builds a fresh pool and registers again)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
+            if pool is not None:
+                self.catalog.off_retire(self._forward_retirement)
         if pool is not None:
             pool.close()
 

@@ -28,15 +28,22 @@ entity constant            :class:`ValueLiteral`
 Every node reports its :class:`ResultKind` (records, values or scalar) and
 its children, so that the executor, the SQL translator, the provenance
 engine and the utterance generator can all walk the same tree.
+
+Nodes are frozen slotted dataclasses, like the table model's cells and
+values: no attribute dict (so no ad-hoc attribute or
+``cached_property``), and each concrete class pickles as its field tuple
+(:func:`~repro.tables.values.pickles_as_fields`), refusing the dict
+state an older pickle carries.  :class:`Query` keeps one slot for weak
+references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence, Tuple
 
-from ..tables.values import Value
+from ..tables.values import Value, pickles_as_fields
 from .errors import QueryTypeError
 
 
@@ -74,6 +81,10 @@ class ComparisonOperator(Enum):
 @dataclass(frozen=True)
 class Query:
     """Base class of all lambda DCS nodes."""
+
+    # Declared here rather than through ``slots=True``, which cannot add
+    # a weak-reference slot before Python 3.11.
+    __slots__ = ("__weakref__",)
 
     def children(self) -> Tuple["Query", ...]:
         return ()
@@ -124,7 +135,8 @@ class Query:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class ValueLiteral(Query):
     """An entity constant (a unary containing a single value), e.g. ``Greece``."""
 
@@ -138,7 +150,8 @@ class ValueLiteral(Query):
         return f"ValueLiteral({self.value.display()!r})"
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class AllRecords(Query):
     """The ``Record`` unary: every record of the table."""
 
@@ -152,7 +165,8 @@ class AllRecords(Query):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class ColumnRecords(Query):
     """``C.v`` — records whose column ``C`` equals value ``v``.
 
@@ -178,7 +192,8 @@ class ColumnRecords(Query):
         return (self.column,)
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class ComparisonRecords(Query):
     """Records whose column value compares against a constant.
 
@@ -204,7 +219,8 @@ class ComparisonRecords(Query):
         return (self.column,)
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class PrevRecords(Query):
     """``Prev.records`` — the records immediately above the given records."""
 
@@ -221,7 +237,8 @@ class PrevRecords(Query):
         return ResultKind.RECORDS
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class NextRecords(Query):
     """``R[Prev].records`` — the records immediately below the given records."""
 
@@ -238,7 +255,8 @@ class NextRecords(Query):
         return ResultKind.RECORDS
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class Intersection(Query):
     """``records1 ⊓ records2`` — records appearing in both operands."""
 
@@ -257,7 +275,8 @@ class Intersection(Query):
         return ResultKind.RECORDS
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class JoinRecords(Query):
     """Cross-table bridge — records of the *primary* table whose
     ``left_column`` value matches (``values_equal``) some value of
@@ -295,7 +314,8 @@ class JoinRecords(Query):
         return (self.left_column,)
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class SuperlativeRecords(Query):
     """``argmax(records, λx[C.x])`` — records with the extreme value in ``C``.
 
@@ -320,7 +340,8 @@ class SuperlativeRecords(Query):
         return (self.column,)
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class FirstLastRecords(Query):
     """``argmax/argmin(records, Index)`` — the last / first record of a set.
 
@@ -348,7 +369,8 @@ class FirstLastRecords(Query):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class ColumnValues(Query):
     """``R[C].records`` — values of column ``C`` in the given records."""
 
@@ -369,7 +391,8 @@ class ColumnValues(Query):
         return (self.column,)
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class Union(Query):
     """``vals1 ⊔ vals2`` (or a union of record sets)."""
 
@@ -393,7 +416,8 @@ class Union(Query):
         return self.left.result_kind
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class IndexSuperlative(Query):
     """``R[C].argmax(records, Index)`` — the value of ``C`` in the last
     (or first, for ``ARGMIN``) record of a record set.
@@ -420,7 +444,8 @@ class IndexSuperlative(Query):
         return (self.column,)
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class MostCommonValue(Query):
     """``argmax(vals, R[λx.count(C.x)])`` — the value appearing most often in ``C``.
 
@@ -446,7 +471,8 @@ class MostCommonValue(Query):
         return (self.column,)
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class CompareValues(Query):
     """``argmax(vals, R[λx.R[C1].C2.x])`` — compare candidate values by a key column.
 
@@ -479,7 +505,8 @@ class CompareValues(Query):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class Aggregate(Query):
     """``aggr(operand)`` for ``aggr ∈ {count, min, max, sum, avg}``.
 
@@ -507,7 +534,8 @@ class Aggregate(Query):
         return ResultKind.SCALAR
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class Difference(Query):
     """``sub(left, right)`` — arithmetic difference of two single-valued operands.
 

@@ -10,20 +10,31 @@ the paper's Table 10, which is why the provenance engine
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union as TUnion
 
 from ..tables.index import table_index
 from ..tables.table import Cell, Table
-from ..tables.values import DateValue, NumberValue, StringValue, Value, values_equal
+from ..tables.values import (
+    DateValue,
+    NumberValue,
+    StringValue,
+    Value,
+    pickles_as_fields,
+    values_equal,
+)
 from . import ast
 from .ast import AggregateFunction, ComparisonOperator, Query, ResultKind, SuperlativeKind
 from .errors import ExecutionError
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """The result of executing one (sub-)query.
+
+    Slotted and pickled as its field tuple, like the cells it holds
+    (:func:`~repro.tables.values.pickles_as_fields`).
 
     Attributes
     ----------

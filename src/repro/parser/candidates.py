@@ -7,8 +7,11 @@ deployment interface (:mod:`repro.interface`) consumes the ranked list, and
 the trainer (:mod:`repro.parser.training`) updates the underlying model.
 
 A :class:`CandidateGenerator` yields a question's candidates without
-reading any weight; a :class:`SemanticParser` is a model ranking what its
-generator yields (the paper retrains only the ranker, Section 6).
+reading any weight of its own; a :class:`SemanticParser` is a model
+ranking what its generator yields (the paper retrains only the ranker,
+Section 6).  A cold top-``k`` parse hands its generator a snapshot of the
+weights, so each candidate is scored as it is built and no feature
+vector outlives its score.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..tables.fingerprint import LRUCache
 from ..tables.index import evict_index, index_cache_stats
 from ..tables.table import Table
+from ..tables.values import pickles_as_fields
 from ..dcs.ast import Query
 from ..dcs.errors import DCSError
 from ..dcs.executor import ExecutionResult, Executor
@@ -33,16 +36,21 @@ from ..dcs.typing import validate
 from .features import FeatureVector, NodeFacts, extract_features
 from .grammar import CandidateGrammar, GenerationConfig
 from .lexicon import LexicalAnalysis, Lexicon
-from .model import LogLinearModel, softmax
+from .model import LogLinearModel, dot, softmax
 
 
-@dataclass(frozen=True)
+@pickles_as_fields
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One candidate query with everything the ranker and the UI need.
 
     ``features`` is ``None`` on a candidate a top-``k`` parse served: the
-    ranker is the vector's only reader, so the cut drops it (see
+    ranker is the vector's only reader, so the parse never keeps it (see
     :meth:`SemanticParser.parse`).
+
+    Slotted like its query and result, and pickled as its field tuple
+    (:func:`~repro.tables.values.pickles_as_fields`): no attribute dict,
+    so no ad-hoc attribute or ``cached_property``.
     """
 
     query: Query
@@ -50,20 +58,39 @@ class Candidate:
     result: ExecutionResult
     score: float = 0.0
     probability: float = 0.0
+    #: The s-expression :attr:`sexpr` reads; not an ``__init__`` field,
+    #: so never pickled (a restore leaves the slot unset).
+    _sexpr: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def answer(self) -> Tuple[str, ...]:
         return self.result.answer_strings()
 
-    @cached_property
+    @property
     def sexpr(self) -> str:
-        """The query's s-expression, serialized on first read only.
+        """The query's s-expression.
 
-        Serving reads it at least twice per candidate (the explanation
-        memo key, then the envelope), so a candidate held in a ranked
-        memo keeps its string instead of re-walking the query per read.
+        Generation fills it with the string its node facts composed for
+        the query.  A candidate built or unpickled elsewhere serializes
+        its query on the first read and keeps the string: serving reads
+        it at least twice per candidate (the explanation memo key, then
+        the envelope).  It is never pickled, so a reply, a disk entry or
+        a copy carries the query alone.
         """
-        return to_sexpr(self.query)
+        sexpr = getattr(self, "_sexpr", None)
+        if sexpr is None:
+            sexpr = to_sexpr(self.query)
+            object.__setattr__(self, "_sexpr", sexpr)
+        return sexpr
+
+    def without_features(self) -> "Candidate":
+        """This candidate as a top-``k`` parse serves it: no vector."""
+        if self.features is None:
+            return self
+        return _candidate(
+            self.query, None, self.result, self.score, self.probability,
+            getattr(self, "_sexpr", None),
+        )
 
     def __repr__(self) -> str:
         # Bounded on purpose: the generated dataclass repr recurses into
@@ -74,6 +101,22 @@ class Candidate:
             f"Candidate(sexpr={self.sexpr!r}, score={self.score:.4f}, "
             f"answer={self.answer!r})"
         )
+
+
+def _candidate(
+    query: Query,
+    features: Optional[FeatureVector],
+    result: ExecutionResult,
+    score: float = 0.0,
+    probability: float = 0.0,
+    sexpr: Optional[str] = None,
+) -> Candidate:
+    """A :class:`Candidate` holding ``sexpr``, its query's s-expression
+    as already composed (``None``: serialized on the first read)."""
+    candidate = Candidate(query, features, result, score, probability)
+    if sexpr is not None:
+        object.__setattr__(candidate, "_sexpr", sexpr)
+    return candidate
 
 
 @dataclass
@@ -193,8 +236,10 @@ class ParserConfig:
 class CandidateGenerator:
     """The weight-free half of the parser: a question's executable candidates.
 
-    Generation reads no model weight, so parsers sharing one generator
-    share every list it generated.  It owns every cache derived from
+    Generation stores no list that depends on a weight (a top-``k``
+    parse's weight snapshot only scores candidates that are never
+    stored), so parsers sharing one generator share every list it
+    stored.  It owns every cache derived from
     table content (one lexicon-and-grammar entry per table, candidate
     lists, the disk store) under one ``config``; all of them are
     thread-safe.  Column indexes stay in the process-wide registry every
@@ -278,9 +323,15 @@ class CandidateGenerator:
 
     # -- candidate generation -------------------------------------------------------
     def generate(
-        self, question: str, table: Table, *, store: bool = True
+        self,
+        question: str,
+        table: Table,
+        *,
+        store: bool = True,
+        weights: Optional[Dict[str, float]] = None,
     ) -> Tuple[List[Candidate], LexicalAnalysis]:
-        """Generate (unranked) executable candidates with their features.
+        """Generate (unranked) executable candidates with their features
+        (or, scored as they are built, their scores).
 
         Generation is independent of the model weights (only ranking uses
         them), so with ``config.cache_candidates`` the whole candidate
@@ -292,6 +343,16 @@ class CandidateGenerator:
         caller memoizes the ``k`` candidates it serves.  The disk store,
         when configured, persists the list either way — it costs no
         resident memory.
+
+        ``weights`` is a snapshot of a model's weights, which a top-``k``
+        parse passes.  When a cold call stores no list (``store=False``
+        and no disk store), it scores each candidate with them as soon
+        as :func:`~repro.parser.features.extract_features` returns its
+        vector, and builds the candidate with that score and no vector:
+        the ranker reads those scores (:meth:`SemanticParser.rank`), and
+        the call never holds its candidates' vectors at once.  Anything
+        that stores the list, and a cache hit, returns vectors, unscored.
+        Generation reads no weight otherwise.
 
         A cold call builds each distinct node's facts once, in one
         :class:`~repro.parser.features.NodeFacts` table: its s-expression
@@ -345,6 +406,9 @@ class CandidateGenerator:
             )
         else:
             executor = Executor(table, use_index=self.config.index_tables)
+        # Stored lists keep their vectors, so the ranker can re-rank them.
+        scoring = weights is not None and not store and self._disk_cache is None
+        composed = facts.sexpr
         candidates: List[Candidate] = []
         for query in raw_queries:
             if not (facts.valid(query) if index_tables else validate(query, table)):
@@ -361,7 +425,12 @@ class CandidateGenerator:
             features = extract_features(
                 question, table, query, analysis=analysis, result=result, facts=facts
             )
-            candidates.append(Candidate(query=query, features=features, result=result))
+            if scoring:
+                candidates.append(
+                    _candidate(query, None, result, dot(weights, features), sexpr=composed(query))
+                )
+            else:
+                candidates.append(_candidate(query, features, result, sexpr=composed(query)))
         if isinstance(executor, MemoizedExecutor):
             with self._execution_lock:
                 self._execution_hits += executor.hits
@@ -430,10 +499,15 @@ class SemanticParser:
         self.generator.clear_caches()
 
     def generate_candidates(
-        self, question: str, table: Table, *, store: bool = True
+        self,
+        question: str,
+        table: Table,
+        *,
+        store: bool = True,
+        weights: Optional[Dict[str, float]] = None,
     ) -> Tuple[List[Candidate], LexicalAnalysis]:
         """See :meth:`CandidateGenerator.generate`."""
-        return self.generator.generate(question, table, store=store)
+        return self.generator.generate(question, table, store=store, weights=weights)
 
     def evict_table(self, table: Table) -> None:
         """See :meth:`CandidateGenerator.evict_table`."""
@@ -454,22 +528,33 @@ class SemanticParser:
         lexical analysis.  A top-``k`` parse reads that cache but stores
         nothing: its caller (a worker pool's ranked memo) keeps the ``k``
         candidates it serves.  The ranker is the only reader of a
-        candidate's features, so the cut drops them: a top-``k`` parse
-        returns candidates with ``features=None`` and ``analysis=None``,
-        and :meth:`rank` refuses them.  Asking the same question again
-        with another ``k``, or after a weight change, therefore
-        regenerates it unless a full parse cached it.
+        candidate's features, so a top-``k`` parse keeps none: a cold one
+        hands generation a snapshot of the weights, which scores each
+        candidate as its vector is extracted and drops the vector (see
+        :meth:`CandidateGenerator.generate`), and :meth:`rank` orders
+        those scores; a cached list is ranked from its vectors and cut.
+        Either way the scores are the same ``dot`` over the same vectors,
+        and the parse returns candidates with ``features=None`` and
+        ``analysis=None``, which :meth:`rank` refuses.  Asking the same
+        question again with another ``k``, or after a weight change,
+        therefore regenerates it unless a full parse cached it.
         """
         started = time.perf_counter()
         candidates, analysis = self.generate_candidates(
-            question, table, store=k is None
+            question,
+            table,
+            store=k is None,
+            weights=None if k is None else dict(self.model.weights),
         )
         limit = self.config.max_candidates
         if k is not None:
             limit = min(k, limit)
-        ranked = self.rank(candidates, k=limit)
+        scores = None
+        if candidates and candidates[0].features is None:  # scored as built
+            scores = [candidate.score for candidate in candidates]
+        ranked = self.rank(candidates, k=limit, scores=scores)
         if k is not None:
-            ranked = [dataclasses.replace(candidate, features=None) for candidate in ranked]
+            ranked = [candidate.without_features() for candidate in ranked]
             analysis = None
         elapsed = time.perf_counter() - started
         return ParseOutput(
@@ -481,7 +566,10 @@ class SemanticParser:
         )
 
     def rank(
-        self, candidates: Sequence[Candidate], k: Optional[int] = None
+        self,
+        candidates: Sequence[Candidate],
+        k: Optional[int] = None,
+        scores: Optional[Sequence[float]] = None,
     ) -> List[Candidate]:
         """Order candidates by model probability (Equation 4).
 
@@ -491,30 +579,39 @@ class SemanticParser:
         top-``k`` ranking is exactly the prefix of the full one.  Ties
         keep input order, as in :meth:`LogLinearModel.rank`.
 
-        A candidate without features (one a top-``k`` parse served) is a
-        ``ValueError``: it is never scored 0.
+        ``scores``, one per candidate, are the scores the call that built
+        the candidates computed from their vectors (a cold top-``k``
+        parse, see :meth:`CandidateGenerator.generate`); they replace
+        the scoring.  Without them a candidate without features (one a
+        top-``k`` parse served) is a ``ValueError``: it is never scored 0.
         """
         if not candidates:
             return []
-        vectors = [candidate.features for candidate in candidates]
-        if any(vector is None for vector in vectors):
+        if scores is None:
+            vectors = [candidate.features for candidate in candidates]
+            if any(vector is None for vector in vectors):
+                raise ValueError(
+                    "cannot rank a candidate without features: a top-k parse "
+                    "keeps none; re-rank the full list from parse(k=None) or "
+                    "generate_candidates instead"
+                )
+            # Score once: the model's probabilities are the softmax of these
+            # same scores, so calling both would score every candidate twice.
+            scores = self.model.scores(vectors)
+        elif len(scores) != len(candidates):
             raise ValueError(
-                "cannot rank a candidate without features: a top-k parse drops "
-                "them at the cut; re-rank the full list from parse(k=None) or "
-                "generate_candidates instead"
+                f"{len(scores)} scores for {len(candidates)} candidates"
             )
-        # Score once: the model's probabilities are the softmax of these
-        # same scores, so calling both would score every candidate twice.
-        scores = self.model.scores(vectors)
         probabilities = softmax(scores)
         order = sorted(range(len(scores)), key=lambda index: -scores[index])
         return [
-            Candidate(
-                query=candidates[index].query,
-                features=candidates[index].features,
-                result=candidates[index].result,
-                score=scores[index],
-                probability=probabilities[index],
+            _candidate(
+                candidates[index].query,
+                candidates[index].features,
+                candidates[index].result,
+                scores[index],
+                probabilities[index],
+                getattr(candidates[index], "_sexpr", None),
             )
             for index in order[:k]
         ]

@@ -11,7 +11,7 @@ entry written by any other process that saw the same table content.
 
 Layout (all paths under the cache root)::
 
-    v2/<namespace>/<digest[:2]>/<digest>.pkl
+    v3/<namespace>/<digest[:2]>/<digest>.pkl
 
 where ``namespace`` is ``candidates`` (one entry per
 ``(table fingerprint, question, generation signature)``) or ``tables``
@@ -27,11 +27,19 @@ without locks: both racers write byte-equal payloads (everything cached
 here is deterministic), and the loser's replace is a no-op in effect.
 Unreadable or version-mismatched entries are treated as misses and
 removed, so schema bumps and torn files degrade to a cold start, never
-an error.  The ``v2`` root and schema came with the slotted table model:
-a ``v1`` entry pickled cells, values and fingerprints with attribute
-dicts, which the slotted classes refuse to load (see
-:func:`~repro.tables.values.pickles_as_fields`), so a ``v2`` store never
-reads the old root.
+an error.
+
+Each root is one pickle format.  ``v2`` came with the slotted table
+model: a ``v1`` entry pickled cells, values and fingerprints with
+attribute dicts.  ``v3`` came with slotted query trees, execution
+results and candidates: a ``v2`` candidate list pickled those with
+attribute dicts.  The slotted classes refuse such a pickle (see
+:func:`~repro.tables.values.pickles_as_fields`), so a store never reads
+an older root.  Opening one removes each older root's ``candidates``
+namespace, because those lists are rebuildable, and the root itself
+once it is empty; a removal another process races is ignored.  An older
+root's ``tables`` namespace stays: it may be the only copy of the
+evicted shards of an older process that is still running.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import re
+import shutil
 import tempfile
 import threading
 from pathlib import Path
@@ -46,9 +56,11 @@ from typing import Any, Dict, Optional
 
 from .. import faults
 
-#: Bump to invalidate every existing on-disk entry (with the root
-#: directory :class:`DiskCache` puts its entries under).
-DISK_CACHE_SCHEMA = "repro-diskcache-v2"
+#: Bump to invalidate every existing on-disk entry: it names the root
+#: directory :class:`DiskCache` puts its entries under, and the schema
+#: every entry carries.
+STORE_VERSION = 3
+DISK_CACHE_SCHEMA = f"repro-diskcache-v{STORE_VERSION}"
 
 #: Namespace of per-question candidate-list entries.
 CANDIDATES_NAMESPACE = "candidates"
@@ -61,6 +73,28 @@ def _digest(key: object) -> str:
     return hashlib.sha256(repr(key).encode("utf-8", "surrogatepass")).hexdigest()
 
 
+def _remove_older_candidate_lists(base: Path) -> None:
+    """Delete every older root's rebuildable ``candidates`` namespace.
+
+    Its ``tables`` namespace stays (see the module docstring); a root
+    left empty goes too.  Another process removing the same files at
+    once only makes a removal here a no-op.
+    """
+    try:
+        roots = list(base.iterdir())
+    except OSError:  # no cache directory yet
+        return
+    for root in roots:
+        match = re.fullmatch(r"v(\d+)", root.name)
+        if match is None or int(match.group(1)) >= STORE_VERSION:
+            continue
+        shutil.rmtree(root / CANDIDATES_NAMESPACE, ignore_errors=True)
+        try:
+            root.rmdir()
+        except OSError:  # it holds tables, or is gone already
+            pass
+
+
 class DiskCache:
     """A pickle-backed key/value store under one root directory.
 
@@ -69,11 +103,12 @@ class DiskCache:
     root:
         The cache directory (created on first write).  Safe to share
         between threads and processes; see the module docstring for the
-        atomicity story.
+        atomicity story, and for the older roots opening removes.
     """
 
     def __init__(self, root: os.PathLike) -> None:
-        self.root = Path(root) / "v2"
+        _remove_older_candidate_lists(Path(root))
+        self.root = Path(root) / f"v{STORE_VERSION}"
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0

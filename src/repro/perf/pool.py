@@ -31,11 +31,11 @@ Two flavours behind one interface:
 A unit with a ``k`` (every unit :meth:`NLInterface.ask_many` sends) is
 parsed to its top ``k``, which is all the ranked memo keeps: the parser
 stores no unranked candidate list for it, so a served question stays
-resident once.  The cut also drops what only the ranker reads — each
-candidate's feature vector and the question's lexical analysis — so
-the memo and every process reply carry query, result, score and
-probability alone.  A unit without one is a full parse, keeps both and
-fills the parser's candidate cache as well.
+resident once.  Such a parse keeps nothing only the ranker reads — no
+candidate's feature vector, no lexical analysis — so the memo and every
+process reply carry query, result, score and probability alone, each a
+slotted object that pickles as its field tuple.  A unit without one is
+a full parse, keeps both and fills the parser's candidate cache as well.
 
 Correctness contract (locked in by ``tests/test_pool.py`` and
 ``tests/test_perf_batch.py``): ``parse_all`` results are index-aligned
@@ -72,6 +72,8 @@ supervises its workers instead of trusting them:
 * workers stream **per-unit replies** (``("unit", …)`` /
   ``("unit_error", …)`` then ``("done",)``), so a death or hang
   mid-batch loses only the unanswered units, never the whole group;
+  the driver loads each reply with the cyclic collector paused
+  (:class:`_CollectorPause`);
 * the driver collects with :func:`multiprocessing.connection.wait`
   under a timeout derived from unit deadlines, the optional
   ``call_timeout`` watchdog and a liveness probe interval — pipe EOF,
@@ -565,6 +567,43 @@ def _pool_worker_main(
         conn.send(("done",))
 
 
+class _CollectorPause:
+    """Pauses the cyclic collector while any driver thread loads a reply.
+
+    A reply unpickles thousands of container objects (query trees,
+    results, cells), and with the collector on, allocating them triggers
+    collections that walk the driver's whole heap: about half a
+    full-parse reply's load time.  None of what a load allocates is
+    garbage.  The collector is process-wide, so the pause is too: the
+    first thread in disables it, the last one out re-enables it if the
+    first found it enabled.  One pool's batches run under its lock, but
+    the drivers of two pools in one process load at once, and neither
+    leaves the collector disabled; a load that raises restores it like
+    one that returns.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._loading = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._loading == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._loading += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._loading -= 1
+            if self._loading == 0 and self._resume:
+                gc.enable()
+
+
+_collector_paused = _CollectorPause()
+
+
 def _pickle_tables(tables: List[Table]) -> bytes:
     """One ``("ship", …)``/``("parse", …)`` table blob for a worker."""
     import pickle
@@ -992,6 +1031,7 @@ class ProcessWorkerPool(WorkerPool):
         hung before answering).  Expired units resolve to
         :class:`DeadlineExceeded` directly in ``parsed``.
         """
+        import pickle
         from multiprocessing.connection import wait
 
         retry: Set[WorkUnit] = set()
@@ -1046,7 +1086,9 @@ class ProcessWorkerPool(WorkerPool):
                 flight = inflight[index]
                 try:
                     while True:
-                        reply = conn.recv()
+                        blob = conn.recv_bytes()
+                        with _collector_paused:
+                            reply = pickle.loads(blob)
                         kind = reply[0]
                         if kind == "unit":
                             _, unit, parse, seconds = reply

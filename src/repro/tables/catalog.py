@@ -481,6 +481,17 @@ class TableCatalog:
         with self._lock:
             self._retire_listeners.append(listener)
 
+    def off_retire(self, listener) -> None:
+        """Remove a listener :meth:`on_retire` registered (absent: a no-op).
+
+        The list holds its listeners strongly: an owner that registers a
+        bound method removes it when it closes, or the catalog keeps the
+        owner alive.
+        """
+        with self._lock:
+            if listener in self._retire_listeners:
+                self._retire_listeners.remove(listener)
+
     def _maybe_retire(self, shard: _Shard) -> None:
         """Drop a superseded shard once its last pin drains (lock held)."""
         if shard.superseded_by is None or shard.pins > 0:

@@ -43,11 +43,13 @@ def _restore(cls: type, state: Tuple) -> object:
 
     Sets each slot in field order and runs neither ``__init__`` nor
     ``__post_init__``: the fields were normalised and validated when the
-    original was built, so a restore trusts them as pickled.
+    original was built, so a restore trusts them as pickled.  A field
+    declared ``init=False`` is not in the tuple, and its slot stays unset
+    for the class to derive on first read.
     """
     instance = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, state):
-        object.__setattr__(instance, name, value)
+    for set_field, value in zip(cls._field_setters, state):
+        set_field(instance, value)
     return instance
 
 
@@ -62,21 +64,32 @@ def pickles_as_fields(cls: type) -> type:
     """Give a frozen slotted dataclass the table model's one pickling rule.
 
     ``__reduce__`` returns the field tuple (read through
-    :func:`operator.attrgetter`) and :func:`_restore` sets it back.  The
-    dataclass default for a frozen slotted class pickles through a Python
-    ``fields()`` loop instead, about twice as slow to dump and to load a
-    list of tables.  The price against the dict-backed classes: such a
-    list still loads about 1.8 times as slowly, a Python restore per
-    object where a dict state was set in C.
+    :func:`operator.attrgetter`) and :func:`_restore` sets it back
+    through the slots' own descriptors.  The dataclass default for a
+    frozen slotted class pickles through a Python ``fields()`` loop
+    instead, about twice as slow to dump and to load a list of tables.
+    The price against the dict-backed classes: a Python restore per
+    object where a dict state was set in C, so a slotted pickle still
+    loads more slowly (a full-parse process reply about 1.2 times as
+    slowly, with the collector paused on both sides).
 
     ``__setstate__`` refuses every state.  Only a pickle of the old
     dict-backed classes carries one, and the dataclass default would load
     it without error by zipping the dict's *keys* into the fields
     (``Cell.value == 'value'``); refusing makes such a pickle fail to load,
     so a disk cache counts it as an unreadable entry, never as a hit.
+
+    The tuple holds the ``__init__`` fields (``__match_args__``): a class
+    with none, such as :class:`~repro.dcs.ast.AllRecords`, pickles as the
+    empty tuple, and an ``init=False`` field is never pickled.
     """
     names = cls.__match_args__
-    if len(names) == 1:
+    if not names:
+
+        def read(instance) -> Tuple:
+            return ()
+
+    elif len(names) == 1:
         read_one = attrgetter(names[0])
 
         def read(instance) -> Tuple:
@@ -89,6 +102,9 @@ def pickles_as_fields(cls: type) -> type:
         return _restore, (type(self), read(self))
 
     cls.__reduce__ = __reduce__
+    # Setting through the descriptors skips the frozen ``__setattr__`` and
+    # a per-field name lookup: about a fifth of a slotted reply's load time.
+    cls._field_setters = tuple(getattr(cls, name).__set__ for name in names)
     cls.__setstate__ = _refuse_state
     return cls
 

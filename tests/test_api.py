@@ -9,9 +9,11 @@ the client path (in-process and TCP) bit-identical to the engine.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from repro.serving import ServerClosed
 from repro.tables import (
     AmbiguousTableError,
     CatalogError,
+    Table,
     TableCatalog,
     UnknownTableError,
 )
@@ -264,6 +267,42 @@ class TestReproEngine:
         engine.close()
         assert engine.pool_stats() == {}
         assert engine.pool() is not pool
+
+    def test_closed_engines_leave_the_catalog(self, corpus):
+        """An engine joins the catalog's retirements when it builds its
+        pool and leaves them on close: the catalog keeps no closed engine
+        alive, and calls none."""
+        tables, questions = corpus
+        catalog = TableCatalog()
+        catalog.register_all(tables)
+        engines = []
+        for _ in range(3):
+            with ReproEngine(catalog, workers=2) as engine:
+                engine.query(questions["olympics"], target="olympics")
+                assert catalog._retire_listeners == [engine._forward_retirement]
+                engines.append(weakref.ref(engine))
+            assert catalog._retire_listeners == []
+        del engine
+        gc.collect()
+        assert catalog._retire_listeners == []
+        assert [alive() for alive in engines] == [None, None, None]
+
+    def test_a_reused_engine_forwards_retirements_to_its_new_pool(self, corpus, engine):
+        _, questions = corpus
+        engine.query(questions["olympics"], target="olympics")
+        engine.close()
+        assert engine.catalog._retire_listeners == []
+        pool = engine.pool()
+        assert engine.catalog._retire_listeners == [engine._forward_retirement]
+        retired = []
+        retire = pool.retire
+        pool.retire = lambda digests: (retired.extend(digests), retire(digests))
+        old = engine.catalog.resolve("olympics")
+        rows = [[1896, "Greece", "Athina"], [2004, "Greece", "Athens"]]
+        engine.update("olympics", Table(["Year", "Country", "City"], rows, name="olympics"))
+        assert retired == [old.digest]
+        engine.close()
+        assert engine.catalog._retire_listeners == []
 
     def test_answer_fails_an_expired_request_before_dispatch(self, corpus, engine):
         _, questions = corpus

@@ -1,11 +1,18 @@
 """Unit tests for the SemanticParser (generation + ranking)."""
 
+import copy
+import pickle
+from pathlib import Path
+
 import pytest
 
 from repro.dataset import DatasetConfig, build_dataset
 from repro.dcs import builder as q, to_sexpr
-from repro.parser import LogLinearModel, ParserConfig, SemanticParser
+from repro.parser import Candidate, LogLinearModel, ParserConfig, SemanticParser
 from repro.parser.grammar import GenerationConfig
+
+#: Trained weights, so scores spread and ties are rare.
+WEIGHTS = Path(__file__).resolve().parent.parent / "perfbench" / "weights.json"
 
 
 class CountingModel(LogLinearModel):
@@ -175,6 +182,68 @@ class TestTopKCut:
         assert parser.rank(candidates)
 
 
+class TestScoredAsBuilt:
+    """A cold top-k parse scores each candidate as generation builds it and
+    keeps no vector; it serves exactly the first k of ranking the full
+    list, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return build_dataset(DatasetConfig(num_tables=6, questions_per_table=4, seed=3))
+
+    @staticmethod
+    def served(candidates):
+        return [(c.sexpr, c.answer, c.score, c.probability) for c in candidates]
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_a_top_k_parse_is_the_first_k_of_ranking_the_full_list(self, corpus, k):
+        model = CountingModel()
+        model.weights = LogLinearModel.load(WEIGHTS).weights
+        cut_parser = SemanticParser(model=model)
+        full_parser = SemanticParser(model=LogLinearModel.load(WEIGHTS))
+        for example in corpus.examples:
+            model.calls = 0
+            cut = cut_parser.parse(example.question, example.table, k=k)
+            # Scored during generation: the model scored no vector.
+            assert model.calls == 0
+            candidates, _ = full_parser.generate_candidates(example.question, example.table)
+            expected = full_parser.rank(candidates)[:k]
+            assert self.served(cut.candidates) == self.served(expected)
+            assert all(candidate.features is None for candidate in cut.candidates)
+
+    def test_a_stored_list_is_ranked_from_its_vectors(self, medals_table, tmp_path):
+        question = "difference between Fiji and Tonga"
+        reference = SemanticParser(model=LogLinearModel.load(WEIGHTS))
+        expected = self.served(reference.parse(question, medals_table, k=5).candidates)
+        cached = SemanticParser(model=CountingModel())
+        cached.model.weights = reference.model.weights
+        full = cached.parse(question, medals_table)
+        cached.model.calls = 0
+        assert self.served(cached.parse(question, medals_table, k=5).candidates) == expected
+        assert cached.model.calls == len(full.candidates)
+        disk = SemanticParser(
+            model=CountingModel(), config=ParserConfig(disk_cache_dir=str(tmp_path))
+        )
+        disk.model.weights = reference.model.weights
+        assert self.served(disk.parse(question, medals_table, k=5).candidates) == expected
+        assert disk.model.calls == len(full.candidates)
+        stored, _ = disk.generator._disk_cache.get_candidates(
+            medals_table.fingerprint.digest, question, disk.config.generation_signature()
+        )
+        assert all(candidate.features for candidate in stored)
+
+    def test_rank_takes_the_scores_of_the_call_that_built_them(self, medals_table):
+        parser = SemanticParser(model=LogLinearModel.load(WEIGHTS))
+        candidates, _ = parser.generate_candidates("total of Fiji", medals_table)
+        scores = parser.model.scores([candidate.features for candidate in candidates])
+        bare = [candidate.without_features() for candidate in candidates]
+        assert self.served(parser.rank(bare, k=3, scores=scores)) == self.served(
+            parser.rank(candidates, k=3)
+        )
+        with pytest.raises(ValueError, match="scores for"):
+            parser.rank(bare, scores=scores[1:])
+
+
 class TestConfiguration:
     def test_max_candidates_limit(self, medals_table):
         config = ParserConfig(max_candidates=5)
@@ -217,12 +286,36 @@ class TestCandidateSexpr:
     def test_repeated_reads_make_no_to_sexpr_call(self, medals_table, to_sexpr_calls):
         output = SemanticParser().parse("What was the total of Fiji?", medals_table, k=7)
         first = [candidate.sexpr for candidate in output.candidates]
-        assert len(to_sexpr_calls) == len(output.candidates)
-        to_sexpr_calls.clear()
+        # Generation filled each string its node facts composed.
+        assert to_sexpr_calls == []
         again = [candidate.sexpr for candidate in output.candidates]
         repr(output.candidates[0])
         assert to_sexpr_calls == []
         assert again == first == [to_sexpr(c.query) for c in output.candidates]
+
+    @pytest.mark.parametrize("rebuild", ["constructed", "pickled", "copied"])
+    def test_a_candidate_from_elsewhere_serializes_its_query_once(
+        self, medals_table, to_sexpr_calls, rebuild
+    ):
+        served = SemanticParser().parse("What was the total of Fiji?", medals_table, k=7)
+        expected = [candidate.sexpr for candidate in served.candidates]
+        if rebuild == "constructed":
+            candidates = [
+                Candidate(c.query, None, c.result, c.score, c.probability)
+                for c in served.candidates
+            ]
+        elif rebuild == "pickled":
+            # The string is never pickled: a reply carries the query alone.
+            blob = pickle.dumps(served.candidates)
+            assert all(sexpr.encode() not in blob for sexpr in expected)
+            candidates = pickle.loads(blob)
+        else:
+            candidates = [copy.copy(candidate) for candidate in served.candidates]
+        assert [candidate.sexpr for candidate in candidates] == expected
+        assert len(to_sexpr_calls) == len(candidates)
+        to_sexpr_calls.clear()
+        assert [candidate.sexpr for candidate in candidates] == expected
+        assert to_sexpr_calls == []
 
     def test_a_repeated_served_question_reserializes_nothing(
         self, medals_table, to_sexpr_calls

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import shutil
 
+from repro.dcs import ast as ast_module
+from repro.dcs import executor as executor_module
+from repro.dcs.ast import ResultKind
 from repro.parser import ParserConfig, SemanticParser
+from repro.parser import candidates as candidates_module
 from repro.parser.grammar import CandidateGrammar
 from repro.perf import DiskCache
 from repro.perf.diskcache import CANDIDATES_NAMESPACE, DISK_CACHE_SCHEMA, TABLES_NAMESPACE
 from repro.tables import Table
 from repro.tables import index as index_module
 from repro.tables import table as table_module
-from repro.tables.values import StringValue
+from repro.tables.values import NumberValue, StringValue
 
 
 def small_table(name: str = "t") -> Table:
@@ -46,7 +51,7 @@ class TestDiskCacheStore:
     def test_layout_is_fanned_out_under_version_root(self, tmp_path):
         cache = DiskCache(tmp_path)
         cache.put_candidates("ab" * 32, "question", "sig", ())
-        entries = list((tmp_path / "v2" / CANDIDATES_NAMESPACE).rglob("*.pkl"))
+        entries = list((tmp_path / "v3" / CANDIDATES_NAMESPACE).rglob("*.pkl"))
         assert len(entries) == 1
         # Two-hex fan-out directory between namespace and entry.
         assert len(entries[0].parent.name) == 2
@@ -66,7 +71,7 @@ class TestDiskCacheStore:
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps(("some-other-schema", ("k",), "value")))
         assert cache.get("candidates", ("k",)) is None
-        assert DISK_CACHE_SCHEMA == "repro-diskcache-v2"
+        assert DISK_CACHE_SCHEMA == "repro-diskcache-v3"
 
     def test_an_entry_in_the_old_layout_is_a_miss_counted_as_an_error(
         self, tmp_path, monkeypatch
@@ -98,15 +103,95 @@ class TestDiskCacheStore:
         assert cache.stats() == {"hits": 0, "misses": 1, "writes": 0, "errors": 1}
         assert not path.exists()
 
+    def test_a_v2_candidate_list_is_a_miss_counted_as_an_error(
+        self, tmp_path, monkeypatch
+    ):
+        """A list pickled with the dict-backed query trees, results and
+        candidates of a ``v2`` store never loads as a hit."""
+
+        key = ("ab" * 32, "which year", "sig")
+        with monkeypatch.context() as patch:
+
+            def dict_backed(module, name, *fields):
+                cls = dataclasses.make_dataclass(name, fields, frozen=True)
+                cls.__module__, cls.__qualname__ = module.__name__, name
+                patch.setattr(module, name, cls)
+                return cls
+
+            AllRecords = dict_backed(ast_module, "AllRecords")
+            ColumnValues = dict_backed(ast_module, "ColumnValues", "column", "records")
+            ExecutionResult = dict_backed(
+                executor_module, "ExecutionResult",
+                "kind", "record_indices", "cells", "values", "aggregates",
+            )
+            Candidate = dict_backed(
+                candidates_module, "Candidate",
+                "query", "features", "result", "score", "probability",
+            )
+            result = ExecutionResult(
+                ResultKind.VALUES, frozenset(), (), (NumberValue(1896),), ()
+            )
+            old = Candidate(ColumnValues("Year", AllRecords()), {"op:x": 1.0}, result, 0.0, 0.0)
+            blob = pickle.dumps(
+                (DISK_CACHE_SCHEMA, key, ((old,), None)), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        cache = DiskCache(tmp_path)
+        path = cache._path(CANDIDATES_NAMESPACE, key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        assert cache.get_candidates(*key) is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "writes": 0, "errors": 1}
+        assert not path.exists()
+
     def test_the_v1_root_is_never_read(self, tmp_path):
         cache = DiskCache(tmp_path)
-        # Where a v1 store kept this key, with a payload that would hit.
-        old = tmp_path / "v1" / cache._path(CANDIDATES_NAMESPACE, ("k",)).relative_to(cache.root)
-        old.parent.mkdir(parents=True)
-        old.write_bytes(pickle.dumps((DISK_CACHE_SCHEMA, ("k",), "value")))
-        assert cache.get(CANDIDATES_NAMESPACE, ("k",)) is None
-        assert len(cache) == 0
-        assert old.exists()
+        for version in ("v1", "v2"):
+            # Where an older store kept this key, with a payload that would hit.
+            old = tmp_path / version / cache._path(
+                CANDIDATES_NAMESPACE, ("k",)
+            ).relative_to(cache.root)
+            old.parent.mkdir(parents=True)
+            old.write_bytes(pickle.dumps((DISK_CACHE_SCHEMA, ("k",), "value")))
+            assert cache.get(CANDIDATES_NAMESPACE, ("k",)) is None
+            assert len(cache) == 0
+            assert old.exists()
+
+    def test_opening_removes_older_candidate_lists_and_keeps_older_tables(self, tmp_path):
+        def entry(version, namespace):
+            path = tmp_path / version / namespace / "ab" / f"ab{version}.pkl"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"older")
+            return path
+
+        v1_tables = entry("v1", TABLES_NAMESPACE)
+        entry("v1", CANDIDATES_NAMESPACE)
+        entry("v2", CANDIDATES_NAMESPACE)
+        unrelated = tmp_path / "notes" / CANDIDATES_NAMESPACE
+        unrelated.mkdir(parents=True)
+        DiskCache(tmp_path).put_candidates("ab" * 32, "question", "sig", ("kept",))
+        DiskCache(tmp_path)
+        # v1 keeps only the tables an older process may still rehydrate;
+        # v2 held nothing else, so its root goes too.
+        assert not (tmp_path / "v1" / CANDIDATES_NAMESPACE).exists()
+        assert v1_tables.read_bytes() == b"older"
+        assert not (tmp_path / "v2").exists()
+        assert unrelated.exists()
+        assert DiskCache(tmp_path).get_candidates("ab" * 32, "question", "sig") == ("kept",)
+
+    def test_a_removal_another_process_races_is_ignored(self, tmp_path, monkeypatch):
+        lists = tmp_path / "v2" / CANDIDATES_NAMESPACE / "ab"
+        lists.mkdir(parents=True)
+        (lists / "entry.pkl").write_bytes(b"older")
+        real_rmtree = shutil.rmtree
+
+        def raced(path, ignore_errors=False):
+            real_rmtree(path)  # the other process removes it first
+            real_rmtree(path, ignore_errors=ignore_errors)
+
+        monkeypatch.setattr(shutil, "rmtree", raced)
+        DiskCache(tmp_path)
+        assert not (tmp_path / "v2").exists()
+        DiskCache(tmp_path / "absent")  # no cache directory yet
 
     def test_shared_root_between_instances(self, tmp_path):
         DiskCache(tmp_path).put("candidates", ("k",), 42)

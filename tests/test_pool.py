@@ -20,8 +20,10 @@ The serving hot path's contract, flavour by flavour:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import multiprocessing
 import pickle
+import sys
 import threading
 import time
 
@@ -375,6 +377,116 @@ class TestProcessReplyBoundary:
             assert self.cut(kept) == self.cut(reply)
             sent = len(pickle.dumps(dataclasses.replace(reply, table=None)))
             assert sent <= 0.6 * len(pickle.dumps(kept)), (item.question, sent)
+
+
+@pytest.fixture
+def collector_enabled():
+    """Run with the cyclic collector on, and leave it as it was found."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        if not was_enabled:
+            gc.disable()
+
+
+class TestReplyLoadsPauseTheCollector:
+    """The driver loads every process reply with the cyclic collector
+    paused, and leaves it as it found it, whatever the loads do."""
+
+    @pytest.fixture
+    def pause(self):
+        from repro.perf.pool import _CollectorPause
+
+        return _CollectorPause()
+
+    def test_a_load_pauses_and_resumes_an_enabled_collector(
+        self, pause, collector_enabled
+    ):
+        with pause:
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, pause, collector_enabled):
+        gc.disable()
+        with pause:
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_a_load_that_raises_resumes_the_collector(self, pause, collector_enabled):
+        with pytest.raises(pickle.UnpicklingError):
+            with pause:
+                pickle.loads(b"not a pickle")
+        assert gc.isenabled()
+
+    def test_overlapping_loads_resume_once_the_last_one_leaves(
+        self, pause, collector_enabled
+    ):
+        """Thread A starts loading, B starts, A finishes while B still
+        loads: the collector stays paused until B finishes, and resumes."""
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def second_loader():
+            with pause:
+                entered.set()
+                release.wait(5)
+                seen.append(gc.isenabled())
+
+        with pause:
+            loader = threading.Thread(target=second_loader)
+            loader.start()
+            assert entered.wait(5)
+        assert not gc.isenabled()
+        release.set()
+        loader.join(5)
+        assert not loader.is_alive()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_many_threads_never_leave_it_paused(self, pause, collector_enabled):
+        enabled_inside = []
+
+        def loads():
+            for _ in range(300):
+                with pause:
+                    enabled_inside.append(gc.isenabled())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=loads) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(enabled_inside) == 8 * 300 and not any(enabled_inside)
+        assert gc.isenabled()
+
+    def test_process_replies_load_paused(self, monkeypatch, collector_enabled):
+        dataset = build_dataset(DatasetConfig(num_tables=2, questions_per_table=2, seed=0))
+        items = [BatchItem(e.question, e.table, k=3) for e in dataset.examples]
+        loads = []
+        real_loads = pickle.loads
+
+        def recording(blob, *args, **kwargs):
+            loaded = real_loads(blob, *args, **kwargs)
+            if isinstance(loaded, tuple) and loaded and loaded[0] == "unit":
+                loads.append(gc.isenabled())
+            return loaded
+
+        with ProcessWorkerPool(make_parser(), 2) as pool:
+            monkeypatch.setattr(pickle, "loads", recording)
+            replies = pool.parse_all(items)
+            monkeypatch.undo()
+            assert pool.inline_parses == 0
+        assert all(not isinstance(parse, Exception) for parse, _ in replies)
+        assert loads and not any(loads)
+        assert gc.isenabled()
 
 
 def thread_served(items, weights=None):

@@ -13,7 +13,9 @@ them; the properties checked are the ones the paper's machinery relies on:
   strings, duplicate-only columns),
 * the provenance chain is always ordered (``PO ⊆ PE ⊆ PC``),
 * highlight levels only cover cells of columns used by the query,
-* utterances exist and mention every column of the query.
+* utterances exist and mention every column of the query,
+* a cold top-k parse, scored as it is built, serves exactly the first k
+  of ranking the full candidate list.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import copy
 import pickle
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +40,7 @@ from repro.dcs import (
 )
 from repro.dcs.errors import DCSError
 from repro.dcs.typing import validate
-from repro.parser import Lexicon, extract_features
+from repro.parser import LogLinearModel, Lexicon, SemanticParser, extract_features
 from repro.parser.features import NodeFacts
 from repro.sql import check_equivalence
 from repro.tables import Table, parse_value, table_from_json, table_to_json, values_equal
@@ -703,3 +706,37 @@ class TestNodeFactsProperties:
         assert _exact(facts.features(query, result)) == _exact(
             extract_features(question, table, query, analysis=analysis, result=result)
         )
+
+
+# ---------------------------------------------------------------------------
+# a cold top-k parse, scored as built, vs ranking the full list
+# ---------------------------------------------------------------------------
+
+#: Trained weights, so scores spread and ties are rare.
+TRAINED = LogLinearModel.load(
+    Path(__file__).resolve().parent.parent / "perfbench" / "weights.json"
+)
+
+top_k_cases = tables().flatmap(
+    lambda table: st.tuples(
+        st.just(table),
+        st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=12),
+    )
+)
+
+
+class TestScoredAsBuiltProperties:
+    @given(top_k_cases)
+    @SETTINGS
+    def test_a_top_k_parse_is_the_first_k_of_ranking_the_full_list(self, case):
+        table, words, k = case
+        question = " ".join(words)
+        served = SemanticParser(model=TRAINED.copy()).parse(question, table, k=k)
+        full = SemanticParser(model=TRAINED.copy())
+        candidates, _ = full.generate_candidates(question, table)
+        expected = full.rank(candidates)[:k]
+        assert [
+            (c.sexpr, c.answer, c.score, c.probability) for c in served.candidates
+        ] == [(c.sexpr, c.answer, c.score, c.probability) for c in expected]
+        assert all(candidate.features is None for candidate in served.candidates)
